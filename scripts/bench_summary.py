@@ -31,7 +31,9 @@ cross-runner numbers and passes a looser tolerance.
 per population size, object-path speedup, tracemalloc peak) and
 ``test_secure_agg_throughput`` (hierarchical masking clients/sec), appended
 to a ``BENCH_scale.json`` trajectory with the same labelling rules
-(``make bench-scale`` drives the full 10**7 run).  ``--check --scale``
+(``make bench-scale`` drives the full 10**7 run).  An entry whose columnar
+clients/sec map equals the previous entry's exactly was carried forward,
+not measured, and is refused with a one-line error.  ``--check --scale``
 gates the scale trajectory the same way ``--check`` gates the micro one,
 except the compared numbers are throughput rates (higher is better): the
 newest entry fails when any shared rate dropped past the tolerance.
@@ -138,6 +140,24 @@ def load_trajectory(destination: Path) -> list[dict]:
     if isinstance(existing, dict) and "benchmarks" in existing:
         return [{"label": "seed", **existing}]
     return []
+
+
+def carried_forward(entries: list[dict], entry: dict) -> str | None:
+    """Why ``entry`` repeats the previous entry's columnar rates, else None.
+
+    Measured clients/sec never repeat digit for digit, so a ``clients_per_s``
+    map equal to the previous entry's (the one ``entry`` would follow, i.e.
+    ignoring an entry it replaces) was copied, not re-measured.
+    """
+    rates = entry.get("clients_per_s")
+    previous = [e for e in entries if e.get("label") != entry.get("label")]
+    if not rates or not previous or previous[-1].get("clients_per_s") != rates:
+        return None
+    return (
+        f"columnar clients_per_s of {entry.get('label')!r} equal entry "
+        f"{previous[-1].get('label')!r} exactly; carried-forward numbers are "
+        "rejected -- re-run `make bench-scale`"
+    )
 
 
 def append_entry(destination: Path, entry: dict) -> list[dict]:
@@ -373,6 +393,10 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     if args.scale:
         entry = summarize_scale(report, label=args.label)
+        reason = carried_forward(load_trajectory(destination), entry)
+        if reason is not None:
+            print(f"error: {reason}", file=sys.stderr)
+            return 1
         entries = append_entry(destination, entry)
         details = []
         if entry.get("speedup_vs_object") is not None:

@@ -302,15 +302,28 @@ def elicit_values(
     any chunk size -- and ``"max"``/``"latest"`` are exact reductions.
     ``"mean"`` uses sequential ``reduceat`` accumulation (see the module
     docstring for the ulp caveat).
+
+    ``"sample"`` over a one-value-per-client batch returns a read-only view
+    of ``batch.values`` under a single ``client_plane.elicit`` span:
+    ``gen.integers(1)`` can only pick index 0 and draws nothing from the
+    generator, so skipping the call leaves the stream untouched.
     """
     n = len(batch)
     if n == 0:
         return np.empty(0)
     if strategy == "sample":
+        tracer = get_tracer()
+        if batch.uniform:
+            with tracer.span(
+                "client_plane.elicit",
+                {"chunk": 0, "lo": 0, "hi": n, "strategy": strategy},
+            ):
+                view = batch.values.view()
+                view.flags.writeable = False
+                return view
         gen = ensure_rng(rng)
         size = batch_chunk_size(chunk)
         out = np.empty(n)
-        tracer = get_tracer()
         sizes = batch.sizes
         starts = batch.offsets[:-1]
         for index, (lo, hi) in enumerate(_chunk_bounds(n, size)):
@@ -359,7 +372,12 @@ def _collect_chunk(
     sums: np.ndarray,
     counts: np.ndarray,
 ) -> None:
-    """Extract, perturb, and fold one chunk into the int64 accumulators."""
+    """Extract, perturb, and fold one chunk into the int64 accumulators.
+
+    One joint ``bincount`` over ``2 * bit_index + (report == 1)`` counts
+    both halves at once: odd slots are reports equal to 1 (the sums), and
+    each even/odd pair adds up to the bit's report count.
+    """
     bits = (
         (encoded_chunk[:, None] >> assign_chunk.astype(np.uint64)) & np.uint64(1)
     ).astype(np.uint8)
@@ -369,9 +387,12 @@ def _collect_chunk(
             raise ProtocolError(
                 f"perturbation changed report shape from {assign_chunk.shape} to {bits.shape}"
             )
-    flat = assign_chunk.ravel()
-    sums += np.bincount(flat[bits.ravel() == 1], minlength=n_bits)
-    counts += np.bincount(flat, minlength=n_bits)
+    joint = np.bincount(
+        2 * assign_chunk.ravel() + (bits.ravel() == 1), minlength=2 * n_bits
+    )
+    sums += joint[1::2]
+    counts += joint[0::2]
+    counts += joint[1::2]
 
 
 def accumulate_bit_reports(

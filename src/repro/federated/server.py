@@ -318,6 +318,10 @@ class FederatedMeanQuery:
                 pooled_means = outcome.summary.bit_means
                 pooled_counts = outcome.summary.counts
             else:
+                if len(cohort) < 2:
+                    raise ConfigurationError(
+                        f"adaptive mode needs at least 2 clients, got {len(cohort)}"
+                    )
                 n_round1 = min(max(int(round(self.delta * len(cohort))), 1), len(cohort) - 1)
                 order = gen.permutation(len(cohort))
                 cohort1 = _subset(cohort, order[:n_round1])
@@ -571,15 +575,17 @@ class FederatedMeanQuery:
             # Batched across survivors -- stream-identical to per-client
             # elicit() calls, and one meter transaction per round.  Columnar
             # populations elicit straight from the flat value arrays in
-            # bounded-memory chunks.
+            # bounded-memory chunks; a lossless round passes the cohort and
+            # its assignment through instead of copying them.
             columnar = isinstance(clients, ClientBatch)
+            lossless = survivors.size == n
             live = None
             with tracer.span(
                 "round.elicit",
                 {"n_clients": int(survivors.size), "columnar": columnar},
             ):
                 if columnar:
-                    live = clients.take(survivors)
+                    live = clients if lossless else clients.take(survivors)
                     values = elicit_values(
                         live, self.elicitation, gen, chunk=self.chunk_clients
                     )
@@ -597,7 +603,7 @@ class FederatedMeanQuery:
                     else:
                         ids = [clients[i].client_id for i in survivors]
                     self.meter.record_batch(ids, self.metric_name)
-            live_assignment = assignment[survivors]
+            live_assignment = assignment if lossless else assignment[survivors]
 
             shard_failures = 0
             if self.secure_aggregation:

@@ -198,3 +198,42 @@ class TestCheckCli:
             assert exc.code != 0
         else:  # pragma: no cover - argparse always exits
             raise AssertionError("expected SystemExit")
+
+
+class TestScaleSummarizeCli:
+    PAYLOAD = {"chunk": 65536, "columnar": {"100000": {"clients_per_s": 11_000_000.0}}}
+
+    def _run(self, tmp_path, payload, label):
+        source = tmp_path / "scale.json"
+        source.write_text(json.dumps(payload))
+        destination = tmp_path / "BENCH_scale.json"
+        return bench_summary.main(
+            ["--scale", str(source), str(destination), "--label", label]
+        ), destination
+
+    def test_carried_forward_rates_are_rejected(self, tmp_path, capsys):
+        assert self._run(tmp_path, self.PAYLOAD, "seed")[0] == 0
+        capsys.readouterr()
+        code, destination = self._run(tmp_path, self.PAYLOAD, "pr8")
+        assert code == 1
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        assert "carried-forward" in err and "'seed'" in err
+        labels = [e["label"] for e in bench_summary.load_trajectory(destination)]
+        assert labels == ["seed"]
+
+    def test_remeasured_rates_are_appended(self, tmp_path):
+        assert self._run(tmp_path, self.PAYLOAD, "seed")[0] == 0
+        remeasured = copy.deepcopy(self.PAYLOAD)
+        remeasured["columnar"]["100000"]["clients_per_s"] = 11_000_001.0
+        code, destination = self._run(tmp_path, remeasured, "pr12")
+        assert code == 0
+        labels = [e["label"] for e in bench_summary.load_trajectory(destination)]
+        assert labels == ["seed", "pr12"]
+
+    def test_resummarizing_the_same_label_is_not_a_carry_forward(self, tmp_path):
+        # Replacing an entry compares against the one before it, not itself.
+        assert self._run(tmp_path, self.PAYLOAD, "seed")[0] == 0
+        code, destination = self._run(tmp_path, self.PAYLOAD, "seed")
+        assert code == 0
+        assert len(bench_summary.load_trajectory(destination)) == 1

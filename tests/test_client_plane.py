@@ -65,6 +65,11 @@ def batch(devices):
     return ClientBatch.from_devices(devices)
 
 
+@pytest.fixture(scope="module")
+def one_value_devices():
+    return make_devices(multi=False)
+
+
 # ----------------------------------------------------------------------
 # Chunk-size resolution
 # ----------------------------------------------------------------------
@@ -161,12 +166,28 @@ class TestClientBatch:
 class TestElicitValues:
     @pytest.mark.parametrize("strategy", ["sample", "max", "latest"])
     @pytest.mark.parametrize("chunk", CHUNKS)
-    def test_exact_twin(self, devices, batch, strategy, chunk):
-        reference = elicit_batch(
-            [d.values for d in devices], strategy, np.random.default_rng(11)
-        )
-        columnar = elicit_values(batch, strategy, np.random.default_rng(11), chunk=chunk)
-        np.testing.assert_array_equal(columnar, reference)
+    def test_exact_twin(self, devices, one_value_devices, strategy, chunk):
+        # Ragged multisets first, then one value per client (the fast path).
+        for population in (devices, one_value_devices):
+            ref_gen = np.random.default_rng(11)
+            reference = elicit_batch([d.values for d in population], strategy, ref_gen)
+            gen = np.random.default_rng(11)
+            columnar = elicit_values(
+                ClientBatch.from_devices(population), strategy, gen, chunk=chunk
+            )
+            np.testing.assert_array_equal(columnar, reference)
+        if strategy == "sample":
+            # The one-value fast path skips gen.integers(ones), which is only
+            # stream-identical because NumPy draws nothing for it; the object
+            # path still makes that call.
+            untouched = np.random.default_rng(11).bit_generator.state
+            assert ref_gen.bit_generator.state == untouched
+            assert gen.bit_generator.state == untouched
+            # It hands out the population's own values: callers must not be
+            # able to write through them.
+            assert not columnar.flags.writeable
+            with pytest.raises(ValueError):
+                columnar[0] = -1.0
 
     def test_mean_twin_allclose(self, devices, batch):
         # "mean" is the documented ulp exception: reduceat (sequential) vs
@@ -242,6 +263,25 @@ class TestAccumulateBitReports:
         np.testing.assert_array_equal(got[0], ref[0])
         np.testing.assert_array_equal(got[1], ref[1])
 
+    @pytest.mark.parametrize("chunk", [1, 50, 100_000])
+    def test_only_reports_equal_to_one_add_to_sums(self, encoded, chunk):
+        class Shifted:
+            """Reports each bit as bit + 1 (values 1 and 2)."""
+
+            def perturb_bits(self, bits, rng):
+                return bits + 1
+
+        assignment = np.arange(encoded.size) % self.n_bits
+        sums, counts = accumulate_bit_reports(
+            encoded, self.n_bits, assignment, Shifted(), rng=0, chunk=chunk
+        )
+        bits = (encoded >> assignment.astype(np.uint64)) & np.uint64(1)
+        np.testing.assert_array_equal(counts, np.bincount(assignment, minlength=self.n_bits))
+        # A report of 2 (a true 1) is not a 1, so only true 0s add to sums.
+        np.testing.assert_array_equal(
+            sums, np.bincount(assignment[bits == 0], minlength=self.n_bits)
+        )
+
     def test_bad_assignment(self, encoded):
         with pytest.raises(ProtocolError, match="incompatible"):
             accumulate_bit_reports(encoded, self.n_bits, np.zeros(encoded.size - 1))
@@ -276,21 +316,21 @@ class TestEstimatorTwins:
 
     @pytest.mark.parametrize("mode", ["basic", "adaptive"])
     @pytest.mark.parametrize("chunk", [1, 37, None])
-    def test_estimate_clients_twin(self, devices, batch, mode, chunk):
+    def test_estimate_clients_twin(self, devices, one_value_devices, mode, chunk):
         cls = BasicBitPushing if mode == "basic" else AdaptiveBitPushing
         encoder = FixedPointEncoder.for_integers(10)
-
-        def object_path():
+        # One-value clients elicit a read-only view of the population.
+        for population in (devices, one_value_devices):
             gen = np.random.default_rng(17)
-            values = elicit_batch([d.values for d in devices], "sample", gen)
-            return cls(encoder).estimate(values, gen)
-
-        reference = object_path()
-        columnar = cls(encoder).estimate_clients(
-            batch, rng=np.random.default_rng(17), chunk=chunk
-        )
-        assert columnar.value == reference.value
-        np.testing.assert_array_equal(columnar.counts, reference.counts)
+            values = elicit_batch([d.values for d in population], "sample", gen)
+            reference = cls(encoder).estimate(values, gen)
+            columnar = cls(encoder).estimate_clients(
+                ClientBatch.from_devices(population),
+                rng=np.random.default_rng(17),
+                chunk=chunk,
+            )
+            assert columnar.value == reference.value
+            np.testing.assert_array_equal(columnar.counts, reference.counts)
 
     @pytest.mark.parametrize(
         "factory",
@@ -305,19 +345,21 @@ class TestEstimatorTwins:
         ids=["duchi", "piecewise", "hybrid", "laplace", "dithering", "rounding"],
     )
     @pytest.mark.parametrize("chunk", [1, 37])
-    def test_baseline_estimate_clients_twin(self, devices, batch, factory, chunk):
-        def object_path():
+    def test_baseline_estimate_clients_twin(
+        self, devices, one_value_devices, factory, chunk
+    ):
+        for population in (devices, one_value_devices):
             gen = np.random.default_rng(23)
-            values = elicit_batch([d.values for d in devices], "sample", gen)
-            return factory().estimate(values, gen)
-
-        reference = object_path()
-        columnar = factory().estimate_clients(
-            batch, rng=np.random.default_rng(23), chunk=chunk
-        )
-        assert columnar.value == reference.value
-        assert columnar.n_clients == reference.n_clients
-        assert columnar.method == reference.method
+            values = elicit_batch([d.values for d in population], "sample", gen)
+            reference = factory().estimate(values, gen)
+            columnar = factory().estimate_clients(
+                ClientBatch.from_devices(population),
+                rng=np.random.default_rng(23),
+                chunk=chunk,
+            )
+            assert columnar.value == reference.value
+            assert columnar.n_clients == reference.n_clients
+            assert columnar.method == reference.method
 
 
 # ----------------------------------------------------------------------
@@ -326,15 +368,18 @@ class TestEstimatorTwins:
 
 
 class TestFederatedTwins:
-    def run_query(self, population, mode, ldp, chunk_clients, seed=41):
+    def run_query(self, population, mode, ldp, chunk_clients, seed=41, lossless=False):
+        """A lossy round over a subsampled cohort, or a lossless whole-population one."""
         query = FederatedMeanQuery(
             FixedPointEncoder.for_integers(8),
             mode=mode,
             perturbation=RandomizedResponse(epsilon=2.0) if ldp else None,
-            dropout=DropoutModel(rate=0.1),
-            network=NetworkModel(loss_rate=0.05),
+            dropout=None if lossless else DropoutModel(rate=0.1),
+            network=None if lossless else NetworkModel(loss_rate=0.05),
             chunk_clients=chunk_clients,
         )
+        if lossless:
+            return query.run(population, rng=seed)
         return query.run(
             population,
             rng=seed,
@@ -344,14 +389,41 @@ class TestFederatedTwins:
 
     @pytest.mark.parametrize("mode", ["basic", "adaptive"])
     @pytest.mark.parametrize("ldp", [False, True])
-    def test_run_twin(self, devices, batch, mode, ldp):
-        reference = self.run_query(devices, mode, ldp, None)
-        for chunk in (None, 1, 13):
-            columnar = self.run_query(batch, mode, ldp, chunk)
-            assert columnar.value == reference.value
-            for ref_round, col_round in zip(reference.rounds, columnar.rounds):
-                np.testing.assert_array_equal(col_round.bit_means, ref_round.bit_means)
-                np.testing.assert_array_equal(col_round.counts, ref_round.counts)
+    def test_run_twin(self, devices, one_value_devices, mode, ldp):
+        # The lossy cases take survivors; the lossless ones pass the cohort
+        # through, over ragged and one-value (draw-free elicit) populations.
+        cases = [
+            (devices, False),
+            (devices, True),
+            (one_value_devices, True),
+        ]
+        for population, lossless in cases:
+            reference = self.run_query(population, mode, ldp, None, lossless=lossless)
+            batch = ClientBatch.from_devices(population)
+            for chunk in (None, 1, 13):
+                columnar = self.run_query(batch, mode, ldp, chunk, lossless=lossless)
+                assert columnar.value == reference.value
+                assert len(columnar.rounds) == len(reference.rounds)
+                for ref_round, col_round in zip(reference.rounds, columnar.rounds):
+                    np.testing.assert_array_equal(col_round.bit_means, ref_round.bit_means)
+                    np.testing.assert_array_equal(col_round.counts, ref_round.counts)
+                    assert col_round.n_clients == ref_round.n_clients
+            if lossless:
+                assert sum(r.n_clients for r in reference.rounds) == len(population)
+
+    def test_lossless_round_takes_nothing(self, monkeypatch, one_value_devices):
+        calls = []
+        original_take = ClientBatch.take
+
+        def counting_take(self, indices):
+            calls.append(len(indices))
+            return original_take(self, indices)
+
+        monkeypatch.setattr(ClientBatch, "take", counting_take)
+        batch = ClientBatch.from_devices(one_value_devices)
+        estimate = self.run_query(batch, "basic", False, None, lossless=True)
+        assert estimate.rounds[0].n_clients == len(batch)
+        assert calls == []
 
     def test_metadata_flags_columnar(self, devices, batch):
         assert self.run_query(batch, "basic", False, None).metadata["columnar"] is True

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import FixedPointEncoder
+from repro.core import ClientBatch, FixedPointEncoder
 from repro.exceptions import CohortTooSmallError, ConfigurationError
 from repro.federated import (
     ClientDevice,
@@ -227,3 +227,16 @@ class TestConfigValidation:
     def test_empty_population(self, encoder):
         with pytest.raises(CohortTooSmallError):
             FederatedMeanQuery(encoder).run([], rng=0)
+
+    @pytest.mark.parametrize("columnar", [False, True])
+    def test_adaptive_one_client_names_the_minimum(self, encoder, columnar):
+        population = (
+            ClientBatch.from_values([5.0]) if columnar else [ClientDevice(0, [5.0])]
+        )
+        with pytest.raises(
+            ConfigurationError, match="adaptive mode needs at least 2 clients, got 1"
+        ):
+            FederatedMeanQuery(encoder, mode="adaptive").run(population, rng=0)
+        # Basic mode still answers a one-client query.
+        est = FederatedMeanQuery(encoder, mode="basic").run(population, rng=0)
+        assert est.n_clients == 1
