@@ -18,7 +18,10 @@ control-message + frame protocol (HELLO, ANNOUNCE, REPORTS, RESULT):
    profile, with three clients shipping garbage instead of their frames,
    must match :func:`in_process_estimate` with exactly those three uplinks
    rejected (``wire_rejects_total``), and the recorded span stream must
-   contain the ``uplink.reject`` accounting spans.
+   contain the ``uplink.reject`` accounting spans.  The round is LDP
+   (epsilon 2), so its recorded manifest must also show the server's
+   privacy books: epsilon 2.0 spent once, and one metered bit per
+   accepted report.
 
 Any parity miss, unaccounted reject, or missing artifact exits non-zero --
 the CI chaos job runs this next to the failure-injection campaigns.
@@ -56,7 +59,7 @@ CORRUPTED = (3, 11, 19)
 
 
 def _recorded_loopback(directory: Path, config: ServeConfig, values, **kwargs):
-    """Run one loopback round under a flight recorder; return (served, fleet)."""
+    """Run one loopback round under a flight recorder; return (served, fleet, manifest)."""
     registry = MetricsRegistry()
     recorder = FlightRecorder(
         directory,
@@ -67,8 +70,13 @@ def _recorded_loopback(directory: Path, config: ServeConfig, values, **kwargs):
     )
     with instrumented(Tracer([recorder]), registry):
         served, fleet = run_loopback(config, values, **kwargs)
-    recorder.finalize(estimate=served.estimate, metrics=registry.snapshot())
-    return served, fleet
+    manifest = recorder.finalize(
+        estimate=served.estimate,
+        metrics=registry.snapshot(),
+        accountant=served.accountant,
+        meter=served.meter,
+    )
+    return served, fleet, manifest
 
 
 def lossless_leg(out_root: Path) -> Path:
@@ -78,7 +86,7 @@ def lossless_leg(out_root: Path) -> Path:
         n_clients=LOSSLESS_N, seed=11, deadline_s=30.0, registration_timeout_s=30.0
     )
     record_dir = out_root / "lossless"
-    served, fleet = _recorded_loopback(record_dir, cfg, values, fleet_seed=3)
+    served, fleet, _manifest = _recorded_loopback(record_dir, cfg, values, fleet_seed=3)
 
     population = [ClientDevice(i, [float(v)]) for i, v in enumerate(values)]
     in_process = FederatedMeanQuery(
@@ -112,7 +120,7 @@ def adversarial_leg(out_root: Path) -> Path:
         registration_timeout_s=30.0,
     )
     record_dir = out_root / "adversarial"
-    served, fleet = _recorded_loopback(
+    served, fleet, manifest = _recorded_loopback(
         record_dir,
         cfg,
         values,
@@ -145,11 +153,20 @@ def adversarial_leg(out_root: Path) -> Path:
     if rejected and not reject_spans:
         raise SystemExit("no uplink.reject spans recorded for rejected uplinks")
     reasons = sorted({span["attributes"]["reason"] for span in reject_spans})
+    # Served rounds meter through the same round core as in-process ones.
+    spent = manifest["privacy"]["epsilon_spent"]
+    metered = manifest["bit_meter"]["total_bits"]
+    if spent != cfg.epsilon or metered != served.surviving_clients:
+        raise SystemExit(
+            f"METERING MISS: epsilon spent {spent} (expected {cfg.epsilon}), "
+            f"{metered} metered bits for {served.surviving_clients} accepted reports"
+        )
     print(
         f"leg 2 ok: {ADVERSARIAL_N} clients, {len(CORRUPTED)} adversarial, "
         f"loss {profile.loss_rate:.0%} -> estimate {served.estimate.value:.4f} == twin, "
         f"{rejected} uplinks rejected (reasons: {', '.join(reasons) or 'none'}), "
-        f"{fleet.uplinks_dropped} dropped by emulation (artifact: {record_dir})"
+        f"{fleet.uplinks_dropped} dropped by emulation, epsilon {spent} spent, "
+        f"{metered} bits metered (artifact: {record_dir})"
     )
     return record_dir
 

@@ -948,8 +948,9 @@ def run_serve_command(
     instrumentation: ``--out`` exports the ``serve.*``/``uplink.*`` spans and
     a metrics snapshot as JSONL, ``--record`` captures a flight-recorder
     artifact in exactly the form in-process traced rounds produce (rendered
-    by ``repro.cli report``).  A round that exhausts its retry budget prints
-    the failure and exits 1.
+    by ``repro.cli report``), with the round's epsilon ledger and bit-meter
+    totals.  A round that exhausts its retry budget prints the failure and
+    exits 1.
     """
     stream = stream if stream is not None else sys.stdout
     error_stream = error_stream if error_stream is not None else sys.stderr
@@ -1030,6 +1031,8 @@ def run_serve_command(
         recorder.finalize(
             estimate=result.estimate,
             metrics=snapshot,
+            accountant=result.accountant,
+            meter=result.meter,
             extra={
                 "serve": {
                     "port": bound_port,

@@ -13,8 +13,9 @@ optionally maps to real ``asyncio.sleep`` time via ``time_scale``.
 
 Determinism: each client owns an independent generator spawned from the fleet
 seed (``SeedSequence(seed).spawn(n)``), and per announcement draws in a fixed
-order -- randomized response first, then the network emulation -- so
-:func:`repro.federated.serve.in_process_estimate` can replay the exact stream.
+order -- randomized response first (:func:`report_bit`), then the network
+emulation -- so :func:`repro.federated.serve.in_process_estimate` can replay
+the exact stream.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ __all__ = [
     "FleetResult",
     "fleet_values",
     "read_message",
+    "report_bit",
 ]
 
 
@@ -72,6 +74,24 @@ def fleet_values(n_clients: int, seed: int = 0) -> np.ndarray:
         raise ConfigurationError(f"n_clients must be >= 1, got {n_clients}")
     rng = np.random.default_rng(seed)
     return np.clip(rng.normal(600.0, 100.0, n_clients), 0.0, None)
+
+
+def report_bit(
+    value: float, bit_index: int, encoder: FixedPointEncoder, epsilon: float | None,
+    rng: np.random.Generator,
+) -> int:
+    """One device's bit: encode, take ``bit_index``, randomize at ``epsilon``.
+
+    Fleet clients and the served round's in-process twin both draw through
+    this, so the twin replays each client's stream exactly.
+    """
+    encoded = encoder.encode(np.asarray([value]))
+    bit = int((encoded[0] >> np.uint64(bit_index)) & np.uint64(1))
+    if epsilon is None:
+        return bit
+    rr = RandomizedResponse(epsilon=float(epsilon))
+    return int(rr.perturb_bits(np.asarray([bit], dtype=np.uint8), rng)[0])
+
 
 #: Mutator hook: ``(client_id, attempt, frame) -> frame | None``.  Returning
 #: ``None`` drops the uplink (the device goes silent); returning different
@@ -380,22 +400,14 @@ class ClientFleet:
                         )
                         bit_index = int(announce["bit_index"])
                         epsilon = announce.get("epsilon")
-                        encoded = encoder.encode(np.asarray([value]))
-                        bit = int((encoded[0] >> np.uint64(bit_index)) & np.uint64(1))
-                        randomized = epsilon is not None
-                        if randomized:
-                            bit = int(
-                                RandomizedResponse(epsilon=float(epsilon)).perturb_bits(
-                                    np.asarray([bit], dtype=np.uint8), gen
-                                )[0]
-                            )
+                        bit = report_bit(value, bit_index, encoder, epsilon, gen)
                         frame = encode_batch(
                             [
                                 BitReport(
                                     client_id=client_id, bit_index=bit_index, bit=bit
                                 )
                             ],
-                            randomized_response=randomized,
+                            randomized_response=epsilon is not None,
                         )
                     if self.mutate is not None:
                         mutated = self.mutate(client_id, seq, frame)

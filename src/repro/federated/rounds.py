@@ -1,0 +1,353 @@
+"""The round core: one implementation of a federated round's bookkeeping.
+
+:class:`~repro.federated.server.FederatedMeanQuery` (in-memory dropout,
+network and collect, or the secure shard tree),
+:class:`~repro.federated.serve.RoundServer` (TCP announce and collect) and
+:func:`~repro.federated.serve.in_process_estimate` (the served round's
+per-client draws, replayed in memory) differ only in how reports arrive.
+Everything after that lives here, once, and runs synchronously, so the TCP
+server calls it between its ``await`` points:
+
+* :class:`AttemptLoop` -- retry backoff, the ``round.retry`` span,
+  ``round_retries_total``, the attempt history and health observations;
+* :meth:`RoundCore.check_quorum` -- the quorum verdict and its
+  :class:`~repro.exceptions.RoundFailedError` messages and counters;
+* :meth:`RoundCore.fold` -- per-bit ``(sums, counts)`` to a
+  :class:`RoundOutcome`, then privacy accounting over the folded clients:
+  the bit meter first and the epsilon ledger second, so an over-disclosure
+  aborts the round before any epsilon is spent;
+* :meth:`RoundCore.reconstruct` -- the LDP clip/squash, the decode and the
+  :class:`~repro.core.results.MeanEstimate` metadata.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, replace
+from typing import Any, Hashable, Mapping, Sequence
+
+import numpy as np
+
+from repro.core.encoding import FixedPointEncoder
+from repro.core.protocol import BitPerturbation, bit_means_from_stats
+from repro.core.results import MeanEstimate, RoundSummary
+from repro.core.squashing import squash_bit_means
+from repro.exceptions import ConfigurationError, RoundFailedError
+from repro.federated.retry import RetryPolicy
+from repro.observability import HealthMonitor, get_metrics, get_tracer
+from repro.privacy.accountant import BitMeter, PrivacyAccountant
+
+__all__ = ["AttemptLoop", "RoundCore", "RoundOutcome"]
+
+
+@dataclass(frozen=True)
+class RoundOutcome:
+    """Operational record of one collection round.
+
+    ``planned_clients``/``surviving_clients`` describe the attempt that
+    finally completed; ``attempt_history`` records every attempt's
+    ``(planned, survived)`` pair, failed ones included, so per-attempt
+    report accounting reconciles with the metrics counters.
+    """
+
+    summary: RoundSummary
+    planned_clients: int
+    surviving_clients: int
+    round_duration_s: float
+    attempts: int = 1
+    degraded: bool = False
+    backoff_s: float = 0.0
+    attempt_history: tuple[tuple[int, int], ...] = ()
+
+    @property
+    def dropout_rate(self) -> float:
+        if self.planned_clients == 0:
+            return 0.0
+        return 1.0 - self.surviving_clients / self.planned_clients
+
+    @property
+    def variance_inflation(self) -> float:
+        """Widened-variance factor for a round completed under-strength.
+
+        Bit-mean sampling variance scales as ``1 / survivors``, so a round
+        that completed with fewer clients than planned carries
+        ``planned / survivors`` times the variance its plan budgeted for.
+        """
+        if self.surviving_clients <= 0:
+            return float("inf")
+        return self.planned_clients / self.surviving_clients
+
+
+class RoundCore:
+    """The round policy every transport shares, and the steps that apply it.
+
+    Parameters
+    ----------
+    encoder:
+        Fixed-point encoding the bit means decode through.
+    perturbation:
+        The local-DP bit perturbation clients applied (``None``: none); it
+        drives debiasing, the [0, 1] clip and the epsilon spend.
+    min_quorum:
+        Minimum folded clients for a round attempt to count.  An attempt
+        below quorum fails (and is retried under ``retry``); an attempt at
+        or above quorum completes even under heavy loss, with the
+        degradation recorded on the :class:`RoundOutcome`
+        (``degraded``/``variance_inflation``).  Default 1: only a
+        zero-survivor round fails.
+    degraded_fraction:
+        A completed round whose survivors fall below this fraction of the
+        plan is flagged degraded (``rounds_degraded_total`` metric).
+    retry:
+        :class:`RetryPolicy` for failed round attempts (``None`` disables
+        retries: a failed round raises).
+    meter:
+        Optional :class:`BitMeter`; every folded client's disclosure of
+        ``metric_name`` is recorded (and over-disclosure raises).
+    metric_name:
+        Value identity used for metering.
+    accountant:
+        Optional :class:`PrivacyAccountant`.  Under an LDP ``perturbation``
+        every *completed* round attempt records one ledger entry of its
+        epsilon (sequential composition across rounds; a failed attempt
+        spends nothing).  Flight-recorder manifests surface the ledger as
+        the run's epsilon-spend timeline.
+    health:
+        Optional :class:`HealthMonitor`.  Every round attempt -- failed ones
+        included -- is reported through
+        :meth:`~repro.observability.health.HealthMonitor.observe_round`, so
+        SLO rules evaluate even when no tracer is installed.  Do not also
+        register the same monitor as a tracer exporter, or rounds evaluate
+        twice.
+    """
+
+    def __init__(
+        self,
+        encoder: FixedPointEncoder,
+        perturbation: BitPerturbation | None = None,
+        min_quorum: int = 1,
+        degraded_fraction: float = 0.5,
+        retry: RetryPolicy | None = None,
+        meter: BitMeter | None = None,
+        metric_name: str = "metric",
+        accountant: PrivacyAccountant | None = None,
+        health: HealthMonitor | None = None,
+    ) -> None:
+        if min_quorum < 1:
+            raise ConfigurationError(f"min_quorum must be >= 1, got {min_quorum}")
+        if not 0.0 < degraded_fraction <= 1.0:
+            raise ConfigurationError(
+                f"degraded_fraction must be in (0, 1], got {degraded_fraction}"
+            )
+        self.encoder = encoder
+        self.perturbation = perturbation
+        self.min_quorum = min_quorum
+        self.degraded_fraction = degraded_fraction
+        self.retry = retry
+        self.meter = meter
+        self.metric_name = metric_name
+        self.accountant = accountant
+        self.health = health
+
+    # ------------------------------------------------------------------
+    def check_quorum(
+        self, span: Any, planned: int, survived: int, round_index: int, attempt: int,
+        secure: bool = False,
+    ) -> None:
+        """Raise :class:`RoundFailedError` if an attempt's survivors miss quorum.
+
+        ``secure`` marks the second check secure aggregation runs, on the
+        clients its shards could unmask.
+        """
+        if survived >= self.min_quorum:
+            return
+        metrics = get_metrics()
+        metrics.counter("rounds_failed_total").inc()
+        metrics.counter("round_reports_planned_total").inc(planned)
+        metrics.counter("round_reports_delivered_total").inc(survived)
+        metrics.counter("round_reports_lost_total").inc(planned - survived)
+        span.set_attribute("failed", True)
+        span.set_attribute("surviving_clients", survived)
+        if secure:
+            message = (
+                f"round {round_index} attempt {attempt}: secure aggregation "
+                f"recovered {survived} clients, below quorum {self.min_quorum}"
+            )
+        elif survived == 0:
+            message = "every client dropped out of the round"
+        else:
+            message = (
+                f"round {round_index} attempt {attempt}: {survived} "
+                f"survivors below quorum {self.min_quorum}"
+            )
+        raise RoundFailedError(message, planned=planned, survived=survived)
+
+    def fold(
+        self, span: Any, sums: np.ndarray, counts: np.ndarray, probabilities: np.ndarray,
+        planned: int, duration_s: float, round_index: int, attempt: int,
+        client_ids: Sequence[Hashable] = (), shard_failures: int = 0,
+    ) -> RoundOutcome:
+        """Fold a completed attempt's per-bit counters into its outcome.
+
+        Each folded client reported one bit, so ``counts`` sums to the
+        survivors; ``client_ids`` names them for the meter (only read when
+        one is set).  Lost shards degrade the round even when the survivor
+        fraction looks healthy: exclusions widen the variance like dropout.
+        """
+        survived = int(counts.sum())
+        means = bit_means_from_stats(sums, counts, self.perturbation)
+        summary = RoundSummary(
+            probabilities=probabilities,
+            counts=counts,
+            sums=means * counts,
+            bit_means=means,
+            n_clients=survived,
+        )
+        degraded = survived < self.degraded_fraction * planned or shard_failures > 0
+        outcome = RoundOutcome(summary, planned, survived, duration_s, degraded=degraded)
+        if self.meter is not None:
+            self.meter.record_batch(client_ids, self.metric_name)
+        epsilon = getattr(self.perturbation, "epsilon", None)
+        if self.accountant is not None and epsilon is not None:
+            self.accountant.spend(
+                float(epsilon),
+                note=(
+                    f"round {round_index} attempt {attempt}: randomized response "
+                    f"over {survived} reports"
+                ),
+            )
+        span.set_attribute("surviving_clients", survived)
+        span.set_attribute("round_duration_s", duration_s)
+        metrics = get_metrics()
+        if degraded:
+            span.set_attribute("degraded", True)
+            span.set_attribute("variance_inflation", outcome.variance_inflation)
+            metrics.counter("rounds_degraded_total").inc()
+        if metrics.enabled:
+            metrics.counter("rounds_total").inc()
+            metrics.counter("round_reports_planned_total").inc(planned)
+            metrics.counter("round_reports_delivered_total").inc(survived)
+            metrics.counter("round_reports_lost_total").inc(planned - survived)
+            metrics.gauge("dropout_rate").set(outcome.dropout_rate)
+            metrics.histogram("round_duration_s").observe(duration_s)
+            bit_hist = metrics.histogram(
+                "bit_index_distribution",
+                buckets=tuple(float(j) for j in range(self.encoder.n_bits)),
+            )
+            for j, count in enumerate(counts):
+                if count:
+                    bit_hist.observe(float(j), count=int(count))
+        return outcome
+
+    def reconstruct(
+        self, span_name: str, outcomes: Sequence[RoundOutcome], n_clients: int, method: str,
+        metadata: Mapping[str, Any], pooled: tuple[np.ndarray, np.ndarray] | None = None,
+        threshold: float | np.ndarray = 0.0,
+    ) -> MeanEstimate:
+        """Decode the rounds' bit means into the estimate, under a ``span_name`` span.
+
+        ``pooled`` holds ``(bit_means, counts)`` pooled across rounds; by
+        default the single round's own.  Under LDP the debiased means are
+        first squashed below ``threshold`` and clipped into [0, 1]: a true
+        bit mean is a proportion, and post-processing spends no privacy.
+        """
+        means, counts = pooled or (outcomes[0].summary.bit_means, outcomes[0].summary.counts)
+        with get_tracer().span(span_name, {"n_bits": self.encoder.n_bits}) as span:
+            squashed: tuple[int, ...] = ()
+            if self.perturbation is not None:
+                means, squashed_idx = squash_bit_means(means, threshold)
+                squashed = tuple(int(j) for j in squashed_idx)
+            encoded_mean = float(self.encoder.powers @ means)
+            value = self.encoder.decode_scalar(encoded_mean)
+            span.set_attribute("squashed_bits", list(squashed))
+            span.set_attribute("estimate", value)
+        return MeanEstimate(
+            value=value,
+            encoded_value=encoded_mean,
+            bit_means=means,
+            counts=counts,
+            n_clients=n_clients,
+            n_bits=self.encoder.n_bits,
+            method=method,
+            rounds=tuple(o.summary for o in outcomes),
+            squashed_bits=squashed,
+            metadata={
+                "cohort_size": n_clients,
+                "dropout_rates": [o.dropout_rate for o in outcomes],
+                "round_durations_s": [o.round_duration_s for o in outcomes],
+                "total_duration_s": sum(o.round_duration_s + o.backoff_s for o in outcomes),
+                "planned_clients": [o.planned_clients for o in outcomes],
+                "surviving_clients": [o.surviving_clients for o in outcomes],
+                "round_attempts": [o.attempts for o in outcomes],
+                "degraded_rounds": [o.degraded for o in outcomes],
+                "variance_inflation": [o.variance_inflation for o in outcomes],
+                "backoff_s": [o.backoff_s for o in outcomes],
+                "attempt_history": [
+                    [list(pair) for pair in o.attempt_history] for o in outcomes
+                ],
+                **metadata,
+                "ldp": self.perturbation is not None,
+            },
+        )
+
+
+class AttemptLoop:
+    """Retry bookkeeping around one round's attempts; the transport runs each.
+
+    ``attempt`` is the 1-based number of the attempt to run next.  After a
+    failed attempt :meth:`retry_after` says whether another may run; a
+    completed one goes through :meth:`complete`.  Backoff is simulated
+    time: recorded, never slept.
+    """
+
+    def __init__(self, core: RoundCore, round_index: int = 1) -> None:
+        self.core = core
+        self.round_index = round_index
+        self.attempt = 1
+        self.backoff_s = 0.0
+        self.history: list[tuple[int, int]] = []
+
+    def _observe(self, planned: int, survived: int, **sample: Any) -> None:
+        self.history.append((planned, survived))
+        health, accountant = self.core.health, self.core.accountant
+        if health is not None:
+            health.observe_round(
+                round_index=self.round_index, attempt=self.attempt, planned=planned,
+                survived=survived, **sample,
+                epsilon_spent=None if accountant is None else float(accountant.spent_epsilon),
+            )
+
+    def retry_after(self, exc: RoundFailedError) -> bool:
+        """Record a failed attempt; ``False`` once the retry budget is spent."""
+        self._observe(exc.planned, exc.survived, failed=True)
+        retry = self.core.retry
+        if retry is None or self.attempt >= retry.max_attempts:
+            return False
+        backoff = retry.backoff_s(self.attempt)
+        self.backoff_s += backoff
+        get_metrics().counter("round_retries_total").inc()
+        with get_tracer().span(
+            "round.retry",
+            {
+                "round_index": self.round_index,
+                "failed_attempt": self.attempt,
+                "next_attempt": self.attempt + 1,
+                "backoff_s": backoff,
+                "survived": exc.survived,
+                "planned": exc.planned,
+                "reason": str(exc),
+            },
+        ):
+            pass
+        self.attempt += 1
+        return True
+
+    def complete(self, outcome: RoundOutcome) -> RoundOutcome:
+        """Record the completed attempt; stamp the outcome's recovery history."""
+        self._observe(
+            outcome.planned_clients, outcome.surviving_clients,
+            degraded=outcome.degraded, duration_s=outcome.round_duration_s,
+        )
+        return replace(
+            outcome, attempts=self.attempt, backoff_s=self.backoff_s,
+            attempt_history=tuple(self.history),
+        )

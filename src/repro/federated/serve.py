@@ -35,6 +35,11 @@ in-process basic-mode round does -- one :func:`central_assignment` draw per
 attempt and nothing else -- so a lossless served round is bit-identical to
 ``FederatedMeanQuery(mode="basic").run(population, rng=seed)`` on the same
 values, and :func:`in_process_estimate` replays lossy/LDP rounds exactly.
+
+Only announce and collect live here; retries, quorum, fold, privacy
+metering and reconstruction are the round core
+(:mod:`repro.federated.rounds`), which the twin runs over in-memory reports.
+So a served round meters exactly like an in-process one.
 """
 
 from __future__ import annotations
@@ -49,12 +54,18 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from repro.core.encoding import FixedPointEncoder
-from repro.core.protocol import bit_means_from_stats
-from repro.core.results import MeanEstimate, RoundSummary
+from repro.core.results import MeanEstimate
 from repro.core.sampling import BitSamplingSchedule, central_assignment
 from repro.exceptions import ConfigurationError, ProtocolError, RoundFailedError
-from repro.federated.fleet import ClientFleet, EmulationProfile, FleetResult, read_message
+from repro.federated.fleet import (
+    ClientFleet,
+    EmulationProfile,
+    FleetResult,
+    read_message,
+    report_bit,
+)
 from repro.federated.retry import RetryPolicy
+from repro.federated.rounds import AttemptLoop, RoundCore, RoundOutcome
 from repro.federated.wire import (
     FLAG_RANDOMIZED_RESPONSE,
     MSG_ABORT,
@@ -73,7 +84,8 @@ from repro.federated.wire import (
     encode_message,
 )
 from repro.observability import get_metrics, get_tracer
-from repro.observability.tracing import SpanRecord
+from repro.observability.tracing import NullSpan, SpanRecord
+from repro.privacy.accountant import BitMeter, PrivacyAccountant
 from repro.privacy.randomized_response import RandomizedResponse
 from repro.rng import ensure_rng
 
@@ -119,7 +131,9 @@ class ServeConfig:
         every registered client reported (only safe with a lossless fleet).
     registration_timeout_s:
         How long to wait for the full fleet to register before planning the
-        round anyway (unregistered clients become dropouts).
+        round anyway (unregistered clients become dropouts).  When the
+        window ends, every connection that has not sent HELLO is closed
+        with a ``hello-timeout`` reject.
     min_quorum, degraded_fraction, retry:
         Round-failure semantics, exactly as on
         :class:`~repro.federated.server.FederatedMeanQuery`; retry backoff is
@@ -155,12 +169,6 @@ class ServeConfig:
     def __post_init__(self) -> None:
         if self.n_clients < 1:
             raise ConfigurationError(f"n_clients must be >= 1, got {self.n_clients}")
-        if self.min_quorum < 1:
-            raise ConfigurationError(f"min_quorum must be >= 1, got {self.min_quorum}")
-        if not 0.0 < self.degraded_fraction <= 1.0:
-            raise ConfigurationError(
-                f"degraded_fraction must be in (0, 1], got {self.degraded_fraction}"
-            )
         if self.deadline_s is not None and self.deadline_s <= 0:
             raise ConfigurationError(f"deadline_s must be positive, got {self.deadline_s}")
         if self.registration_timeout_s <= 0:
@@ -173,7 +181,7 @@ class ServeConfig:
             raise ConfigurationError(
                 f"telemetry_timeout_s must be positive, got {self.telemetry_timeout_s}"
             )
-        self.encoder  # noqa: B018 -- validates n_bits/scale/offset eagerly
+        _served_core(self)  # validates the encoding and the round policy eagerly
 
     @property
     def encoder(self) -> FixedPointEncoder:
@@ -208,7 +216,11 @@ class ServeConfig:
 
 @dataclass(frozen=True)
 class ServeResult:
-    """Outcome of one served round (mirrors the in-process ``RoundOutcome``)."""
+    """Outcome of one served round (mirrors the in-process ``RoundOutcome``).
+
+    ``accountant``/``meter``: one ledger entry per completed LDP attempt,
+    one metered bit per accepted report.
+    """
 
     estimate: MeanEstimate
     planned_clients: int
@@ -221,6 +233,8 @@ class ServeResult:
     late_reports: int
     duration_s: float
     port: int
+    accountant: PrivacyAccountant
+    meter: BitMeter
     telemetry_clients: int = 0
     remote_spans: int = 0
 
@@ -235,6 +249,32 @@ def _zero_clock() -> float:
     return 0.0
 
 
+def _served_core(config: ServeConfig) -> RoundCore:
+    """A served round's core: always metered, one bit per client and value."""
+    return RoundCore(
+        config.encoder,
+        perturbation=None if config.epsilon is None else RandomizedResponse(config.epsilon),
+        min_quorum=config.min_quorum, degraded_fraction=config.degraded_fraction,
+        retry=config.retry, meter=BitMeter(max_bits_per_value=1), accountant=PrivacyAccountant(),
+    )
+
+
+def _fold_reports(
+    core: RoundCore, span: Any, config: ServeConfig, attempt: int,
+    accepted: dict[int, tuple[int, int]], duration_s: float,
+) -> RoundOutcome:
+    """One served attempt's quorum verdict and fold over ``{client: (bit_index, bit)}``."""
+    n = config.n_clients
+    core.check_quorum(span, n, len(accepted), 1, attempt)
+    reports = np.array(list(accepted.values()), dtype=np.int64).reshape(-1, 2)
+    counts = np.bincount(reports[:, 0], minlength=config.n_bits)
+    sums = np.bincount(reports[:, 0], weights=reports[:, 1], minlength=config.n_bits)
+    return core.fold(
+        span, sums, counts, config.schedule.probabilities, n, duration_s, 1, attempt,
+        client_ids=list(accepted),
+    )
+
+
 class RoundServer:
     """One asyncio TCP server running one federated round over the fleet.
 
@@ -242,7 +282,9 @@ class RoundServer:
     rendezvous), :meth:`serve_round` registers the fleet and drives the
     attempt loop to a :class:`ServeResult` (or raises
     :class:`RoundFailedError` past the retry budget, after broadcasting
-    ABORT), :meth:`close` tears the listener down.  Instrumentation flows
+    ABORT), :meth:`close` closes every accepted connection and the listener.
+    ``core`` is the round's :class:`~repro.federated.rounds.RoundCore`, with
+    its own accountant and one-bit-per-value meter.  Instrumentation flows
     through the process-wide tracer/metrics pair, so wrapping the round in
     ``instrumented(...)`` (or the ``serve`` CLI's flight recorder) captures
     ``serve.*``/``uplink.*`` spans and the reject/report counters.
@@ -252,7 +294,12 @@ class RoundServer:
         self.config = config
         self.port: int | None = None
         self.trace_id = round_trace_id(config.seed)
+        self.core = _served_core(config)
         self._server: asyncio.AbstractServer | None = None
+        #: every open accepted connection, registered or not (close() shuts all).
+        self._connections: set[asyncio.StreamWriter] = set()
+        #: session id -> (writer, peer) of connections yet to send HELLO.
+        self._greeting: dict[int, tuple[asyncio.StreamWriter, str]] = {}
         self._writers: dict[int, asyncio.StreamWriter] = {}
         self._uplinks: asyncio.Queue[tuple[int, int, bytes, float]] = asyncio.Queue()
         self._telemetry_queue: asyncio.Queue[tuple[int, bytes]] = asyncio.Queue()
@@ -295,17 +342,24 @@ class RoundServer:
         return self.port
 
     async def close(self) -> None:
-        """Close every client connection and the listener."""
-        for writer in self._writers.values():
-            writer.close()
-        for writer in self._writers.values():
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover - teardown race
-                pass
+        """Close every accepted connection, registered or not, and the listener.
+
+        Since Python 3.12.1 ``Server.wait_closed()`` waits for every open
+        connection, so one silent peer left open would hang shutdown.
+        """
+        if self._server is not None:
+            self._server.close()  # stop accepting before closing what was accepted
+        while self._connections:  # one accepted just before the listener closed may land late
+            writers, self._connections = self._connections, set()
+            for writer in writers:
+                writer.close()
+            for writer in writers:
+                try:
+                    await writer.wait_closed()
+                except (ConnectionError, OSError):  # pragma: no cover - teardown race
+                    pass
         self._writers.clear()
         if self._server is not None:
-            self._server.close()
             await self._server.wait_closed()
             self._server = None
 
@@ -376,10 +430,14 @@ class RoundServer:
             if isinstance(peername, (tuple, list)) and len(peername) >= 2
             else str(peername)
         )
+        self._connections.add(writer)
+        self._greeting[session] = (writer, peer)
         client_id: int | None = None
         try:
             try:
                 kind, _seq, payload = await read_message(reader)
+                if self._greeting.pop(session, None) is None:
+                    return  # the registration window closed this connection
                 if kind != MSG_HELLO:
                     raise ProtocolError(f"expected HELLO, got message kind {kind}")
                 hello = json.loads(payload)
@@ -428,10 +486,12 @@ class RoundServer:
         except (asyncio.IncompleteReadError, ConnectionError):
             return
         finally:
+            self._greeting.pop(session, None)
             if client_id is not None:
                 self._live.discard(client_id)
             if client_id is None or self._writers.get(client_id) is not writer:
                 writer.close()
+                self._connections.discard(writer)
 
     # ------------------------------------------------------------------
     async def _broadcast_announce(
@@ -755,7 +815,6 @@ class RoundServer:
         """Run the full round state machine against the connected fleet."""
         cfg = self.config
         tracer = get_tracer()
-        metrics = get_metrics()
         gen = ensure_rng(cfg.seed)
         n = cfg.n_clients
         if tracer.enabled:
@@ -781,93 +840,85 @@ class RoundServer:
                     )
                 except asyncio.TimeoutError:
                     pass
+                # The window is over: a connection still silent never joins.
+                for session, (writer, peer) in self._greeting.items():
+                    self._reject(None, "hello-timeout", 0, peer=peer, session=session)
+                    writer.close()
+                self._greeting.clear()
                 registered = len(self._writers)
                 reg_span.set_attribute("registered", registered)
             session_span.set_attribute("registered", registered)
 
-            max_attempts = cfg.retry.max_attempts if cfg.retry is not None else 1
-            history: list[tuple[int, int]] = []
-            backoff_total = 0.0
-            attempt = 1
+            attempts = AttemptLoop(self.core)
             while True:
                 try:
-                    accepted, duration = await self._run_attempt(gen, attempt)
+                    outcome = await self._run_attempt(gen, attempts.attempt)
                 except RoundFailedError as exc:
-                    history.append((exc.planned, exc.survived))
-                    if attempt >= max_attempts:
-                        await self._broadcast_control(
-                            MSG_ABORT,
-                            {"reason": str(exc), "attempt": attempt},
-                            attempt,
-                        )
-                        # Best-effort: an aborted round's artifact still
-                        # deserves the fleet's side of the story.
-                        await self._drain_telemetry(attempt)
-                        raise
-                    backoff = cfg.retry.backoff_s(attempt)
-                    backoff_total += backoff
-                    metrics.counter("round_retries_total").inc()
-                    with tracer.span(
-                        "round.retry",
-                        {
-                            "round_index": 1,
-                            "failed_attempt": attempt,
-                            "next_attempt": attempt + 1,
-                            "backoff_s": backoff,
-                            "survived": exc.survived,
-                            "planned": exc.planned,
-                            "reason": str(exc),
-                        },
-                    ):
-                        pass
-                    attempt += 1
-                    continue
-                history.append((n, len(accepted)))
+                    if attempts.retry_after(exc):
+                        continue
+                    await self._broadcast_control(
+                        MSG_ABORT,
+                        {"reason": str(exc), "attempt": attempts.attempt},
+                        attempts.attempt,
+                    )
+                    # Best-effort: an aborted round's artifact still
+                    # deserves the fleet's side of the story.
+                    await self._drain_telemetry(attempts.attempt)
+                    raise
                 break
-
-            estimate = self._reconstruct(
-                accepted, attempt, history, backoff_total, duration
+            outcome = attempts.complete(outcome)
+            estimate = self.core.reconstruct(
+                "serve.reconstruct", [outcome], n, "federated-served",
+                {
+                    "secure_aggregation": False,
+                    "elicitation": "single",
+                    "columnar": False,
+                    "served": True,
+                    "transport": "tcp",
+                    "port": self.port,
+                    "wire_rejects": self._rejects,
+                    "late_reports": self._late,
+                    "telemetry": cfg.telemetry,
+                    "trace_id": self.trace_id if cfg.telemetry else None,
+                },
             )
-            survived = len(accepted)
-            degraded = survived < cfg.degraded_fraction * n
             await self._broadcast_control(
                 MSG_RESULT,
                 {
                     "estimate": float(estimate.value),
-                    "attempt": attempt,
-                    "survivors": survived,
+                    "attempt": outcome.attempts,
+                    "survivors": outcome.surviving_clients,
                 },
-                attempt,
+                outcome.attempts,
             )
-            await self._drain_telemetry(attempt)
+            await self._drain_telemetry(outcome.attempts)
             session_span.set_attribute("estimate", float(estimate.value))
-            session_span.set_attribute("attempts", attempt)
+            session_span.set_attribute("attempts", outcome.attempts)
             session_span.set_attribute("wire_rejects", self._rejects)
             session_span.set_attribute("telemetry_clients", self._telemetry_clients)
             session_span.set_attribute("remote_spans", self._remote_spans)
             return ServeResult(
                 estimate=estimate,
                 planned_clients=n,
-                surviving_clients=survived,
+                surviving_clients=outcome.surviving_clients,
                 registered_clients=registered,
-                attempts=attempt,
-                degraded=degraded,
-                backoff_s=backoff_total,
+                attempts=outcome.attempts,
+                degraded=outcome.degraded,
+                backoff_s=outcome.backoff_s,
                 wire_rejects=self._rejects,
                 late_reports=self._late,
-                duration_s=duration,
+                duration_s=outcome.round_duration_s,
                 port=self.port or 0,
+                accountant=self.core.accountant,
+                meter=self.core.meter,
                 telemetry_clients=self._telemetry_clients,
                 remote_spans=self._remote_spans,
             )
 
-    async def _run_attempt(
-        self, gen: np.random.Generator, attempt: int
-    ) -> tuple[dict[int, tuple[int, int]], float]:
-        """One attempt: assign, announce, collect, enforce quorum."""
+    async def _run_attempt(self, gen: np.random.Generator, attempt: int) -> RoundOutcome:
+        """One attempt: assign, announce, collect; the core judges and folds."""
         cfg = self.config
         tracer = get_tracer()
-        metrics = get_metrics()
         n = cfg.n_clients
         with tracer.span(
             "serve.round",
@@ -876,7 +927,7 @@ class RoundServer:
             round_span_id = getattr(round_span, "span_id", None)
             if round_span_id is not None:
                 self._attempt_spans[attempt] = round_span_id
-            metrics.counter("round_attempts_total").inc()
+            get_metrics().counter("round_attempts_total").inc()
             with tracer.span("round.assign", {"n_bits": cfg.n_bits, "n_clients": n}):
                 assignment = central_assignment(n, cfg.schedule, gen)
             with tracer.span(
@@ -888,102 +939,7 @@ class RoundServer:
                 )
             accepted, duration, accept_log = await self._collect(attempt, assignment)
             self._record_uplink_timings(attempt, announce_wall, accept_log, round_span)
-            survived = len(accepted)
-            metrics.counter("round_reports_planned_total").inc(n)
-            metrics.counter("round_reports_delivered_total").inc(survived)
-            metrics.counter("round_reports_lost_total").inc(n - survived)
-            round_span.set_attribute("surviving_clients", survived)
-            round_span.set_attribute("round_duration_s", duration)
-            if survived < cfg.min_quorum:
-                metrics.counter("rounds_failed_total").inc()
-                round_span.set_attribute("failed", True)
-                if survived == 0:
-                    message = "every client dropped out of the round"
-                else:
-                    message = (
-                        f"round 1 attempt {attempt}: {survived} "
-                        f"survivors below quorum {cfg.min_quorum}"
-                    )
-                raise RoundFailedError(message, planned=n, survived=survived)
-            metrics.counter("rounds_total").inc()
-            if survived < cfg.degraded_fraction * n:
-                round_span.set_attribute("degraded", True)
-                metrics.counter("rounds_degraded_total").inc()
-            return accepted, duration
-
-    def _reconstruct(
-        self,
-        accepted: dict[int, tuple[int, int]],
-        attempts: int,
-        history: list[tuple[int, int]],
-        backoff_s: float,
-        duration_s: float,
-    ) -> MeanEstimate:
-        """Fold accepted reports into the mean estimate (in-process arithmetic)."""
-        cfg = self.config
-        encoder = cfg.encoder
-        n = cfg.n_clients
-        survived = len(accepted)
-        with get_tracer().span(
-            "serve.reconstruct", {"n_bits": cfg.n_bits, "reports": survived}
-        ) as span:
-            indices = np.fromiter(
-                (bi for bi, _bit in accepted.values()), dtype=np.int64, count=survived
-            )
-            bits = np.fromiter(
-                (bit for _bi, bit in accepted.values()), dtype=np.float64, count=survived
-            )
-            counts = np.bincount(indices, minlength=cfg.n_bits).astype(np.int64)
-            sums = np.bincount(indices, weights=bits, minlength=cfg.n_bits)
-            perturbation = (
-                RandomizedResponse(epsilon=cfg.epsilon) if cfg.epsilon is not None else None
-            )
-            means = bit_means_from_stats(sums, counts, perturbation)
-            encoded_mean = float(encoder.powers @ means)
-            value = encoder.decode_scalar(encoded_mean)
-            span.set_attribute("estimate", value)
-        summary = RoundSummary(
-            probabilities=cfg.schedule.probabilities,
-            counts=counts,
-            sums=means * counts,
-            bit_means=means,
-            n_clients=survived,
-        )
-        degraded = survived < cfg.degraded_fraction * n
-        return MeanEstimate(
-            value=value,
-            encoded_value=encoded_mean,
-            bit_means=means,
-            counts=counts,
-            n_clients=n,
-            n_bits=cfg.n_bits,
-            method="federated-served",
-            rounds=(summary,),
-            metadata={
-                "cohort_size": n,
-                "dropout_rates": [1.0 - survived / n],
-                "round_durations_s": [duration_s],
-                "total_duration_s": duration_s + backoff_s,
-                "planned_clients": [n],
-                "surviving_clients": [survived],
-                "round_attempts": [attempts],
-                "degraded_rounds": [degraded],
-                "variance_inflation": [n / survived if survived else float("inf")],
-                "backoff_s": [backoff_s],
-                "attempt_history": [[list(pair) for pair in history]],
-                "secure_aggregation": False,
-                "elicitation": "single",
-                "ldp": cfg.epsilon is not None,
-                "columnar": False,
-                "served": True,
-                "transport": "tcp",
-                "port": self.port,
-                "wire_rejects": self._rejects,
-                "late_reports": self._late,
-                "telemetry": cfg.telemetry,
-                "trace_id": self.trace_id if cfg.telemetry else None,
-            },
-        )
+            return _fold_reports(self.core, round_span, cfg, attempt, accepted, duration)
 
 
 # ----------------------------------------------------------------------
@@ -996,100 +952,49 @@ def in_process_estimate(
 ) -> MeanEstimate:
     """The served round's deterministic in-process twin.
 
-    Replays exactly what :class:`RoundServer` + :class:`ClientFleet` compute
-    for the same ``config``/``values``/``profile``/``fleet_seed``, without
-    any sockets: the server generator draws one bit assignment per attempt,
-    each client's spawned generator draws randomized response (if ``epsilon``)
-    then the emulation profile's loss/latency, and the surviving reports fold
-    through the identical reconstruction arithmetic.  ``corrupted`` names
-    clients whose uplinks the server always rejects (the fuzzing twin: their
-    client-side draws still advance, their reports never land).
+    The round core over an in-memory transport: the server generator draws
+    one bit assignment per attempt; each client's spawned generator draws
+    its bit through the fleet's :func:`report_bit`, then the profile's loss
+    and latency; delivered reports fold, retry and reconstruct through the
+    code :class:`RoundServer` runs.  ``corrupted`` names clients whose
+    uplinks the server always rejects (the fuzzing twin: their client-side
+    draws still advance, their reports never land).
 
     With no profile, no corruption, and no ``epsilon``, the result is also
     bit-identical to ``FederatedMeanQuery(encoder, mode="basic",
     schedule=config.schedule).run(population, rng=config.seed)`` over
     single-valued clients -- the acceptance-criterion equivalence.
 
-    Raises :class:`RoundFailedError` when every attempt falls below quorum,
+    Raises :class:`RoundFailedError` when no attempt reaches quorum,
     exactly as the server does.
     """
     vals = np.asarray(values, dtype=np.float64)
     if vals.size != config.n_clients:
-        raise ConfigurationError(
-            f"{vals.size} values for a {config.n_clients}-client round"
-        )
-    encoder = config.encoder
+        raise ConfigurationError(f"{vals.size} values for a {config.n_clients}-client round")
+    core = _served_core(config)
     gen = ensure_rng(config.seed)
-    client_gens = [
-        np.random.default_rng(s)
-        for s in np.random.SeedSequence(fleet_seed).spawn(config.n_clients)
-    ]
-    rr = RandomizedResponse(epsilon=config.epsilon) if config.epsilon is not None else None
+    client_gens = ClientFleet(vals, seed=fleet_seed).spawn_generators()
     excluded = frozenset(int(c) for c in corrupted)
-    encoded = encoder.encode(vals)
-    max_attempts = config.retry.max_attempts if config.retry is not None else 1
-    history: list[tuple[int, int]] = []
-    backoff_total = 0.0
-    n = config.n_clients
-    for attempt in range(1, max_attempts + 1):
-        assignment = central_assignment(n, config.schedule, gen)
+    attempts = AttemptLoop(core)
+    while True:
+        assignment = central_assignment(config.n_clients, config.schedule, gen)
         accepted: dict[int, tuple[int, int]] = {}
-        for i in range(n):
-            bit = int((encoded[i] >> np.uint64(assignment[i])) & np.uint64(1))
-            if rr is not None:
-                bit = int(
-                    rr.perturb_bits(np.asarray([bit], dtype=np.uint8), client_gens[i])[0]
-                )
-            delivered = True
-            if profile is not None:
-                delivered, _latency = profile.draw(client_gens[i])
+        for i, client_gen in enumerate(client_gens):
+            bit_index = int(assignment[i])
+            bit = report_bit(vals[i], bit_index, core.encoder, config.epsilon, client_gen)
+            delivered = profile is None or profile.draw(client_gen)[0]
             if delivered and i not in excluded:
-                accepted[i] = (int(assignment[i]), bit)
-        survived = len(accepted)
-        if survived >= config.min_quorum:
-            history.append((n, survived))
-            break
-        history.append((n, survived))
-        if attempt >= max_attempts:
-            if survived == 0:
-                message = "every client dropped out of the round"
-            else:
-                message = (
-                    f"round 1 attempt {attempt}: {survived} "
-                    f"survivors below quorum {config.min_quorum}"
-                )
-            raise RoundFailedError(message, planned=n, survived=survived)
-        backoff_total += config.retry.backoff_s(attempt)
-    indices = np.fromiter((bi for bi, _b in accepted.values()), dtype=np.int64, count=survived)
-    bits = np.fromiter((b for _bi, b in accepted.values()), dtype=np.float64, count=survived)
-    counts = np.bincount(indices, minlength=config.n_bits).astype(np.int64)
-    sums = np.bincount(indices, weights=bits, minlength=config.n_bits)
-    means = bit_means_from_stats(sums, counts, rr)
-    encoded_mean = float(encoder.powers @ means)
-    value = encoder.decode_scalar(encoded_mean)
-    summary = RoundSummary(
-        probabilities=config.schedule.probabilities,
-        counts=counts,
-        sums=means * counts,
-        bit_means=means,
-        n_clients=survived,
-    )
-    return MeanEstimate(
-        value=value,
-        encoded_value=encoded_mean,
-        bit_means=means,
-        counts=counts,
-        n_clients=n,
-        n_bits=config.n_bits,
-        method="federated-served-twin",
-        rounds=(summary,),
-        metadata={
-            "attempt_history": [[list(pair) for pair in history]],
-            "backoff_s": [backoff_total],
-            "ldp": config.epsilon is not None,
-            "served": False,
-        },
-    )
+                accepted[i] = (bit_index, bit)
+        try:
+            outcome = _fold_reports(core, NullSpan(), config, attempts.attempt, accepted, 0.0)
+        except RoundFailedError as exc:
+            if attempts.retry_after(exc):
+                continue
+            raise
+        return core.reconstruct(
+            "serve.reconstruct", [attempts.complete(outcome)], config.n_clients,
+            "federated-served-twin", {"served": False},
+        )
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,6 @@ guarantee robustness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -26,22 +25,18 @@ from repro.core.client_plane import (
     elicit_values,
 )
 from repro.core.encoding import FixedPointEncoder
-from repro.core.protocol import (
-    BitPerturbation,
-    bit_means_from_stats,
-    combine_round_stats,
-)
-from repro.core.results import MeanEstimate, RoundSummary
+from repro.core.protocol import BitPerturbation, combine_round_stats
+from repro.core.results import MeanEstimate
 from repro.core.sampling import BitSamplingSchedule, central_assignment
 from repro.core.squashing import per_bit_squash_thresholds, squash_bit_means
 from repro.exceptions import ConfigurationError, RoundFailedError
-from repro.federated.client import ClientDevice
 from repro.federated.cohort import CohortSelector, Eligibility, Population
 from repro.federated.dropout import DropoutModel, DropoutRateTracker
 from repro.federated.faults import FaultSchedule
 from repro.federated.multivalue import elicit_batch
 from repro.federated.network import NetworkModel
 from repro.federated.retry import RetryPolicy
+from repro.federated.rounds import AttemptLoop, RoundCore, RoundOutcome
 from repro.federated.secure_agg.hierarchy import (
     HierarchicalResult,
     ShardTask,
@@ -64,45 +59,14 @@ def _subset(clients: Population, indices: np.ndarray) -> Population:
     return [clients[int(i)] for i in indices]
 
 
-@dataclass(frozen=True)
-class RoundOutcome:
-    """Operational record of one collection round.
-
-    ``planned_clients``/``surviving_clients`` describe the attempt that
-    finally completed; ``attempt_history`` records every attempt's
-    ``(planned, survived)`` pair, failed ones included, so per-attempt
-    report accounting reconciles with the metrics counters.
-    """
-
-    summary: RoundSummary
-    planned_clients: int
-    surviving_clients: int
-    round_duration_s: float
-    attempts: int = 1
-    degraded: bool = False
-    backoff_s: float = 0.0
-    attempt_history: tuple[tuple[int, int], ...] = ()
-
-    @property
-    def dropout_rate(self) -> float:
-        if self.planned_clients == 0:
-            return 0.0
-        return 1.0 - self.surviving_clients / self.planned_clients
-
-    @property
-    def variance_inflation(self) -> float:
-        """Widened-variance factor for a round completed under-strength.
-
-        Bit-mean sampling variance scales as ``1 / survivors``, so a round
-        that completed with fewer clients than planned carries
-        ``planned / survivors`` times the variance its plan budgeted for.
-        """
-        if self.surviving_clients <= 0:
-            return float("inf")
-        return self.planned_clients / self.surviving_clients
+def _client_ids(clients: Population, positions: np.ndarray) -> list:
+    """Identities of the clients at ``positions`` (what the bit meter records)."""
+    if isinstance(clients, ClientBatch):
+        return clients.client_ids[positions].tolist()
+    return [clients[int(i)].client_id for i in positions]
 
 
-class FederatedMeanQuery:
+class FederatedMeanQuery(RoundCore):
     """A configurable federated mean query over a device population.
 
     Parameters
@@ -126,13 +90,8 @@ class FederatedMeanQuery:
         Failure models; ``None`` disables each.
     selector:
         Cohort policy (default: no eligibility filter, minimum size 1).
-    meter:
-        Optional :class:`BitMeter`; every surviving client's disclosure is
-        recorded (and over-disclosure raises).
     elicitation:
         Multi-value reduction strategy (``"sample"`` by default).
-    metric_name:
-        Value identity used for metering.
     min_reports_per_bit:
         Dropout-aware floor: sampled bits are guaranteed this many expected
         reports by mixing the schedule toward them ("sampling probabilities
@@ -149,37 +108,13 @@ class FederatedMeanQuery:
         Clients per secure-aggregation shard (sessions are O(shard**2)).  A
         remainder of one client folds into the previous shard rather than
         bypassing masking.
-    min_quorum:
-        Minimum surviving clients for a round attempt to count.  An attempt
-        below quorum fails (and is retried under ``retry``); an attempt at
-        or above quorum completes even under heavy loss, with the
-        degradation recorded on the :class:`RoundOutcome`
-        (``degraded``/``variance_inflation``).  Default 1 preserves the
-        historical behaviour: only a zero-survivor round fails.
-    degraded_fraction:
-        A completed round whose survivors fall below this fraction of the
-        plan is flagged degraded (``rounds_degraded_total`` metric).
-    retry:
-        :class:`RetryPolicy` for failed round attempts (``None`` disables
-        retries: a failed round raises, as before).
     faults:
         Optional :class:`~repro.federated.faults.FaultSchedule`; its clock
         advances once per round *attempt* and the active fault overrides
         wrap ``dropout``/``network`` for that attempt.
-    accountant:
-        Optional :class:`~repro.privacy.accountant.PrivacyAccountant`.  When
-        set alongside an LDP ``perturbation``, every *completed* round
-        attempt records one ledger entry of the perturbation's epsilon
-        (sequential composition across rounds; a failed attempt elicits
-        nothing and spends nothing).  Flight-recorder manifests surface the
-        resulting ledger as the run's epsilon-spend timeline.
-    health:
-        Optional :class:`~repro.observability.health.HealthMonitor`.  Every
-        round attempt -- failed ones included -- is reported through
-        :meth:`~repro.observability.health.HealthMonitor.observe_round`,
-        timed on the *simulated* round durations, so SLO rules evaluate
-        even when no tracer is installed.  Do not also register the same
-        monitor as a tracer exporter, or rounds evaluate twice.
+    min_quorum, degraded_fraction, retry, meter, metric_name, accountant, health:
+        The round policy every transport shares (quorum, retries, privacy
+        metering, health); see :class:`~repro.federated.rounds.RoundCore`.
     chunk_clients:
         Chunk size for the columnar client-plane kernels (``None``: the
         ``REPRO_BATCH_CHUNK`` default).  A pure performance/memory knob --
@@ -238,19 +173,17 @@ class FederatedMeanQuery:
             raise ConfigurationError("squash_multiple requires a perturbation")
         if shard_size < 2:
             raise ConfigurationError(f"shard_size must be >= 2, got {shard_size}")
-        if min_quorum < 1:
-            raise ConfigurationError(f"min_quorum must be >= 1, got {min_quorum}")
         if chunk_clients is not None and chunk_clients < 1:
             raise ConfigurationError(f"chunk_clients must be >= 1, got {chunk_clients}")
-        if not 0.0 < degraded_fraction <= 1.0:
-            raise ConfigurationError(
-                f"degraded_fraction must be in (0, 1], got {degraded_fraction}"
-            )
         if schedule is not None and schedule.n_bits != encoder.n_bits:
             raise ConfigurationError(
                 f"schedule covers {schedule.n_bits} bits but encoder has {encoder.n_bits}"
             )
-        self.encoder = encoder
+        super().__init__(
+            encoder, perturbation=perturbation, min_quorum=min_quorum,
+            degraded_fraction=degraded_fraction, retry=retry, meter=meter,
+            metric_name=metric_name, accountant=accountant, health=health,
+        )
         self.mode = mode
         self.schedule = schedule or BitSamplingSchedule.weighted(encoder.n_bits, alpha=1.0)
         # Under LDP the exploratory round defaults to uniform sampling; see
@@ -259,23 +192,15 @@ class FederatedMeanQuery:
         self.alpha = alpha
         self.delta = delta
         self.caching = caching
-        self.perturbation = perturbation
         self.squash_multiple = squash_multiple
         self.dropout = dropout
         self.network = network
         self.selector = selector or CohortSelector(min_cohort_size=1)
-        self.meter = meter
         self.elicitation = elicitation
-        self.metric_name = metric_name
         self.min_reports_per_bit = min_reports_per_bit
         self.secure_aggregation = secure_aggregation
         self.shard_size = shard_size
-        self.min_quorum = min_quorum
-        self.degraded_fraction = degraded_fraction
-        self.retry = retry
         self.faults = faults
-        self.accountant = accountant
-        self.health = health
         self.chunk_clients = chunk_clients
         self.dropout_tracker = DropoutRateTracker(
             prior_rate=dropout.rate if dropout is not None else 0.0
@@ -358,54 +283,17 @@ class FederatedMeanQuery:
                         have2, outcome2.summary.counts, outcome1.summary.counts
                     )
 
-            with tracer.span(
-                "federated.reconstruct", {"n_bits": self.encoder.n_bits}
-            ) as reconstruct_span:
-                squashed: tuple[int, ...] = ()
-                if self.perturbation is not None:
-                    threshold = (
-                        self._squash_threshold(pooled_counts)
-                        if self.squash_multiple > 0
-                        else np.zeros_like(pooled_means)
-                    )
-                    pooled_means, squashed_idx = squash_bit_means(pooled_means, threshold)
-                    squashed = tuple(int(j) for j in squashed_idx)
-
-                encoded_mean = float(self.encoder.powers @ pooled_means)
-                value = self.encoder.decode_scalar(encoded_mean)
-                reconstruct_span.set_attribute("squashed_bits", list(squashed))
-                reconstruct_span.set_attribute("estimate", value)
-
-            total_duration = sum(o.round_duration_s + o.backoff_s for o in outcomes)
-            return MeanEstimate(
-                value=value,
-                encoded_value=encoded_mean,
-                bit_means=pooled_means,
-                counts=pooled_counts,
-                n_clients=len(cohort),
-                n_bits=self.encoder.n_bits,
-                method=f"federated-{self.mode}",
-                rounds=tuple(o.summary for o in outcomes),
-                squashed_bits=squashed,
-                metadata={
-                    "cohort_size": len(cohort),
-                    "dropout_rates": [o.dropout_rate for o in outcomes],
-                    "round_durations_s": [o.round_duration_s for o in outcomes],
-                    "total_duration_s": total_duration,
-                    "planned_clients": [o.planned_clients for o in outcomes],
-                    "surviving_clients": [o.surviving_clients for o in outcomes],
-                    "round_attempts": [o.attempts for o in outcomes],
-                    "degraded_rounds": [o.degraded for o in outcomes],
-                    "variance_inflation": [o.variance_inflation for o in outcomes],
-                    "backoff_s": [o.backoff_s for o in outcomes],
-                    "attempt_history": [
-                        [list(pair) for pair in o.attempt_history] for o in outcomes
-                    ],
+            return self.reconstruct(
+                "federated.reconstruct", outcomes, len(cohort), f"federated-{self.mode}",
+                {
                     "secure_aggregation": self.secure_aggregation,
                     "elicitation": self.elicitation,
-                    "ldp": self.perturbation is not None,
                     "columnar": isinstance(population, ClientBatch),
                 },
+                pooled=(pooled_means, pooled_counts),
+                threshold=(
+                    self._squash_threshold(pooled_counts) if self.squash_multiple > 0 else 0.0
+                ),
             )
 
     # ------------------------------------------------------------------
@@ -418,84 +306,23 @@ class FederatedMeanQuery:
         population: Population | None = None,
         eligibility: Eligibility | None = None,
     ) -> RoundOutcome:
-        """Run one round, retrying failed attempts under the configured policy.
+        """Run one round, retrying failed attempts through the core's :class:`AttemptLoop`.
 
-        Each attempt is a full :meth:`_run_round` execution (the fault
-        schedule's clock ticks per attempt).  On failure: if attempts
-        remain, wait out the policy's exponential backoff in simulated
-        time, optionally re-draw a fresh cohort from the eligible
-        population, and try again; otherwise the failure propagates.  The
-        returned outcome records the attempt count, accumulated backoff,
-        and every attempt's ``(planned, survived)`` pair.
+        Each attempt is a full :meth:`_run_round` (the fault schedule's clock
+        ticks per attempt); a retry may first re-draw a fresh cohort from the
+        eligible population.
         """
-        tracer = get_tracer()
-        metrics = get_metrics()
-        max_attempts = self.retry.max_attempts if self.retry is not None else 1
-        history: list[tuple[int, int]] = []
-        backoff_total = 0.0
-        attempt = 1
+        attempts = AttemptLoop(self, round_index)
         while True:
             try:
-                outcome = self._run_round(clients, schedule, gen, round_index, attempt)
+                outcome = self._run_round(clients, schedule, gen, round_index, attempts.attempt)
             except RoundFailedError as exc:
-                history.append((exc.planned, exc.survived))
-                if self.health is not None:
-                    self.health.observe_round(
-                        round_index=round_index,
-                        attempt=attempt,
-                        planned=exc.planned,
-                        survived=exc.survived,
-                        failed=True,
-                        epsilon_spent=(
-                            float(self.accountant.spent_epsilon)
-                            if self.accountant is not None
-                            else None
-                        ),
-                    )
-                if attempt >= max_attempts:
+                if not attempts.retry_after(exc):
                     raise
-                backoff = self.retry.backoff_s(attempt)
-                backoff_total += backoff
-                metrics.counter("round_retries_total").inc()
-                with tracer.span(
-                    "round.retry",
-                    {
-                        "round_index": round_index,
-                        "failed_attempt": attempt,
-                        "next_attempt": attempt + 1,
-                        "backoff_s": backoff,
-                        "survived": exc.survived,
-                        "planned": exc.planned,
-                        "reason": str(exc),
-                    },
-                ):
-                    if self.retry.redraw_cohort and population is not None:
-                        clients = self.selector.select(
-                            population, eligibility, len(clients), gen
-                        )
-                attempt += 1
+                if self.retry.redraw_cohort and population is not None:
+                    clients = self.selector.select(population, eligibility, len(clients), gen)
                 continue
-            history.append((outcome.planned_clients, outcome.surviving_clients))
-            if self.health is not None:
-                self.health.observe_round(
-                    round_index=round_index,
-                    attempt=attempt,
-                    planned=outcome.planned_clients,
-                    survived=outcome.surviving_clients,
-                    degraded=outcome.degraded,
-                    duration_s=outcome.round_duration_s,
-                    epsilon_spent=(
-                        float(self.accountant.spent_epsilon)
-                        if self.accountant is not None
-                        else None
-                    ),
-                )
-            return replace(
-                outcome,
-                attempts=attempt,
-                backoff_s=backoff_total,
-                attempt_history=tuple(history),
-            )
+            return attempts.complete(outcome)
 
     # ------------------------------------------------------------------
     def _run_round(
@@ -507,7 +334,6 @@ class FederatedMeanQuery:
         attempt: int = 1,
     ) -> RoundOutcome:
         tracer = get_tracer()
-        metrics = get_metrics()
         n = len(clients)
         if n == 0:
             raise ConfigurationError("round planned with zero clients")
@@ -515,7 +341,7 @@ class FederatedMeanQuery:
             "federated.round",
             {"round_index": round_index, "planned_clients": n, "attempt": attempt},
         ) as round_span:
-            metrics.counter("round_attempts_total").inc()
+            get_metrics().counter("round_attempts_total").inc()
             # Scripted fault injection: the schedule's clock ticks once per
             # attempt, and the active overrides wrap the failure models.
             dropout, network = self.dropout, self.network
@@ -554,63 +380,39 @@ class FederatedMeanQuery:
                 alive = delivered
             survivors = np.flatnonzero(alive)
             self.dropout_tracker.update(planned=n, survived=int(survivors.size))
-            quorum = max(1, self.min_quorum)
-            if survivors.size < quorum:
-                metrics.counter("rounds_failed_total").inc()
-                metrics.counter("round_reports_planned_total").inc(n)
-                metrics.counter("round_reports_delivered_total").inc(int(survivors.size))
-                metrics.counter("round_reports_lost_total").inc(n - int(survivors.size))
-                round_span.set_attribute("failed", True)
-                round_span.set_attribute("surviving_clients", int(survivors.size))
-                if survivors.size == 0:
-                    message = "every client dropped out of the round"
-                else:
-                    message = (
-                        f"round {round_index} attempt {attempt}: {survivors.size} "
-                        f"survivors below quorum {quorum}"
-                    )
-                raise RoundFailedError(message, planned=n, survived=int(survivors.size))
+            self.check_quorum(round_span, n, int(survivors.size), round_index, attempt)
 
-            # Client-side: elicit one value each, meter the single-bit disclosure.
-            # Batched across survivors -- stream-identical to per-client
-            # elicit() calls, and one meter transaction per round.  Columnar
+            # Client-side: elicit one value each, batched across survivors --
+            # stream-identical to per-client elicit() calls.  Columnar
             # populations elicit straight from the flat value arrays in
             # bounded-memory chunks; a lossless round passes the cohort and
             # its assignment through instead of copying them.
             columnar = isinstance(clients, ClientBatch)
             lossless = survivors.size == n
-            live = None
             with tracer.span(
                 "round.elicit",
                 {"n_clients": int(survivors.size), "columnar": columnar},
             ):
                 if columnar:
-                    live = clients if lossless else clients.take(survivors)
                     values = elicit_values(
-                        live, self.elicitation, gen, chunk=self.chunk_clients
+                        clients if lossless else clients.take(survivors),
+                        self.elicitation,
+                        gen,
+                        chunk=self.chunk_clients,
                     )
                 else:
                     values = elicit_batch(
                         [clients[i].values for i in survivors], self.elicitation, gen
                     )
-                # Secure mode meters after shard recovery instead: a failed
-                # shard's masked rows are never unmasked, so those clients
-                # disclose nothing, and metering after the inclusion quorum
-                # check keeps retried attempts from double-recording.
-                if self.meter is not None and not self.secure_aggregation:
-                    if columnar:
-                        ids = [int(i) for i in live.client_ids]
-                    else:
-                        ids = [clients[i].client_id for i in survivors]
-                    self.meter.record_batch(ids, self.metric_name)
-            live_assignment = assignment if lossless else assignment[survivors]
 
             shard_failures = 0
             if self.secure_aggregation:
                 # Hierarchical sharded sessions over the *planned* cohort:
                 # dropped clients are real intra-session dropouts, recovered
                 # per shard; a below-threshold shard is excluded and the
-                # round degrades instead of aborting.
+                # round degrades instead of aborting.  Only the clients the
+                # shards unmask are folded (and metered): a failed shard's
+                # masked rows are never unmasked, so they disclose nothing.
                 with tracer.span(
                     "round.secure_agg",
                     {
@@ -621,32 +423,14 @@ class FederatedMeanQuery:
                     sums, counts, secure = self._secure_collect(
                         values, alive, assignment, gen, shard_blackout=shard_blackout
                     )
-                    included = secure.included
+                    folded = secure.included
                     shard_failures = len(secure.failed_shards)
                     secure_span.set_attribute("shards", len(secure.shards))
                     secure_span.set_attribute("shard_failures", shard_failures)
-                    secure_span.set_attribute("included_clients", int(included.size))
-                survived_count = int(included.size)
-                if survived_count < quorum:
-                    metrics.counter("rounds_failed_total").inc()
-                    metrics.counter("round_reports_planned_total").inc(n)
-                    metrics.counter("round_reports_delivered_total").inc(survived_count)
-                    metrics.counter("round_reports_lost_total").inc(n - survived_count)
-                    round_span.set_attribute("failed", True)
-                    round_span.set_attribute("surviving_clients", survived_count)
-                    raise RoundFailedError(
-                        f"round {round_index} attempt {attempt}: secure aggregation "
-                        f"recovered {survived_count} clients, below quorum {quorum}",
-                        planned=n,
-                        survived=survived_count,
-                    )
-                if self.meter is not None:
-                    if columnar:
-                        positions = np.searchsorted(survivors, included)
-                        ids = [int(i) for i in np.asarray(live.client_ids)[positions]]
-                    else:
-                        ids = [clients[int(i)].client_id for i in included]
-                    self.meter.record_batch(ids, self.metric_name)
+                    secure_span.set_attribute("included_clients", int(folded.size))
+                self.check_quorum(
+                    round_span, n, int(folded.size), round_index, attempt, secure=True
+                )
             else:
                 # Chunk-streamed encode + extract + perturb + aggregate
                 # (client_plane.collect spans per chunk); bit-identical to
@@ -656,81 +440,18 @@ class FederatedMeanQuery:
                     sums, counts = collect_client_reports(
                         values,
                         self.encoder,
-                        live_assignment,
+                        assignment if lossless else assignment[survivors],
                         self.perturbation,
                         gen,
                         chunk=self.chunk_clients,
                     )
-                survived_count = int(survivors.size)
-            means = bit_means_from_stats(sums, counts, self.perturbation)
-            summary = RoundSummary(
-                probabilities=schedule.probabilities,
-                counts=counts,
-                sums=means * counts,
-                bit_means=means,
-                n_clients=survived_count,
+                folded = survivors
+            return self.fold(
+                round_span, sums, counts, schedule.probabilities, n, duration,
+                round_index, attempt, shard_failures=shard_failures,
+                # Ids only for a meter: an unmetered round builds no id list.
+                client_ids=_client_ids(clients, folded) if self.meter is not None else (),
             )
-            # A round that lost shards completed under-strength even when the
-            # raw survivor fraction looks healthy: the exclusions widen the
-            # variance exactly like dropout does.
-            degraded = (
-                survived_count < self.degraded_fraction * n or shard_failures > 0
-            )
-            outcome = RoundOutcome(
-                summary=summary,
-                planned_clients=n,
-                surviving_clients=survived_count,
-                round_duration_s=duration,
-                degraded=degraded,
-            )
-            if self.accountant is not None and self.perturbation is not None:
-                epsilon = getattr(self.perturbation, "epsilon", None)
-                if epsilon is not None:
-                    self.accountant.spend(
-                        float(epsilon),
-                        note=(
-                            f"round {round_index} attempt {attempt}: randomized response "
-                            f"over {survived_count} reports"
-                        ),
-                    )
-            round_span.set_attribute("surviving_clients", outcome.surviving_clients)
-            round_span.set_attribute("round_duration_s", outcome.round_duration_s)
-            if degraded:
-                round_span.set_attribute("degraded", True)
-                round_span.set_attribute("variance_inflation", outcome.variance_inflation)
-                metrics.counter("rounds_degraded_total").inc()
-            self._record_round_metrics(metrics, outcome, live_assignment)
-            return outcome
-
-    def _record_round_metrics(
-        self,
-        metrics,
-        outcome: RoundOutcome,
-        live_assignment: np.ndarray,
-    ) -> None:
-        """Fold one round's operational counters into the metrics registry.
-
-        Invariant (asserted by the trace CLI and the integration tests):
-        ``round_reports_planned_total`` accumulates exactly
-        ``round_reports_delivered_total + round_reports_lost_total``, each
-        reconciling with the :class:`RoundOutcome` fields.
-        """
-        if not metrics.enabled:
-            return
-        metrics.counter("rounds_total").inc()
-        metrics.counter("round_reports_planned_total").inc(outcome.planned_clients)
-        metrics.counter("round_reports_delivered_total").inc(outcome.surviving_clients)
-        metrics.counter("round_reports_lost_total").inc(
-            outcome.planned_clients - outcome.surviving_clients
-        )
-        metrics.gauge("dropout_rate").set(outcome.dropout_rate)
-        metrics.histogram("round_duration_s").observe(outcome.round_duration_s)
-        bit_hist = metrics.histogram(
-            "bit_index_distribution", buckets=tuple(float(j) for j in range(self.encoder.n_bits))
-        )
-        for j, count in enumerate(np.bincount(live_assignment, minlength=self.encoder.n_bits)):
-            if count:
-                bit_hist.observe(float(j), count=int(count))
 
     # ------------------------------------------------------------------
     def _adjust_schedule(

@@ -25,6 +25,7 @@ from repro.cli import run_fleet_command, run_serve_command
 from repro.core import FixedPointEncoder
 from repro.core.protocol import bit_means_from_stats
 from repro.core.sampling import central_assignment
+from repro.core.squashing import squash_bit_means
 from repro.exceptions import ConfigurationError, RoundFailedError
 from repro.federated import (
     ClientDevice,
@@ -48,6 +49,7 @@ from repro.federated.wire import (
     MSG_REPORTS,
     MSG_RESULT,
     REPORT_SIZE,
+    decode_report,
     encode_message,
     encode_report,
     encode_telemetry,
@@ -59,6 +61,7 @@ from repro.observability import (
     instrumented,
     load_run,
 )
+from repro.privacy import BitMeter, PrivacyAccountant, RandomizedResponse
 from repro.rng import ensure_rng
 
 
@@ -107,6 +110,38 @@ class TestLoopbackParity:
         assert served.surviving_clients == fleet.uplinks_sent
         assert served.wire_rejects == 0
         assert served.estimate.metadata["ldp"] is True
+
+    def test_ldp_round_clips_debiased_bit_means(self):
+        # Rebuild the round's counters from the frames the fleet put on the
+        # wire (lossless, so every one is accepted), then decode them the
+        # way the in-process round does: debias, clip into [0, 1], decode.
+        n = 40
+        values = fleet_values(n, seed=5)
+        cfg = ServeConfig(
+            n_clients=n, epsilon=2.0, seed=9, deadline_s=10.0, registration_timeout_s=5.0
+        )
+        frames = {}
+
+        def capture(cid, attempt, frame):
+            frames[cid] = frame
+            return frame
+
+        served, _fleet = run_loopback(cfg, values, fleet_seed=5, mutate=capture)
+        reports = [decode_report(frame)[0] for frame in frames.values()]
+        indices = np.array([r.bit_index for r in reports])
+        bits = np.array([r.bit for r in reports], dtype=np.float64)
+        counts = np.bincount(indices, minlength=cfg.n_bits)
+        sums = np.bincount(indices, weights=bits, minlength=cfg.n_bits)
+        debiased = bit_means_from_stats(sums, counts, RandomizedResponse(epsilon=2.0))
+        assert ((debiased < 0.0) | (debiased > 1.0)).any()  # the clip matters here
+
+        encoder = cfg.encoder
+        clipped = squash_bit_means(debiased, 0.0)[0]
+        assert served.surviving_clients == n
+        assert np.array_equal(served.estimate.counts, counts)
+        assert served.estimate.value == encoder.mean_from_bit_means(clipped)
+        assert served.estimate.value != encoder.mean_from_bit_means(debiased)
+        assert served.estimate.value == in_process_estimate(values, cfg, fleet_seed=5).value
 
     def test_retry_recovers_after_total_uplink_loss(self):
         n = 12
@@ -312,6 +347,99 @@ class TestUplinkRejection:
         assert served.surviving_clients == 1
 
 
+class TestSilentConnection:
+    @pytest.mark.parametrize("fleet_size", [2, 1])
+    def test_silent_peer_is_closed_when_registration_ends(self, fleet_size):
+        # fleet_size 2 ends the window early (everyone registered); 1 runs
+        # it to its timeout.  Either way the silent peer is cut off, the
+        # round completes, and close() returns promptly.
+        cfg = ServeConfig(n_clients=2, seed=0, deadline_s=5.0, registration_timeout_s=0.5)
+
+        async def scenario():
+            server = RoundServer(cfg)
+            port = await server.start()
+            silent_reader, silent_writer = await asyncio.open_connection(cfg.host, port)
+            await asyncio.sleep(0.05)  # accepted before the fleet shows up
+            fleet = ClientFleet(fleet_values(fleet_size, seed=0), seed=0)
+            task = asyncio.create_task(fleet.run(cfg.host, port))
+            served = await server.serve_round()
+            await task
+            loop = asyncio.get_running_loop()
+            start = loop.time()
+            await asyncio.wait_for(server.close(), 2.0)
+            close_s = loop.time() - start
+            eof = await asyncio.wait_for(silent_reader.read(), 2.0)
+            silent_writer.close()
+            return served, close_s, eof
+
+        registry = MetricsRegistry()
+        memory = InMemoryExporter()
+        with instrumented(Tracer([memory]), registry):
+            served, close_s, eof = asyncio.run(scenario())
+        assert served.surviving_clients == fleet_size
+        assert close_s < 2.0
+        assert eof == b""
+        assert served.wire_rejects == 1
+        assert registry.snapshot()["counters"]["wire_rejects_total"] == 1.0
+        (reject,) = [r for r in memory.records if r.name == "uplink.reject"]
+        assert reject.attributes["reason"] == "hello-timeout"
+        assert reject.attributes["peer"].startswith("127.0.0.1:")
+
+
+class TestServedPrivacyAccounting:
+    def test_ledger_and_meter_match_the_in_process_round(self):
+        n = 24
+        values = fleet_values(n, seed=7)
+        cfg = ServeConfig(
+            n_clients=n, epsilon=2.0, seed=13, deadline_s=10.0, registration_timeout_s=5.0
+        )
+        served, _fleet = run_loopback(cfg, values, fleet_seed=7)
+
+        accountant = PrivacyAccountant()
+        meter = BitMeter(max_bits_per_value=1)
+        FederatedMeanQuery(
+            cfg.encoder,
+            mode="basic",
+            perturbation=RandomizedResponse(2.0),
+            accountant=accountant,
+            meter=meter,
+        ).run([ClientDevice(i, [float(v)]) for i, v in enumerate(values)], rng=cfg.seed)
+
+        def ledger(books):
+            return [(entry.epsilon, entry.note) for entry in books.entries]
+
+        assert ledger(served.accountant) == ledger(accountant)
+        assert ledger(accountant) == [
+            (2.0, f"round 1 attempt 1: randomized response over {n} reports")
+        ]
+        disclosed = [served.meter.bits_disclosed_for(i, "metric") for i in range(n)]
+        assert disclosed == [meter.bits_disclosed_for(i, "metric") for i in range(n)]
+        assert disclosed == [1] * n
+
+    def test_retried_round_spends_epsilon_once(self):
+        n = 10
+        cfg = ServeConfig(
+            n_clients=n,
+            epsilon=2.0,
+            seed=4,
+            deadline_s=0.3,
+            registration_timeout_s=5.0,
+            retry=RetryPolicy(max_attempts=2, redraw_cohort=False),
+        )
+        served, _fleet = run_loopback(
+            cfg,
+            fleet_values(n, seed=1),
+            fleet_seed=1,
+            mutate=lambda cid, attempt, frame: None if attempt == 1 else frame,
+        )
+        assert served.attempts == 2
+        assert served.accountant.spent_epsilon == 2.0
+        assert [entry.note for entry in served.accountant.entries] == [
+            f"round 1 attempt 2: randomized response over {n} reports"
+        ]
+        assert served.meter.total_bits == n
+
+
 def _undecodable(data: bytes) -> bytes:
     """Make arbitrary bytes guaranteed-invalid as a report frame."""
     if len(data) != REPORT_SIZE:
@@ -461,6 +589,41 @@ class TestServeCli:
         assert artifact.manifest["estimate"]["value"] == twin.value
         trace = trace_path.read_text()
         assert "serve.session" in trace and "serve.collect" in trace
+
+    def test_serve_command_records_the_privacy_books(self, tmp_path):
+        port_file = tmp_path / "port"
+        record_dir = tmp_path / "run"
+        values = fleet_values(4, 1)
+
+        def fleet_thread():
+            async def run():
+                port = await _wait_for_port(port_file)
+                return await asyncio.gather(
+                    *(_plain_client("127.0.0.1", port, i, float(v)) for i, v in enumerate(values))
+                )
+
+            asyncio.run(run())
+
+        thread = threading.Thread(target=fleet_thread)
+        thread.start()
+        code = run_serve_command(
+            clients=4,
+            seed=2,
+            deadline_s=10.0,
+            registration_timeout_s=10.0,
+            port_file=str(port_file),
+            record_dir=str(record_dir),
+            stream=io.StringIO(),
+            error_stream=io.StringIO(),
+        )
+        thread.join(timeout=30)
+        assert code == 0
+        manifest = load_run(record_dir).manifest
+        # Not an LDP round: nothing spent, but every accepted bit is metered.
+        assert manifest["privacy"]["epsilon_spent"] == 0.0
+        assert manifest["privacy"]["ledger"] == []
+        assert manifest["bit_meter"]["total_bits"] == 4
+        assert manifest["bit_meter"]["max_bits_per_value"] == 1
 
     def test_fleet_command_against_a_plain_server(self, tmp_path):
         port_file = tmp_path / "port"
