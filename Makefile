@@ -34,8 +34,8 @@ bench-check: bench
 	python scripts/bench_summary.py --check BENCH_micro.json
 
 # Scale studies at full size: the columnar client plane (10**5..10**7
-# clients -- clients/sec per population size, object-path speedup,
-# tracemalloc peak), the secure-aggregation hierarchy (vectorized
+# clients -- clients/sec per population size and the tracemalloc
+# peak), the secure-aggregation hierarchy (vectorized
 # masking vs the per-client submit loop at 10**4 clients), and the
 # wire-served round (loopback TCP reports/sec, single and concurrent
 # campaigns).  Appends to the repo-root BENCH_scale.json trajectory,

@@ -10,9 +10,8 @@ relative to naive per-client loops).
 trajectory: clients/sec for full federated rounds over one struct-of-arrays
 :class:`~repro.core.client_plane.ClientBatch` at each population size in
 ``REPRO_SCALE_CLIENTS`` (default ``100000,1000000``; ``make bench-scale``
-raises it to 10**7), the object-path reference at 10**6 for the speedup
-ratio, and a tracemalloc pass at the largest size proving the round's
-allocations stay a small constant per client (chunked streaming, no
+raises it to 10**7), and a tracemalloc pass at the largest size proving the
+round's allocations stay a small constant per client (chunked streaming, no
 cohort x bits blowup).  The raw numbers land in
 ``benchmarks/results/scale.json``; ``scripts/bench_summary.py --scale``
 appends them to the repo-root ``BENCH_scale.json`` trajectory.
@@ -30,12 +29,9 @@ from benchmarks.conftest import RESULTS_DIR, run_once
 from repro.core import AdaptiveBitPushing, ClientBatch, FixedPointEncoder
 from repro.core.client_plane import batch_chunk_size
 from repro.data.census import sample_ages
-from repro.federated import ClientDevice, FederatedMeanQuery
+from repro.federated import FederatedMeanQuery
 
 COHORTS = (1_000, 10_000, 100_000, 1_000_000)
-
-#: Object-path reference size for the columnar speedup ratio.
-REFERENCE_N = 1_000_000
 
 
 def test_accuracy_and_walltime_scaling(benchmark, emit):
@@ -74,7 +70,7 @@ def test_accuracy_and_walltime_scaling(benchmark, emit):
 def _scale_sizes() -> tuple[int, ...]:
     raw = os.environ.get("REPRO_SCALE_CLIENTS", "").strip()
     if not raw:
-        return (100_000, REFERENCE_N)
+        return (100_000, 1_000_000)
     return tuple(sorted({int(tok) for tok in raw.split(",") if tok.strip()}))
 
 
@@ -96,11 +92,6 @@ def _columnar_population(n: int, rng: np.random.Generator) -> ClientBatch:
     return ClientBatch.from_values(np.clip(rng.normal(600.0, 100.0, n), 0.0, None))
 
 
-def _object_population(n: int, rng: np.random.Generator) -> list[ClientDevice]:
-    values = np.clip(rng.normal(600.0, 100.0, n), 0.0, None)
-    return [ClientDevice(i, values[i : i + 1]) for i in range(n)]
-
-
 def _timed_round(query: FederatedMeanQuery, population, seed: int) -> float:
     start = time.perf_counter()
     query.run(population, rng=seed)
@@ -119,14 +110,9 @@ def test_columnar_round_throughput(benchmark, emit):
         for n in sizes:
             population = _columnar_population(n, rng)
             # Best of two: the first pass over a fresh 8 B/client population
-            # pays cold page faults the object path never sees.
+            # pays cold page faults.
             elapsed = min(_timed_round(query, population, seed=3) for _ in range(2))
             columnar[n] = {"seconds": elapsed, "clients_per_s": n / elapsed}
-
-        # Object-path reference at 10**6 (or the largest size benched, if
-        # smaller): same round, population as N ClientDevice objects.
-        n_ref = min(REFERENCE_N, max(sizes))
-        object_seconds = _timed_round(query, _object_population(n_ref, rng), seed=3)
 
         # Memory-boundedness: re-run the largest columnar round under
         # tracemalloc, started *after* the population is built, so the peak
@@ -138,17 +124,14 @@ def test_columnar_round_throughput(benchmark, emit):
         _, peak_bytes = tracemalloc.get_traced_memory()
         tracemalloc.stop()
 
-        return columnar, n_ref, object_seconds, n_top, peak_bytes
+        return columnar, n_top, peak_bytes
 
-    columnar, n_ref, object_seconds, n_top, peak_bytes = run_once(benchmark, run)
-    speedup = object_seconds / columnar[n_ref]["seconds"]
+    columnar, n_top, peak_bytes = run_once(benchmark, run)
     bytes_per_client = peak_bytes / n_top
 
     payload = {
         "chunk": chunk,
         "columnar": {str(n): row for n, row in columnar.items()},
-        "object_reference": {"n": n_ref, "seconds": object_seconds},
-        "speedup_vs_object": speedup,
         "tracemalloc": {"n": n_top, "peak_bytes": peak_bytes,
                         "peak_bytes_per_client": bytes_per_client},
     }
@@ -157,8 +140,7 @@ def test_columnar_round_throughput(benchmark, emit):
     lines = [
         "### Columnar client plane: round throughput",
         "",
-        f"(chunk = {chunk} clients; object reference at n = {n_ref:,}: "
-        f"{object_seconds:.2f} s)",
+        f"(chunk = {chunk} clients)",
         "",
         "| n clients | s per round | clients/sec |",
         "|---|---|---|",
@@ -167,16 +149,13 @@ def test_columnar_round_throughput(benchmark, emit):
         lines.append(f"| {n:,} | {row['seconds']:.3f} | {row['clients_per_s']:,.0f} |")
     lines += [
         "",
-        f"speedup vs object path at n = {n_ref:,}: {speedup:.1f}x",
         f"tracemalloc peak at n = {n_top:,}: {peak_bytes / 1e6:.1f} MB "
         f"({bytes_per_client:.0f} B/client)",
     ]
     emit("scale_columnar", "\n".join(lines) + "\n")
 
-    # The tentpole claims: >= 10x the object path at the reference size, and
-    # round allocations a small constant per client (no n x bits temporaries
-    # -- the object path burns ~500+ B/client on devices alone).
-    assert speedup >= 10.0, f"columnar speedup {speedup:.1f}x below 10x target"
+    # Round allocations stay a small constant per client (no n x bits
+    # temporaries; a ClientDevice list alone costs ~500+ B/client).
     assert bytes_per_client < 150.0, (
         f"round peak {bytes_per_client:.0f} B/client; chunked streaming should "
         "stay well under 150 B/client"

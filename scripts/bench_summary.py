@@ -28,7 +28,7 @@ cross-runner numbers and passes a looser tolerance.
 ``--scale`` summarizes the columnar scale study instead: the source is the
 ``benchmarks/results/scale.json`` payload written by
 ``benchmarks/bench_scale.py::test_columnar_round_throughput`` (clients/sec
-per population size, object-path speedup, tracemalloc peak) and
+per population size, tracemalloc peak) and
 ``test_secure_agg_throughput`` (hierarchical masking clients/sec), appended
 to a ``BENCH_scale.json`` trajectory with the same labelling rules
 (``make bench-scale`` drives the full 10**7 run).  An entry whose columnar
@@ -81,14 +81,13 @@ def summarize_scale(payload: dict, label: str | None = None) -> dict:
     """Reduce one ``scale.json`` payload to a scale-trajectory entry.
 
     The stable numbers: clients/sec at each benched population size, the
-    object-path speedup at the reference size, the streaming chunk, the
-    tracemalloc peak per client at the largest size, and -- when the
-    secure-aggregation study ran -- the hierarchical masking throughput
-    and its speedup over the per-client submit loop, plus the wire-served
-    round throughput (single and concurrent campaigns) when that study ran.
+    streaming chunk, the tracemalloc peak per client at the largest size,
+    and -- when the secure-aggregation study ran -- the hierarchical
+    masking throughput and its speedup over the per-client submit loop,
+    plus the wire-served round throughput (single and concurrent
+    campaigns) when that study ran.
     """
     columnar = payload.get("columnar", {})
-    reference = payload.get("object_reference", {})
     memory = payload.get("tracemalloc", {})
     secure = payload.get("secure_agg", {})
     serve = payload.get("serve", {})
@@ -100,8 +99,6 @@ def summarize_scale(payload: dict, label: str | None = None) -> dict:
                 columnar.items(), key=lambda item: int(item[0])
             )
         },
-        "speedup_vs_object": payload.get("speedup_vs_object"),
-        "object_reference_n": reference.get("n"),
         "peak_bytes_per_client": memory.get("peak_bytes_per_client"),
         "peak_at_n": memory.get("n"),
     }
@@ -399,11 +396,6 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         entries = append_entry(destination, entry)
         details = []
-        if entry.get("speedup_vs_object") is not None:
-            details.append(
-                f"columnar {entry['speedup_vs_object']:.1f}x at "
-                f"n={entry['object_reference_n']}"
-            )
         secure = entry.get("secure_agg") or {}
         if secure.get("speedup_vs_loop") is not None:
             details.append(

@@ -69,7 +69,6 @@ from repro.experiments import (
 from repro.exceptions import ConfigurationError, RoundFailedError
 from repro.federated import (
     ClientBatch,
-    ClientDevice,
     ClientFleet,
     DropoutModel,
     EmulationProfile,
@@ -213,8 +212,7 @@ def _build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--quick", action="store_true", help="smaller cohort")
     trace.add_argument(
         "--clients", type=int, default=None, metavar="N",
-        help="population size; switches the round to the columnar client plane "
-        "(one ClientBatch instead of N ClientDevice objects)",
+        help="population size (default: 2000 with --quick, else 20000)",
     )
     trace.add_argument(
         "--chunk", type=int, default=None, metavar="SIZE",
@@ -497,11 +495,10 @@ def run_traced_round(
     ``fault_schedule`` configure round-failure recovery (a chaos run: see
     ``docs/operations.md``).
 
-    ``clients`` overrides the target's population size and builds the
-    population as one columnar :class:`ClientBatch` (struct-of-arrays)
-    instead of ``ClientDevice`` objects, exercising the vectorized client
-    plane; ``chunk`` bounds the streaming chunk size so elicitation and
-    report collection emit per-chunk ``client_plane.*`` spans (see
+    The population is one columnar :class:`ClientBatch` (struct-of-arrays)
+    of ``clients`` clients (default: 2,000 with ``quick``, else 20,000);
+    ``chunk`` bounds the streaming chunk size so elicitation and report
+    collection emit per-chunk ``client_plane.*`` spans (see
     ``docs/performance.md``).
 
     ``record_dir`` captures a flight-recorder artifact (event log +
@@ -519,30 +516,22 @@ def run_traced_round(
     analysis, reconciliation).
     """
     stream = stream if stream is not None else sys.stdout
-    columnar = clients is not None
-    n_clients = int(clients) if columnar else (2_000 if quick else 20_000)
-    if columnar and n_clients < 2:
+    n_clients = int(clients) if clients is not None else (2_000 if quick else 20_000)
+    if n_clients < 2:
         raise ValueError(f"--clients must be >= 2, got {n_clients}")
     encoder = FixedPointEncoder.for_integers(10)
     epsilon = 2.0 if target in _LDP_TRACE_TARGETS else None
     perturbation = RandomizedResponse(epsilon=epsilon) if epsilon is not None else None
 
     rng = np.random.default_rng(seed)
-    if columnar:
-        # One struct-of-arrays batch: same value distribution as the object
-        # path, drawn column-wise (sizes then one flat value draw).
-        sizes = rng.integers(1, 4, n_clients)
-        flat = np.clip(rng.normal(600.0, 100.0, int(sizes.sum())), 0.0, None)
-        offsets = np.zeros(n_clients + 1, dtype=np.int64)
-        np.cumsum(sizes, out=offsets[1:])
-        population = ClientBatch(values=flat, offsets=offsets)
-        truth = ground_truth_mean(population)
-    else:
-        population = [
-            ClientDevice(i, np.clip(rng.normal(600.0, 100.0, rng.integers(1, 4)), 0.0, None))
-            for i in range(n_clients)
-        ]
-        truth = ground_truth_mean([c.values for c in population])
+    # One struct-of-arrays batch drawn column-wise: one to three values per
+    # client (sizes, then one flat value draw).
+    sizes = rng.integers(1, 4, n_clients)
+    flat = np.clip(rng.normal(600.0, 100.0, int(sizes.sum())), 0.0, None)
+    offsets = np.zeros(n_clients + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    population = ClientBatch(values=flat, offsets=offsets)
+    truth = ground_truth_mean(population)
 
     recording = record_dir is not None
     accountant = PrivacyAccountant() if recording else None
@@ -599,7 +588,6 @@ def run_traced_round(
                 "secure_agg": secure_agg,
                 "shard_size": shard_size,
                 "n_clients": n_clients,
-                "columnar": columnar,
                 "chunk": chunk,
                 "n_bits": encoder.n_bits,
                 "epsilon": epsilon,
@@ -693,7 +681,6 @@ def run_traced_round(
             "seed": seed,
             "quick": quick,
             "clients": n_clients,
-            "columnar": columnar,
             "chunk": chunk,
             "secure_agg": secure_agg,
             "shard_size": shard_size,
@@ -718,13 +705,12 @@ def run_traced_round(
 
     print(f"# Traced federated round ({target})", file=stream)
     print(file=stream)
-    if columnar:
-        print(
-            f"population: columnar ClientBatch, n={n_clients}"
-            + (f", chunk={chunk}" if chunk is not None else ""),
-            file=stream,
-        )
-        print(file=stream)
+    print(
+        f"population: ClientBatch, n={n_clients}"
+        + (f", chunk={chunk}" if chunk is not None else ""),
+        file=stream,
+    )
+    print(file=stream)
     print(format_span_tree(memory.records), file=stream)
     print(file=stream)
     print("## Metrics", file=stream)

@@ -26,9 +26,10 @@ its object-path twin, for *any* chunk size (including 1 and > n):
 
 The one documented exception is ``"mean"`` elicitation: the columnar path
 reduces each client's multiset with ``np.add.reduceat`` (sequential
-accumulation) while the object path calls ``ndarray.mean`` (pairwise), which
-can differ in the last ulp for multisets longer than a few elements.  The
-``"sample"`` (default), ``"max"``, and ``"latest"`` strategies are exact.
+accumulation) while its twin ``elicit_batch`` calls ``ndarray.mean``
+(pairwise), which can differ in the last ulp for multisets longer than a few
+elements.  The ``"sample"`` (default), ``"max"``, and ``"latest"`` strategies
+are exact.
 
 Chunked stages emit ``client_plane.*`` tracer spans so flight-recorder
 artifacts capture columnar runs phase by phase (see ``docs/performance.md``).
@@ -99,10 +100,10 @@ class ClientBatch:
 
     Client ``i`` holds the multiset ``values[offsets[i]:offsets[i+1]]`` (at
     least one value each), identity ``client_ids[i]``, and one entry per
-    attribute column.  This is the drop-in columnar replacement for a
-    ``Sequence[ClientDevice]``: :class:`~repro.federated.server.
-    FederatedMeanQuery` accepts either, and the two are bit-identical for
-    the same seed.
+    attribute column.  It is the one population type the round and cohort
+    code see: :class:`~repro.federated.server.FederatedMeanQuery` also
+    accepts a ``Sequence[ClientDevice]`` and converts it once with
+    :meth:`from_devices`, before cohort selection.
 
     Parameters
     ----------
@@ -216,9 +217,11 @@ class ClientBatch:
 
         Each device must expose ``values`` (non-empty 1-D) and may expose
         ``client_id`` and an ``attributes`` mapping; attribute columns are
-        the union of keys (missing entries become ``None``).  This is the
-        compatibility constructor for tests and migrations -- it is O(n)
-        Python, so large populations should be built columnar directly.
+        the union of keys, each a 1-D object array with one entry per
+        device (missing entries become ``None``).  No devices give an empty
+        batch.  This is the conversion behind every device-list query
+        (:func:`repro.federated.cohort.as_batch`) -- it is O(n) Python, so
+        large populations should be built columnar directly.
         """
         value_arrays: list[np.ndarray] = []
         ids: list[int] = []
@@ -235,17 +238,21 @@ class ClientBatch:
             for key in attrs:
                 if key not in keys:
                     keys.append(key)
-        if not value_arrays:
-            raise ConfigurationError("need at least one client")
         sizes = np.array([a.size for a in value_arrays], dtype=np.int64)
         offsets = np.zeros(sizes.size + 1, dtype=np.int64)
         np.cumsum(sizes, out=offsets[1:])
+        # fromiter keeps a sequence-valued attribute one element per device;
+        # np.array would turn equal-length tuples into a 2-D column.
         columns = {
-            key: np.array([attrs.get(key) for attrs in raw_attributes], dtype=object)
+            key: np.fromiter(
+                (attrs.get(key) for attrs in raw_attributes),
+                dtype=object,
+                count=len(raw_attributes),
+            )
             for key in keys
         }
         return cls(
-            np.concatenate(value_arrays),
+            np.concatenate([np.empty(0), *value_arrays]),
             offsets,
             np.array(ids, dtype=np.int64),
             columns,

@@ -24,7 +24,7 @@ from repro.core import (
 from repro.data.census import sample_ages
 from repro.data.synthetic import normal
 from repro.experiments.methods import distributed_mean_estimate, mean_methods
-from repro.federated import ClientDevice, DropoutModel, FederatedMeanQuery
+from repro.federated import ClientBatch, DropoutModel, FederatedMeanQuery
 from repro.metrics.execution import TrialExecutor
 from repro.metrics.experiment import SeriesResult, sweep
 from repro.privacy.distributed import BernoulliNoiseAggregator, SampleAndThreshold
@@ -289,7 +289,7 @@ def dropout_adjustment(
             def make(rng: np.random.Generator) -> np.ndarray:
                 return sample_ages(n_clients, rng)
             def run(values: np.ndarray, rng: np.random.Generator) -> float:
-                population = [ClientDevice(i, [v]) for i, v in enumerate(values)]
+                population = ClientBatch.from_values(values)
                 query = FederatedMeanQuery(
                     encoder,
                     mode="adaptive",

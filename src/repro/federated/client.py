@@ -1,11 +1,14 @@
-"""Client-side device model for the federated simulator.
+"""Client-side device records for the federated simulator.
 
-A :class:`ClientDevice` owns one or more private values per metric (the
-paper's deployment observes "most clients hold several values ... while a
-small subset may hold up to millions", Section 4.3), an availability flag,
-and the client half of the bit-pushing protocol: elicit a single value for
-this query, extract the requested bit, optionally perturb it with
-randomized response, and never reveal more than the metered bit budget.
+A :class:`ClientDevice` is the validated input record for one device: one
+or more private values per metric (the paper's deployment observes "most
+clients hold several values ... while a small subset may hold up to
+millions", Section 4.3) plus free-form eligibility attributes.  A query
+converts a device list once into a columnar
+:class:`~repro.core.client_plane.ClientBatch`, whose kernels run the client
+half of the protocol: elicit a single value, extract the requested bit, and
+optionally perturb it with randomized response.  :class:`BitReport` is the
+one-bit message a device sends.
 """
 
 from __future__ import annotations
@@ -15,13 +18,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.encoding import FixedPointEncoder
-from repro.core.protocol import BitPerturbation
 from repro.exceptions import ConfigurationError
-from repro.federated.multivalue import elicit_single_value
-from repro.observability import get_metrics, get_tracer
-from repro.privacy.accountant import BitMeter
-from repro.rng import ensure_rng
 
 __all__ = ["ClientDevice", "BitReport"]
 
@@ -63,52 +60,3 @@ class ClientDevice:
         if values.size == 0:
             raise ConfigurationError(f"client {self.client_id} has no local values")
         self.values = values
-
-    # ------------------------------------------------------------------
-    @property
-    def n_values(self) -> int:
-        return int(self.values.size)
-
-    def local_mean(self) -> float:
-        """The device-local aggregate (one multi-value elicitation option)."""
-        return float(self.values.mean())
-
-    # ------------------------------------------------------------------
-    def elicit(self, strategy: str, rng: np.random.Generator | int | None = None) -> float:
-        """Reduce this device's local multiset to the single queried value."""
-        return elicit_single_value(self.values, strategy, rng)
-
-    def report_bit(
-        self,
-        bit_index: int,
-        encoder: FixedPointEncoder,
-        strategy: str = "sample",
-        perturbation: BitPerturbation | None = None,
-        meter: BitMeter | None = None,
-        value_id: str = "metric",
-        rng: np.random.Generator | int | None = None,
-    ) -> BitReport:
-        """Produce this client's one-bit report for the requested bit index.
-
-        Order of operations mirrors the deployment pipeline: elicit one
-        value, clip/encode it, extract the assigned bit, meter the
-        disclosure, then apply randomized response so what leaves the device
-        is already privatized.
-        """
-        gen = ensure_rng(rng)
-        with get_tracer().span(
-            "client.report_bit", {"client_id": self.client_id, "bit_index": bit_index}
-        ):
-            value = self.elicit(strategy, gen)
-            encoded = encoder.encode(np.array([value]))
-            bit = int(encoder.bit(encoded, bit_index)[0])
-            if meter is not None:
-                meter.record(self.client_id, value_id)
-            if perturbation is not None:
-                bit = int(perturbation.perturb_bits(np.array([bit], dtype=np.uint8), gen)[0])
-        metrics = get_metrics()
-        if metrics.enabled:
-            metrics.counter("client_reports_total").inc()
-            if perturbation is not None:
-                metrics.counter("client_reports_randomized_total").inc()
-        return BitReport(client_id=self.client_id, bit_index=bit_index, bit=bit)

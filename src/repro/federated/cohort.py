@@ -7,19 +7,18 @@ whose eligible population is too small must not run.
 :class:`CohortSelector` implements both, plus uniform sub-sampling when a
 target cohort size is requested.
 
-Selection is index-based: :meth:`CohortSelector.select_indices` draws
-*positions* into the population, so a million-client draw touches only the
-chosen rows -- no eligible-list copy when no predicate is set, and O(cohort)
-instead of O(population) materialization when subsampling.  It works
-uniformly over object populations (``Sequence[ClientDevice]``) and columnar
-ones (:class:`~repro.core.client_plane.ClientBatch`); for the latter,
-predicates built by :func:`attribute_equals` evaluate as a single vectorized
-mask over the attribute column.
+Selection is columnar and index-based: :meth:`CohortSelector.select_indices`
+draws *positions* into a :class:`~repro.core.client_plane.ClientBatch`, so a
+million-client draw touches only the chosen rows -- no eligible-list copy
+when no predicate is set, and O(cohort) instead of O(population)
+materialization when subsampling.  A device list (``Sequence[ClientDevice]``)
+is converted once by :func:`as_batch`; eligibility predicates such as
+:func:`attribute_equals` evaluate as a single mask over an attribute column.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence, Union
+from typing import Protocol, Sequence, Union
 
 import numpy as np
 
@@ -30,34 +29,50 @@ from repro.rng import ensure_rng
 
 __all__ = ["CohortSelector", "attribute_equals"]
 
-#: Eligibility predicate signature.
-Eligibility = Callable[[ClientDevice], bool]
+
+class Eligibility(Protocol):
+    """Eligibility predicate: ``mask(batch)`` is one bool per client."""
+
+    def mask(self, batch: ClientBatch) -> np.ndarray: ...
+
 
 #: Populations a cohort can be drawn from.
 Population = Union[Sequence[ClientDevice], ClientBatch]
 
 
-class _AttributeEquals:
-    """Equality predicate usable on both device objects and columnar batches.
+def as_batch(population: Population) -> ClientBatch:
+    """``population`` as a batch: a device list is converted, a batch passes through.
 
-    Callable per device (``client.attributes[key] == value``) and
-    vectorizable per batch via :meth:`mask`.  Missing attributes make a
-    client ineligible rather than erroring -- a fleet always contains
-    devices that never reported the attribute.
+    The conversion is O(n) Python (:meth:`ClientBatch.from_devices`); build
+    large populations columnar directly.
+    """
+    if isinstance(population, ClientBatch):
+        return population
+    return ClientBatch.from_devices(population)
+
+
+class _AttributeEquals:
+    """Equality predicate over a batch's attribute column.
+
+    Missing attributes make a client ineligible rather than erroring -- a
+    fleet always contains devices that never reported the attribute.
     """
 
     def __init__(self, key: str, value: object) -> None:
         self.key = key
         self.value = value
 
-    def __call__(self, client: ClientDevice) -> bool:
-        return client.attributes.get(self.key) == self.value
-
     def mask(self, batch: ClientBatch) -> np.ndarray:
         """Boolean eligibility column for every client in the batch."""
         column = batch.attributes.get(self.key)
         if column is None:
             return np.zeros(len(batch), dtype=bool)
+        if column.dtype == object:
+            # Element by element: ``column == value`` would broadcast a
+            # sequence value across its items.
+            return np.fromiter(
+                (item == self.value for item in column), dtype=bool, count=len(column)
+            )
         return np.asarray(column == self.value, dtype=bool)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -65,12 +80,7 @@ class _AttributeEquals:
 
 
 def attribute_equals(key: str, value: object) -> _AttributeEquals:
-    """Predicate factory: ``client.attributes[key] == value``.
-
-    The returned predicate is callable on a single :class:`ClientDevice`
-    *and* exposes ``mask(batch)`` for vectorized evaluation over a
-    :class:`~repro.core.client_plane.ClientBatch` attribute column.
-    """
+    """Predicate factory: ``attributes[key] == value``, evaluated by ``mask(batch)``."""
     return _AttributeEquals(key, value)
 
 
@@ -108,29 +118,22 @@ class CohortSelector:
 
         Consumes randomness exactly as the historical object-returning
         ``select`` did (one ``gen.choice`` over the eligible count, only
-        when subsampling), so index-based and object-based selection are
-        bit-identical for the same seed.  With no eligibility predicate the
-        eligible set is the whole population and no per-client pass or copy
-        happens at all.
+        when subsampling), so selections are bit-identical for the same
+        seed.  With no eligibility predicate the eligible set is the whole
+        population and no per-client pass or copy happens at all.
         """
-        n_population = len(population)
+        batch = as_batch(population)
+        n_population = len(batch)
         eligible_idx: np.ndarray | None = None  # None == all of population
         n_eligible = n_population
         if eligibility is not None:
-            if isinstance(population, ClientBatch):
-                mask = getattr(eligibility, "mask", None)
-                if mask is None:
-                    raise ConfigurationError(
-                        "eligibility predicates over a columnar ClientBatch must "
-                        "expose a vectorized .mask(batch) (see attribute_equals); "
-                        "got a plain per-device callable"
-                    )
-                eligible_idx = np.flatnonzero(np.asarray(mask(population), dtype=bool))
-            else:
-                eligible_idx = np.fromiter(
-                    (i for i, client in enumerate(population) if eligibility(client)),
-                    dtype=np.int64,
+            mask = getattr(eligibility, "mask", None)
+            if mask is None:
+                raise ConfigurationError(
+                    "eligibility predicates must expose a vectorized .mask(batch) "
+                    "(see attribute_equals); got a plain per-device callable"
                 )
+            eligible_idx = np.flatnonzero(np.asarray(mask(batch), dtype=bool))
             n_eligible = int(eligible_idx.size)
         if n_eligible < self.min_cohort_size:
             raise CohortTooSmallError(
@@ -158,19 +161,17 @@ class CohortSelector:
         eligibility: Eligibility | None = None,
         cohort_size: int | None = None,
         rng: np.random.Generator | int | None = None,
-    ) -> Population:
+    ) -> ClientBatch:
         """Filter by eligibility, enforce the minimum, optionally subsample.
 
         Returns the eligible clients (all of them, or a uniform sample of
-        ``cohort_size``) in the same representation as the input: a list for
-        object populations, a :class:`ClientBatch` for columnar ones (the
-        unfiltered full-population case returns the batch itself, copy-free).
-        Raises :class:`CohortTooSmallError` if either the eligible population
-        or the requested cohort would violate the minimum size.
+        ``cohort_size``) as a :class:`ClientBatch`; the unfiltered
+        full-population case returns the batch itself, copy-free.  Raises
+        :class:`CohortTooSmallError` if either the eligible population or
+        the requested cohort would violate the minimum size.
         """
-        indices = self.select_indices(population, eligibility, cohort_size, rng)
-        if isinstance(population, ClientBatch):
-            if indices.size == len(population) and eligibility is None:
-                return population
-            return population.take(indices)
-        return [population[int(i)] for i in indices]
+        batch = as_batch(population)
+        indices = self.select_indices(batch, eligibility, cohort_size, rng)
+        if indices.size == len(batch) and eligibility is None:
+            return batch
+        return batch.take(indices)

@@ -872,7 +872,6 @@ class RoundServer:
                 {
                     "secure_aggregation": False,
                     "elicitation": "single",
-                    "columnar": False,
                     "served": True,
                     "transport": "tcp",
                     "port": self.port,

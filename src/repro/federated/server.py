@@ -30,10 +30,9 @@ from repro.core.results import MeanEstimate
 from repro.core.sampling import BitSamplingSchedule, central_assignment
 from repro.core.squashing import per_bit_squash_thresholds, squash_bit_means
 from repro.exceptions import ConfigurationError, RoundFailedError
-from repro.federated.cohort import CohortSelector, Eligibility, Population
+from repro.federated.cohort import CohortSelector, Eligibility, Population, as_batch
 from repro.federated.dropout import DropoutModel, DropoutRateTracker
 from repro.federated.faults import FaultSchedule
-from repro.federated.multivalue import elicit_batch
 from repro.federated.network import NetworkModel
 from repro.federated.retry import RetryPolicy
 from repro.federated.rounds import AttemptLoop, RoundCore, RoundOutcome
@@ -50,20 +49,6 @@ from repro.rng import ensure_rng
 __all__ = ["RoundOutcome", "FederatedMeanQuery"]
 
 _MODES = ("basic", "adaptive")
-
-
-def _subset(clients: Population, indices: np.ndarray) -> Population:
-    """Positional subset preserving the population representation."""
-    if isinstance(clients, ClientBatch):
-        return clients.take(indices)
-    return [clients[int(i)] for i in indices]
-
-
-def _client_ids(clients: Population, positions: np.ndarray) -> list:
-    """Identities of the clients at ``positions`` (what the bit meter records)."""
-    if isinstance(clients, ClientBatch):
-        return clients.client_ids[positions].tolist()
-    return [clients[int(i)].client_id for i in positions]
 
 
 class FederatedMeanQuery(RoundCore):
@@ -120,14 +105,13 @@ class FederatedMeanQuery(RoundCore):
         ``REPRO_BATCH_CHUNK`` default).  A pure performance/memory knob --
         results are bit-identical for every value.
 
-    The population handed to :meth:`run` may be a ``Sequence[ClientDevice]``
-    (the object path) or a columnar
-    :class:`~repro.core.client_plane.ClientBatch`; the two are bit-identical
-    for the same seed (``"sample"``/``"max"``/``"latest"`` elicitation; see
-    :mod:`repro.core.client_plane` for the ``"mean"`` caveat).  The columnar
-    path elicits, encodes, perturbs, and aggregates in bounded-memory chunks,
-    never materializing per-client objects.  Secure aggregation feeds both
-    representations through the same hierarchical shard tree
+    The population handed to :meth:`run` is a columnar
+    :class:`~repro.core.client_plane.ClientBatch` or a list of device
+    records, which :meth:`run` converts once with
+    :meth:`~repro.core.client_plane.ClientBatch.from_devices` before cohort
+    selection (O(n) Python: build large populations columnar).  Every round
+    elicits, encodes, perturbs, and aggregates the batch in bounded-memory
+    chunks.  Secure aggregation feeds it through the hierarchical shard tree
     (:mod:`repro.federated.secure_agg.hierarchy`): vectorized masking
     kernels per shard, submission matrices built one shard at a time, at
     most ``REPRO_WORKERS`` shards in flight.
@@ -216,8 +200,10 @@ class FederatedMeanQuery(RoundCore):
     ) -> MeanEstimate:
         """Execute the query end-to-end and return the mean estimate.
 
-        ``population`` may be a ``Sequence[ClientDevice]`` or a columnar
-        :class:`~repro.core.client_plane.ClientBatch`.
+        ``population`` is a columnar
+        :class:`~repro.core.client_plane.ClientBatch` or a list of device
+        records, converted here once, so both adaptive rounds and every
+        redrawn retry draw from the same batch.
         """
         gen = ensure_rng(rng)
         tracer = get_tracer()
@@ -229,6 +215,7 @@ class FederatedMeanQuery(RoundCore):
             with tracer.span(
                 "federated.cohort_select", {"population": len(population)}
             ) as select_span:
+                population = as_batch(population)
                 cohort = self.selector.select(population, eligibility, cohort_size, gen)
                 select_span.set_attribute("cohort_size", len(cohort))
             metrics.gauge("cohort_size").set(len(cohort))
@@ -249,8 +236,8 @@ class FederatedMeanQuery(RoundCore):
                     )
                 n_round1 = min(max(int(round(self.delta * len(cohort))), 1), len(cohort) - 1)
                 order = gen.permutation(len(cohort))
-                cohort1 = _subset(cohort, order[:n_round1])
-                cohort2 = _subset(cohort, order[n_round1:])
+                cohort1 = cohort.take(order[:n_round1])
+                cohort2 = cohort.take(order[n_round1:])
 
                 schedule1 = BitSamplingSchedule.geometric(self.encoder.n_bits, gamma=self.gamma)
                 outcome1 = self._run_round_with_recovery(
@@ -288,7 +275,6 @@ class FederatedMeanQuery(RoundCore):
                 {
                     "secure_aggregation": self.secure_aggregation,
                     "elicitation": self.elicitation,
-                    "columnar": isinstance(population, ClientBatch),
                 },
                 pooled=(pooled_means, pooled_counts),
                 threshold=(
@@ -299,11 +285,11 @@ class FederatedMeanQuery(RoundCore):
     # ------------------------------------------------------------------
     def _run_round_with_recovery(
         self,
-        clients: Population,
+        clients: ClientBatch,
         schedule: BitSamplingSchedule,
         gen: np.random.Generator,
         round_index: int = 1,
-        population: Population | None = None,
+        population: ClientBatch | None = None,
         eligibility: Eligibility | None = None,
     ) -> RoundOutcome:
         """Run one round, retrying failed attempts through the core's :class:`AttemptLoop`.
@@ -327,7 +313,7 @@ class FederatedMeanQuery(RoundCore):
     # ------------------------------------------------------------------
     def _run_round(
         self,
-        clients: Population,
+        clients: ClientBatch,
         schedule: BitSamplingSchedule,
         gen: np.random.Generator,
         round_index: int = 1,
@@ -382,28 +368,18 @@ class FederatedMeanQuery(RoundCore):
             self.dropout_tracker.update(planned=n, survived=int(survivors.size))
             self.check_quorum(round_span, n, int(survivors.size), round_index, attempt)
 
-            # Client-side: elicit one value each, batched across survivors --
-            # stream-identical to per-client elicit() calls.  Columnar
-            # populations elicit straight from the flat value arrays in
-            # bounded-memory chunks; a lossless round passes the cohort and
-            # its assignment through instead of copying them.
-            columnar = isinstance(clients, ClientBatch)
+            # Client-side: elicit one value per survivor straight from the
+            # flat value arrays, in bounded-memory chunks; a lossless round
+            # passes the cohort and its assignment through instead of
+            # copying them.
             lossless = survivors.size == n
-            with tracer.span(
-                "round.elicit",
-                {"n_clients": int(survivors.size), "columnar": columnar},
-            ):
-                if columnar:
-                    values = elicit_values(
-                        clients if lossless else clients.take(survivors),
-                        self.elicitation,
-                        gen,
-                        chunk=self.chunk_clients,
-                    )
-                else:
-                    values = elicit_batch(
-                        [clients[i].values for i in survivors], self.elicitation, gen
-                    )
+            with tracer.span("round.elicit", {"n_clients": int(survivors.size)}):
+                values = elicit_values(
+                    clients if lossless else clients.take(survivors),
+                    self.elicitation,
+                    gen,
+                    chunk=self.chunk_clients,
+                )
 
             shard_failures = 0
             if self.secure_aggregation:
@@ -435,7 +411,7 @@ class FederatedMeanQuery(RoundCore):
                 # Chunk-streamed encode + extract + perturb + aggregate
                 # (client_plane.collect spans per chunk); bit-identical to
                 # the historical encode-then-collect_bit_reports for any
-                # chunk size, for both population representations.
+                # chunk size.
                 with tracer.span("round.collect", {"n_clients": int(survivors.size)}):
                     sums, counts = collect_client_reports(
                         values,
@@ -450,7 +426,7 @@ class FederatedMeanQuery(RoundCore):
                 round_span, sums, counts, schedule.probabilities, n, duration,
                 round_index, attempt, shard_failures=shard_failures,
                 # Ids only for a meter: an unmetered round builds no id list.
-                client_ids=_client_ids(clients, folded) if self.meter is not None else (),
+                client_ids=clients.client_ids[folded].tolist() if self.meter is not None else (),
             )
 
     # ------------------------------------------------------------------

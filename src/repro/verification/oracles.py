@@ -397,16 +397,17 @@ def columnar_twin_oracle(
     perturbation: BitPerturbation | None = None,
     chunk: int = 37,
 ) -> OracleResult:
-    """A columnar federated round is bit-identical to the object-path round.
+    """A device-list round is bit-identical to the same round over its batch.
 
     Runs the same :class:`FederatedMeanQuery` configuration (dropout +
     lossy network + eligibility filter + subsampled cohort) three times
-    from one seed: over ``ClientDevice`` objects, over the equivalent
-    :class:`ClientBatch` with a deliberately awkward chunk size, and over
-    the batch again with ``chunk = 1`` (every chunk boundary exercised).
-    All three estimates, bit-mean vectors, and report counts must be
-    exactly equal -- the PR-2 twin discipline extended to the whole
-    columnar client plane.
+    from one seed: over a ``ClientDevice`` list at the default chunk (``run``
+    converts it with :meth:`ClientBatch.from_devices`), over the equivalent
+    pre-built :class:`ClientBatch` with a deliberately awkward chunk size,
+    and over the batch again with ``chunk = 1`` (every chunk boundary
+    exercised).  All three estimates, bit-mean vectors, and report counts
+    must be exactly equal, which pins the device-list -> batch conversion
+    and chunk invariance (chunk None/37/1).
     """
     parent = ensure_rng(seed)
     pop_gen, seed_gen = parent.spawn(2)
@@ -456,7 +457,7 @@ def columnar_twin_oracle(
                 name=f"twin-columnar-vs-object[{mode},ldp={perturbation is not None}]",
                 passed=False,
                 detail=(
-                    f"columnar path ({label}) diverged: "
+                    f"batch round ({label}) diverged from the device-list round: "
                     f"|diff| = {abs(result.value - reference.value):.3e}"
                 ),
                 statistic=abs(result.value - reference.value),
@@ -465,7 +466,10 @@ def columnar_twin_oracle(
     return OracleResult(
         name=f"twin-columnar-vs-object[{mode},ldp={perturbation is not None}]",
         passed=True,
-        detail=f"bit-identical across object/columnar paths (chunks: {chunk}, 1)",
+        detail=(
+            "bit-identical across the device-list -> batch conversion "
+            f"(chunks: None, {chunk}, 1)"
+        ),
         statistic=0.0,
         n_reps=1,
     )

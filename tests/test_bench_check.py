@@ -230,6 +230,9 @@ class TestScaleSummarizeCli:
         assert code == 0
         labels = [e["label"] for e in bench_summary.load_trajectory(destination)]
         assert labels == ["seed", "pr12"]
+        # The scale study no longer runs an object-path reference round.
+        entry = bench_summary.load_trajectory(destination)[-1]
+        assert not {"speedup_vs_object", "object_reference_n"} & set(entry)
 
     def test_resummarizing_the_same_label_is_not_a_carry_forward(self, tmp_path):
         # Replacing an entry compares against the one before it, not itself.

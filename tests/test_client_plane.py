@@ -35,8 +35,10 @@ from repro.federated import (
     ClientDevice,
     CohortSelector,
     DropoutModel,
+    FaultSchedule,
     FederatedMeanQuery,
     NetworkModel,
+    RetryPolicy,
     attribute_equals,
 )
 from repro.federated.multivalue import elicit_batch, ground_truth_mean
@@ -425,9 +427,26 @@ class TestFederatedTwins:
         assert estimate.rounds[0].n_clients == len(batch)
         assert calls == []
 
-    def test_metadata_flags_columnar(self, devices, batch):
-        assert self.run_query(batch, "basic", False, None).metadata["columnar"] is True
-        assert self.run_query(devices, "basic", False, None).metadata["columnar"] is False
+    def test_redrawn_retry_converts_devices_once(self, monkeypatch, devices):
+        # Both adaptive rounds and the redrawn retry reuse run()'s one batch.
+        calls = []
+        original_from_devices = ClientBatch.from_devices
+
+        def counting_from_devices(population):
+            calls.append(len(population))
+            return original_from_devices(population)
+
+        monkeypatch.setattr(ClientBatch, "from_devices", staticmethod(counting_from_devices))
+        query = FederatedMeanQuery(
+            FixedPointEncoder.for_integers(8),
+            faults=FaultSchedule.from_spec("1:blackout"),
+            retry=RetryPolicy(max_attempts=2, redraw_cohort=True),
+        )
+        estimate = query.run(
+            devices, rng=3, eligibility=attribute_equals("geo", "us"), cohort_size=40
+        )
+        assert estimate.metadata["round_attempts"] == [2, 1]
+        assert calls == [len(devices)]
 
     def test_chunk_clients_validated(self):
         with pytest.raises(ConfigurationError, match="chunk"):
@@ -462,9 +481,20 @@ class TestCohortSelection:
         expected = [d.client_id for d in devices if d.attributes["geo"] == "eu"]
         assert cohort.client_ids.tolist() == expected
 
-    def test_plain_callable_on_batch_rejected(self, batch):
-        with pytest.raises(ConfigurationError, match="mask"):
-            CohortSelector(min_cohort_size=2).select(batch, lambda c: True, rng=0)
+    def test_plain_callable_on_batch_rejected(self, devices, batch):
+        for population in (batch, devices):
+            with pytest.raises(ConfigurationError, match="mask"):
+                CohortSelector(min_cohort_size=2).select(population, lambda c: True, rng=0)
+
+    def test_sequence_valued_attribute_matches_whole_value(self):
+        # A tuple value must compare per device, not broadcast across the
+        # tuple's items (nor build a 2-D column from equal-length tuples).
+        devices = [ClientDevice(i, [float(i)], {"build": (i, 1)}) for i in range(6)]
+        devices[2] = ClientDevice(2, [2.0], {"build": (2, 0)})
+        predicate = attribute_equals("build", (2, 0))
+        for population in (ClientBatch.from_devices(devices), devices):
+            cohort = CohortSelector().select(population, predicate)
+            assert cohort.client_ids.tolist() == [2]
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.exceptions import CohortTooSmallError, ConfigurationError, PrivacyBudgetExceeded
+from repro.exceptions import CohortTooSmallError, ConfigurationError
 from repro.federated import (
     ClientDevice,
     CohortSelector,
@@ -14,46 +14,36 @@ from repro.federated import (
     elicit_single_value,
     ground_truth_mean,
 )
-from repro.privacy import BitMeter, RandomizedResponse
+from repro.federated.fleet import report_bit
 
 
 class TestClientDevice:
     def test_scalar_value_promoted(self):
         client = ClientDevice(1, 5.0)
-        assert client.n_values == 1
-        assert client.local_mean() == 5.0
+        assert client.values.dtype == np.float64
+        assert client.values.tolist() == [5.0]
 
     def test_empty_values_rejected(self):
         with pytest.raises(ConfigurationError):
             ClientDevice(1, np.array([]))
 
     def test_elicit_strategies(self, rng):
-        client = ClientDevice(1, [1.0, 2.0, 9.0])
-        assert client.elicit("mean", rng) == pytest.approx(4.0)
-        assert client.elicit("max", rng) == 9.0
-        assert client.elicit("latest", rng) == 9.0
-        assert client.elicit("sample", rng) in {1.0, 2.0, 9.0}
+        values = ClientDevice(1, [1.0, 2.0, 9.0]).values
+        assert elicit_single_value(values, "mean", rng) == pytest.approx(4.0)
+        assert elicit_single_value(values, "max", rng) == 9.0
+        assert elicit_single_value(values, "latest", rng) == 9.0
+        assert elicit_single_value(values, "sample", rng) in {1.0, 2.0, 9.0}
 
     def test_report_bit_truthful_without_perturbation(self, encoder8, rng):
-        client = ClientDevice(3, [5.0])    # 0b101
-        assert client.report_bit(0, encoder8, rng=rng).bit == 1
-        assert client.report_bit(1, encoder8, rng=rng).bit == 0
-        assert client.report_bit(2, encoder8, rng=rng).bit == 1
-
-    def test_report_records_meter(self, encoder8, rng):
-        meter = BitMeter(max_bits_per_value=1)
-        client = ClientDevice(3, [5.0])
-        client.report_bit(0, encoder8, meter=meter, value_id="m", rng=rng)
-        with pytest.raises(PrivacyBudgetExceeded):
-            client.report_bit(1, encoder8, meter=meter, value_id="m", rng=rng)
+        # 5 == 0b101
+        assert report_bit(5.0, 0, encoder8, None, rng) == 1
+        assert report_bit(5.0, 1, encoder8, None, rng) == 0
+        assert report_bit(5.0, 2, encoder8, None, rng) == 1
 
     def test_report_with_perturbation_is_binary(self, encoder8, rng):
-        client = ClientDevice(3, [5.0])
-        rr = RandomizedResponse(epsilon=1.0)
-        report = client.report_bit(0, encoder8, perturbation=rr, rng=rng)
-        assert report.bit in (0, 1)
-        assert report.client_id == 3
-        assert report.bit_index == 0
+        bits = [report_bit(5.0, 0, encoder8, 1.0, rng) for _ in range(200)]
+        assert all(type(bit) is int for bit in bits)
+        assert set(bits) == {0, 1}    # randomized: some reports flipped
 
 
 class TestMultivalue:
@@ -183,7 +173,7 @@ class TestCohortSelector:
         pop = self._population()
         cohort = CohortSelector().select(pop, eligibility=attribute_equals("geo", "us"))
         assert len(cohort) == 50
-        assert all(c.attributes["geo"] == "us" for c in cohort)
+        assert all(geo == "us" for geo in cohort.attributes["geo"])
 
     def test_missing_attribute_means_ineligible(self):
         pop = [ClientDevice(0, [1.0])]
@@ -206,7 +196,7 @@ class TestCohortSelector:
         pop = self._population(100)
         cohort = CohortSelector().select(pop, cohort_size=30, rng=rng)
         assert len(cohort) == 30
-        assert len({c.client_id for c in cohort}) == 30
+        assert len(set(cohort.client_ids.tolist())) == 30
 
     def test_cohort_size_above_population_returns_all(self, rng):
         pop = self._population(20)

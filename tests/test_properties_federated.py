@@ -126,7 +126,7 @@ class TestCohortProperties:
     def test_selection_invariants(self, n, cohort_size, seed):
         population = [ClientDevice(i, [float(i)]) for i in range(n)]
         cohort = CohortSelector().select(population, cohort_size=cohort_size, rng=seed)
-        ids = [c.client_id for c in cohort]
+        ids = cohort.client_ids.tolist()
         assert len(cohort) == min(cohort_size, n)     # never over-selects
         assert len(set(ids)) == len(ids)              # no duplicates
         assert set(ids) <= set(range(n))              # only real clients

@@ -17,7 +17,6 @@ TOP_LEVEL_TYPES = {
     "seed": int,
     "quick": bool,
     "clients": int,
-    "columnar": bool,
     "secure_agg": bool,
     "shard_size": int,
     "estimate": float,
@@ -78,7 +77,6 @@ class TestTraceJsonSchema:
 
     def test_columnar_round_trip(self, tmp_path):
         payload = _trace_json(tmp_path, clients=500, chunk=64)
-        assert payload["columnar"] is True
         assert payload["clients"] == 500
         assert payload["chunk"] == 64
         names = {span["name"] for span in payload["spans"]}
