@@ -14,6 +14,7 @@ reduction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,6 +30,7 @@ DEFAULT_PRIME = (1 << 61) - 1
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+@lru_cache(maxsize=16)
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -58,14 +60,16 @@ _MAX_VECTORIZED_MODULUS = 1 << 63
 
 _M61 = np.uint64(DEFAULT_PRIME)
 _M61_BITS = np.uint64(61)
-_LOW31 = np.uint64(0x7FFFFFFF)
-_SHIFT31 = np.uint64(31)
-_SHIFT30 = np.uint64(30)
-_ONE = np.uint64(1)
+# matmul_arrays splits 61-bit elements into three 21-bit limbs held in
+# float64: a limb product is below 2**42, so a sum of up to 2**11 of them
+# stays below 2**53 and is exact in any order (FMA included).
+_LIMB_BITS = 21
+_LIMB_MASK = np.uint64((1 << _LIMB_BITS) - 1)
+_MATMUL_BLOCK = 1 << 11
 
 
 def _reduce_m61(x: np.ndarray) -> np.ndarray:
-    """Fold ``x < 2**63`` into ``[0, 2**61 - 1)``.
+    """Fold any uint64 ``x`` into ``[0, 2**61 - 1)``.
 
     For the Mersenne prime ``2**61 ≡ 1 (mod p)``, so one shift-and-add fold
     lands below ``2 p`` and a single conditional subtract finishes.
@@ -74,20 +78,44 @@ def _reduce_m61(x: np.ndarray) -> np.ndarray:
     return np.where(x >= _M61, x - _M61, x)
 
 
-def _mul_m61(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise ``(a * b) mod (2**61 - 1)`` for reduced uint64 arrays.
+def _rotl61(x: np.ndarray, shift: int) -> np.ndarray:
+    """``x * 2**shift mod (2**61 - 1)`` for ``x < p``: a 61-bit rotation."""
+    if shift == 0:
+        return x
+    return ((x << np.uint64(shift)) & _M61) | (x >> np.uint64(61 - shift))
 
-    Splits each 61-bit factor into 31/30-bit halves; every partial product
-    fits uint64, and the ``2**62`` / ``2**31`` scale factors reduce via the
-    Mersenne identities ``2**62 ≡ 2`` and ``x * 2**31 ≡ rotl61(x, 31)``.
+
+def _limbs(x: np.ndarray, axis: int) -> np.ndarray:
+    """The three 21-bit limbs of ``x`` as float64, stacked along ``axis``."""
+    return np.concatenate(
+        [((x >> np.uint64(_LIMB_BITS * d)) & _LIMB_MASK).astype(np.float64) for d in range(3)],
+        axis=axis,
+    )
+
+
+def _matmul_m61(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact ``(a @ b) mod (2**61 - 1)`` for reduced 2-D uint64 arrays.
+
+    Per inner block of ``2**11``, one float64 product of the stacked limbs
+    ``[a0; a1; a2] @ [b0 | b1 | b2]`` yields all nine limb products
+    ``a_i @ b_j`` exactly.  Converted to uint64, the ones of equal degree
+    ``i + j`` are summed (below ``3 * 2**53``, so already reduced) and
+    scaled by ``2**(21 (i + j))`` -- a rotation, as ``2**61 ≡ 1``.  The
+    running total plus five rotated terms, each below ``p``, stays below
+    ``2**64`` until the per-block fold.
     """
-    a_hi, a_lo = a >> _SHIFT31, a & _LOW31
-    b_hi, b_lo = b >> _SHIFT31, b & _LOW31
-    low = _reduce_m61(a_lo * b_lo)
-    high = _reduce_m61((a_hi * b_hi) << _ONE)
-    mid = _reduce_m61(a_hi * b_lo + a_lo * b_hi)
-    mid = _reduce_m61(((mid << _SHIFT31) & _M61) + (mid >> _SHIFT30))
-    return _reduce_m61(low + high + mid)
+    m, n = a.shape[0], b.shape[1]
+    total = np.zeros((m, n), dtype=np.uint64)
+    for start in range(0, a.shape[1], _MATMUL_BLOCK):
+        stop = start + _MATMUL_BLOCK
+        prod = (_limbs(a[:, start:stop], 0) @ _limbs(b[start:stop], 1)).astype(np.uint64)
+        prod = prod.reshape(3, m, 3, n)
+        for degree in range(5):
+            limb_pairs = range(max(0, degree - 2), min(degree, 2) + 1)
+            same_degree = sum(prod[i, :, degree - i] for i in limb_pairs)
+            total = total + _rotl61(same_degree, _LIMB_BITS * degree % 61)
+        total = _reduce_m61(total)
+    return total
 
 
 @dataclass(frozen=True)
@@ -143,8 +171,10 @@ class PrimeField:
         gen = ensure_rng(rng)
         return int(gen.integers(0, self.modulus))
 
-    def random_vector(self, length: int, rng: np.random.Generator | int | None = None) -> list[int]:
-        """Uniform field vector, returned as Python ints (exact arithmetic).
+    def random_vector(
+        self, length: int, rng: np.random.Generator | int | None = None
+    ) -> np.ndarray:
+        """Uniform field vector as a ``uint64`` array (array-kernel input).
 
         Stream-identical to ``length`` sequential :meth:`random_element`
         calls on the same generator (numpy's bounded-integer sampler
@@ -152,7 +182,7 @@ class PrimeField:
         which lets callers batch seed generation without changing results.
         """
         gen = ensure_rng(rng)
-        return gen.integers(0, self.modulus, size=length).tolist()
+        return gen.integers(0, self.modulus, size=length).astype(np.uint64)
 
     def add_vectors(self, a: list[int], b: list[int]) -> list[int]:
         if len(a) != len(b):
@@ -207,25 +237,21 @@ class PrimeField:
         p = np.uint64(self.modulus)
         return (a + (p - b)) % p
 
-    def mul_arrays(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Elementwise ``(a * b) mod p`` over reduced ``uint64`` arrays.
+    def matmul_arrays(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Exact ``(a @ b) mod p`` over reduced 2-D ``uint64`` arrays.
 
-        Broadcasts like numpy multiplication.  The default Mersenne prime
-        runs entirely in uint64 split/rotate arithmetic (exact -- pinned
-        against scalar :meth:`mul` by a near-modulus stress test); other
-        moduli fall back to exact Python-int products elementwise.
+        The default Mersenne prime runs as blocked float64 limb products
+        (exact -- pinned against Python-int products, near-modulus operands
+        and inner dimensions across the block edge included); other moduli
+        fall back to an object-dtype Python-int product.
         """
         self._require_vectorizable()
         a = np.asarray(a, dtype=np.uint64)
         b = np.asarray(b, dtype=np.uint64)
         if self.modulus == DEFAULT_PRIME:
-            return _mul_m61(a, b)
-        a2, b2 = np.broadcast_arrays(a, b)
-        out = [
-            (x * y) % self.modulus
-            for x, y in zip(a2.ravel().tolist(), b2.ravel().tolist())
-        ]
-        return np.array(out, dtype=np.uint64).reshape(a2.shape)
+            return _matmul_m61(a, b)
+        out = (a.astype(object) @ b.astype(object)) % self.modulus
+        return np.asarray(out, dtype=np.uint64)
 
     def sum_rows(self, rows: np.ndarray) -> np.ndarray:
         """Exact mod-``p`` column sum of a ``(k, length)`` reduced array.

@@ -9,8 +9,9 @@ self-masks are removed by the server after share-based seed recovery.
 Masks are expanded deterministically with Philox-4x64-10 (Salmon et al.,
 "Parallel Random Numbers: As Easy as 1, 2, 3"), the same counter-based
 generator numpy ships -- but evaluated here as a *batched* numpy kernel:
-one call expands every seed of a shard at once, each seed keying its own
-counter stream, with no per-seed ``Generator`` construction.  The kernel is
+one call expands every seed a session phase needs (a shard's self-masks
+and pairwise masks together), each seed keying its own counter stream,
+with no per-seed ``Generator`` construction.  The kernel is
 pinned bit-identical to ``np.random.Philox(key=seed).random_raw`` by a
 test.  Uniform words are truncated into the field with a single modulo;
 the residue bias is < 2**-56 for the default 61-bit prime and irrelevant
@@ -34,27 +35,36 @@ __all__ = [
 ]
 
 # Philox-4x64 round multipliers and Weyl key increments (Random123).
-_PHILOX_M0 = np.uint64(0xD2E7470EE14C6C93)
-_PHILOX_M1 = np.uint64(0xCA5A826395121157)
-_WEYL_0 = np.uint64(0x9E3779B97F4A7C15)
-_WEYL_1 = np.uint64(0xBB67AE8584CAA73B)
+_PHILOX_M0 = 0xD2E7470EE14C6C93
+_PHILOX_M1 = 0xCA5A826395121157
+_WEYL_0 = 0x9E3779B97F4A7C15
+_WEYL_1 = 0xBB67AE8584CAA73B
+_ROUNDS = 10
 _MASK32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
-_ROUNDS = 10
+# Each multiplier as (full word, low half, high half) for _mulhilo.
+_M0 = tuple(np.uint64(w) for w in (_PHILOX_M0, _PHILOX_M0 & 0xFFFFFFFF, _PHILOX_M0 >> 32))
+_M1 = tuple(np.uint64(w) for w in (_PHILOX_M1, _PHILOX_M1 & 0xFFFFFFFF, _PHILOX_M1 >> 32))
+# Per-round key increments: key word 0 advances by r * W0 from the seed,
+# key word 1 starts at 0 for every seed, so its round keys are scalars.
+_KEY0_STEP = tuple(np.uint64(r * _WEYL_0 % (1 << 64)) for r in range(_ROUNDS))
+_KEY1 = tuple(np.uint64(r * _WEYL_1 % (1 << 64)) for r in range(_ROUNDS))
 
 
-def _mulhilo(a: np.uint64, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Full 64x64 -> 128 bit product of scalar ``a`` with array ``b``.
+def _mulhilo(
+    m: tuple[np.uint64, np.uint64, np.uint64], b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Full 64x64 -> 128 bit product of multiplier ``m`` with array ``b``.
 
     uint64 multiplication wraps, so the high word is assembled from 32-bit
     half products (schoolbook); every partial sum provably fits in uint64.
     """
-    lo = a * b
-    a_lo, a_hi = a & _MASK32, a >> _SHIFT32
+    full, m_lo, m_hi = m
+    lo = full * b
     b_lo, b_hi = b & _MASK32, b >> _SHIFT32
-    t1 = a_hi * b_lo + ((a_lo * b_lo) >> _SHIFT32)
-    t2 = a_lo * b_hi + (t1 & _MASK32)
-    hi = a_hi * b_hi + (t1 >> _SHIFT32) + (t2 >> _SHIFT32)
+    t1 = m_hi * b_lo + ((m_lo * b_lo) >> _SHIFT32)
+    t2 = m_lo * b_hi + (t1 & _MASK32)
+    hi = m_hi * b_hi + (t1 >> _SHIFT32) + (t2 >> _SHIFT32)
     return hi, lo
 
 
@@ -68,21 +78,28 @@ def philox4x64(
     and yields that block's four output words.  A test pins the kernel
     bit-identical to ``np.random.Philox(key=key0).random_raw`` (numpy
     pre-increments, so its ``i``-th raw block is counter ``i + 1``).
+
+    Work common to every lane is done once: key word 1 is a scalar per
+    round, key word 0 keeps the shape of ``key0`` (a seed column when
+    called from :func:`expand_masks`), and round 1 skips the product of
+    the all-zero counter word 2.
     """
-    shape = np.broadcast_shapes(np.shape(key0), np.shape(counter0))
+    key0 = np.asarray(key0, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        c0 = np.broadcast_to(np.asarray(counter0, dtype=np.uint64), shape).copy()
-        c1 = np.zeros(shape, dtype=np.uint64)
-        c2 = np.zeros(shape, dtype=np.uint64)
-        c3 = np.zeros(shape, dtype=np.uint64)
-        k0 = np.broadcast_to(np.asarray(key0, dtype=np.uint64), shape)
-        k1 = np.zeros(shape, dtype=np.uint64)
-        for _ in range(_ROUNDS):
-            hi0, lo0 = _mulhilo(_PHILOX_M0, c0)
-            hi1, lo1 = _mulhilo(_PHILOX_M1, c2)
-            c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-            k0 = k0 + _WEYL_0
-            k1 = k1 + _WEYL_1
+        # Round 1 on counter (c0, 0, 0, 0): the M1 product of c2 = 0 is 0.
+        hi0, lo0 = _mulhilo(_M0, np.asarray(counter0, dtype=np.uint64))
+        c0, c1, c2, c3 = key0, np.uint64(0), hi0, lo0
+        for r in range(1, _ROUNDS):
+            hi0, lo0 = _mulhilo(_M0, c0)
+            hi1, lo1 = _mulhilo(_M1, c2)
+            c0, c1, c2, c3 = (
+                hi1 ^ c1 ^ (key0 + _KEY0_STEP[r]),
+                lo1,
+                hi0 ^ c3 ^ _KEY1[r],
+                lo0,
+            )
+    # Rounds 2 and 3 mix the key- and counter-shaped words, so every word
+    # has the broadcast shape from round 3 on.
     return c0, c1, c2, c3
 
 

@@ -20,15 +20,18 @@ The server learns exactly the sum of the submitted vectors -- bit-pushing's
 per-bit counts -- and nothing about individual contributions (each
 submission is uniformly distributed given the others).
 
-All mask arithmetic is vectorized: seeds expand through
-:func:`~repro.federated.secure_agg.masking.expand_masks` into 2-D uint64
-arrays and combine through the :class:`PrimeField` array kernels, with
+All session work is whole-array: pairwise seeds live in one uint64 vector
+in ``np.triu_indices`` order, each phase expands every seed it needs --
+self-masks and pairwise masks alike -- in one
+:func:`~repro.federated.secure_agg.masking.expand_masks` pass, and the
+masks combine through the :class:`PrimeField` array kernels, with
 :meth:`SecureAggregationSession.submit_batch` masking a whole shard's
 submissions in one call (each intra-batch pairwise mask is expanded once,
 not once per endpoint).  The batched path is bit-identical to per-client
-:meth:`~SecureAggregationSession.submit` calls -- field sums are exact and
-order-free.  For sharded, multi-worker aggregation over large cohorts see
-:mod:`repro.federated.secure_agg.hierarchy`.
+:meth:`~SecureAggregationSession.submit` calls and to the scalar
+:func:`~repro.federated.secure_agg.masking.apply_masks` reference -- field
+sums are exact and order-free.  For sharded, multi-worker aggregation over
+large cohorts see :mod:`repro.federated.secure_agg.hierarchy`.
 
 **Scope note:** this is a protocol-faithful simulation for experiments, not
 hardened cryptography: seeds stand in for DH key agreement, and all parties
@@ -45,7 +48,7 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError, SecureAggregationError
 from repro.federated.secure_agg.field import PrimeField
-from repro.federated.secure_agg.masking import expand_masks, pairwise_mask_sign
+from repro.federated.secure_agg.masking import expand_masks
 from repro.federated.secure_agg.shamir import reconstruct_secrets, split_secrets
 from repro.observability import get_metrics, get_tracer
 from repro.rng import ensure_rng
@@ -64,6 +67,18 @@ def default_threshold(n_clients: int) -> int:
     if n_clients < 1:
         raise ConfigurationError(f"n_clients must be >= 1, got {n_clients}")
     return max(2, -(-2 * n_clients // 3))
+
+
+def _pair_index(a, b, n_clients: int):
+    """Position of the pair ``{a, b}`` in ``np.triu_indices(n_clients, k=1)`` order.
+
+    With ``i = min(a, b) < j = max(a, b)``, row ``i`` of the upper triangle
+    starts after the ``i * (2n - i - 1) / 2`` pairs of the rows above it.
+    Works elementwise on integer arrays; ``a == b`` yields a meaningless
+    index that callers mask out.
+    """
+    i, j = np.minimum(a, b), np.maximum(a, b)
+    return i * (2 * n_clients - i - 1) // 2 + j - i - 1
 
 
 class SecureAggregationSession:
@@ -118,20 +133,14 @@ class SecureAggregationSession:
         # All seeds are field elements: self-mask seeds travel through
         # Shamir shares (field arithmetic), so anything >= the modulus
         # would reconstruct to a different value than was expanded.
-        # Pairwise seeds: one per unordered pair, known to both endpoints.
-        # Drawn as one batched field vector in (i, j)-lexicographic order --
-        # np.triu_indices walks pairs exactly as the nested per-pair loop
-        # would, so the draw is stream-identical but O(n^2) numpy instead of
-        # O(n^2) Python-level generator calls.
-        pair_i, pair_j = np.triu_indices(n_clients, k=1)
-        pair_seeds = self.field.random_vector(pair_i.size, gen)
-        self._pairwise_seeds: dict[tuple[int, int], int] = {
-            (int(i), int(j)): seed for i, j, seed in zip(pair_i, pair_j, pair_seeds)
-        }
+        # Pairwise seeds: one per unordered pair, known to both endpoints,
+        # drawn as one field vector in np.triu_indices order (the order the
+        # nested per-pair loop would draw them) and looked up by _pair_index.
+        self._pair_seeds = self.field.random_vector(n_clients * (n_clients - 1) // 2, gen)
         # Self-mask seeds, Shamir-shared among all clients: row i of the
         # share matrix holds seed i's share values, column h the share
         # client h keeps (evaluation point x = h + 1).
-        self._self_seeds: list[int] = self.field.random_vector(n_clients, gen)
+        self._self_seeds = self.field.random_vector(n_clients, gen)
         self._self_seed_shares: np.ndarray = split_secrets(
             self._self_seeds, n_clients, threshold, self.field, gen
         )
@@ -141,16 +150,11 @@ class SecureAggregationSession:
         self._failed = False
 
     # ------------------------------------------------------------------
-    def _seed_for(self, a: int, b: int) -> int:
-        return self._pairwise_seeds[(a, b) if a < b else (b, a)]
-
     def client_pairwise_seeds(self, client_id: int) -> dict[int, int]:
         """The pairwise seeds client ``client_id`` holds (one per peer)."""
-        return {
-            other: self._seed_for(client_id, other)
-            for other in range(self.n_clients)
-            if other != client_id
-        }
+        peers = np.delete(np.arange(self.n_clients), client_id)
+        index = _pair_index(peers, client_id, self.n_clients)
+        return dict(zip(peers.tolist(), self._pair_seeds[index].tolist()))
 
     # ------------------------------------------------------------------
     def _check_open(self) -> None:
@@ -160,55 +164,38 @@ class SecureAggregationSession:
     def _mask_rows(self, client_ids: Sequence[int], rows: np.ndarray) -> np.ndarray:
         """Mask one reduced ``(k, length)`` uint64 row per submitting client.
 
-        Each intra-batch pairwise mask is expanded exactly once and applied
-        with opposite signs to both endpoints' rows; masks shared with
-        clients outside the batch are expanded once for the batch endpoint.
+        One expansion covers the batch's self-masks and every pairwise mask
+        it needs, each pair once: an intra-batch mask is applied with
+        opposite signs to both endpoints' rows.
         """
         field = self.field
-        length = self.vector_length
-        # Self-masks: one expansion per submitting client.
-        self_masks = expand_masks(
-            [self._self_seeds[c] for c in client_ids], length, field
+        ids = np.asarray(client_ids, dtype=np.intp)
+        peers = np.arange(self.n_clients)
+        # (k, n) pair positions of every (client, peer); + toward larger
+        # ids, - toward smaller (the pairwise_mask_sign convention).
+        plus = peers > ids[:, None]
+        minus = peers < ids[:, None]
+        index = _pair_index(ids[:, None], peers, self.n_clients)
+        pairs = np.unique(index[plus | minus])
+        masks = expand_masks(
+            np.concatenate([self._self_seeds[ids], self._pair_seeds[pairs]]),
+            self.vector_length,
+            field,
         )
-        rows = field.add_arrays(rows, self_masks)
-        # Pairwise masks: expand the union of needed pair seeds once, then
-        # fold each client's signed subset (+ toward larger ids, - toward
-        # smaller -- the cancellation convention of pairwise_mask_sign).
-        pair_keys: list[tuple[int, int]] = []
-        key_index: dict[tuple[int, int], int] = {}
-        plus_rows: list[list[int]] = []
-        minus_rows: list[list[int]] = []
-        for cid in client_ids:
-            plus: list[int] = []
-            minus: list[int] = []
-            for other in range(self.n_clients):
-                if other == cid:
-                    continue
-                key = (cid, other) if cid < other else (other, cid)
-                idx = key_index.get(key)
-                if idx is None:
-                    idx = key_index[key] = len(pair_keys)
-                    pair_keys.append(key)
-                (plus if cid < other else minus).append(idx)
-            plus_rows.append(plus)
-            minus_rows.append(minus)
-        masks = expand_masks([self._pairwise_seeds[k] for k in pair_keys], length, field)
-        # Signed application in two gathered column-sums: pad each client's
-        # ragged pair-index list up to the max degree with a sentinel
-        # pointing at an appended all-zero mask row.
-        masks = np.vstack([masks, np.zeros((1, length), dtype=np.uint64)])
-        sentinel = len(pair_keys)
-
-        def padded(index_lists: list[list[int]]) -> np.ndarray:
-            width = max((len(lst) for lst in index_lists), default=0)
-            out = np.full((len(index_lists), width), sentinel, dtype=np.intp)
-            for r, lst in enumerate(index_lists):
-                out[r, : len(lst)] = lst
-            return out
-
-        rows = field.add_arrays(rows, field.sum_indexed(masks, padded(plus_rows)))
-        rows = field.sub_arrays(rows, field.sum_indexed(masks, padded(minus_rows)))
-        return rows
+        rows = field.add_arrays(rows, masks[: ids.size])
+        # Signed application in two gathered sums over the pair masks and an
+        # appended all-zero row, which fills each sign's other slots (the
+        # diagonal included).
+        pair_masks = np.vstack(
+            [masks[ids.size :], np.zeros((1, self.vector_length), dtype=np.uint64)]
+        )
+        slots = np.searchsorted(pairs, index)
+        rows = field.add_arrays(
+            rows, field.sum_indexed(pair_masks, np.where(plus, slots, pairs.size))
+        )
+        return field.sub_arrays(
+            rows, field.sum_indexed(pair_masks, np.where(minus, slots, pairs.size))
+        )
 
     def _validate_ids(self, client_ids: Sequence[int]) -> None:
         seen = set()
@@ -301,46 +288,33 @@ class SecureAggregationSession:
                 np.stack([self._submissions[cid] for cid in survivors])
             )
 
-            # Remove survivors' self-masks: reconstruct every survivor's
-            # seed in one batched interpolation over the shares held by the
-            # first `threshold` surviving shareholders (the session layer's
-            # known threshold guards against silent under-threshold
-            # interpolation), then expand and subtract the whole batch.
+            # Reconstruct every survivor's self-mask seed in one batched
+            # interpolation over the shares held by the first `threshold`
+            # surviving shareholders (the session layer's known threshold
+            # guards against silent under-threshold interpolation).
             holders = survivors[: self.threshold]
-            seeds = reconstruct_secrets(
+            self_seeds = reconstruct_secrets(
                 [holder + 1 for holder in holders],
                 self._self_seed_shares[np.ix_(survivors, holders)],
                 field,
                 expected_threshold=self.threshold,
             )
-            total = field.sub_arrays(
-                total, field.sum_rows(expand_masks(seeds, self.vector_length, field))
+            # Each survivor reveals the seed it shared with each dropout;
+            # those pairwise masks linger in the total with the survivor's
+            # sign, so masks it added (dropout id larger) are subtracted
+            # here along with the self-masks, and the others added back.
+            live = np.asarray(survivors)[:, None]
+            dead = np.asarray(dropped, dtype=np.intp)
+            index = _pair_index(live, dead, self.n_clients)
+            added = live < dead
+            subtract_seeds = np.concatenate([self_seeds, self._pair_seeds[index[added]]])
+            masks = expand_masks(
+                np.concatenate([subtract_seeds, self._pair_seeds[index[~added]]]),
+                self.vector_length,
+                field,
             )
-
-            # Cancel lingering pairwise masks between survivors and dropouts:
-            # each survivor reveals the seed it shared with each dropout.
-            # Batched by sign: masks the survivor *added* at submission are
-            # subtracted here, and vice versa.
-            if dropped:
-                sub_seeds = []
-                add_seeds = []
-                for survivor in survivors:
-                    for dead in dropped:
-                        seed = self._seed_for(survivor, dead)
-                        if pairwise_mask_sign(survivor, dead) > 0:
-                            sub_seeds.append(seed)
-                        else:
-                            add_seeds.append(seed)
-                if sub_seeds:
-                    total = field.sub_arrays(
-                        total,
-                        field.sum_rows(expand_masks(sub_seeds, self.vector_length, field)),
-                    )
-                if add_seeds:
-                    total = field.add_arrays(
-                        total,
-                        field.sum_rows(expand_masks(add_seeds, self.vector_length, field)),
-                    )
+            total = field.sub_arrays(total, field.sum_rows(masks[: subtract_seeds.size]))
+            total = field.add_arrays(total, field.sum_rows(masks[subtract_seeds.size :]))
 
             self._finalized = True
             if metrics.enabled:

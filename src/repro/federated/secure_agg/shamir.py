@@ -102,8 +102,9 @@ def split_secrets(
     points ``x = 1 .. n_shares``.  Value- and stream-identical to calling
     :func:`split_secret` once per secret on the same generator (the
     coefficient block is drawn row-major, exactly the order the scalar
-    loop consumes), but the polynomial evaluations are ``threshold``
-    field-array ops instead of ``len(secrets) * n_shares`` Horner loops.
+    loop consumes), but every polynomial evaluation is one exact mod-p
+    matrix product of the coefficient matrix with the power matrix
+    ``x**d``, instead of ``len(secrets) * n_shares`` Horner loops.
     """
     if not 1 <= threshold <= n_shares:
         raise ConfigurationError(
@@ -120,18 +121,8 @@ def split_secrets(
         )
     else:
         coefficients = np.zeros((k, 0), dtype=np.uint64)
-    powers = _power_matrix(n_shares, threshold, field.modulus)
-    # One fused multiply (k, threshold, n_shares), then a block-folded
-    # mod-p reduction over the coefficient axis (same overflow discipline
-    # as PrimeField.sum_rows: partial sums never wrap uint64).
     coeffs = np.concatenate([secrets[:, None], coefficients], axis=1)
-    terms = field.mul_arrays(coeffs[:, :, None], powers[None, :, :])
-    p = np.uint64(field.modulus)
-    block = max(1, ((1 << 64) - 1) // (field.modulus - 1) - 1)
-    shares = np.zeros((k, n_shares), dtype=np.uint64)
-    for start in range(0, threshold, block):
-        shares = (shares + terms[:, start : start + block].sum(axis=1)) % p
-    return shares
+    return field.matmul_arrays(coeffs, _power_matrix(n_shares, threshold, field.modulus))
 
 
 @lru_cache(maxsize=512)
@@ -160,10 +151,10 @@ def reconstruct_secrets(
     ``xs`` are the shared evaluation points and ``ys`` a ``(m, len(xs))``
     uint64 matrix -- row ``i`` holds one secret's share values at ``xs``.
     Every row reuses the same Lagrange weights at zero (computed, and
-    inverted, once per point set instead of once per secret), so the
-    per-secret cost is ``len(xs)`` field-array multiply-adds.  Raises
-    exactly like the scalar twin on empty/duplicate points or an
-    under-``expected_threshold`` share set.
+    inverted, once per point set instead of once per secret), so the batch
+    is one exact mod-p matrix-vector product.  Raises exactly like the
+    scalar twin on empty/duplicate points or an under-``expected_threshold``
+    share set.
     """
     xs = tuple(int(x) for x in xs)
     if not xs:
@@ -183,13 +174,7 @@ def reconstruct_secrets(
     weights = np.array(
         _lagrange_weights_at_zero(xs, field.modulus), dtype=np.uint64
     )
-    terms = field.mul_arrays(ys, weights[None, :])
-    p = np.uint64(field.modulus)
-    block = max(1, ((1 << 64) - 1) // (field.modulus - 1) - 1)
-    secrets = np.zeros(ys.shape[0], dtype=np.uint64)
-    for start in range(0, len(xs), block):
-        secrets = (secrets + terms[:, start : start + block].sum(axis=1)) % p
-    return secrets
+    return field.matmul_arrays(ys, weights[:, None])[:, 0]
 
 
 def reconstruct_secret(

@@ -36,7 +36,7 @@ from repro.federated.client import ClientDevice
 from repro.federated.cohort import attribute_equals
 from repro.federated.dropout import DropoutModel
 from repro.federated.network import NetworkModel
-from repro.federated.secure_agg.protocol import SecureAggregationSession
+from repro.federated.secure_agg.protocol import SecureAggregationSession, default_threshold
 from repro.federated.server import FederatedMeanQuery
 from repro.metrics.execution import ParallelExecutor, SerialExecutor, TrialExecutor
 from repro.metrics.experiment import run_trials
@@ -489,7 +489,7 @@ def secure_agg_oracle(
     the sum" argument rests on.
     """
     gen = ensure_rng(seed)
-    threshold = max(2, math.ceil(2 * n_clients / 3))
+    threshold = default_threshold(n_clients)
     if n_clients - n_dropouts < threshold:
         raise ValueError(
             f"{n_dropouts} dropouts from {n_clients} clients breaks threshold {threshold}"

@@ -1,6 +1,8 @@
 """Secure aggregation: field, Shamir, masking, and the full protocol."""
 
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +25,8 @@ from repro.federated.secure_agg import (
     split_secret,
     split_secrets,
 )
+from repro.federated.secure_agg import protocol
+from repro.federated.secure_agg.protocol import _pair_index
 from repro.observability import MetricsRegistry, configure, disable
 
 
@@ -358,39 +362,45 @@ class TestPhiloxKernel:
             assert (lane_g == lane_s).all()
 
 
-class TestMulArrays:
-    def test_matches_scalar_mul_on_random_pairs(self, rng):
+def _python_matmul(a, b, modulus):
+    """Exact ``(a @ b) mod p`` with Python ints, one dot product at a time."""
+    columns = b.T.tolist()
+    return [
+        [sum(x * y for x, y in zip(row, col)) % modulus for col in columns]
+        for row in a.tolist()
+    ]
+
+
+class TestMatmulArrays:
+    @pytest.mark.parametrize("operands", ["random", "p-1"])
+    @pytest.mark.parametrize("inner", [1, 7, 2047, 2048, 2049, 5000])
+    def test_matches_python_int_reference(self, inner, operands, rng):
+        # Inner dimensions straddle the 2**11 float64 block edge; all-(p-1)
+        # operands put every 21-bit limb at its maximum.
         field = PrimeField()
-        a = field.reduce_array(rng.integers(0, field.modulus, size=500))
-        b = field.reduce_array(rng.integers(0, field.modulus, size=500))
-        expected = [field.mul(int(x), int(y)) for x, y in zip(a, b)]
-        assert field.mul_arrays(a, b).tolist() == expected
+        if operands == "random":
+            a = field.reduce_array(rng.integers(0, field.modulus, size=(3, inner)))
+            b = field.reduce_array(rng.integers(0, field.modulus, size=(inner, 4)))
+        else:
+            a = np.full((3, inner), field.modulus - 1, dtype=np.uint64)
+            b = np.full((inner, 4), field.modulus - 1, dtype=np.uint64)
+        out = field.matmul_arrays(a, b)
+        assert out.dtype == np.uint64
+        assert out.tolist() == _python_matmul(a, b, field.modulus)
 
     def test_near_modulus_corners(self):
         field = PrimeField()
-        edge = [0, 1, 2, field.modulus - 2, field.modulus - 1]
-        a, b = np.meshgrid(
-            np.asarray(edge, dtype=np.uint64), np.asarray(edge, dtype=np.uint64)
-        )
-        expected = [
-            [field.mul(int(x), int(y)) for x, y in zip(row_a, row_b)]
-            for row_a, row_b in zip(a, b)
-        ]
-        assert field.mul_arrays(a, b).tolist() == expected
+        edge = np.asarray([0, 1, 2, field.modulus - 2, field.modulus - 1], dtype=np.uint64)
+        outer = field.matmul_arrays(edge[:, None], edge[None, :])
+        assert outer.tolist() == [[field.mul(int(x), int(y)) for y in edge] for x in edge]
 
     def test_generic_modulus_fallback(self, rng):
         field = PrimeField(97)
-        a = field.reduce_array(rng.integers(0, 97, size=40))
-        b = field.reduce_array(rng.integers(0, 97, size=40))
-        expected = [field.mul(int(x), int(y)) for x, y in zip(a, b)]
-        assert field.mul_arrays(a, b).tolist() == expected
-
-    def test_broadcasting(self):
-        field = PrimeField()
-        a = np.asarray([1, 2, 3], dtype=np.uint64)
-        out = field.mul_arrays(a[:, None], a[None, :])
-        assert out.shape == (3, 3)
-        assert out.tolist() == [[1, 2, 3], [2, 4, 6], [3, 6, 9]]
+        a = field.reduce_array(rng.integers(0, 97, size=(4, 40)))
+        b = field.reduce_array(rng.integers(0, 97, size=(40, 3)))
+        out = field.matmul_arrays(a, b)
+        assert out.dtype == np.uint64
+        assert out.tolist() == _python_matmul(a, b, 97)
 
 
 class TestSumIndexed:
@@ -506,6 +516,50 @@ class TestSubmitBatch:
         assert [list(map(int, row)) for row in batched] == per_client
         assert one.finalize() == two.finalize()
 
+    def test_rows_match_scalar_apply_masks_with_two_dropouts(self, rng):
+        vecs = rng.integers(0, 1000, size=(8, 6))
+        session = SecureAggregationSession(8, 6, threshold=5, rng=11)
+        ids = [0, 1, 3, 4, 6, 7]  # clients 2 and 5 drop out
+        masked = session.submit_batch(ids, vecs[ids])
+        for row, cid in zip(masked, ids):
+            expected = apply_masks(
+                [int(v) for v in vecs[cid]],
+                session._self_seeds[cid],
+                session.client_pairwise_seeds(cid),
+                cid,
+                session.field,
+            )
+            assert row.tolist() == expected
+        assert session.finalize() == vecs[ids].sum(axis=0).tolist()
+
+    def test_masked_rows_pinned_to_reference_values(self):
+        vecs = np.random.default_rng(7).integers(0, 50, size=(9, 5))
+        ids = [0, 1, 2, 4, 5, 7, 8]
+        session = SecureAggregationSession(9, 5, threshold=6, rng=2024)
+        rows = session.submit_batch(ids, vecs[ids])
+        assert rows[0, :2].tolist() == [185200800123065923, 1549877135486645687]
+        digest = hashlib.sha256(rows.astype("<u8").tobytes()).hexdigest()
+        assert digest.startswith("b5a00fb66aa58ec3")
+        assert session.finalize() == [213, 224, 202, 107, 218]
+
+    def test_one_mask_expansion_per_phase(self, monkeypatch, rng):
+        calls = []
+
+        def counting_expand_masks(seeds, length, field):
+            calls.append(len(seeds))
+            return expand_masks(seeds, length, field)
+
+        monkeypatch.setattr(protocol, "expand_masks", counting_expand_masks)
+        vecs = rng.integers(0, 50, size=(7, 3))
+        session = SecureAggregationSession(7, 3, threshold=5, rng=9)
+        ids = [0, 2, 3, 5, 6]
+        session.submit_batch(ids, vecs[ids])
+        # 5 self-masks and the 20 of 21 pairs touching a submitter.
+        assert calls == [5 + 20]
+        assert session.finalize() == vecs[ids].sum(axis=0).tolist()
+        # 5 reconstructed self-masks and the 5 x 2 survivor-dropout pairs.
+        assert calls == [5 + 20, 5 + 10]
+
     def test_partial_batch_then_finalize_recovers_dropouts(self, rng):
         vecs = rng.integers(0, 50, size=(7, 3))
         session = SecureAggregationSession(7, 3, threshold=5, rng=9)
@@ -528,6 +582,26 @@ class TestSubmitBatch:
         out = session.submit_batch([], np.zeros((0, 2), dtype=np.int64))
         assert out.shape == (0, 2)
         assert session.submitted_clients == ()
+
+
+class TestPairIndex:
+    @pytest.mark.parametrize("n", [2, 3, 7, 32, 33])
+    def test_matches_triu_indices_order(self, n):
+        i, j = np.triu_indices(n, k=1)
+        np.testing.assert_array_equal(_pair_index(i, j, n), np.arange(i.size))
+
+
+class TestSetupMemory:
+    def test_flat_session_setup_peak_stays_small(self):
+        # Shamir setup must not materialize a (k, threshold, n_shares)
+        # product: at 300 clients that alone would be ~140 MiB per copy.
+        tracemalloc.start()
+        try:
+            SecureAggregationSession(300, 2, default_threshold(300), rng=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 class TestFinalizeMetrics:
