@@ -1,6 +1,6 @@
 # Convenience targets for the bit-pushing reproduction.
 
-.PHONY: install test lint selfcheck bench bench-check bench-scale report-demo health-demo serve-demo serve-trace-demo figures experiments examples clean
+.PHONY: install test lint selfcheck bench bench-gate bench-scale report-demo health-demo serve-demo serve-trace-demo figures experiments examples clean
 
 install:
 	pip install -e .[dev]
@@ -20,32 +20,25 @@ lint:
 selfcheck:
 	python -m repro.cli selfcheck $(if $(DEEP),--deep)
 
-# Timed bench run; the raw pytest-benchmark report is reduced to the
-# repo-root BENCH_micro.json trajectory file future PRs diff against.
+# The repository benchmark: every workload of BENCHMARK.json, with each
+# end-to-end metric printed by name and unit (see bench/README.md).
 bench:
-	pytest benchmarks/ --benchmark-only -s \
-		--benchmark-json=benchmarks/results/benchmark.json
-	python scripts/bench_summary.py benchmarks/results/benchmark.json BENCH_micro.json
+	python3 bench/run.py
 
-# Perf regression gate: re-run the micro benches, append to the trajectory,
-# then fail if the newest entry regressed past the tolerance against the
-# previous entry (same-machine comparison, so the strict default applies).
-bench-check: bench
-	python scripts/bench_summary.py --check BENCH_micro.json
+# Perf regression gate: the benchmark for HEAD and for the working tree,
+# interleaved on this machine; fails when bench/compare.py reads "worse".
+bench-gate:
+	scripts/bench_gate.sh HEAD
 
 # Scale studies at full size: the columnar client plane (10**5..10**7
-# clients -- clients/sec per population size and the tracemalloc
-# peak), the secure-aggregation hierarchy (vectorized
-# masking vs the per-client submit loop at 10**4 clients), and the
-# wire-served round (loopback TCP reports/sec, single and concurrent
-# campaigns).  Appends to the repo-root BENCH_scale.json trajectory,
-# then gates on it: the run fails if any shared throughput rate dropped
-# past the tolerance vs the previous entry.
+# clients -- clients/sec per population size, and a tracemalloc peak that
+# must stay under 150 B/client), the secure-aggregation hierarchy
+# (vectorized masking at least 5x the per-client submit loop at 10**4
+# clients), and the wire-served round (loopback TCP reports/sec, single
+# and concurrent campaigns, bit-identical to the in-process twin).
 bench-scale:
 	REPRO_SCALE_CLIENTS=100000,1000000,10000000 \
 		pytest benchmarks/bench_scale.py -k "columnar or secure or served" --benchmark-only -s
-	python scripts/bench_summary.py --scale benchmarks/results/scale.json BENCH_scale.json
-	python scripts/bench_summary.py --check --scale BENCH_scale.json
 
 # Record one deterministic flight-recorder run and render its report --
 # the quickest way to see the whole observability surface end to end.

@@ -12,9 +12,8 @@ hundreds of times.  These benches time the same cell three ways:
   :class:`~repro.metrics.execution.ParallelExecutor`.
 
 All three produce bit-identical estimates (asserted here and in
-``tests/test_execution.py``); only the wall-clock differs.  The summary
-trajectory in ``BENCH_micro.json`` tracks the loop/batch ratio across PRs
--- the batch kernel's win lives in the small-population regime (see
+``tests/test_execution.py``); only the wall-clock differs.  The batch
+kernel's win lives in the small-population regime (see
 ``docs/performance.md`` for the measured crossover).
 """
 

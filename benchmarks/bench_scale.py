@@ -6,26 +6,23 @@ cost scale with n?  The table doubles as a regression guard on the
 vectorized hot path (the whole protocol should stay sub-linear in wall time
 relative to naive per-client loops).
 
-``test_columnar_round_throughput`` is the columnar client plane's scale
-trajectory: clients/sec for full federated rounds over one struct-of-arrays
+``test_columnar_round_throughput`` measures the columnar client plane:
+clients/sec for full federated rounds over one struct-of-arrays
 :class:`~repro.core.client_plane.ClientBatch` at each population size in
 ``REPRO_SCALE_CLIENTS`` (default ``100000,1000000``; ``make bench-scale``
 raises it to 10**7), and a tracemalloc pass at the largest size proving the
 round's allocations stay a small constant per client (chunked streaming, no
-cohort x bits blowup).  The raw numbers land in
-``benchmarks/results/scale.json``; ``scripts/bench_summary.py --scale``
-appends them to the repo-root ``BENCH_scale.json`` trajectory.
+cohort x bits blowup).
 """
 
 import asyncio
-import json
 import os
 import time
 import tracemalloc
 
 import numpy as np
 
-from benchmarks.conftest import RESULTS_DIR, run_once
+from benchmarks.conftest import run_once
 from repro.core import AdaptiveBitPushing, ClientBatch, FixedPointEncoder
 from repro.core.client_plane import batch_chunk_size
 from repro.data.census import sample_ages
@@ -74,20 +71,6 @@ def _scale_sizes() -> tuple[int, ...]:
     return tuple(sorted({int(tok) for tok in raw.split(",") if tok.strip()}))
 
 
-def _merge_scale_payload(update: dict) -> None:
-    """Merge ``update`` into ``scale.json`` so the columnar and secure-agg
-    studies can run in either order (or alone) without clobbering each
-    other's sections."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / "scale.json"
-    try:
-        payload = json.loads(path.read_text())
-    except (FileNotFoundError, json.JSONDecodeError):
-        payload = {}
-    payload.update(update)
-    path.write_text(json.dumps(payload, indent=2) + "\n")
-
-
 def _columnar_population(n: int, rng: np.random.Generator) -> ClientBatch:
     return ClientBatch.from_values(np.clip(rng.normal(600.0, 100.0, n), 0.0, None))
 
@@ -128,14 +111,6 @@ def test_columnar_round_throughput(benchmark, emit):
 
     columnar, n_top, peak_bytes = run_once(benchmark, run)
     bytes_per_client = peak_bytes / n_top
-
-    payload = {
-        "chunk": chunk,
-        "columnar": {str(n): row for n, row in columnar.items()},
-        "tracemalloc": {"n": n_top, "peak_bytes": peak_bytes,
-                        "peak_bytes_per_client": bytes_per_client},
-    }
-    _merge_scale_payload(payload)
 
     lines = [
         "### Columnar client plane: round throughput",
@@ -221,24 +196,6 @@ def test_secure_agg_throughput(benchmark, emit):
     vec_rate = SECURE_N / vec_seconds
     loop_rate = SECURE_N / loop_seconds
     speedup = loop_seconds / vec_seconds
-
-    _merge_scale_payload(
-        {
-            "secure_agg": {
-                "n": SECURE_N,
-                "vector_length": SECURE_VECTOR_LENGTH,
-                "shard_size": SECURE_SHARD_SIZE,
-                "shards": n_shards,
-                "seconds": vec_seconds,
-                "clients_per_s": vec_rate,
-                "per_client_loop": {
-                    "seconds": loop_seconds,
-                    "clients_per_s": loop_rate,
-                },
-                "speedup_vs_loop": speedup,
-            }
-        }
-    )
 
     emit(
         "scale_secure",
@@ -333,22 +290,6 @@ def test_served_round_throughput(benchmark, emit):
     single_rate = SERVE_N / single_seconds
     concurrent_reports = SERVE_N * SERVE_CAMPAIGNS
     concurrent_rate = concurrent_reports / concurrent_seconds
-
-    _merge_scale_payload(
-        {
-            "serve": {
-                "n_clients": SERVE_N,
-                "telemetry": cfg.telemetry,
-                "seconds": single_seconds,
-                "reports_per_s": single_rate,
-                "campaigns": {
-                    "count": SERVE_CAMPAIGNS,
-                    "seconds": concurrent_seconds,
-                    "reports_per_s": concurrent_rate,
-                },
-            }
-        }
-    )
 
     emit(
         "scale_serve",

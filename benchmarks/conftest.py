@@ -11,23 +11,13 @@ Benchmarks run at a reduced-but-meaningful scale so the whole suite
 finishes in minutes; the EXPERIMENTS.md generator
 (``python -m repro.experiments.generate``) runs the same code at full paper
 scale.
-
-Observability hook: set ``REPRO_BENCH_METRICS=1`` (or to an output path) to
-run every bench with a live :class:`~repro.observability.MetricsRegistry`
-and write the end-of-session snapshot as JSON (default:
-``benchmarks/results/metrics_snapshot.json``).  Left unset, benches run
-with the zero-overhead no-op instrumentation, so timings are undisturbed.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from pathlib import Path
 
 import pytest
-
-from repro.observability import MetricsRegistry, instrumented
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -42,24 +32,6 @@ def emit():
         print(text)
 
     return _emit
-
-
-@pytest.fixture(scope="session", autouse=True)
-def bench_metrics_snapshot():
-    """Opt-in metrics collection across the whole bench session."""
-    destination = os.environ.get("REPRO_BENCH_METRICS")
-    if not destination:
-        yield
-        return
-    registry = MetricsRegistry()
-    with instrumented(metrics=registry):
-        yield
-    path = (
-        RESULTS_DIR / "metrics_snapshot.json" if destination == "1" else Path(destination)
-    )
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(registry.snapshot(), indent=2) + "\n")
-    print(f"\n[observability] bench metrics snapshot written to {path}")
 
 
 def run_once(benchmark, fn):

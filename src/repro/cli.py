@@ -398,8 +398,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     runs_check = runs_sub.add_parser(
         "check",
-        help="gate a candidate run against a baseline (exit 1 on regression), "
-        "in the style of bench-check",
+        help="gate a candidate run against a baseline (exit 1 on regression)",
     )
     runs_check.add_argument("baseline", help="baseline artifact directory")
     runs_check.add_argument("candidate", help="candidate artifact directory")
@@ -465,6 +464,15 @@ def _lemma31_analysis(estimate, truth: float, encoder, epsilon: float | None) ->
     }
 
 
+def _retry_policy(max_retries: int, redraw_cohort: bool) -> RetryPolicy | None:
+    """The ``--max-retries`` policy; ``None`` (a failed attempt aborts) for 0."""
+    if max_retries < 0:
+        raise ConfigurationError(f"--max-retries must be >= 0, got {max_retries}")
+    if max_retries == 0:
+        return None
+    return RetryPolicy(max_attempts=max_retries + 1, redraw_cohort=redraw_cohort)
+
+
 def run_traced_round(
     target: str,
     quick: bool = False,
@@ -518,7 +526,7 @@ def run_traced_round(
     stream = stream if stream is not None else sys.stdout
     n_clients = int(clients) if clients is not None else (2_000 if quick else 20_000)
     if n_clients < 2:
-        raise ValueError(f"--clients must be >= 2, got {n_clients}")
+        raise ConfigurationError(f"--clients must be >= 2, got {n_clients}")
     encoder = FixedPointEncoder.for_integers(10)
     epsilon = 2.0 if target in _LDP_TRACE_TARGETS else None
     perturbation = RandomizedResponse(epsilon=epsilon) if epsilon is not None else None
@@ -550,9 +558,7 @@ def run_traced_round(
         # requires the two adaptive rounds' cohorts to stay disjoint -- a
         # redrawn retry cohort could overlap the other round's, so recording
         # retries the same cohort instead (failed attempts elicit nothing).
-        retry=RetryPolicy(max_attempts=max_retries + 1, redraw_cohort=not recording)
-        if max_retries > 0
-        else None,
+        retry=_retry_policy(max_retries, redraw_cohort=not recording),
         faults=FaultSchedule.load(fault_schedule) if fault_schedule else None,
         meter=meter,
         accountant=accountant,
@@ -839,7 +845,11 @@ def run_runs_command(args, stream=None, error_stream=None) -> int:
             else:
                 print(render_compare_markdown(comparison), file=stream)
             return 0
-        ok, messages = check_comparison(comparison, tolerance=args.tolerance)
+        try:
+            ok, messages = check_comparison(comparison, tolerance=args.tolerance)
+        except ValueError as exc:
+            print(f"error: {exc}", file=error_stream)
+            return 2
         for message in messages:
             print(message, file=stream)
         return 0 if ok else 1
@@ -948,9 +958,7 @@ def run_serve_command(
         deadline_s=deadline_s,
         registration_timeout_s=registration_timeout_s,
         min_quorum=min_quorum,
-        retry=RetryPolicy(max_attempts=max_retries + 1, redraw_cohort=False)
-        if max_retries > 0
-        else None,
+        retry=_retry_policy(max_retries, redraw_cohort=False),
         host=host,
         port=port,
     )
@@ -1178,11 +1186,20 @@ def run_fleet_command(
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; bad input ends in one ``error:`` line and exit 2."""
     try:
         return _dispatch(argv)
     except BrokenPipeError:
         # Output piped into a pager/head that closed early -- not an error.
         return 0
+    except RoundFailedError as exc:
+        # A ConfigurationError subclass, but the input was fine: the round
+        # ran and missed its quorum (exit 1, as ``serve`` reports it).
+        print(f"round failed: {exc}", file=sys.stderr)
+        return 1
+    except ConfigurationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def _dispatch(argv: list[str] | None) -> int:

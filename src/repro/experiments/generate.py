@@ -79,8 +79,8 @@ generator or `repro-figures` distributes trial repetitions over N worker
 processes without changing a single byte of this file (the executor
 determinism contract — see docs/performance.md).  Deployment-scale
 throughput (columnar 10⁵–10⁷-client rounds, clients/sec, memory bounds) is
-tracked separately in `BENCH_scale.json` via `make bench-scale` — see the
-"Columnar client plane" section of docs/performance.md.
+measured separately by `make bench-scale` and the repository benchmark in
+`bench/` — see the "Columnar client plane" section of docs/performance.md.
 """
 
 

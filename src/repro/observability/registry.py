@@ -11,10 +11,9 @@ of such directories *queryable*:
   deltas operators care about: per-phase latency percentiles with ratios,
   counter deltas, estimate-error drift, and fired-alert counts by rule and
   severity;
-* :func:`check_comparison` turns a comparison into a pass/fail gate in the
-  style of ``scripts/bench_summary.py --check``: phase-p95 regressions past
-  a tolerance ratio, estimate-error blowups, and new critical alerts all
-  fail the gate.
+* :func:`check_comparison` turns a comparison into a pass/fail gate:
+  phase-p95 regressions past a tolerance ratio, estimate-error blowups, and
+  new critical alerts all fail the gate.
 
 ``repro.cli runs list|compare|check`` is the CLI surface; everything here
 is a pure function of the artifacts, so the same directories always produce
@@ -228,7 +227,7 @@ def compare_runs(baseline_dir: str | Path, candidate_dir: str | Path) -> dict[st
 
 
 def check_comparison(comparison: dict[str, Any], tolerance: float = 1.25) -> tuple[bool, list[str]]:
-    """Gate a comparison: ``(ok, messages)`` in the bench-check idiom.
+    """Gate a comparison: ``(ok, messages)``, one message per finding.
 
     Fails when a shared phase's p95 regressed past ``tolerance``x, the
     observed estimate error grew past ``tolerance``x, or the candidate

@@ -83,6 +83,7 @@ class TestRounds:
     def test_delta_split_respected(self, encoder10, rng):
         est = AdaptiveBitPushing(encoder10, delta=0.25)
         result = est.estimate(np.full(1_000, 300.0), rng)
+        assert result.n_clients == 1_000
         assert result.rounds[0].n_clients == 250
         assert result.rounds[1].n_clients == 750
 

@@ -138,6 +138,7 @@ class TestLdp:
             squash_threshold=0.05,
         )
         result = est.estimate(values, rng)
+        assert result.metadata["ldp"] is True
         assert set(result.squashed_bits) >= set(range(4, 16))
         assert result.value == pytest.approx(3.0, abs=1.0)
 

@@ -5,10 +5,13 @@ test plumbing (labels, shapes, metrics, determinism), not to re-validate
 accuracy claims (the benchmarks do that at full scale).
 """
 
+import io
+
 import numpy as np
 import pytest
 
 from repro.cli import main as cli_main
+from repro.cli import run_traced_round
 from repro.exceptions import ConfigurationError
 from repro.experiments import (
     figure_1a,
@@ -182,3 +185,38 @@ class TestCli:
         assert FIGURE_PANELS == sorted(FIGURE_PANELS)
         assert "4b" in DIAGNOSTICS
         assert set(DIAGNOSTICS).isdisjoint(FIGURES)
+
+    @pytest.mark.parametrize(
+        ("argv", "code", "prefix"),
+        [
+            ("trace 1a --clients 1", 2, "error: "),
+            ("trace 1a --quick --chunk 0", 2, "error: "),
+            ("trace 1a --quick --secure-agg --shard-size 0", 2, "error: "),
+            ("trace 1a --quick --min-quorum 0", 2, "error: "),
+            ("trace 1a --quick --max-retries -1", 2, "error: "),
+            ("trace 1a --quick --min-quorum 100000", 1, "round failed: "),
+            ("serve --clients 0", 2, "error: "),
+            ("serve --clients 2 --max-retries -1", 2, "error: "),
+            ("fleet --clients 0 --port 1", 2, "error: "),
+            ("fleet --clients 2 --port 1 --emulation bogus", 2, "error: "),
+            ("figure 1a --quick --workers 0", 2, "error: "),
+            ("runs check RUN RUN --tolerance 1.0", 2, "error: "),
+        ],
+    )
+    def test_bad_input_ends_in_one_line(self, argv, code, prefix, tmp_path, capsys):
+        """A misconfiguration is one ``error:`` line and exit 2, never a
+        traceback; a round that misses its quorum is one line and exit 1."""
+        args = argv.split()
+        if args[0] == "trace":
+            args += ["--out", str(tmp_path / "trace.jsonl")]
+        if "RUN" in args:
+            run_dir = tmp_path / "run"
+            run_traced_round(
+                "3a", quick=True, sim_clock=True, record_dir=str(run_dir), stream=io.StringIO()
+            )
+            args = [str(run_dir) if arg == "RUN" else arg for arg in args]
+        assert cli_main(args) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(prefix)

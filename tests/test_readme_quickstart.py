@@ -61,7 +61,10 @@ class TestFigureDeterminism:
 
     def test_experiments_md_in_sync_with_claims(self):
         """EXPERIMENTS.md was generated (has every figure section)."""
+        from repro.experiments.generate import HEADER
+
         text = (README.parent / "EXPERIMENTS.md").read_text()
+        assert text.startswith(HEADER)
         for panel in ("1a", "1b", "1c", "2a", "2b", "2c", "3a", "3b", "4a", "4b", "4c"):
             assert f"Figure {panel}" in text, panel
         assert "bitwise quantiles" in text

@@ -3,7 +3,7 @@
 Covers the cross-run analytics surface: indexing a tree of recorded
 artifacts (corrupt manifests flagged, not fatal), comparing two runs
 (phase percentiles, counters, estimate error, alerts) in Markdown and
-JSON, the bench-check-style regression gate, and the ``report`` command's
+JSON, the ``runs check`` regression gate, and the ``report`` command's
 one-line non-zero exits on missing/corrupt manifests.
 """
 
