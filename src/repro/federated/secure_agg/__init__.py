@@ -1,4 +1,4 @@
-"""Secure aggregation substrate: prime field, Shamir sharing, masking, protocol, shard tree."""
+"""Secure aggregation substrate: prime field, Shamir sharing, ring masking, protocol, shard tree."""
 
 from repro.federated.secure_agg.field import DEFAULT_PRIME, PrimeField
 from repro.federated.secure_agg.hierarchy import (
@@ -13,6 +13,7 @@ from repro.federated.secure_agg.masking import (
     apply_masks,
     expand_mask,
     expand_masks,
+    mask_ring,
     pairwise_mask_sign,
     philox4x64,
 )
@@ -43,6 +44,7 @@ __all__ = [
     "expand_mask",
     "expand_masks",
     "hierarchical_secure_sum",
+    "mask_ring",
     "pairwise_mask_sign",
     "philox4x64",
     "reconstruct_secret",

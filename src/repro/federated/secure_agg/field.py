@@ -1,14 +1,14 @@
-"""Prime-field arithmetic for secure aggregation.
+"""Prime-field arithmetic for secure aggregation's seeds and Shamir shares.
 
-Secure aggregation sums client vectors modulo a public prime: masks drawn
-uniformly from the field perfectly hide individual contributions, and
 Shamir secret sharing (used for dropout recovery) needs field arithmetic
-with invertible non-zero elements.
+with invertible non-zero elements, and every mask seed is a field element:
+a self-mask seed must come back unchanged from Shamir reconstruction.  The
+masks themselves live in a power-of-two ring sized to the sum they carry
+(:func:`repro.federated.secure_agg.masking.mask_ring`), not in this field.
 
-We default to the Mersenne prime ``2**61 - 1``: large enough that sums of
-millions of 16-bit bit-report vectors never wrap, small enough that Python
-integers stay single-word-ish and numpy can hold raw values before
-reduction.
+We default to the Mersenne prime ``2**61 - 1``: seeds drawn from it are
+uniform 61-bit keys, and its reduction is a shift-and-add fold that the
+exact array product :meth:`PrimeField.matmul_arrays` builds on.
 """
 
 from __future__ import annotations
@@ -122,10 +122,12 @@ def _matmul_m61(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class PrimeField:
     """Arithmetic modulo a prime ``modulus``.
 
-    Scalar and list methods operate on exact Python ints.  The ``*_array``
-    methods are the vectorized twins over ``uint64`` numpy arrays -- exact
-    for any modulus below ``2**63`` (so a single addition never wraps), which
-    covers the default 61-bit Mersenne prime with headroom.
+    Scalar methods operate on exact Python ints (the scalar Shamir
+    reference).  :meth:`random_vector`, :meth:`reduce_array` and
+    :meth:`matmul_arrays` are the array kernels behind batched seeds and
+    Shamir shares, over ``uint64`` numpy arrays -- exact for any modulus
+    below ``2**63`` (so a single addition never wraps), which covers the
+    default 61-bit Mersenne prime with headroom.
 
     Examples
     --------
@@ -184,29 +186,11 @@ class PrimeField:
         gen = ensure_rng(rng)
         return gen.integers(0, self.modulus, size=length).astype(np.uint64)
 
-    def add_vectors(self, a: list[int], b: list[int]) -> list[int]:
-        if len(a) != len(b):
-            raise ConfigurationError(f"vector lengths differ: {len(a)} vs {len(b)}")
-        return [(x + y) % self.modulus for x, y in zip(a, b)]
-
-    def sub_vectors(self, a: list[int], b: list[int]) -> list[int]:
-        if len(a) != len(b):
-            raise ConfigurationError(f"vector lengths differ: {len(a)} vs {len(b)}")
-        return [(x - y) % self.modulus for x, y in zip(a, b)]
-
-    def centered(self, x: int) -> int:
-        """Map a field element to the centered range ``(-p/2, p/2]``.
-
-        Lets callers recover small *signed* integers after modular sums.
-        """
-        x = x % self.modulus
-        return x - self.modulus if x > self.modulus // 2 else x
-
     # ------------------------------------------------------------------
-    # Array kernels: exact uint64 arithmetic for the vectorized masking
-    # path.  All of them assume (and _require_vectorizable checks) that
-    # the modulus leaves one bit of uint64 headroom, so `a + b` with
-    # a, b < p cannot wrap.
+    # Array kernels: exact uint64 arithmetic for batched seeds and Shamir
+    # shares.  They assume (and _require_vectorizable checks) that the
+    # modulus leaves one bit of uint64 headroom, so `a + b` with a, b < p
+    # cannot wrap.
     # ------------------------------------------------------------------
     def _require_vectorizable(self) -> None:
         if self.modulus >= _MAX_VECTORIZED_MODULUS:
@@ -226,17 +210,6 @@ class PrimeField:
             return arr % np.uint64(self.modulus)
         return (np.asarray(arr, dtype=np.int64) % np.int64(self.modulus)).astype(np.uint64)
 
-    def add_arrays(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Elementwise ``(a + b) mod p`` over reduced ``uint64`` arrays."""
-        self._require_vectorizable()
-        return (a + b) % np.uint64(self.modulus)
-
-    def sub_arrays(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Elementwise ``(a - b) mod p``; safe against unsigned underflow."""
-        self._require_vectorizable()
-        p = np.uint64(self.modulus)
-        return (a + (p - b)) % p
-
     def matmul_arrays(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Exact ``(a @ b) mod p`` over reduced 2-D ``uint64`` arrays.
 
@@ -252,49 +225,3 @@ class PrimeField:
             return _matmul_m61(a, b)
         out = (a.astype(object) @ b.astype(object)) % self.modulus
         return np.asarray(out, dtype=np.uint64)
-
-    def sum_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Exact mod-``p`` column sum of a ``(k, length)`` reduced array.
-
-        Rows are folded in blocks small enough that the running uint64
-        partial sums cannot wrap: with ``p < 2**63`` at least 2 rows fit per
-        block, and the default 61-bit prime allows 7 -- so the reduction is
-        O(k/block) numpy passes, not O(k) Python additions.
-        """
-        self._require_vectorizable()
-        rows = np.atleast_2d(np.asarray(rows, dtype=np.uint64))
-        p = np.uint64(self.modulus)
-        # How many (p-1)-sized values fit in uint64 alongside the (p-1)-sized
-        # accumulator: block * (p-1) + (p-1) <= 2**64 - 1.
-        block = max(1, ((1 << 64) - 1) // (self.modulus - 1) - 1)
-        total = np.zeros(rows.shape[-1], dtype=np.uint64)
-        for start in range(0, rows.shape[0], block):
-            total = (total + rows[start : start + block].sum(axis=0)) % p
-        return total
-
-    def sum_indexed(self, rows: np.ndarray, indices: np.ndarray) -> np.ndarray:
-        """Per-row mod-``p`` sums of gathered rows.
-
-        ``out[i] = sum_j rows[indices[i, j]] mod p`` -- the vectorized twin
-        of one :meth:`sum_rows` call per index row, for ragged "each output
-        sums a different subset" workloads (pad short index lists with the
-        index of an all-zero row appended to ``rows``).  Same block-folded
-        overflow discipline as :meth:`sum_rows`.
-        """
-        self._require_vectorizable()
-        rows = np.atleast_2d(np.asarray(rows, dtype=np.uint64))
-        indices = np.atleast_2d(indices)
-        p = np.uint64(self.modulus)
-        block = max(1, ((1 << 64) - 1) // (self.modulus - 1) - 1)
-        total = np.zeros((indices.shape[0], rows.shape[-1]), dtype=np.uint64)
-        for start in range(0, indices.shape[1], block):
-            chunk = rows[indices[:, start : start + block]]
-            total = (total + chunk.sum(axis=1)) % p
-        return total
-
-    def centered_array(self, values: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`centered`: field elements to signed ``int64``."""
-        self._require_vectorizable()
-        arr = np.asarray(values, dtype=np.uint64) % np.uint64(self.modulus)
-        out = arr.astype(np.int64)
-        return np.where(arr > np.uint64(self.modulus // 2), out - np.int64(self.modulus), out)

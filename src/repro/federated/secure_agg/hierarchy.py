@@ -21,29 +21,42 @@ clients are excluded from the total, but the other shards' sums still
 aggregate.  Callers degrade rather than abort: the server widens the round's
 variance accounting and raises a health alert instead of failing the round.
 
-**Parallelism.**  Shards are independent sessions, so they fan out over a
-``fork``-based process pool (one worker per shard, bounded by ``workers``).
-Determinism follows the executor discipline of
+**Shard groups.**  Shards run in contiguous groups of :data:`SHARD_GROUP`.
+A group builds its sessions, checks every shard's batch, then expands all
+of its sessions' masks in one Philox pass per phase -- masking at submit,
+unmasking at finalize -- and per ring width present, instead of one small
+pass per session and phase.  Each session draws only from its own seed,
+and a Philox row depends only on its seed, so a group's totals and masked
+rows equal its sessions' one-by-one results, whatever the group size.
+Each group times its ``secure_agg.setup``, ``secure_agg.mask`` and
+``secure_agg.unmask`` phases as spans.
+
+**Parallelism.**  Groups are independent, so they fan out over a
+``fork``-based process pool (one worker per group, at most ``workers`` in
+flight).  Determinism follows the executor discipline of
 :func:`repro.metrics.execution.spawn_seed_sequences`: shard ``i`` always
 seeds its session from the ``i``-th spawned child of the caller's generator,
 so results are bit-identical for every worker count and completion order.
-Workers run with tracing disabled and ship a private metrics snapshot back
-for the parent to merge, exactly like the trial executors.  Shard inputs are
-consumed lazily with at most ``workers`` shards in flight, so aggregating a
-large cohort never materializes cohort-sized arrays.
+Workers run with tracing disabled and return their phase timings and a
+private metrics snapshot for the parent to record and merge, exactly like
+the trial executors.  Shard inputs are consumed lazily, group by group, so
+aggregating a large cohort never materializes cohort-sized arrays.
 """
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError, SecureAggregationError
+from repro.federated.secure_agg.masking import expand_masks
 from repro.federated.secure_agg.protocol import (
     SecureAggregationSession,
     default_threshold,
@@ -54,9 +67,11 @@ from repro.metrics.execution import (
     spawn_seed_sequences,
 )
 from repro.observability import get_metrics, get_tracer
+from repro.observability.tracing import SpanRecord
 from repro.rng import ensure_rng
 
 __all__ = [
+    "SHARD_GROUP",
     "ShardTask",
     "ShardOutcome",
     "HierarchicalResult",
@@ -64,6 +79,12 @@ __all__ = [
     "aggregate_shards",
     "hierarchical_secure_sum",
 ]
+
+#: Shards per group.  Groups of 8 halve a 32-shard query's time next to one
+#: session per pass, and still give two workers 4 groups; one group for the
+#: whole query saves a little more time but grows peak memory with the
+#: pass's temporaries (docs/performance.md).
+SHARD_GROUP = 8
 
 
 def shard_bounds(n_clients: int, shard_size: int) -> list[tuple[int, int]]:
@@ -96,7 +117,8 @@ class ShardTask:
 
     ``submitted_ids`` are *shard-local* client ids (``0 .. n_clients - 1``)
     that actually submit; ``vectors`` holds one row per submitted id, in the
-    same order.  Clients present in the shard but absent from
+    same order, and its dtype is the session's entry type (it sizes the
+    mask ring).  Clients present in the shard but absent from
     ``submitted_ids`` are the shard's dropouts -- the session recovers their
     masks from the survivors.
     """
@@ -114,7 +136,9 @@ class ShardOutcome:
 
     ``submitted_global_ids`` are the cohort-level indices of the clients
     whose vectors this shard's session actually contains (``start`` plus
-    the task's shard-local submitted ids).
+    the task's shard-local submitted ids).  ``ring_bits`` is the width of
+    the session's mask ring (0 for a singleton shard, which has no session),
+    and ``duration_s`` the shard's share of its group's wall time.
     """
 
     index: int
@@ -125,6 +149,7 @@ class ShardOutcome:
     recovered: bool
     total: np.ndarray | None
     duration_s: float = 0.0
+    ring_bits: int = 0
 
     @property
     def submitted(self) -> int:
@@ -173,70 +198,166 @@ class HierarchicalResult:
     def excluded_clients(self) -> int:
         return sum(s.n_clients for s in self.shards if not s.recovered)
 
+    @property
+    def masked_bytes_per_client(self) -> float:
+        """Bytes of masked upload per submitting client: length x ring width / 8."""
+        submitted = sum(s.submitted for s in self.shards)
+        masked_bits = sum(s.submitted * s.ring_bits for s in self.shards)
+        return self.total.size * masked_bits / 8 / submitted if submitted else 0.0
 
-def _execute_shard(
-    task: ShardTask,
-    vector_length: int,
-    seed: np.random.SeedSequence,
-    bitgen_cls: type,
-) -> ShardOutcome:
-    """Run one shard's masking session end to end (any process).
 
-    A shard that cannot complete -- a singleton (no peer to mask against) or
-    a below-threshold survivor set -- returns ``recovered=False`` instead of
-    raising: shard failure is a contained, reportable outcome, not an error
-    of the tree.
-    """
+@contextmanager
+def _phase(name: str, phases: list) -> Iterator[dict[str, Any]]:
+    """Time one group phase as a span; the caller fills in its attributes."""
+    attrs: dict[str, Any] = {}
+    wall = time.time()
     start = time.perf_counter()
-    global_ids = (task.start + np.asarray(task.submitted_ids)).astype(np.int64)
-    if task.n_clients < 2:
-        return ShardOutcome(
+    with get_tracer().span(name) as span:
+        yield attrs
+        for key, value in attrs.items():
+            span.set_attribute(key, value)
+    phases.append((name, wall, time.perf_counter() - start, attrs))
+
+
+def _expand_by_lane(
+    sessions: dict[int, SecureAggregationSession],
+    steps: dict[int, tuple[np.ndarray, Any]],
+    length: int,
+) -> dict[int, np.ndarray]:
+    """Each session's mask rows, from one ``expand_masks`` call per ring width present."""
+    members: dict[np.dtype, list[int]] = {}
+    for i in steps:
+        members.setdefault(sessions[i].ring.lane, []).append(i)
+    rows = {}
+    for lane, shards in members.items():
+        masks = expand_masks(np.concatenate([steps[i][0] for i in shards]), length, lane)
+        start = 0
+        for i in shards:
+            stop = start + steps[i][0].size
+            rows[i] = masks[start:stop]
+            start = stop
+    return rows
+
+
+def _run_group(
+    tasks: list[ShardTask],
+    seeds: list[np.random.SeedSequence],
+    bitgen_cls: type,
+    vector_length: int,
+) -> tuple[list[ShardOutcome], list[tuple[str, float, float, dict[str, Any]]]]:
+    """Run one contiguous group of shards' sessions end to end (any process).
+
+    The group builds its sessions in shard order, each from its own spawned
+    seed; checks every shard's batch exactly as ``submit_batch`` does;
+    expands every session's mask-phase seeds in one pass per ring width
+    and applies them; then collects the unmask-phase seeds of every session
+    at or above its threshold into one more pass and finalizes those
+    sessions.  A shard that cannot complete -- a singleton (no peer to mask
+    against) or a below-threshold survivor set -- returns
+    ``recovered=False`` instead of raising: shard failure is a contained,
+    reportable outcome, not an error of the tree.
+
+    Each shard's duration is its own steps plus a share of the rest of the
+    group's wall time (the two passes, mostly) in proportion to the seeds it
+    expanded, so the group's durations sum to its wall time.  Returns the
+    outcomes and the three phases' ``(name, wall start, duration, attrs)``.
+    """
+    clock = time.perf_counter
+    start = clock()
+    own = [0.0] * len(tasks)
+    expanded = [0] * len(tasks)
+    phases: list = []
+
+    def timed(i: int, step, *args):
+        t = clock()
+        try:
+            return step(*args)
+        finally:
+            own[i] += clock() - t
+
+    sessions: dict[int, SecureAggregationSession] = {}
+    with _phase("secure_agg.setup", phases) as attrs:
+        for i, task in enumerate(tasks):
+            if task.n_clients >= 2:
+                sessions[i] = timed(
+                    i,
+                    SecureAggregationSession,
+                    task.n_clients,
+                    vector_length,
+                    default_threshold(task.n_clients),
+                    task.vectors.dtype,
+                    np.random.Generator(bitgen_cls(seeds[i])),
+                )
+        ring_bits = max((session.ring.bits for session in sessions.values()), default=0)
+        attrs.update(
+            shards=len(tasks),
+            seeds=sum(s.n_clients * (s.n_clients + 1) // 2 for s in sessions.values()),
+            ring_bits=ring_bits,
+        )
+
+    def run_phase(name: str, seeds_step, failure=()) -> dict[int, Any]:
+        """Every session's seeds step, one pass per ring width, then every apply step."""
+        with _phase(name, phases) as attrs:
+            steps = {}
+            for i, session in sessions.items():
+                try:
+                    steps[i] = timed(i, seeds_step, i, session)
+                except failure:
+                    pass  # below threshold: this shard fails alone
+            masks = _expand_by_lane(sessions, steps, vector_length)
+            applied = {i: timed(i, apply, masks[i]) for i, (_, apply) in steps.items()}
+            for i, (step_seeds, _) in steps.items():
+                expanded[i] += step_seeds.size
+            attrs.update(
+                shards=len(tasks),
+                seeds=sum(step_seeds.size for step_seeds, _ in steps.values()),
+                ring_bits=ring_bits,
+            )
+        return applied
+
+    run_phase(
+        "secure_agg.mask",
+        lambda i, session: session._mask_phase(tasks[i].submitted_ids, tasks[i].vectors),
+    )
+    totals = run_phase(
+        "secure_agg.unmask",
+        lambda i, session: session._unmask_phase(),
+        failure=SecureAggregationError,
+    )
+    rest = clock() - start - sum(own)
+    weights = np.asarray(expanded, dtype=np.float64) if sum(expanded) else np.ones(len(tasks))
+    shares = rest * weights / weights.sum()
+    outcomes = [
+        ShardOutcome(
             index=task.index,
             start=task.start,
             n_clients=task.n_clients,
-            submitted_global_ids=global_ids,
-            threshold=2,
-            recovered=False,
-            total=None,
-            duration_s=time.perf_counter() - start,
+            submitted_global_ids=(task.start + np.asarray(task.submitted_ids)).astype(np.int64),
+            threshold=sessions[i].threshold if i in sessions else 2,
+            recovered=i in totals,
+            total=np.array(totals[i], dtype=np.int64) if i in totals else None,
+            duration_s=own[i] + float(shares[i]),
+            ring_bits=sessions[i].ring.bits if i in sessions else 0,
         )
-    threshold = default_threshold(task.n_clients)
-    session = SecureAggregationSession(
-        n_clients=task.n_clients,
-        vector_length=vector_length,
-        threshold=threshold,
-        rng=np.random.Generator(bitgen_cls(seed)),
-    )
-    session.submit_batch(task.submitted_ids, task.vectors)
-    try:
-        total = np.array(session.finalize(), dtype=np.int64)
-    except SecureAggregationError:
-        total = None
-    return ShardOutcome(
-        index=task.index,
-        start=task.start,
-        n_clients=task.n_clients,
-        submitted_global_ids=global_ids,
-        threshold=threshold,
-        recovered=total is not None,
-        total=total,
-        duration_s=time.perf_counter() - start,
-    )
+        for i, task in enumerate(tasks)
+    ]
+    return outcomes, phases
 
 
-def _forked_shard(
-    task: ShardTask,
-    vector_length: int,
-    seed: np.random.SeedSequence,
+def _forked_group(
+    tasks: list[ShardTask],
+    seeds: list[np.random.SeedSequence],
     bitgen_cls: type,
+    vector_length: int,
     parent_metrics_enabled: bool,
-) -> tuple[ShardOutcome, dict | None]:
-    """Worker entry point: one shard with worker-private observability.
+) -> tuple[list[ShardOutcome], list, dict | None]:
+    """Worker entry point: one shard group with worker-private observability.
 
     Mirrors the trial executors' fork discipline: tracing off (a forked
     exporter would interleave writes on the shared descriptor), metrics into
     a private registry whose snapshot rides back for the parent to merge --
-    so session counters match serial execution exactly.
+    so session counters match serial execution exactly.  The group's phase
+    timings ride back too, for the parent to record as spans.
     """
     from repro import observability
     from repro.observability import MetricsRegistry
@@ -246,8 +367,27 @@ def _forked_shard(
     if parent_metrics_enabled:
         worker_metrics = MetricsRegistry()
         observability.configure(metrics=worker_metrics)
-    outcome = _execute_shard(task, vector_length, seed, bitgen_cls)
-    return outcome, worker_metrics.snapshot() if worker_metrics is not None else None
+    outcomes, phases = _run_group(tasks, seeds, bitgen_cls, vector_length)
+    snapshot = worker_metrics.snapshot() if worker_metrics is not None else None
+    return outcomes, phases, snapshot
+
+
+def _record_phases(phases: list, tracer) -> None:
+    """Record a worker group's phase timings as finished spans under the open span."""
+    if not tracer.enabled:
+        return
+    parent = tracer.current_span_id()
+    for name, wall, duration, attrs in phases:
+        tracer.ingest(
+            SpanRecord(
+                name=name,
+                span_id=tracer.next_span_id(),
+                parent_id=parent,
+                start_time_s=wall,
+                duration_s=duration,
+                attributes={**attrs, "worker": True},
+            )
+        )
 
 
 def _record_shard(outcome: ShardOutcome, tracer, metrics) -> None:
@@ -259,6 +399,7 @@ def _record_shard(outcome: ShardOutcome, tracer, metrics) -> None:
         "threshold": outcome.threshold,
         "recovered": outcome.recovered,
         "duration_s": outcome.duration_s,
+        "ring_bits": outcome.ring_bits,
     }
     with tracer.span("shard.session", attrs):
         pass
@@ -286,41 +427,48 @@ def aggregate_shards(
     rng: np.random.Generator | int | None = None,
     workers: int | None = None,
 ) -> HierarchicalResult:
-    """Run every shard's session and merge the recovered partial sums.
+    """Run every shard's session, group by group, and merge the recovered partial sums.
 
-    ``tasks`` is consumed lazily: with ``workers > 1`` at most ``workers``
-    shards are in flight at once, so callers can stream shard inputs without
-    ever holding the whole cohort in memory.  Shard ``i`` is seeded from the
-    ``i``-th spawned child of ``rng`` regardless of scheduling, so the result
-    is bit-identical for every worker count (asserted by the twin tests).
+    ``tasks`` is consumed lazily in contiguous groups of
+    :data:`SHARD_GROUP`: with ``workers > 1`` at most ``workers`` groups are
+    in flight at once, so callers can stream shard inputs without ever
+    holding the whole cohort in memory.  Each task's ``vectors`` dtype is
+    its session's entry type.  Shard ``i`` is seeded from the ``i``-th
+    spawned child of ``rng`` regardless of grouping or scheduling, so the
+    result is bit-identical for every worker count (asserted by the twin
+    tests).
 
     ``workers=None`` reads ``REPRO_WORKERS`` (the executor convention).
-    Falls back to serial execution when ``fork`` is unavailable.
+    Falls back to serial execution when ``fork`` is unavailable or the
+    tasks fill one group.
     """
     gen = ensure_rng(rng)
     n_workers = resolve_workers(workers)
     tracer = get_tracer()
     metrics = get_metrics()
-    task_list = tasks if isinstance(tasks, Sequence) else None
 
-    def seeded(task_iter: Iterable[ShardTask]) -> Iterator[tuple[ShardTask, np.random.SeedSequence, type]]:
-        # Spawn seeds in shard order off the parent sequence.  One spawn
-        # call per shard keeps the iterator lazy; children are identical to
-        # a single batched spawn (SeedSequence.spawn is a counter walk).
-        for task in task_iter:
-            (seed,), bitgen_cls = spawn_seed_sequences(gen, 1)
-            yield task, seed, bitgen_cls
+    def groups() -> Iterator[tuple[list[ShardTask], list, type]]:
+        # Seeds are spawned in shard order off the parent sequence, one
+        # spawn call per group; children are identical to a single batched
+        # spawn (SeedSequence.spawn is a counter walk).
+        task_iter = iter(tasks)
+        while group := list(itertools.islice(task_iter, SHARD_GROUP)):
+            seeds, bitgen_cls = spawn_seed_sequences(gen, len(group))
+            yield group, seeds, bitgen_cls
 
     outcomes: list[ShardOutcome] = []
-    use_pool = n_workers > 1 and _FORK_AVAILABLE and (
-        task_list is None or len(task_list) > 1
-    )
-    source = seeded(task_list if task_list is not None else tasks)
-    if not use_pool:
-        for task, seed, bitgen_cls in source:
-            outcome = _execute_shard(task, vector_length, seed, bitgen_cls)
+
+    def record(group_outcomes: list[ShardOutcome]) -> None:
+        for outcome in group_outcomes:
             _record_shard(outcome, tracer, metrics)
-            outcomes.append(outcome)
+        outcomes.extend(group_outcomes)
+
+    source = groups()
+    head = list(itertools.islice(source, 2))
+    source = itertools.chain(head, source)
+    if n_workers < 2 or not _FORK_AVAILABLE or len(head) < 2:
+        for group, seeds, bitgen_cls in source:
+            record(_run_group(group, seeds, bitgen_cls, vector_length)[0])
     else:
         context = multiprocessing.get_context("fork")
         parent_metrics_enabled = metrics.enabled
@@ -329,23 +477,23 @@ def aggregate_shards(
 
             def drain(done_set) -> None:
                 for future in done_set:
-                    outcome, snapshot = future.result()
-                    _record_shard(outcome, tracer, metrics)
+                    group_outcomes, phases, snapshot = future.result()
+                    _record_phases(phases, tracer)
+                    record(group_outcomes)
                     if snapshot is not None and metrics.enabled:
                         metrics.merge_snapshot(snapshot)
-                    outcomes.append(outcome)
 
-            for task, seed, bitgen_cls in source:
+            for group, seeds, bitgen_cls in source:
                 if len(pending) >= n_workers:
                     done, pending = wait(pending, return_when=FIRST_COMPLETED)
                     drain(done)
                 pending.add(
                     pool.submit(
-                        _forked_shard,
-                        task,
-                        vector_length,
-                        seed,
+                        _forked_group,
+                        group,
+                        seeds,
                         bitgen_cls,
+                        vector_length,
                         parent_metrics_enabled,
                     )
                 )
@@ -373,6 +521,7 @@ def hierarchical_secure_sum(
     :func:`~repro.federated.secure_agg.protocol.secure_sum`: same exact
     integer total over the included clients, O(shard_size**2) masking work
     per shard instead of O(n**2) overall, and per-shard failure containment.
+    The rows' dtype sizes each shard's mask ring, as in ``secure_sum``.
     ``submitted`` marks which clients submit (all, by default); a shard whose
     survivors fall below its 2/3 threshold is excluded, not fatal -- inspect
     :attr:`HierarchicalResult.failed_shards`.

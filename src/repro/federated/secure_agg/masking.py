@@ -1,32 +1,47 @@
 """Mask generation for pairwise-masked secure aggregation.
 
 Each client ``i`` submits ``x_i + b_i + sum_{j>i} m_ij - sum_{j<i} m_ji``
-(mod p), where ``b_i`` is a self-mask expanded from a private seed and
-``m_ij`` is a pairwise mask expanded from a seed shared by clients ``i`` and
-``j``.  Summed over all clients, the pairwise masks cancel exactly; the
-self-masks are removed by the server after share-based seed recovery.
+in a ring of integers mod ``2**b``, where ``b_i`` is a self-mask expanded
+from a private seed and ``m_ij`` is a pairwise mask expanded from a seed
+shared by clients ``i`` and ``j``.  Summed over all clients, the pairwise
+masks cancel exactly; the self-masks are removed by the server after
+share-based seed recovery.
+
+**The ring is sized to the sum** (Kairouz, Liu and Steinke size the
+secure-sum modulus the same way): :func:`mask_ring` picks the smallest of
+8, 16, 32 and 64 bits that holds every sum of the session's entries, so a
+one-hot report bit over a shard of up to 255 clients masks in one byte.
+Ring arithmetic is the lane's native wrap-around (``uint8`` ... ``uint64``
+``+``, ``-`` and ``sum``), a mask drawn uniformly from the ring hides its
+entry perfectly (a one-time pad), and a sum that fits comes back exactly.
+Seeds and Shamir shares stay in the prime field of
+:mod:`repro.federated.secure_agg.field`.
 
 Masks are expanded deterministically with Philox-4x64-10 (Salmon et al.,
 "Parallel Random Numbers: As Easy as 1, 2, 3"), the same counter-based
 generator numpy ships -- but evaluated here as a *batched* numpy kernel:
-one call expands every seed a session phase needs (a shard's self-masks
-and pairwise masks together), each seed keying its own counter stream,
-with no per-seed ``Generator`` construction.  The kernel is
-pinned bit-identical to ``np.random.Philox(key=seed).random_raw`` by a
-test.  Uniform words are truncated into the field with a single modulo;
-the residue bias is < 2**-56 for the default 61-bit prime and irrelevant
-to correctness, which only needs both endpoints of a seed to derive the
-*same* vector so masks cancel exactly.
+one call expands every seed it is given, each seed keying its own counter
+stream, with no per-seed ``Generator`` construction.  A mask row is the
+little-endian bytes of its seed's stream read as lane words, so a 20-byte
+row needs one 32-byte Philox block.  The kernel is pinned bit-identical to
+``np.random.Philox(key=seed).random_raw`` by a test, and because Philox is
+counter-based a row depends only on its seed, never on the other seeds in
+its call -- both endpoints of a pairwise seed, any re-expansion during
+dropout recovery, and any grouping of sessions into one call derive
+exactly the same mask.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.federated.secure_agg.field import PrimeField
 
 __all__ = [
+    "Ring",
+    "mask_ring",
     "expand_mask",
     "expand_masks",
     "philox4x64",
@@ -103,34 +118,128 @@ def philox4x64(
     return c0, c1, c2, c3
 
 
-def expand_masks(seeds, length: int, field: PrimeField) -> np.ndarray:
-    """Expand each seed into one row of a ``(len(seeds), length)`` uint64 array.
+#: Ring widths with a native unsigned lane, narrowest first.
+_RING_BITS = (8, 16, 32, 64)
+#: Per-entry magnitude bound numerator when no lane holds every sum.
+_INT63 = (1 << 63) - 1
 
-    One vectorized Philox pass covers every seed: seed ``i`` keys its own
-    counter stream (counters ``0, 1, ...`` per 4-word block), so rows depend
-    only on their seed -- both endpoints of a pairwise seed, and any
-    re-expansion during dropout recovery, derive exactly the same mask.
+
+@dataclass(frozen=True)
+class Ring:
+    """The integers mod ``2**bits`` that one session's masks live in.
+
+    Entries must lie in ``[low, high]``, which keeps every sum of the
+    session's entries inside the ring; ``signed`` totals decode centered,
+    through the signed lane.  Built by :func:`mask_ring`.
+    """
+
+    bits: int
+    signed: bool
+    low: int
+    high: int
+
+    @property
+    def lane(self) -> np.dtype:
+        """The ``bits``-wide unsigned dtype; its arithmetic wraps mod ``2**bits``."""
+        return np.dtype(f"uint{self.bits}")
+
+    def encode(self, rows) -> np.ndarray:
+        """Check integer entries against the ring's bounds; return them as lane words.
+
+        Negative entries become their two's complement, so lane sums of
+        them wrap to the right residue.
+        """
+        rows = np.asarray(rows)
+        if rows.dtype.kind not in "biu":
+            raise ConfigurationError(
+                f"secure-sum entries must be integers or bools, got {rows.dtype}"
+            )
+        dtype_low, dtype_high = _entry_range(rows.dtype)
+        if rows.size and (dtype_low < self.low or dtype_high > self.high):
+            low, high = int(rows.min()), int(rows.max())
+            if low < self.low or high > self.high:
+                bad = low if low < self.low else high
+                raise ConfigurationError(
+                    f"secure-sum entry {bad} is outside [{self.low}, {self.high}], "
+                    f"the range whose sums stay exact in the {self.bits}-bit ring"
+                )
+        return rows.astype(self.lane)
+
+    def decode(self, total: np.ndarray) -> list[int]:
+        """A lane total as Python ints, centered for signed entries."""
+        return (total.view(f"int{self.bits}") if self.signed else total).tolist()
+
+
+def _entry_range(dtype: np.dtype) -> tuple[int, int]:
+    if dtype.kind == "b":
+        return 0, 1
+    info = np.iinfo(dtype)
+    return int(info.min), int(info.max)
+
+
+def mask_ring(dtype, n_clients: int) -> Ring:
+    """The smallest ring that holds every sum of ``n_clients`` entries of ``dtype``.
+
+    Bool entries need ``n.bit_length()`` bits and unsigned entries
+    ``(n * max).bit_length()``; signed entries need one bit more, and their
+    totals decode centered.  The ring is the first of 8, 16, 32 and 64 bits
+    that fits.  When none does (int64 entries, for example) it is 64 bits,
+    and each entry's magnitude must stay within ``(2**63 - 1) // n`` so that
+    no sum wraps.
+
+    >>> mask_ring(bool, 255).bits, mask_ring(bool, 256).bits
+    (8, 16)
+    >>> mask_ring("int64", 2).high == (2**63 - 1) // 2
+    True
+    """
+    dtype = np.dtype(dtype)
+    if dtype.kind not in "biu":
+        raise ConfigurationError(
+            f"secure aggregation needs integer or bool entries, got dtype {dtype}"
+        )
+    low, high = _entry_range(dtype)
+    signed = dtype.kind == "i"
+    # Signed b bits hold [-2**(b-1), 2**(b-1) - 1]; n * low is the binding end.
+    need = (-n_clients * low - 1).bit_length() + 1 if signed else (n_clients * high).bit_length()
+    for bits in _RING_BITS:
+        if need <= bits:
+            return Ring(bits, signed, low, high)
+    bound = _INT63 // n_clients
+    return Ring(64, signed, max(low, -bound), min(high, bound))
+
+
+def expand_masks(seeds, length: int, dtype) -> np.ndarray:
+    """Expand each seed into one row of a ``(len(seeds), length)`` lane array.
+
+    ``dtype`` is the ring's unsigned lane.  One vectorized Philox pass
+    covers every seed: seed ``i`` keys its own counter stream (counters
+    ``1, 2, ...`` per 32-byte block), and row ``i`` is that stream's
+    little-endian bytes read as lane words -- ``Philox(key=seed).random_raw``
+    viewed as ``<u1``/``<u2``/``<u4``/``<u8`` and cut to ``length``.
     """
     if length < 0:
         raise ConfigurationError(f"mask length must be >= 0, got {length}")
+    lane = np.dtype(dtype)
+    if lane.kind != "u":
+        raise ConfigurationError(f"mask lanes are unsigned integers, got {lane}")
     seeds = np.asarray(seeds, dtype=np.uint64).reshape(-1)
     if length == 0 or seeds.size == 0:
-        return np.zeros((seeds.size, length), dtype=np.uint64)
-    blocks = -(-length // 4)
-    lanes = philox4x64(
-        seeds[:, None], np.arange(1, blocks + 1, dtype=np.uint64)[None, :]
-    )
-    words = np.stack(lanes, axis=-1).reshape(seeds.size, blocks * 4)
-    return words[:, :length] % np.uint64(field.modulus)
+        return np.zeros((seeds.size, length), dtype=lane)
+    blocks = -(-length * lane.itemsize // 32)
+    words = np.stack(
+        philox4x64(seeds[:, None], np.arange(1, blocks + 1, dtype=np.uint64)[None, :]),
+        axis=-1,
+    ).reshape(seeds.size, blocks * 4)
+    return words.astype("<u8", copy=False).view(f"<u{lane.itemsize}")[:, :length]
 
 
-def expand_mask(seed: int, length: int, field: PrimeField) -> list[int]:
-    """Deterministically expand ``seed`` into a uniform field vector.
+def expand_mask(seed: int, length: int, dtype) -> list[int]:
+    """One seed's mask in lane ``dtype``, as Python ints (the scalar reference).
 
     Both endpoints of a pairwise seed must derive the *same* vector, so the
     expansion depends only on the seed value.
     """
-    return [int(v) for v in expand_masks([seed], length, field)[0]]
+    return expand_masks([seed], length, dtype)[0].tolist()
 
 
 def pairwise_mask_sign(my_id: int, other_id: int) -> int:
@@ -150,29 +259,31 @@ def apply_masks(
     self_seed: int,
     pairwise_seeds: dict[int, int],
     my_id: int,
-    field: PrimeField,
+    dtype,
 ) -> list[int]:
-    """Mask a client's value vector for submission.
+    """Mask a client's value vector for submission (scalar ring reference).
 
     Parameters
     ----------
     values:
-        The client's plaintext contribution (field elements).
+        The client's plaintext contribution (integers; negatives wrap to
+        their residue mod ``2**b``).
     self_seed:
         Seed of the client's self-mask ``b_i``.
     pairwise_seeds:
         ``other_id -> shared seed`` for every *live* peer.
     my_id:
         This client's id (determines mask signs).
-    field:
-        The aggregation field.
+    dtype:
+        The ring's unsigned lane; arithmetic is on Python ints mod ``2**b``.
     """
-    masked = [field.reduce(v) for v in values]
-    masked = field.add_vectors(masked, expand_mask(self_seed, len(values), field))
+    modulus = 1 << (8 * np.dtype(dtype).itemsize)
+    length = len(values)
+    masked = [
+        (int(v) + m) % modulus for v, m in zip(values, expand_mask(self_seed, length, dtype))
+    ]
     for other_id, seed in pairwise_seeds.items():
-        mask = expand_mask(seed, len(values), field)
-        if pairwise_mask_sign(my_id, other_id) > 0:
-            masked = field.add_vectors(masked, mask)
-        else:
-            masked = field.sub_vectors(masked, mask)
+        sign = pairwise_mask_sign(my_id, other_id)
+        mask = expand_mask(seed, length, dtype)
+        masked = [(v + sign * m) % modulus for v, m in zip(masked, mask)]
     return masked

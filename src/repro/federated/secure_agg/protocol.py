@@ -20,18 +20,22 @@ The server learns exactly the sum of the submitted vectors -- bit-pushing's
 per-bit counts -- and nothing about individual contributions (each
 submission is uniformly distributed given the others).
 
-All session work is whole-array: pairwise seeds live in one uint64 vector
-in ``np.triu_indices`` order, each phase expands every seed it needs --
-self-masks and pairwise masks alike -- in one
-:func:`~repro.federated.secure_agg.masking.expand_masks` pass, and the
-masks combine through the :class:`PrimeField` array kernels, with
-:meth:`SecureAggregationSession.submit_batch` masking a whole shard's
+All session work is whole-array.  Pairwise seeds live in one uint64
+vector in ``np.triu_indices`` order.  Each phase is two private steps --
+gather the seeds it needs, then apply their expanded rows -- joined by one
+:func:`~repro.federated.secure_agg.masking.expand_masks` pass that covers
+self-masks and pairwise masks alike;
+:mod:`repro.federated.secure_agg.hierarchy` runs the same steps with one
+pass for a whole group of shard sessions.  Masks live in the ring of
+:func:`~repro.federated.secure_agg.masking.mask_ring`, sized by the
+session's entry ``dtype`` (8 bits for report bits over up to 255 clients),
+and combine through the lane's native wrap-around;
+:meth:`SecureAggregationSession.submit_batch` masks a whole shard's
 submissions in one call (each intra-batch pairwise mask is expanded once,
 not once per endpoint).  The batched path is bit-identical to per-client
 :meth:`~SecureAggregationSession.submit` calls and to the scalar
-:func:`~repro.federated.secure_agg.masking.apply_masks` reference -- field
-sums are exact and order-free.  For sharded, multi-worker aggregation over
-large cohorts see :mod:`repro.federated.secure_agg.hierarchy`.
+:func:`~repro.federated.secure_agg.masking.apply_masks` reference -- ring
+sums are exact and order-free.
 
 **Scope note:** this is a protocol-faithful simulation for experiments, not
 hardened cryptography: seeds stand in for DH key agreement, and all parties
@@ -42,13 +46,13 @@ dropouts, and hard failure below the threshold.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError, SecureAggregationError
 from repro.federated.secure_agg.field import PrimeField
-from repro.federated.secure_agg.masking import expand_masks
+from repro.federated.secure_agg.masking import expand_masks, mask_ring
 from repro.federated.secure_agg.shamir import reconstruct_secrets, split_secrets
 from repro.observability import get_metrics, get_tracer
 from repro.rng import ensure_rng
@@ -93,8 +97,11 @@ class SecureAggregationSession:
     threshold:
         Minimum number of submitting clients for the round to complete
         (also the Shamir reconstruction threshold).
-    field:
-        Aggregation field (default: the 61-bit Mersenne prime field).
+    dtype:
+        Type of each submitted entry.  It sizes the mask ring
+        (:func:`~repro.federated.secure_agg.masking.mask_ring`): ``bool``
+        report bits over up to 255 clients mask in 8 bits, ``int64``
+        entries in 64 bits with a per-entry bound.
     rng:
         Setup randomness (seed generation and share polynomials).
 
@@ -112,7 +119,7 @@ class SecureAggregationSession:
         n_clients: int,
         vector_length: int,
         threshold: int,
-        field: PrimeField | None = None,
+        dtype=np.int64,
         rng: np.random.Generator | int | None = None,
     ) -> None:
         if n_clients < 2:
@@ -123,11 +130,13 @@ class SecureAggregationSession:
             raise ConfigurationError(
                 f"need 2 <= threshold <= n_clients, got threshold={threshold}, n={n_clients}"
             )
+        self.ring = mask_ring(dtype, n_clients)
         gen = ensure_rng(rng)
         self.n_clients = n_clients
         self.vector_length = vector_length
         self.threshold = threshold
-        self.field = field or PrimeField()
+        #: The prime field of seeds and Shamir shares (masks use :attr:`ring`).
+        self.field = PrimeField()
 
         # -- Setup phase (simulated trusted key agreement). --------------
         # All seeds are field elements: self-mask seeds travel through
@@ -161,42 +170,6 @@ class SecureAggregationSession:
         if self._finalized or self._failed:
             raise SecureAggregationError("session already finalized")
 
-    def _mask_rows(self, client_ids: Sequence[int], rows: np.ndarray) -> np.ndarray:
-        """Mask one reduced ``(k, length)`` uint64 row per submitting client.
-
-        One expansion covers the batch's self-masks and every pairwise mask
-        it needs, each pair once: an intra-batch mask is applied with
-        opposite signs to both endpoints' rows.
-        """
-        field = self.field
-        ids = np.asarray(client_ids, dtype=np.intp)
-        peers = np.arange(self.n_clients)
-        # (k, n) pair positions of every (client, peer); + toward larger
-        # ids, - toward smaller (the pairwise_mask_sign convention).
-        plus = peers > ids[:, None]
-        minus = peers < ids[:, None]
-        index = _pair_index(ids[:, None], peers, self.n_clients)
-        pairs = np.unique(index[plus | minus])
-        masks = expand_masks(
-            np.concatenate([self._self_seeds[ids], self._pair_seeds[pairs]]),
-            self.vector_length,
-            field,
-        )
-        rows = field.add_arrays(rows, masks[: ids.size])
-        # Signed application in two gathered sums over the pair masks and an
-        # appended all-zero row, which fills each sign's other slots (the
-        # diagonal included).
-        pair_masks = np.vstack(
-            [masks[ids.size :], np.zeros((1, self.vector_length), dtype=np.uint64)]
-        )
-        slots = np.searchsorted(pairs, index)
-        rows = field.add_arrays(
-            rows, field.sum_indexed(pair_masks, np.where(plus, slots, pairs.size))
-        )
-        return field.sub_arrays(
-            rows, field.sum_indexed(pair_masks, np.where(minus, slots, pairs.size))
-        )
-
     def _validate_ids(self, client_ids: Sequence[int]) -> None:
         seen = set()
         for cid in client_ids:
@@ -206,32 +179,15 @@ class SecureAggregationSession:
                 raise SecureAggregationError(f"client {cid} already submitted")
             seen.add(cid)
 
-    def submit(self, client_id: int, values: list[int]) -> list[int]:
-        """Mask and record one client's contribution; returns the masked vector.
+    def _mask_phase(
+        self, client_ids: Sequence[int], vectors
+    ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+        """Check one batch; return the seeds its masks need and the step applying them.
 
-        The returned vector is what crosses the wire: uniformly random to
-        any observer who lacks the seeds.
-        """
-        self._check_open()
-        client_id = int(client_id)
-        self._validate_ids([client_id])
-        if len(values) != self.vector_length:
-            raise ConfigurationError(
-                f"expected vector of length {self.vector_length}, got {len(values)}"
-            )
-        reduced = np.array([[self.field.reduce(v) for v in values]], dtype=np.uint64)
-        masked = self._mask_rows([client_id], reduced)[0]
-        self._submissions[client_id] = masked
-        return [int(v) for v in masked]
-
-    def submit_batch(self, client_ids: Sequence[int], vectors: np.ndarray) -> np.ndarray:
-        """Mask and record many clients' contributions in one vectorized call.
-
-        ``vectors`` is a ``(len(client_ids), vector_length)`` integer array
-        (int64 range; bit-report counters are tiny).  Returns the masked
-        ``(k, length)`` uint64 matrix.  Bit-identical to ``k`` sequential
-        :meth:`submit` calls -- masks depend only on setup seeds, and field
-        addition is exact -- just without the per-client Python loops.
+        The seeds are the batch's self-mask seeds and every pairwise seed it
+        touches, each pair once: an intra-batch mask is applied with
+        opposite signs to both endpoints' rows.  Nothing is recorded until
+        the returned step runs on the seeds' expanded rows.
         """
         self._check_open()
         client_ids = [int(c) for c in client_ids]
@@ -242,29 +198,73 @@ class SecureAggregationSession:
                 f"got {vectors.shape}"
             )
         self._validate_ids(client_ids)
-        if not client_ids:
-            return np.zeros((0, self.vector_length), dtype=np.uint64)
-        masked = self._mask_rows(client_ids, self.field.reduce_array(vectors))
-        for row, cid in enumerate(client_ids):
-            self._submissions[cid] = masked[row]
-        return masked
+        rows = self.ring.encode(vectors)
+        ids = np.asarray(client_ids, dtype=np.intp)
+        peers = np.arange(self.n_clients)
+        # (k, n) pair positions of every (client, peer); + toward larger
+        # ids, - toward smaller (the pairwise_mask_sign convention).
+        plus = peers > ids[:, None]
+        minus = peers < ids[:, None]
+        index = _pair_index(ids[:, None], peers, self.n_clients)
+        pairs = np.unique(index[plus | minus])
+        seeds = np.concatenate([self._self_seeds[ids], self._pair_seeds[pairs]])
+
+        def apply(masks: np.ndarray) -> np.ndarray:
+            lane = self.ring.lane
+            # Signed application in two gathered sums over the pair masks and
+            # an appended all-zero row, which fills each sign's other slots
+            # (the diagonal included).
+            pair_masks = np.vstack([masks[ids.size :], np.zeros((1, self.vector_length), lane)])
+            slots = np.searchsorted(pairs, index)
+            masked = (
+                rows
+                + masks[: ids.size]
+                + pair_masks[np.where(plus, slots, pairs.size)].sum(axis=1, dtype=lane)
+                - pair_masks[np.where(minus, slots, pairs.size)].sum(axis=1, dtype=lane)
+            )
+            for row, cid in enumerate(client_ids):
+                self._submissions[cid] = masked[row]
+            metrics = get_metrics()
+            if metrics.enabled:
+                metrics.counter("secure_agg_masked_bytes_total").inc(masked.nbytes)
+            return masked
+
+        return seeds, apply
+
+    def submit(self, client_id: int, values: list[int]) -> list[int]:
+        """Mask and record one client's contribution; returns the masked vector.
+
+        The returned vector is what crosses the wire: uniformly random to
+        any observer who lacks the seeds.
+        """
+        return self.submit_batch([client_id], [values])[0].tolist()
+
+    def submit_batch(self, client_ids: Sequence[int], vectors: np.ndarray) -> np.ndarray:
+        """Mask and record many clients' contributions in one vectorized call.
+
+        ``vectors`` is a ``(len(client_ids), vector_length)`` integer or bool
+        array whose entries fit the session's ``dtype``.  Returns the masked
+        ``(k, length)`` matrix in the ring's lane.  Bit-identical to ``k``
+        sequential :meth:`submit` calls -- masks depend only on setup seeds,
+        and ring addition is exact -- just without the per-client Python
+        loops.
+        """
+        seeds, apply = self._mask_phase(client_ids, vectors)
+        return apply(expand_masks(seeds, self.vector_length, self.ring.lane))
 
     # ------------------------------------------------------------------
-    def finalize(self) -> list[int]:
-        """Unmask and return the exact sum over all *submitting* clients.
+    def _unmask_phase(self) -> tuple[np.ndarray, Callable[[np.ndarray], list[int]]]:
+        """Check the threshold; return the seeds unmasking needs and the step applying them.
 
-        Raises :class:`SecureAggregationError` if fewer than ``threshold``
-        clients submitted (mask recovery would be impossible -- and, in the
-        real protocol, privacy would be at risk).  A failed finalize leaves
-        the session closed: calling it again re-raises without re-counting
-        the failure metric.
+        Every survivor's self-mask seed comes back by Shamir reconstruction,
+        and each survivor reveals the seed it shared with each dropout.
+        Below the threshold this raises :class:`SecureAggregationError` and
+        closes the session, counting the failure once.
         """
         if self._finalized:
             raise SecureAggregationError("session already finalized")
         survivors = sorted(self._submissions)
         dropped = [c for c in range(self.n_clients) if c not in self._submissions]
-        metrics = get_metrics()
-        field = self.field
         with get_tracer().span(
             "secure_agg.finalize",
             {
@@ -277,46 +277,42 @@ class SecureAggregationSession:
             if len(survivors) < self.threshold:
                 first_failure = not self._failed
                 self._failed = True
+                metrics = get_metrics()
                 if metrics.enabled and first_failure:
                     metrics.counter("secure_agg_failures_total").inc()
                 raise SecureAggregationError(
                     f"only {len(survivors)} of {self.n_clients} clients submitted; "
                     f"threshold is {self.threshold}"
                 )
-
-            total = field.sum_rows(
-                np.stack([self._submissions[cid] for cid in survivors])
-            )
-
-            # Reconstruct every survivor's self-mask seed in one batched
-            # interpolation over the shares held by the first `threshold`
-            # surviving shareholders (the session layer's known threshold
-            # guards against silent under-threshold interpolation).
+            # One batched interpolation over the shares held by the first
+            # `threshold` surviving shareholders (the session layer's known
+            # threshold guards against silent under-threshold interpolation).
             holders = survivors[: self.threshold]
             self_seeds = reconstruct_secrets(
                 [holder + 1 for holder in holders],
                 self._self_seed_shares[np.ix_(survivors, holders)],
-                field,
+                self.field,
                 expected_threshold=self.threshold,
             )
-            # Each survivor reveals the seed it shared with each dropout;
-            # those pairwise masks linger in the total with the survivor's
-            # sign, so masks it added (dropout id larger) are subtracted
-            # here along with the self-masks, and the others added back.
+            # Survivor-dropout pairwise masks linger in the total with the
+            # survivor's sign, so masks it added (dropout id larger) are
+            # subtracted along with the self-masks, and the others added back.
             live = np.asarray(survivors)[:, None]
             dead = np.asarray(dropped, dtype=np.intp)
             index = _pair_index(live, dead, self.n_clients)
             added = live < dead
-            subtract_seeds = np.concatenate([self_seeds, self._pair_seeds[index[added]]])
-            masks = expand_masks(
-                np.concatenate([subtract_seeds, self._pair_seeds[index[~added]]]),
-                self.vector_length,
-                field,
-            )
-            total = field.sub_arrays(total, field.sum_rows(masks[: subtract_seeds.size]))
-            total = field.add_arrays(total, field.sum_rows(masks[subtract_seeds.size :]))
+            subtract = np.concatenate([self_seeds, self._pair_seeds[index[added]]])
+            seeds = np.concatenate([subtract, self._pair_seeds[index[~added]]])
 
+        def apply(masks: np.ndarray) -> list[int]:
+            lane = self.ring.lane
+            total = (
+                np.stack([self._submissions[cid] for cid in survivors]).sum(axis=0, dtype=lane)
+                - masks[: subtract.size].sum(axis=0, dtype=lane)
+                + masks[subtract.size :].sum(axis=0, dtype=lane)
+            )
             self._finalized = True
+            metrics = get_metrics()
             if metrics.enabled:
                 metrics.counter("secure_agg_sessions_total").inc()
                 metrics.counter("secure_agg_dropouts_total").inc(len(dropped))
@@ -324,7 +320,21 @@ class SecureAggregationSession:
                 metrics.counter("secure_agg_masks_recovered_total").inc(
                     len(survivors) * len(dropped)
                 )
-            return [int(v) for v in field.centered_array(total)]
+            return self.ring.decode(total)
+
+        return seeds, apply
+
+    def finalize(self) -> list[int]:
+        """Unmask and return the exact sum over all *submitting* clients.
+
+        Raises :class:`SecureAggregationError` if fewer than ``threshold``
+        clients submitted (mask recovery would be impossible -- and, in the
+        real protocol, privacy would be at risk).  A failed finalize leaves
+        the session closed: calling it again re-raises without re-counting
+        the failure metric.
+        """
+        seeds, apply = self._unmask_phase()
+        return apply(expand_masks(seeds, self.vector_length, self.ring.lane))
 
     # ------------------------------------------------------------------
     @property
@@ -349,7 +359,8 @@ def secure_sum(
 ) -> np.ndarray:
     """Securely sum integer row-vectors, one per client (one flat session).
 
-    Convenience wrapper: builds a session, batch-submits rows where
+    Convenience wrapper: builds a session whose entry ``dtype`` is the
+    rows' (so it sizes the mask ring), batch-submits rows where
     ``submitted`` is true (all, by default), and finalizes.  ``threshold``
     defaults to the 2/3 majority of :func:`default_threshold`.  This is the
     *flat* reference the hierarchical aggregator's twin tests compare
@@ -374,7 +385,7 @@ def secure_sum(
         raise ConfigurationError("submitted mask must have one entry per client")
     if threshold is None:
         threshold = default_threshold(n_clients)
-    session = SecureAggregationSession(n_clients, length, threshold, rng=rng)
+    session = SecureAggregationSession(n_clients, length, threshold, dtype=vecs.dtype, rng=rng)
     ids = np.flatnonzero(submitted)
     session.submit_batch(ids, vecs[ids])
     return np.array(session.finalize(), dtype=np.int64)

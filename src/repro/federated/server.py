@@ -112,9 +112,10 @@ class FederatedMeanQuery(RoundCore):
     selection (O(n) Python: build large populations columnar).  Every round
     elicits, encodes, perturbs, and aggregates the batch in bounded-memory
     chunks.  Secure aggregation feeds it through the hierarchical shard tree
-    (:mod:`repro.federated.secure_agg.hierarchy`): vectorized masking
-    kernels per shard, submission matrices built one shard at a time, at
-    most ``REPRO_WORKERS`` shards in flight.
+    (:mod:`repro.federated.secure_agg.hierarchy`): report bits masked in
+    the 8-bit ring, submission matrices built one shard at a time, one
+    Philox pass per phase for each group of shards, at most
+    ``REPRO_WORKERS`` groups in flight.
     """
 
     def __init__(
@@ -404,6 +405,9 @@ class FederatedMeanQuery(RoundCore):
                     secure_span.set_attribute("shards", len(secure.shards))
                     secure_span.set_attribute("shard_failures", shard_failures)
                     secure_span.set_attribute("included_clients", int(folded.size))
+                    secure_span.set_attribute(
+                        "masked_bytes_per_client", secure.masked_bytes_per_client
+                    )
                 self.check_quorum(
                     round_span, n, int(folded.size), round_index, attempt, secure=True
                 )
@@ -474,11 +478,13 @@ class FederatedMeanQuery(RoundCore):
         shard that falls below its 2/3 threshold is excluded rather than
         fatal -- the caller degrades the round.  Each client contributes a
         ``2 * n_bits`` vector: a one-hot report-count half and a bit-value
-        half.  Shard submission matrices are built lazily one shard at a
-        time (and :func:`aggregate_shards` keeps at most ``REPRO_WORKERS``
-        shards in flight), so secure mode no longer materializes
-        cohort-sized 2-D arrays; a remainder of one client folds into the
-        previous shard instead of leaking its counter in plaintext.
+        half, as ``bool`` entries, so a shard of up to 255 clients masks
+        in the 8-bit ring.  Shard submission matrices are built lazily one
+        shard at a time (and :func:`aggregate_shards` keeps at most
+        ``REPRO_WORKERS`` shard groups in flight), so secure mode no longer
+        materializes cohort-sized 2-D arrays; a remainder of one client
+        folds into the previous shard instead of leaking its counter in
+        plaintext.
         ``shard_blackout`` empties the named shards' submissions (scripted
         fault injection).
         """
@@ -502,8 +508,8 @@ class FederatedMeanQuery(RoundCore):
                     local_ids = local_ids[:0]
                 rows = np.arange(local_ids.size)
                 cols = assignment[lo + local_ids]
-                vectors = np.zeros((local_ids.size, length), dtype=np.int64)
-                vectors[rows, cols] = 1
+                vectors = np.zeros((local_ids.size, length), dtype=bool)
+                vectors[rows, cols] = True
                 vectors[rows, n_bits + cols] = bits[survivor_pos[lo + local_ids]]
                 yield ShardTask(
                     index=index,

@@ -226,6 +226,15 @@ class Tracer:
         """One reading of this tracer's wall clock (handshake timestamps)."""
         return self._wall()
 
+    def current_span_id(self) -> int | None:
+        """Id of this thread's innermost open span (``None`` outside any span).
+
+        The parent to give a record of work measured elsewhere (a forked
+        worker's phase timings) before passing it to :meth:`ingest`.
+        """
+        stack = self._stack()
+        return stack[-1] if stack else None
+
     # -- internal plumbing used by Span --------------------------------
     def _next_id(self) -> int:
         return next(self._ids)
@@ -275,6 +284,9 @@ class NullTracer:
 
     def wall_time(self) -> float:
         return 0.0
+
+    def current_span_id(self) -> int | None:
+        return None
 
 
 #: The process-wide disabled tracer (the library default).

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.federated.secure_agg import (
     PrimeField,
     SecureAggregationSession,
+    default_threshold,
     reconstruct_secret,
     split_secret,
 )
@@ -140,4 +141,29 @@ class TestSecureAggregationProperties:
         for cid in submitting:
             session.submit(cid, vectors[cid])
         expected = [sum(vectors[cid][i] for cid in submitting) for i in range(length)]
+        assert session.finalize() == expected
+
+    @given(
+        dtype=st.sampled_from(["bool", "uint8", "int16", "int64"]),
+        n_clients=st.integers(min_value=2, max_value=300),
+        values=st.sampled_from(["random", "low", "high"]),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_ring_sum_exact_for_every_entry_type(self, dtype, n_clients, values, seed, data):
+        """The masked sum equals the plaintext in every ring, entry bounds included."""
+        threshold = default_threshold(n_clients)
+        n_submitting = data.draw(st.integers(min_value=threshold, max_value=n_clients))
+        session = SecureAggregationSession(n_clients, 3, threshold, dtype=dtype, rng=seed)
+        ring = session.ring
+        draw = np.random.default_rng(seed)
+        if values == "random":
+            vecs = draw.integers(ring.low, ring.high, size=(n_clients, 3), endpoint=True)
+        else:
+            vecs = np.full((n_clients, 3), ring.low if values == "low" else ring.high)
+        vecs = vecs.astype(dtype)
+        ids = np.sort(draw.permutation(n_clients)[:n_submitting])
+        session.submit_batch(ids, vecs[ids])
+        expected = vecs[ids].astype(object).sum(axis=0).tolist()
         assert session.finalize() == expected

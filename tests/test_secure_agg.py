@@ -17,6 +17,8 @@ from repro.federated.secure_agg import (
     default_threshold,
     expand_mask,
     expand_masks,
+    hierarchical_secure_sum,
+    mask_ring,
     pairwise_mask_sign,
     philox4x64,
     reconstruct_secret,
@@ -28,6 +30,9 @@ from repro.federated.secure_agg import (
 from repro.federated.secure_agg import protocol
 from repro.federated.secure_agg.protocol import _pair_index
 from repro.observability import MetricsRegistry, configure, disable
+
+#: The four ring lanes, 8 to 64 bits.
+LANES = (np.uint8, np.uint16, np.uint32, np.uint64)
 
 
 class TestPrimeField:
@@ -55,20 +60,6 @@ class TestPrimeField:
     def test_zero_has_no_inverse(self):
         with pytest.raises(ZeroDivisionError):
             PrimeField(97).inv(0)
-
-    def test_vectors(self):
-        f = PrimeField(97)
-        assert f.add_vectors([96, 1], [2, 2]) == [1, 3]
-        assert f.sub_vectors([0, 5], [1, 2]) == [96, 3]
-
-    def test_vector_length_mismatch(self):
-        with pytest.raises(ConfigurationError):
-            PrimeField(97).add_vectors([1], [1, 2])
-
-    def test_centered_recovers_signed(self):
-        f = PrimeField(97)
-        assert f.centered(f.reduce(-5)) == -5
-        assert f.centered(40) == 40
 
     def test_random_element_in_range(self, rng):
         f = PrimeField(97)
@@ -124,16 +115,18 @@ class TestShamir:
 
 class TestMasking:
     def test_expand_deterministic(self):
-        field = PrimeField()
-        assert expand_mask(123, 5, field) == expand_mask(123, 5, field)
+        for lane in LANES:
+            assert expand_mask(123, 5, lane) == expand_mask(123, 5, lane)
 
     def test_different_seeds_differ(self):
-        field = PrimeField()
-        assert expand_mask(1, 5, field) != expand_mask(2, 5, field)
+        for lane in LANES:
+            assert expand_mask(1, 5, lane) != expand_mask(2, 5, lane)
 
     def test_mask_values_in_field(self):
-        field = PrimeField(97)
-        assert all(0 <= v < 97 for v in expand_mask(9, 100, field))
+        # Masks live in the ring of the lane: every value is one lane word.
+        for lane in LANES:
+            top = 1 << (8 * np.dtype(lane).itemsize)
+            assert all(0 <= v < top for v in expand_mask(9, 100, lane))
 
     def test_negative_length_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -147,7 +140,7 @@ class TestMasking:
             pairwise_mask_sign(3, 3)
 
     def test_pairwise_masks_cancel_in_sum(self):
-        field = PrimeField()
+        lane, modulus = np.uint16, 1 << 16
         seeds = {(0, 1): 11, (0, 2): 22, (1, 2): 33}
         values = [[10, 20], [30, 40], [50, 60]]
         total = [0, 0]
@@ -157,13 +150,12 @@ class TestMasking:
                 for other in range(3) if other != me
             }
             masked = apply_masks(values[me], self_seed=0, pairwise_seeds=pair_seeds,
-                                 my_id=me, field=field)
-            total = field.add_vectors(total, masked)
+                                 my_id=me, dtype=lane)
+            total = [(t + m) % modulus for t, m in zip(total, masked)]
         # Self-seeds were all 0 -> expand(0) identical for all three clients,
         # so subtract it three times to isolate the data sum.
-        zero_mask = expand_mask(0, 2, field)
-        for _ in range(3):
-            total = field.sub_vectors(total, zero_mask)
+        zero_mask = expand_mask(0, 2, lane)
+        total = [(t - 3 * z) % modulus for t, z in zip(total, zero_mask)]
         assert total == [90, 120]
 
 
@@ -275,32 +267,6 @@ class TestArrayFieldOps:
         assert reduced.dtype == np.uint64
         assert reduced.tolist() == [field.reduce(int(v)) for v in raw]
 
-    def test_add_sub_arrays_match_vectors(self, rng):
-        field = PrimeField()
-        a = field.reduce_array(rng.integers(0, 2**60, size=32))
-        b = field.reduce_array(rng.integers(0, 2**60, size=32))
-        assert field.add_arrays(a, b).tolist() == field.add_vectors(a.tolist(), b.tolist())
-        assert field.sub_arrays(a, b).tolist() == field.sub_vectors(a.tolist(), b.tolist())
-
-    @pytest.mark.parametrize("k", [1, 2, 7, 8, 20, 50])
-    def test_sum_rows_exact_for_any_block_count(self, k, rng):
-        field = PrimeField()
-        # Near-modulus rows stress the uint64 block-folding headroom.
-        rows = field.reduce_array(
-            rng.integers(field.modulus - 10, field.modulus, size=(k, 5))
-        )
-        expected = [
-            int(sum(int(v) for v in rows[:, j]) % field.modulus) for j in range(5)
-        ]
-        assert field.sum_rows(rows).tolist() == expected
-
-    def test_centered_array_matches_scalar(self):
-        field = PrimeField(97)
-        values = np.array([0, 1, 48, 49, 96], dtype=np.uint64)
-        assert field.centered_array(values).tolist() == [
-            field.centered(int(v)) for v in values
-        ]
-
     def test_oversized_modulus_rejected_for_array_ops(self):
         # 2**89 - 1 is a Mersenne prime above the uint64 vectorization bound.
         field = PrimeField(2**89 - 1)
@@ -310,16 +276,21 @@ class TestArrayFieldOps:
 
 class TestExpandMasks:
     def test_rows_bit_identical_to_expand_mask(self):
-        field = PrimeField()
-        seeds = [0, 1, 123, field.modulus - 1]
-        batched = expand_masks(seeds, 16, field)
-        assert batched.shape == (4, 16)
-        assert batched.dtype == np.uint64
-        for row, seed in zip(batched, seeds):
-            assert [int(v) for v in row] == expand_mask(seed, 16, field)
+        seeds = [0, 1, 123, DEFAULT_PRIME - 1]
+        for lane in LANES:
+            batched = expand_masks(seeds, 16, lane)
+            assert batched.shape == (4, 16)
+            assert batched.dtype == lane
+            for row, seed in zip(batched, seeds):
+                assert row.tolist() == expand_mask(seed, 16, lane)
 
     def test_zero_length(self):
-        assert expand_masks([1, 2], 0, PrimeField()).shape == (2, 0)
+        for lane in LANES:
+            assert expand_masks([1, 2], 0, lane).shape == (2, 0)
+
+    def test_signed_lane_rejected(self):
+        with pytest.raises(ConfigurationError, match="unsigned"):
+            expand_masks([1], 4, np.int64)
 
     def test_negative_length_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -345,14 +316,14 @@ class TestPhiloxKernel:
             np.testing.assert_array_equal(ours[i], raw)
 
     def test_expand_masks_matches_numpy_stream(self):
-        field = PrimeField()
-        for seed in (0, 7, 123456789, field.modulus - 1):
-            expected = np.random.Philox(key=seed).random_raw(12)[:11] % np.uint64(
-                field.modulus
-            )
-            np.testing.assert_array_equal(
-                expand_masks([seed], 11, field)[0], expected
-            )
+        # A row is the little-endian bytes of the seed's raw stream read as
+        # lane words; 70 words span several Philox blocks in every lane, and
+        # the 64-bit rows are the raw words themselves (no field reduction).
+        for lane in LANES:
+            for seed in (0, 7, 123456789, DEFAULT_PRIME - 1):
+                raw = np.random.Philox(key=seed).random_raw(72).astype("<u8")
+                expected = raw.view(f"<u{np.dtype(lane).itemsize}")[:70]
+                np.testing.assert_array_equal(expand_masks([seed], 70, lane)[0], expected)
 
     def test_broadcasts_scalar_inputs(self):
         scalar = philox4x64(np.uint64(5), np.uint64(1))
@@ -401,36 +372,6 @@ class TestMatmulArrays:
         out = field.matmul_arrays(a, b)
         assert out.dtype == np.uint64
         assert out.tolist() == _python_matmul(a, b, 97)
-
-
-class TestSumIndexed:
-    def test_matches_per_row_sums(self, rng):
-        field = PrimeField()
-        rows = field.reduce_array(
-            rng.integers(field.modulus - 5, field.modulus, size=(7, 4))
-        )
-        indices = np.asarray([[0, 1, 2], [4, 5, 6]], dtype=np.intp)
-        out = field.sum_indexed(rows, indices)
-        for got, picks in zip(out, indices):
-            expected = [
-                int(sum(int(rows[i, j]) for i in picks) % field.modulus)
-                for j in range(4)
-            ]
-            assert got.tolist() == expected
-
-    def test_sentinel_zero_row_padding(self):
-        # Ragged index lists are padded with the index of an all-zero
-        # sentinel row; repeated sentinel picks must not change the sum.
-        field = PrimeField()
-        rows = np.vstack(
-            [
-                field.reduce_array(np.asarray([[5, 6], [7, 8]])),
-                np.zeros((1, 2), dtype=np.uint64),
-            ]
-        )
-        indices = np.asarray([[0, 2, 2, 2], [0, 1, 2, 2]], dtype=np.intp)
-        out = field.sum_indexed(rows, indices)
-        assert out.tolist() == [[5, 6], [12, 14]]
 
 
 class TestBatchedShamir:
@@ -517,29 +458,33 @@ class TestSubmitBatch:
         assert one.finalize() == two.finalize()
 
     def test_rows_match_scalar_apply_masks_with_two_dropouts(self, rng):
-        vecs = rng.integers(0, 1000, size=(8, 6))
-        session = SecureAggregationSession(8, 6, threshold=5, rng=11)
-        ids = [0, 1, 3, 4, 6, 7]  # clients 2 and 5 drop out
-        masked = session.submit_batch(ids, vecs[ids])
-        for row, cid in zip(masked, ids):
-            expected = apply_masks(
-                [int(v) for v in vecs[cid]],
-                session._self_seeds[cid],
-                session.client_pairwise_seeds(cid),
-                cid,
-                session.field,
-            )
-            assert row.tolist() == expected
-        assert session.finalize() == vecs[ids].sum(axis=0).tolist()
+        # Bool rows mask in the 8-bit ring, int64 rows in the 64-bit ring.
+        for vecs, bits in ((rng.random((8, 6)) < 0.5, 8), (rng.integers(0, 1000, (8, 6)), 64)):
+            session = SecureAggregationSession(8, 6, threshold=5, dtype=vecs.dtype, rng=11)
+            assert session.ring.bits == bits
+            ids = [0, 1, 3, 4, 6, 7]  # clients 2 and 5 drop out
+            masked = session.submit_batch(ids, vecs[ids])
+            assert masked.dtype == session.ring.lane
+            for row, cid in zip(masked, ids):
+                expected = apply_masks(
+                    [int(v) for v in vecs[cid]],
+                    session._self_seeds[cid],
+                    session.client_pairwise_seeds(cid),
+                    cid,
+                    session.ring.lane,
+                )
+                assert row.tolist() == expected
+            assert session.finalize() == vecs[ids].sum(axis=0).tolist()
 
     def test_masked_rows_pinned_to_reference_values(self):
+        # int64 rows: the 64-bit ring, whose masks are raw Philox words.
         vecs = np.random.default_rng(7).integers(0, 50, size=(9, 5))
         ids = [0, 1, 2, 4, 5, 7, 8]
         session = SecureAggregationSession(9, 5, threshold=6, rng=2024)
         rows = session.submit_batch(ids, vecs[ids])
-        assert rows[0, :2].tolist() == [185200800123065923, 1549877135486645687]
+        assert rows[0, :2].tolist() == [16326101864618923556, 15384935190768809353]
         digest = hashlib.sha256(rows.astype("<u8").tobytes()).hexdigest()
-        assert digest.startswith("b5a00fb66aa58ec3")
+        assert digest.startswith("85aac1e01403cdc6")
         assert session.finalize() == [213, 224, 202, 107, 218]
 
     def test_one_mask_expansion_per_phase(self, monkeypatch, rng):
@@ -635,3 +580,93 @@ class TestFinalizeMetrics:
         with pytest.raises(SecureAggregationError):
             session.finalize()
         assert registry.snapshot()["counters"] == {}
+
+
+class TestMaskRing:
+    """The ring is the smallest lane that holds every sum of the session's entries."""
+
+    @pytest.mark.parametrize("n, bits", [(2, 8), (255, 8), (256, 16)])
+    def test_bool_rows(self, n, bits):
+        ring = mask_ring(bool, n)
+        assert (ring.bits, ring.signed, ring.low, ring.high) == (bits, False, 0, 1)
+        assert ring.lane == np.dtype(f"uint{bits}")
+
+    def test_uint8_rows_at_33_clients_take_16_bits(self):
+        # 33 * 255 = 8415 needs 14 bits.
+        assert mask_ring(np.uint8, 32).bits == 16
+        assert mask_ring(np.uint8, 33).bits == 16
+        assert mask_ring(np.uint8, 257).bits == 16
+        assert mask_ring(np.uint8, 258).bits == 32
+
+    def test_int16_rows_take_one_extra_bit(self):
+        # Two entries of magnitude <= 32767 sum within 16 unsigned bits, but
+        # their signed sum spans [-65536, 65534]: 17 bits, so the 32-bit ring.
+        assert (2 * 32767).bit_length() == 16
+        ring = mask_ring(np.int16, 2)
+        assert (ring.bits, ring.signed) == (32, True)
+        # The most negative sum is the binding end: 129 * -128 needs 16 bits.
+        assert mask_ring(np.int8, 129).bits == 16
+
+    def test_int64_rows_take_64_bits_with_entry_bound(self):
+        ring = mask_ring(np.int64, 3)
+        bound = (2**63 - 1) // 3
+        assert (ring.bits, ring.signed, ring.low, ring.high) == (64, True, -bound, bound)
+        vecs = np.array([[bound, -bound]] * 3)
+        assert secure_sum(vecs, rng=0).tolist() == [3 * bound, -3 * bound]
+        with pytest.raises(ConfigurationError, match="outside"):
+            secure_sum(vecs + np.array([1, 0]), rng=0)
+
+    def test_signed_totals_decode_centered(self):
+        session = SecureAggregationSession(3, 2, 2, dtype=np.int16, rng=0)
+        assert session.ring.bits == 32
+        session.submit_batch([0, 1, 2], np.array([[-32768, 5], [-32768, -9], [7, 1]], np.int16))
+        assert session.finalize() == [-65529, -3]
+
+    def test_non_integer_dtype_rejected(self):
+        with pytest.raises(ConfigurationError, match="integer or bool"):
+            mask_ring(np.float64, 4)
+        with pytest.raises(ConfigurationError, match="integer or bool"):
+            SecureAggregationSession(3, 2, 2, dtype=np.float32)
+
+
+def _submit_floats_then_finalize():
+    session = SecureAggregationSession(3, 2, 2, rng=0)
+    session.submit(0, [1.9, 2.5])
+    session.submit(1, [1, 3])
+    return session.finalize()
+
+
+_FRACTIONAL_ROWS = np.array([[0.6, 1.2], [0.7, 0.1], [0.9, 0.9]])
+
+
+class TestInexactInputRejected:
+    """A secure sum never truncates a fractional entry or wraps an overflowing sum."""
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: secure_sum(_FRACTIONAL_ROWS, rng=0),
+            lambda: hierarchical_secure_sum(_FRACTIONAL_ROWS, shard_size=2, rng=0),
+            _submit_floats_then_finalize,
+            lambda: secure_sum(np.array([[2**62, 0], [2**62, 0]]), rng=0),
+        ],
+        ids=["secure_sum-floats", "hierarchical-floats", "session-floats", "secure_sum-overflow"],
+    )
+    def test_raises_one_line_configuration_error(self, run):
+        with pytest.raises(ConfigurationError) as info:
+            run()
+        assert str(info.value) and "\n" not in str(info.value)
+
+
+class TestMaskedBytes:
+    def test_int64_secure_sum_of_length_3_reads_24_bytes_per_client(self, rng):
+        registry = MetricsRegistry()
+        configure(metrics=registry)
+        try:
+            submitted = np.ones(7, dtype=bool)
+            submitted[[1, 4]] = False
+            secure_sum(rng.integers(0, 9, size=(7, 3)), submitted, rng=0)
+            counters = registry.snapshot()["counters"]
+        finally:
+            disable()
+        assert counters["secure_agg_masked_bytes_total"] == 5 * 24

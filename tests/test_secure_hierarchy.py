@@ -14,15 +14,25 @@ from repro.exceptions import ConfigurationError, RoundFailedError
 from repro.federated import ClientDevice, DropoutModel, FederatedMeanQuery
 from repro.federated.faults import FaultEvent, FaultSchedule
 from repro.federated.secure_agg import (
+    SecureAggregationSession,
+    ShardTask,
+    aggregate_shards,
+    default_threshold,
     hierarchical_secure_sum,
     secure_sum,
     shard_bounds,
 )
+from repro.federated.secure_agg import hierarchy, protocol
+from repro.federated.secure_agg.masking import expand_masks
+from repro.metrics.execution import spawn_seed_sequences
 from repro.observability import (
     HealthMonitor,
+    InMemoryExporter,
     MetricsRegistry,
+    Tracer,
     configure,
     disable,
+    instrumented,
 )
 from repro.observability.health import ShardFailureRule
 from repro.privacy.accountant import BitMeter
@@ -150,6 +160,163 @@ class TestHierarchicalTwin:
             assert counters["secure_clients_excluded_total"] == 6
         finally:
             disable()
+
+
+def _tasks(vecs, submitted, shard_size):
+    """The shard tasks hierarchical_secure_sum builds, as a list."""
+    tasks = []
+    for index, (lo, hi) in enumerate(shard_bounds(len(vecs), shard_size)):
+        local = np.flatnonzero(submitted[lo:hi])
+        tasks.append(ShardTask(index, lo, hi - lo, local, vecs[lo:hi][local]))
+    return tasks
+
+
+def _one_session_each(tasks, length, seed):
+    """Reference: each shard's own session, submit_batch then finalize."""
+    seeds, bitgen_cls = spawn_seed_sequences(np.random.default_rng(seed), len(tasks))
+    rows, totals = [], []
+    for task, child in zip(tasks, seeds):
+        session = SecureAggregationSession(
+            task.n_clients,
+            length,
+            default_threshold(task.n_clients),
+            dtype=task.vectors.dtype,
+            rng=np.random.Generator(bitgen_cls(child)),
+        )
+        rows.append(session.submit_batch(task.submitted_ids, task.vectors))
+        try:
+            totals.append(session.finalize())
+        except Exception:
+            totals.append(None)
+    return rows, totals
+
+
+def _recording_sessions(monkeypatch):
+    """Patch the group path's session class to keep every session it builds."""
+    built = []
+
+    class Recording(SecureAggregationSession):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(hierarchy, "SecureAggregationSession", Recording)
+    return built
+
+
+class TestShardGroups:
+    """A group of shards equals its sessions run one by one."""
+
+    @pytest.mark.parametrize("group", [1, 3, None])
+    def test_group_path_equals_one_session_path(self, group, monkeypatch):
+        draw = np.random.default_rng(8)
+        vecs = draw.random((7 * 9, 4)) < 0.5
+        submitted = draw.random(7 * 9) > 0.1
+        submitted[36:42] = False  # shard 4 of 9 falls below its threshold of 6
+        tasks = _tasks(vecs, submitted, 9)
+        monkeypatch.setattr(hierarchy, "SHARD_GROUP", group or len(tasks))
+        built = _recording_sessions(monkeypatch)
+        result = aggregate_shards(tasks, 4, rng=np.random.default_rng(5), workers=1)
+        rows, totals = _one_session_each(tasks, 4, 5)
+        assert [s.recovered for s in result.shards] == [t is not None for t in totals]
+        assert not result.shards[4].recovered
+        for session, task, expected_rows, total, outcome in zip(
+            built, tasks, rows, totals, result.shards
+        ):
+            got = [session._submissions[int(cid)] for cid in task.submitted_ids]
+            np.testing.assert_array_equal(np.asarray(got), expected_rows)
+            if total is not None:
+                assert outcome.total.tolist() == total
+        np.testing.assert_array_equal(result.total, vecs[result.included].sum(axis=0))
+
+    def test_group_with_two_ring_widths(self, monkeypatch):
+        # shard_size=255 over 511 clients: the last shard holds 256 clients,
+        # whose bool sums need the 16-bit ring.
+        draw = np.random.default_rng(9)
+        vecs = draw.random((511, 3)) < 0.5
+        submitted = draw.random(511) > 0.1
+        tasks = _tasks(vecs, submitted, 255)
+        built = _recording_sessions(monkeypatch)
+        calls = []
+
+        def counting(seeds, length, lane):
+            calls.append(np.dtype(lane).itemsize * 8)
+            return expand_masks(seeds, length, lane)
+
+        monkeypatch.setattr(hierarchy, "expand_masks", counting)
+        result = aggregate_shards(tasks, 3, rng=np.random.default_rng(2), workers=1)
+        assert [s.ring_bits for s in result.shards] == [8, 16]
+        assert calls == [8, 16, 8, 16]
+        rows, totals = _one_session_each(tasks, 3, 2)
+        for session, task, expected_rows in zip(built, tasks, rows):
+            got = [session._submissions[int(cid)] for cid in task.submitted_ids]
+            np.testing.assert_array_equal(np.asarray(got), expected_rows)
+        assert [s.total.tolist() for s in result.shards] == totals
+        np.testing.assert_array_equal(result.total, vecs[submitted].sum(axis=0))
+
+    def test_one_expansion_per_phase_for_a_group(self, monkeypatch):
+        calls = []
+
+        def counting(seeds, length, lane):
+            calls.append(len(seeds))
+            return expand_masks(seeds, length, lane)
+
+        monkeypatch.setattr(protocol, "expand_masks", counting)
+        monkeypatch.setattr(hierarchy, "expand_masks", counting, raising=False)
+        vecs = np.random.default_rng(4).random((40, 6)) < 0.5
+        result = hierarchical_secure_sum(vecs, shard_size=8, workers=1, rng=3)
+        assert len(result.shards) == 5
+        assert len(calls) == 2
+        np.testing.assert_array_equal(result.total, vecs.sum(axis=0))
+
+    def test_groups_time_their_phases(self):
+        exporter = InMemoryExporter()
+        vecs = np.random.default_rng(6).random((40, 6)) < 0.5
+        submitted = np.ones(40, dtype=bool)
+        submitted[[3, 17]] = False
+        with instrumented(Tracer([exporter]), MetricsRegistry()):
+            result = hierarchical_secure_sum(vecs, submitted, shard_size=8, workers=1, rng=3)
+        (root,) = exporter.find("secure_agg.hierarchy")
+        phases = {}
+        for name in ("secure_agg.setup", "secure_agg.mask", "secure_agg.unmask"):
+            (span,) = exporter.find(name)
+            assert span.parent_id == root.span_id
+            assert span.attributes["shards"] == 5
+            assert span.attributes["ring_bits"] == 8
+            phases[name] = span
+        assert phases["secure_agg.setup"].attributes["seeds"] == 5 * 8 * 9 // 2
+        # Mask: 38 self seeds and all 28 pairs of each shard; unmask: 38
+        # reconstructed self seeds and 2 x 7 survivor-dropout pairs.
+        assert phases["secure_agg.mask"].attributes["seeds"] == 38 + 5 * 28
+        assert phases["secure_agg.unmask"].attributes["seeds"] == 38 + 2 * 7
+        finalize = exporter.find("secure_agg.finalize")
+        assert len(finalize) == 5
+        assert {s.parent_id for s in finalize} == {phases["secure_agg.unmask"].span_id}
+        # Shard durations share out the group's wall time, which holds the phases.
+        assert sum(s.duration_s for s in result.shards) >= sum(
+            span.duration_s for span in phases.values()
+        )
+
+    def test_pooled_groups_record_worker_phase_spans(self, monkeypatch):
+        monkeypatch.setattr(hierarchy, "SHARD_GROUP", 2)
+        exporter = InMemoryExporter()
+        registry = MetricsRegistry()
+        vecs = np.random.default_rng(7).random((40, 6)) < 0.5
+        with instrumented(Tracer([exporter]), registry):
+            result = hierarchical_secure_sum(vecs, shard_size=8, workers=2, rng=3)
+        (root,) = exporter.find("secure_agg.hierarchy")
+        for name in ("secure_agg.setup", "secure_agg.mask", "secure_agg.unmask"):
+            spans = exporter.find(name)
+            assert [s.attributes["shards"] for s in spans] and sorted(
+                s.attributes["shards"] for s in spans
+            ) == [1, 2, 2]
+            assert all(s.parent_id == root.span_id and s.attributes["worker"] for s in spans)
+        # Workers trace nothing, but their metrics merge back.
+        assert not exporter.find("secure_agg.finalize")
+        counters = registry.snapshot()["counters"]
+        assert counters["secure_agg_sessions_total"] == 5
+        assert counters["secure_agg_masked_bytes_total"] == 40 * 6
+        np.testing.assert_array_equal(result.total, vecs.sum(axis=0))
 
 
 class TestServerSecureRounds:
@@ -282,3 +449,24 @@ class TestServerSecureRounds:
             assert ("shard-failure", "resolved") in states
         finally:
             disable()
+
+    def test_bool_rows_mask_in_20_bytes_per_client(self):
+        # 10-bit values: 20 counters per client, one byte each in the 8-bit ring.
+        encoder = FixedPointEncoder.for_integers(10)
+        exporter = InMemoryExporter()
+        registry = MetricsRegistry()
+        query = FederatedMeanQuery(
+            encoder,
+            mode="basic",
+            secure_aggregation=True,
+            shard_size=32,
+            dropout=DropoutModel(rate=0.1, jitter=0.0),
+        )
+        with instrumented(Tracer([exporter]), registry):
+            query.run(make_population(100), rng=2)
+        (span,) = exporter.find("round.secure_agg")
+        assert span.attributes["masked_bytes_per_client"] == 20
+        submitters = sum(s.attributes["submitted"] for s in exporter.find("shard.session"))
+        assert {s.attributes["ring_bits"] for s in exporter.find("shard.session")} == {8}
+        masked = registry.snapshot()["counters"]["secure_agg_masked_bytes_total"]
+        assert masked == 20 * submitters
