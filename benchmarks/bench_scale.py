@@ -234,8 +234,9 @@ def test_served_round_throughput(benchmark, emit):
     """Wire-served rounds over loopback TCP: reports/sec, single and concurrent.
 
     Every report crosses a real socket through the full control-message +
-    frame protocol (HELLO, ANNOUNCE, REPORTS, RESULT), so this measures the
-    serving stack end to end.  The estimate must stay bit-identical to the
+    frame protocol (HELLO, ANNOUNCE, REPORTS, RESULT), on the fleet's 8
+    connections of 32 clients each, so this measures the serving stack end
+    to end.  The estimate must stay bit-identical to the
     deterministic in-process twin -- throughput never buys back correctness.
     """
     from repro.federated import (
@@ -310,6 +311,7 @@ def test_served_round_throughput(benchmark, emit):
         + "\n",
     )
 
-    # Floor, not a target: a loopback round of 256 clients must clear 1k
-    # reports/sec or the asyncio serving stack has a structural problem.
-    assert single_rate > 1_000.0, f"served rate {single_rate:,.0f} reports/s below floor"
+    # Floor, not a target: a loopback round of 256 clients on 8 fleet
+    # connections must clear 10k reports/sec (about 50k/s on a 2-core VM)
+    # or the asyncio serving stack has a structural problem.
+    assert single_rate > 10_000.0, f"served rate {single_rate:,.0f} reports/s below floor"

@@ -6,20 +6,22 @@ Usage::
     python scripts/serve_trace_demo.py --out out/serve_trace_demo
 
 One deterministic loopback campaign under simulated clocks: a 24-client
-fleet played through the full wire protocol (HELLO, ANNOUNCE with trace
-context, REPORTS, RESULT, TELEMETRY) while a flight recorder captures the
-merged span stream.  The round must
+fleet on 8 connections of 3 clients each, played through the full wire
+protocol (HELLO, ANNOUNCE with trace context, REPORTS, RESULT, TELEMETRY)
+while a flight recorder captures the merged span stream.  The round must
 
 1. match its in-process :func:`in_process_estimate` twin bit-for-bit --
    telemetry is observability, never arithmetic;
-2. ingest telemetry from *every* fleet client, with each remote span
-   stamped with the server's deterministic round trace id
-   (:func:`round_trace_id`), so client and server spans form one trace;
+2. ingest telemetry from *every* fleet connection, whose client ranges
+   together cover clients 0..23, with each remote span stamped with the
+   server's deterministic round trace id (:func:`round_trace_id`), so
+   client and server spans form one trace;
 3. export as valid Chrome trace-event JSON (``trace.json`` next to the
-   artifact) with the server phases on track 0 and one track per client.
+   artifact) with the server phases on track 0 and one track per
+   connection, labelled with its client range.
 
-Both clocks are simulated (``SimClock`` server-side and per-client), so the
-artifact and the exported timeline are deterministic.  Any parity miss,
+Both clocks are simulated (``SimClock`` server-side and per connection), so
+the artifact and the exported timeline are deterministic.  Any parity miss,
 missing client, foreign trace id, or malformed export exits non-zero -- the
 CI chaos job runs this next to the failure-injection campaigns and uploads
 ``trace.json`` for inspection in Perfetto.
@@ -39,6 +41,7 @@ from repro.federated import (
     round_trace_id,
     run_loopback,
 )
+from repro.federated.fleet import fleet_ranges
 from repro.observability import (
     FlightRecorder,
     MetricsRegistry,
@@ -54,6 +57,8 @@ N_CLIENTS = 24
 SEED = 11
 FLEET_SEED = 3
 FLEET_SPANS = {"fleet.round", "fleet.encode", "fleet.uplink"}
+#: The fleet's connections, as ``(first client id, clients)``.
+RANGES = {(lo, hi - lo) for lo, hi in fleet_ranges(N_CLIENTS)}
 
 
 def run_traced_leg(out_root: Path) -> Path:
@@ -86,15 +91,20 @@ def run_traced_leg(out_root: Path) -> Path:
         raise SystemExit(
             f"PARITY MISS: served {served.estimate.value!r} != twin {twin.value!r}"
         )
-    if served.telemetry_clients != N_CLIENTS or fleet.telemetry_sent != N_CLIENTS:
+    if (
+        served.telemetry_clients != N_CLIENTS
+        or fleet.telemetry_sent != N_CLIENTS
+        or served.connections != len(RANGES)
+    ):
         raise SystemExit(
             f"TELEMETRY MISS: {served.telemetry_clients} ingested / "
-            f"{fleet.telemetry_sent} sent for {N_CLIENTS} clients"
+            f"{fleet.telemetry_sent} sent for {N_CLIENTS} clients on "
+            f"{served.connections} connections"
         )
     print(
-        f"leg 1 ok: {N_CLIENTS} wire clients -> estimate "
-        f"{served.estimate.value:.4f} == in-process twin, "
-        f"{served.telemetry_clients} telemetry uplinks, "
+        f"leg 1 ok: {N_CLIENTS} wire clients on {served.connections} connections -> "
+        f"estimate {served.estimate.value:.4f} == in-process twin, telemetry "
+        f"for {served.telemetry_clients} clients, "
         f"{served.remote_spans} remote spans ingested"
     )
     return record_dir
@@ -114,11 +124,12 @@ def verify_merged_trace(record_dir: Path) -> list:
             f"TRACE MISS: remote spans carry trace ids {sorted(trace_ids)}, "
             f"expected only {expected_trace}"
         )
-    clients = {int(span.attributes["client"]) for span in remote}
-    if clients != set(range(N_CLIENTS)):
+    ranges = {(int(span.attributes["client"]), int(span.attributes["clients"])) for span in remote}
+    clients = {client for lo, k in ranges for client in range(lo, lo + k)}
+    if ranges != RANGES or clients != set(range(N_CLIENTS)):
         raise SystemExit(
-            f"TRACE MISS: telemetry from clients {sorted(clients)}, "
-            f"expected all of 0..{N_CLIENTS - 1}"
+            f"TRACE MISS: telemetry from client ranges {sorted(ranges)}, "
+            f"expected {sorted(RANGES)} covering 0..{N_CLIENTS - 1}"
         )
     names = {span.name for span in remote}
     if not FLEET_SPANS <= names:
@@ -134,8 +145,9 @@ def verify_merged_trace(record_dir: Path) -> list:
     if artifact.manifest["events"]["remote_spans"] != len(remote):
         raise SystemExit("manifest remote_spans count disagrees with event log")
     print(
-        f"leg 2 ok: {len(remote)} remote spans from {len(clients)} clients all "
-        f"under trace {expected_trace}, every fleet.round parented to serve.round"
+        f"leg 2 ok: {len(remote)} remote spans from {len(ranges)} connections "
+        f"covering {len(clients)} clients, all under trace {expected_trace}, "
+        "every fleet.round parented to serve.round"
     )
     return spans
 
@@ -148,15 +160,16 @@ def export_timeline(record_dir: Path, spans) -> Path:
     events = document["traceEvents"]
     if document["otherData"]["clients"] != N_CLIENTS:
         raise SystemExit(
-            f"EXPORT MISS: {document['otherData']['clients']} client tracks "
-            f"for {N_CLIENTS} clients"
+            f"EXPORT MISS: client tracks cover {document['otherData']['clients']} "
+            f"of {N_CLIENTS} clients"
         )
     tracks = {
         event["args"]["name"]
         for event in events
         if event["ph"] == "M" and event["name"] == "thread_name"
     }
-    if "server" not in tracks or len(tracks) != N_CLIENTS + 1:
+    expected = {"server"} | {f"clients {lo}-{lo + k - 1}" for lo, k in RANGES}
+    if tracks != expected:
         raise SystemExit(f"EXPORT MISS: thread tracks {sorted(tracks)}")
     bad = [
         event
@@ -170,7 +183,7 @@ def export_timeline(record_dir: Path, spans) -> Path:
     )
     print(
         f"leg 3 ok: {trace_path} holds {len(events)} trace events "
-        f"({server_events} server-track) across {N_CLIENTS + 1} tracks"
+        f"({server_events} server-track) across {len(tracks)} tracks"
     )
     return trace_path
 

@@ -28,7 +28,6 @@ lines; ``--record <dir>`` additionally captures a flight-recorder artifact
 from __future__ import annotations
 
 import argparse
-import asyncio
 import json
 import math
 import sys
@@ -81,6 +80,7 @@ from repro.federated import (
     fleet_values,
     ground_truth_mean,
 )
+from repro.federated.serve import run_coroutine
 from repro.analysis import per_report_bit_variance
 from repro.metrics.execution import executor_for
 from repro.observability import (
@@ -1003,7 +1003,8 @@ def run_serve_command(
 
     try:
         with instrumented(Tracer(exporters, clock=sim, wall_clock=sim), registry):
-            bound_port, result = asyncio.run(_serve())
+            # Not asyncio.run, which formats the result's repr on 3.11-3.12.
+            bound_port, result = run_coroutine(_serve())
         snapshot = registry.snapshot()
         if jsonl is not None:
             jsonl.export_metrics(snapshot)
@@ -1031,6 +1032,7 @@ def run_serve_command(
                 "serve": {
                     "port": bound_port,
                     "registered_clients": result.registered_clients,
+                    "connections": result.connections,
                     "surviving_clients": result.surviving_clients,
                     "attempts": result.attempts,
                     "wire_rejects": result.wire_rejects,
@@ -1050,6 +1052,7 @@ def run_serve_command(
             "port": bound_port,
             "planned_clients": result.planned_clients,
             "registered_clients": result.registered_clients,
+            "connections": result.connections,
             "surviving_clients": result.surviving_clients,
             "attempts": result.attempts,
             "degraded": result.degraded,
@@ -1153,7 +1156,8 @@ def run_fleet_command(
         return 2
     profile = EmulationProfile.parse(emulation) if emulation else None
     fleet = ClientFleet(fleet_values(clients, seed), seed=seed, profile=profile)
-    result = asyncio.run(fleet.run(host, resolved))
+    # Not asyncio.run, which formats the result's repr on 3.11-3.12.
+    result = run_coroutine(fleet.run(host, resolved))
     ok = not result.aborted and result.estimate is not None
     if as_json:
         payload = {

@@ -1,28 +1,33 @@
 """Simulated client fleet: devices speaking the wire protocol over TCP.
 
-One coroutine per device connects to a :class:`~repro.federated.serve.RoundServer`,
-registers with a HELLO message, and then answers every cohort announcement the
-way a real device would: elicit the local value, fixed-point encode it, extract
-the assigned bit, optionally pass it through client-side randomized response,
-frame it with :func:`~repro.federated.wire.encode_batch`, and uplink it as one
-REPORTS message.  A pluggable :class:`EmulationProfile` reuses
-:class:`~repro.federated.network.NetworkModel`'s loss/latency distributions
-per-connection, so the served path exercises the same failure statistics the
-in-process simulator does -- a lost uplink is simply never sent, and latency
-optionally maps to real ``asyncio.sleep`` time via ``time_scale``.
+The fleet opens ``min(n, FLEET_CONNECTIONS)`` connections to a
+:class:`~repro.federated.serve.RoundServer`.  Each connection speaks for a
+contiguous range of client ids (:func:`fleet_ranges`): it registers the range
+in one HELLO, receives the range's slice of the bit assignment in one
+ANNOUNCE, and answers the way the range's devices would -- fixed-point
+encode each local value, extract its assigned bit, optionally pass it through
+client-side randomized response, frame it, and uplink every client's 16-byte
+frame in one REPORTS message.  A range of one client speaks the protocol's
+original one-device-per-socket bytes.  A pluggable :class:`EmulationProfile`
+reuses :class:`~repro.federated.network.NetworkModel`'s loss/latency
+distributions per client uplink, so the served path exercises the same
+failure statistics the in-process simulator does -- a lost uplink is simply
+never sent, and latency optionally maps to real ``asyncio.sleep`` time via
+``time_scale``.
 
-Determinism: each client owns an independent generator spawned from the fleet
-seed (``SeedSequence(seed).spawn(n)``), and per announcement draws in a fixed
-order -- randomized response first (:func:`report_bit`), then the network
-emulation -- so :func:`repro.federated.serve.in_process_estimate` can replay
-the exact stream.
+Determinism: client ``i`` owns the generator ``SeedSequence(seed).spawn(n)[i]``
+(built lazily, by :func:`client_generator`, and only when a round draws
+anything), and per announcement draws in a fixed order -- randomized
+response first (:func:`report_bit`), then the network emulation -- so
+:func:`repro.federated.serve.in_process_estimate` can replay the exact
+stream.  A lossless round draws nothing: a range computes its bits in one
+vectorized pass.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
@@ -30,9 +35,9 @@ import numpy as np
 
 from repro.core.encoding import FixedPointEncoder
 from repro.exceptions import ConfigurationError, ProtocolError
-from repro.federated.client import BitReport
 from repro.federated.network import NetworkModel
 from repro.federated.wire import (
+    MAX_MESSAGE_SIZE,
     MESSAGE_HEADER_SIZE,
     MSG_ABORT,
     MSG_ANNOUNCE,
@@ -40,26 +45,39 @@ from repro.federated.wire import (
     MSG_REPORTS,
     MSG_RESULT,
     MSG_TELEMETRY,
+    REPORT_SIZE,
     decode_announce,
     decode_message_header,
-    encode_batch,
+    encode_frames,
     encode_message,
     encode_telemetry,
 )
 from repro.observability import get_tracer
 from repro.observability.exporters import InMemoryExporter
 from repro.observability.metrics import MetricsRegistry
-from repro.observability.tracing import NULL_TRACER, Tracer
+from repro.observability.tracing import Tracer
 from repro.privacy.randomized_response import RandomizedResponse
 
 __all__ = [
     "EmulationProfile",
     "ClientFleet",
     "FleetResult",
+    "FLEET_CONNECTIONS",
+    "MAX_RANGE",
+    "client_generator",
+    "fleet_ranges",
     "fleet_values",
     "read_message",
     "report_bit",
 ]
+
+#: Connections a fleet opens: ``min(n, FLEET_CONNECTIONS)``, so a fleet of
+#: at most this many clients runs one client per connection.
+FLEET_CONNECTIONS = 8
+#: Most clients one connection speaks for: a range's REPORTS fits one message.
+MAX_RANGE = MAX_MESSAGE_SIZE // REPORT_SIZE
+#: Per-read timeout guarding a fleet against a hung server.
+READ_TIMEOUT_S = 60.0
 
 
 def fleet_values(n_clients: int, seed: int = 0) -> np.ndarray:
@@ -76,14 +94,30 @@ def fleet_values(n_clients: int, seed: int = 0) -> np.ndarray:
     return np.clip(rng.normal(600.0, 100.0, n_clients), 0.0, None)
 
 
+def fleet_ranges(n_clients: int) -> list[tuple[int, int]]:
+    """The fleet's connections as near-equal contiguous ``[lo, hi)`` id blocks.
+
+    ``min(n, FLEET_CONNECTIONS)`` blocks, or more when a block would exceed
+    :data:`MAX_RANGE` clients.
+    """
+    count = max(min(n_clients, FLEET_CONNECTIONS), -(-n_clients // MAX_RANGE))
+    bounds = np.linspace(0, n_clients, count + 1).round().astype(np.int64).tolist()
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def client_generator(seed: int, client_id: int) -> np.random.Generator:
+    """Client ``client_id``'s own stream: ``SeedSequence(seed).spawn(n)[client_id]``."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(client_id,)))
+
+
 def report_bit(
     value: float, bit_index: int, encoder: FixedPointEncoder, epsilon: float | None,
     rng: np.random.Generator,
 ) -> int:
     """One device's bit: encode, take ``bit_index``, randomize at ``epsilon``.
 
-    Fleet clients and the served round's in-process twin both draw through
-    this, so the twin replays each client's stream exactly.
+    The served round's in-process twin draws through this, one client at a
+    time; a fleet range computes the same bits elementwise.
     """
     encoded = encoder.encode(np.asarray([value]))
     bit = int((encoded[0] >> np.uint64(bit_index)) & np.uint64(1))
@@ -115,7 +149,7 @@ async def read_message(reader: asyncio.StreamReader) -> tuple[int, int, bytes]:
 
 @dataclass(frozen=True)
 class EmulationProfile:
-    """Per-connection network emulation reusing :class:`NetworkModel`'s draws.
+    """Per-uplink network emulation reusing :class:`NetworkModel`'s draws.
 
     Parameters
     ----------
@@ -217,8 +251,20 @@ class FleetResult:
         return next(iter(self.results.values()))
 
 
+def _range_assignment(announce: dict[str, Any], k: int) -> np.ndarray:
+    """A range's assigned bit indices: an int for one client, else a list of ``k``."""
+    indices = announce.get("bit_index")
+    try:
+        assigned = np.asarray([indices] if k == 1 else indices, dtype=np.int64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ProtocolError(f"ANNOUNCE bit_index: {exc}") from None
+    if assigned.shape != (k,):
+        raise ProtocolError(f"ANNOUNCE bit_index is not {k} assigned indices")
+    return assigned
+
+
 class ClientFleet:
-    """A population of simulated devices served over real sockets.
+    """A population of simulated devices served over a few real sockets.
 
     Parameters
     ----------
@@ -228,25 +274,22 @@ class ClientFleet:
         Fleet seed; client ``i`` draws from the ``i``-th spawned child
         stream.
     profile:
-        Optional :class:`EmulationProfile` applied per uplink.
-    client_ids:
-        Wire identities (default ``0..n-1``).
+        Optional :class:`EmulationProfile` applied per client uplink.
     mutate:
-        Optional :data:`FrameMutator` applied to each encoded frame before
-        emulation -- the hook adversarial and fuzzing tests use.
-    read_timeout_s:
-        Per-message read timeout guarding tests against a hung server.
-    telemetry:
-        When ``True`` (the default) each client records ``fleet.round`` /
-        ``fleet.encode`` / ``fleet.uplink`` spans into a private tracer and,
-        if the server's ANNOUNCE carried trace context, ships them (plus a
-        per-client metrics snapshot) back in one TELEMETRY message after
-        RESULT/ABORT.  Disable to emulate a pre-tracing fleet.
+        Optional :data:`FrameMutator` applied to each client's encoded frame
+        before emulation -- the hook adversarial and fuzzing tests use.  A
+        returned frame of exactly 16 bytes joins its range's REPORTS
+        message; one of any other length goes alone in its own message.
     clock_factory:
-        Optional zero-argument callable returning a clock for each client's
-        private tracer (both span and wall clock).  Pass
-        ``lambda: SimClock(...)`` to make client-side telemetry timestamps
+        Optional zero-argument callable returning a clock for each
+        connection's private tracer (both span and wall clock).  Pass
+        ``lambda: SimClock(...)`` to make fleet telemetry timestamps
         deterministic; the default is real time.
+
+    Each connection records ``fleet.round`` / ``fleet.encode`` /
+    ``fleet.uplink`` spans into a private tracer and, if the server's
+    ANNOUNCE carried trace context, ships them (plus a metrics snapshot) back
+    in one TELEMETRY message after RESULT/ABORT.
     """
 
     def __init__(
@@ -254,61 +297,49 @@ class ClientFleet:
         values: Sequence[float],
         seed: int = 0,
         profile: EmulationProfile | None = None,
-        client_ids: Sequence[int] | None = None,
         mutate: FrameMutator | None = None,
-        read_timeout_s: float = 60.0,
-        telemetry: bool = True,
         clock_factory: Callable[[], Any] | None = None,
     ) -> None:
         self.values = np.asarray(values, dtype=np.float64)
         if self.values.ndim != 1 or self.values.size == 0:
             raise ConfigurationError("fleet needs a non-empty 1-D value array")
-        n = int(self.values.size)
-        self.client_ids = (
-            list(range(n)) if client_ids is None else [int(c) for c in client_ids]
-        )
-        if len(self.client_ids) != n:
-            raise ConfigurationError(
-                f"{len(self.client_ids)} client ids for {n} values"
-            )
         self.seed = int(seed)
         self.profile = profile
         self.mutate = mutate
-        self.read_timeout_s = float(read_timeout_s)
-        self.telemetry = bool(telemetry)
         self.clock_factory = clock_factory
 
     def spawn_generators(self) -> list[np.random.Generator]:
         """One independent child generator per client (replayable by the twin)."""
         return [
             np.random.default_rng(s)
-            for s in np.random.SeedSequence(self.seed).spawn(len(self.client_ids))
+            for s in np.random.SeedSequence(self.seed).spawn(self.values.size)
         ]
 
     async def run(self, host: str, port: int) -> FleetResult:
-        """Connect every client and play rounds until RESULT/ABORT/EOF."""
-        gens = self.spawn_generators()
+        """Connect every range and play rounds until RESULT/ABORT/EOF."""
+        n = int(self.values.size)
+        ranges = fleet_ranges(n)
         with get_tracer().span(
-            "fleet.session", {"clients": len(self.client_ids), "host": host, "port": port}
+            "fleet.session",
+            {"clients": n, "connections": len(ranges), "host": host, "port": port},
         ):
             outcomes = await asyncio.gather(
-                *(
-                    self._run_client(host, port, cid, float(value), gen)
-                    for cid, value, gen in zip(self.client_ids, self.values, gens)
-                )
+                *(self._run_range(host, port, lo, hi) for lo, hi in ranges)
             )
         results: dict[int, float] = {}
         sent = dropped = telemetry_sent = 0
         aborted = False
-        for cid, client_sent, client_dropped, estimate, client_aborted, shipped in outcomes:
-            sent += client_sent
-            dropped += client_dropped
+        for (lo, hi), (range_sent, range_dropped, estimate, range_aborted, shipped) in zip(
+            ranges, outcomes
+        ):
+            sent += range_sent
+            dropped += range_dropped
             if estimate is not None:
-                results[cid] = estimate
-            aborted = aborted or client_aborted
-            telemetry_sent += int(shipped)
+                results.update(dict.fromkeys(range(lo, hi), estimate))
+            aborted = aborted or range_aborted
+            telemetry_sent += (hi - lo) if shipped else 0
         return FleetResult(
-            n_clients=len(self.client_ids),
+            n_clients=n,
             uplinks_sent=sent,
             uplinks_dropped=dropped,
             results=results,
@@ -316,48 +347,98 @@ class ClientFleet:
             telemetry_sent=telemetry_sent,
         )
 
-    async def _run_client(
+    def _range_bits(
         self,
-        host: str,
-        port: int,
-        client_id: int,
-        value: float,
-        gen: np.random.Generator,
-    ) -> tuple[int, int, int, float | None, bool, bool]:
-        """One device's life: HELLO, then answer announcements until done."""
+        lo: int,
+        indices: np.ndarray,
+        encoder: FixedPointEncoder,
+        epsilon: float | None,
+        gens: list[np.random.Generator],
+    ) -> np.ndarray:
+        """The range's report bits: one vectorized pass, then per-client RR draws."""
+        encoded = encoder.encode(self.values[lo:lo + indices.size])
+        bits = ((encoded >> indices.astype(np.uint64)) & np.uint64(1)).astype(np.uint8)
+        if epsilon is not None:
+            rr = RandomizedResponse(epsilon=float(epsilon))
+            for j, gen in enumerate(gens):
+                bits[j] = rr.perturb_bits(bits[j:j + 1], gen)[0]
+        return bits
+
+    def _deliveries(
+        self, lo: int, seq: int, frames: bytes, gens: list[np.random.Generator]
+    ) -> list[tuple[float, bytes]]:
+        """Each client's ``(latency_s, frame)`` after the mutator and emulation."""
+        out: list[tuple[float, bytes]] = []
+        for j in range(len(frames) // REPORT_SIZE):
+            frame: bytes | None = frames[j * REPORT_SIZE:(j + 1) * REPORT_SIZE]
+            if self.mutate is not None:
+                frame = self.mutate(lo + j, seq, frame)
+                if frame is None:
+                    continue
+            latency_s = 0.0
+            if self.profile is not None:
+                delivered, latency_s = self.profile.draw(gens[j])
+                if not delivered:
+                    continue
+            out.append((latency_s, frame))
+        return out
+
+    async def _uplink(
+        self, writer: asyncio.StreamWriter, seq: int, deliveries: list[tuple[float, bytes]]
+    ) -> int:
+        """Write the delivered frames as REPORTS messages; returns the bytes sent.
+
+        Without emulated sleep the 16-byte frames go in one message and any
+        other payload in its own.  With ``time_scale > 0`` each frame goes
+        alone after its own latency, in latency order, as concurrent devices'
+        uplinks would arrive.
+        """
+        scale = self.profile.time_scale if self.profile is not None else 0.0
+        if scale > 0:
+            messages = sorted(((lat * scale, f) for lat, f in deliveries), key=lambda m: m[0])
+        else:
+            whole = b"".join(f for _, f in deliveries if len(f) == REPORT_SIZE)
+            messages = [(0.0, f) for f in [whole] if f]
+            messages += [(0.0, f) for _, f in deliveries if len(f) != REPORT_SIZE]
+        loop = asyncio.get_running_loop()
+        start = loop.time()
+        for delay_s, payload in messages:
+            if start + delay_s > loop.time():
+                await asyncio.sleep(start + delay_s - loop.time())
+            writer.write(encode_message(MSG_REPORTS, payload, seq=seq))
+            await writer.drain()
+        return sum(len(payload) for _, payload in messages)
+
+    async def _run_range(
+        self, host: str, port: int, lo: int, hi: int
+    ) -> tuple[int, int, float | None, bool, bool]:
+        """One connection's life: HELLO for ``[lo, hi)``, then answer announcements."""
+        k = hi - lo
+        ids = np.arange(lo, hi, dtype=np.uint64)
+        gens: list[np.random.Generator] = []  # built on first need
         sent = dropped = 0
         estimate: float | None = None
-        aborted = False
-        telemetry_shipped = False
-        # Telemetry lives on a *private* per-client tracer, never the
-        # process-wide one: a device's spans leave the device only through
-        # the TELEMETRY message, exactly as they would across real machines.
-        exporter: InMemoryExporter | None = None
-        registry: MetricsRegistry | None = None
-        if self.telemetry:
-            exporter = InMemoryExporter()
-            clock = self.clock_factory() if self.clock_factory is not None else None
-            tracer: Any = Tracer([exporter], clock=clock, wall_clock=clock)
-        else:
-            tracer = NULL_TRACER
-        if self.telemetry:
-            registry = MetricsRegistry()
-        saw_trace = False
+        aborted = telemetry_shipped = saw_trace = False
         last_seq = 0
+        # Telemetry lives on a *private* per-connection tracer, never the
+        # process-wide one: spans leave the fleet only through the TELEMETRY
+        # message, exactly as they would across real machines.
+        exporter = InMemoryExporter()
+        clock = self.clock_factory() if self.clock_factory is not None else None
+        tracer = Tracer([exporter], clock=clock, wall_clock=clock)
+        registry = MetricsRegistry()
         reader, writer = await asyncio.open_connection(host, port)
         try:
-            clock_s = tracer.wall_time() if self.telemetry else time.time()
-            writer.write(
-                encode_message(
-                    MSG_HELLO,
-                    json.dumps({"client_id": client_id, "clock_s": clock_s}).encode(),
-                )
-            )
+            hello: dict[str, Any] = {"client_id": lo}
+            if k > 1:  # a range of one speaks the one-device HELLO
+                hello["clients"] = k
+            hello["clock_s"] = tracer.wall_time()
+            writer.write(encode_message(MSG_HELLO, json.dumps(hello).encode()))
             await writer.drain()
             while True:
                 try:
                     kind, seq, payload = await asyncio.wait_for(
-                        read_message(reader), self.read_timeout_s
+                        read_message(reader), READ_TIMEOUT_S
                     )
                 except (
                     asyncio.IncompleteReadError,
@@ -377,81 +458,53 @@ class ClientFleet:
                     continue
                 try:
                     announce, context = decode_announce(payload)
+                    indices = _range_assignment(announce, k)
                 except ProtocolError:
                     break
-                if context is not None:
-                    saw_trace = True
-                round_attrs: dict[str, Any] = {
-                    "client": client_id,
-                    "attempt": seq,
-                    "bit_index": int(announce["bit_index"]),
-                }
+                saw_trace = saw_trace or context is not None
+                attrs: dict[str, Any] = {"client": lo, "clients": k}
+                round_attrs = dict(attrs, attempt=seq)
                 if context is not None:
                     round_attrs["trace_id"] = context.trace_id
                 with tracer.span("fleet.round", round_attrs) as round_span:
-                    with tracer.span(
-                        "fleet.encode",
-                        {"n_bits": int(announce["n_bits"]), "client": client_id},
-                    ):
+                    with tracer.span("fleet.encode", dict(attrs, n_bits=int(announce["n_bits"]))):
                         encoder = FixedPointEncoder(
                             n_bits=int(announce["n_bits"]),
                             scale=float(announce["scale"]),
                             offset=float(announce["offset"]),
                         )
-                        bit_index = int(announce["bit_index"])
                         epsilon = announce.get("epsilon")
-                        bit = report_bit(value, bit_index, encoder, epsilon, gen)
-                        frame = encode_batch(
-                            [
-                                BitReport(
-                                    client_id=client_id, bit_index=bit_index, bit=bit
-                                )
-                            ],
-                            randomized_response=epsilon is not None,
+                        if not gens and (epsilon is not None or self.profile is not None):
+                            gens = [client_generator(self.seed, i) for i in range(lo, hi)]
+                        bits = self._range_bits(lo, indices, encoder, epsilon, gens)
+                        frames = encode_frames(ids, indices, bits, epsilon is not None)
+                    if self.mutate is None and self.profile is None:
+                        deliveries = [(0.0, frames)]  # the range's frames, one message
+                        delivered = k
+                    else:
+                        deliveries = self._deliveries(lo, seq, frames, gens)
+                        delivered = len(deliveries)
+                    if delivered < k:
+                        dropped += k - delivered
+                        round_span.set_attribute("dropped", k - delivered)
+                        registry.counter("fleet_uplinks_dropped_total").inc(k - delivered)
+                    if not deliveries:
+                        continue
+                    with tracer.span("fleet.uplink", dict(attrs, attempt=seq)) as uplink_span:
+                        uplink_span.set_attribute(
+                            "bytes", await self._uplink(writer, seq, deliveries)
                         )
-                    if self.mutate is not None:
-                        mutated = self.mutate(client_id, seq, frame)
-                        if mutated is None:
-                            dropped += 1
-                            round_span.set_attribute("dropped", True)
-                            if registry is not None:
-                                registry.counter("fleet_uplinks_dropped_total").inc()
-                            continue
-                        frame = mutated
-                    if self.profile is not None:
-                        delivered, latency_s = self.profile.draw(gen)
-                        if self.profile.time_scale > 0:
-                            await asyncio.sleep(latency_s * self.profile.time_scale)
-                        if not delivered:
-                            dropped += 1
-                            round_span.set_attribute("dropped", True)
-                            if registry is not None:
-                                registry.counter("fleet_uplinks_dropped_total").inc()
-                            continue
-                    with tracer.span(
-                        "fleet.uplink",
-                        {"client": client_id, "attempt": seq, "bytes": len(frame)},
-                    ):
-                        writer.write(encode_message(MSG_REPORTS, frame, seq=seq))
-                        await writer.drain()
-                    sent += 1
-                    if registry is not None:
-                        registry.counter("fleet_uplinks_sent_total").inc()
+                    sent += delivered
+                    registry.counter("fleet_uplinks_sent_total").inc(delivered)
             # Telemetry is best-effort and strictly after the round outcome:
             # it must never delay an uplink or keep a dead round's socket open.
-            if (
-                self.telemetry
-                and saw_trace
-                and exporter is not None
-                and (estimate is not None or aborted)
-            ):
+            if saw_trace and (estimate is not None or aborted):
                 try:
                     spans = [record.to_dict() for record in exporter.records]
-                    snapshot = registry.snapshot() if registry is not None else {}
                     writer.write(
                         encode_message(
                             MSG_TELEMETRY,
-                            encode_telemetry(client_id, spans, snapshot),
+                            encode_telemetry(lo, spans, registry.snapshot()),
                             seq=last_seq,
                         )
                     )
@@ -465,4 +518,4 @@ class ClientFleet:
                 await writer.wait_closed()
             except (ConnectionError, OSError):  # pragma: no cover - teardown race
                 pass
-        return client_id, sent, dropped, estimate, aborted, telemetry_shipped
+        return sent, dropped, estimate, aborted, telemetry_shipped

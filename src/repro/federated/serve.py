@@ -6,26 +6,32 @@ drives in-process -- cohort announcement, report collection under a deadline,
 quorum/degradation with retry -- executed against a TCP client fleet speaking
 :mod:`repro.federated.wire` frames inside length-prefixed control messages.
 
-Protocol, per connection::
+Protocol, per connection.  A connection speaks for a contiguous range of
+``k`` client ids ``[lo, lo + k)``; ``k = 1`` is one device per socket, and
+its messages are the same bytes with ``"clients"`` left out::
 
-    client  -> HELLO    {"client_id": i, "clock_s": t}
+    client  -> HELLO    {"client_id": lo, "clients": k, "clock_s": t}
     server  -> ANNOUNCE {"attempt", "bit_index", "n_bits", "scale", "offset",
                          "epsilon", "deadline_s", "trace"}  (seq = attempt)
-    client  -> REPORTS  <one 16-byte report frame>          (seq = attempt)
+                         bit_index: an int for k = 1, else the range's k indices
+    client  -> REPORTS  <1 to k 16-byte report frames>      (seq = attempt)
     server  -> RESULT   {"estimate", "attempt", "survivors"}  | ABORT
-    client  -> TELEMETRY {"v", "client_id", "spans", "metrics"}   (best effort)
+    client  -> TELEMETRY {"v", "client_id": lo, "spans", "metrics"}  (best effort)
 
-Every malformed or late uplink is rejected *at the uplink* with
-:class:`~repro.exceptions.ProtocolError` accounting (``wire_rejects_total``,
-``uplink.reject``/``uplink.late`` spans, each carrying the peer address and
-session id) and never folded into the per-bit counters.  Accepted frames are
-decoded in bulk through the vectorized
-:func:`~repro.federated.wire.decode_batch_array` machinery.
+A connection speaks for every id it registered: a frame claiming another id
+inside its range is that client's report.  Every malformed or late uplink is
+rejected *at the uplink* with :class:`~repro.exceptions.ProtocolError`
+accounting (``wire_rejects_total``, ``uplink.reject``/``uplink.late`` spans,
+each carrying the peer address and session id of its connection) and never
+folded into the per-bit counters.  Each drained batch of frames is decoded
+and validated as arrays, through the
+:func:`~repro.federated.wire.decode_batch_array` kernels, and accepted
+reports live in arrays indexed by client id.
 
 Distributed tracing: each ANNOUNCE carries the round's trace context (a
 seed-derived ``trace_id`` plus the attempt's ``serve.round`` span id), the
 fleet records ``fleet.*`` child spans against it, and after RESULT/ABORT each
-client ships them back in one TELEMETRY message.  The server remaps the span
+connection ships them back in one TELEMETRY message.  The server remaps the span
 ids, aligns client clocks using the HELLO handshake offset, stamps the spans
 ``remote``, and exports them through its own tracer -- one merged, causally
 linked timeline per round, strictly off the uplink hot path.
@@ -49,7 +55,7 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Any, Coroutine, Iterable, Sequence, TypeVar
 
 import numpy as np
 
@@ -58,6 +64,7 @@ from repro.core.results import MeanEstimate
 from repro.core.sampling import BitSamplingSchedule, central_assignment
 from repro.exceptions import ConfigurationError, ProtocolError, RoundFailedError
 from repro.federated.fleet import (
+    MAX_RANGE,
     ClientFleet,
     EmulationProfile,
     FleetResult,
@@ -95,8 +102,17 @@ __all__ = [
     "ServeResult",
     "in_process_estimate",
     "round_trace_id",
+    "run_coroutine",
     "run_loopback",
 ]
+
+_T = TypeVar("_T")
+
+#: ``uplink.reject`` reasons of the per-frame checks, indexed by reason code
+#: (0 accepts); a frame gets the first that applies.
+_FRAME_REASONS = (
+    "", "frame", "spoofed-id", "assignment-mismatch", "flag-mismatch", "duplicate",
+)
 
 
 def round_trace_id(seed: int) -> str:
@@ -219,13 +235,16 @@ class ServeResult:
     """Outcome of one served round (mirrors the in-process ``RoundOutcome``).
 
     ``accountant``/``meter``: one ledger entry per completed LDP attempt,
-    one metered bit per accepted report.
+    one metered bit per accepted report.  ``registered_clients`` and
+    ``telemetry_clients`` count clients; ``connections`` counts the fleet
+    connections (client ranges) that registered them.
     """
 
     estimate: MeanEstimate
     planned_clients: int
     surviving_clients: int
     registered_clients: int
+    connections: int
     attempts: int
     degraded: bool
     backoff_s: float
@@ -259,19 +278,42 @@ def _served_core(config: ServeConfig) -> RoundCore:
     )
 
 
+@dataclass(frozen=True)
+class _Reports:
+    """One attempt's accepted reports, as arrays indexed by client id."""
+
+    accepted: np.ndarray
+    bit_index: np.ndarray
+    bit: np.ndarray
+
+    @classmethod
+    def empty(cls, n_clients: int) -> "_Reports":
+        return cls(
+            np.zeros(n_clients, dtype=bool),
+            np.zeros(n_clients, dtype=np.int64),
+            np.zeros(n_clients, dtype=np.uint8),
+        )
+
+    def accept(self, clients: Any, bit_index: Any, bit: Any) -> None:
+        self.accepted[clients] = True
+        self.bit_index[clients] = bit_index
+        self.bit[clients] = bit
+
+
 def _fold_reports(
     core: RoundCore, span: Any, config: ServeConfig, attempt: int,
-    accepted: dict[int, tuple[int, int]], duration_s: float,
+    reports: _Reports, duration_s: float,
 ) -> RoundOutcome:
-    """One served attempt's quorum verdict and fold over ``{client: (bit_index, bit)}``."""
+    """One served attempt's quorum verdict and fold over its accepted reports."""
     n = config.n_clients
-    core.check_quorum(span, n, len(accepted), 1, attempt)
-    reports = np.array(list(accepted.values()), dtype=np.int64).reshape(-1, 2)
-    counts = np.bincount(reports[:, 0], minlength=config.n_bits)
-    sums = np.bincount(reports[:, 0], weights=reports[:, 1], minlength=config.n_bits)
+    clients = np.flatnonzero(reports.accepted)
+    core.check_quorum(span, n, clients.size, 1, attempt)
+    bit_index = reports.bit_index[clients]
+    counts = np.bincount(bit_index, minlength=config.n_bits)
+    sums = np.bincount(bit_index, weights=reports.bit[clients], minlength=config.n_bits)
     return core.fold(
         span, sums, counts, config.schedule.probabilities, n, duration_s, 1, attempt,
-        client_ids=list(accepted),
+        client_ids=clients.tolist(),
     )
 
 
@@ -300,7 +342,12 @@ class RoundServer:
         self._connections: set[asyncio.StreamWriter] = set()
         #: session id -> (writer, peer) of connections yet to send HELLO.
         self._greeting: dict[int, tuple[asyncio.StreamWriter, str]] = {}
-        self._writers: dict[int, asyncio.StreamWriter] = {}
+        #: range's first id -> (clients in the range, writer).
+        self._ranges: dict[int, tuple[int, asyncio.StreamWriter]] = {}
+        #: client id -> first id of the range that registered it (-1: none).
+        self._owner = np.full(config.n_clients, -1, dtype=np.int64)
+        self._registered = 0
+        #: (range's first id, seq, payload, arrival wall time) per REPORTS.
         self._uplinks: asyncio.Queue[tuple[int, int, bytes, float]] = asyncio.Queue()
         self._telemetry_queue: asyncio.Queue[tuple[int, bytes]] = asyncio.Queue()
         self._all_registered = asyncio.Event()
@@ -309,14 +356,14 @@ class RoundServer:
         self._telemetry_rejects = 0
         self._telemetry_clients = 0
         self._remote_spans = 0
-        #: client id -> (session id, "host:port" peer) for reject attribution.
+        #: range's first id -> (session id, "host:port" peer) for attribution.
         self._sessions: dict[int, tuple[int, str]] = {}
         self._session_counter = 0
-        #: clients whose connection handler is still alive (telemetry drain
-        #: stops early once every surviving client has hung up).
+        #: ranges whose connection handler is still alive (telemetry drain
+        #: stops early once every surviving connection has hung up).
         self._live: set[int] = set()
-        #: client id -> server_wall_at_HELLO - client_clock_in_HELLO; added
-        #: to every remote span start so fleet timelines align with ours.
+        #: range's first id -> server_wall_at_HELLO - fleet_clock_in_HELLO;
+        #: added to every remote span start so fleet timelines align with ours.
         self._clock_offsets: dict[int, float] = {}
         #: attempt -> that attempt's ``serve.round`` span id (remote
         #: ``fleet.round`` roots re-parent here on ingestion).
@@ -358,7 +405,7 @@ class RoundServer:
                     await writer.wait_closed()
                 except (ConnectionError, OSError):  # pragma: no cover - teardown race
                     pass
-        self._writers.clear()
+        self._ranges.clear()
         if self._server is not None:
             await self._server.wait_closed()
             self._server = None
@@ -370,10 +417,10 @@ class RoundServer:
         return tracer.wall_time() if tracer.enabled else time.time()
 
     def _attribution(self, client: int | None) -> dict[str, Any]:
-        """Peer address + session id attributes for a registered client."""
-        if client is None:
+        """Peer address + session id of the connection that registered ``client``."""
+        if client is None or not 0 <= client < self.config.n_clients:
             return {}
-        session = self._sessions.get(client)
+        session = self._sessions.get(int(self._owner[client]))
         if session is None:
             return {}
         return {"session": session[0], "peer": session[1]}
@@ -409,10 +456,13 @@ class RoundServer:
         with get_tracer().span("uplink.reject", attributes):
             pass
 
-    def _late_report(self, client: int, seq: int, attempt: int) -> None:
-        self._late += 1
-        get_metrics().counter("serve_late_reports_total").inc()
-        attributes: dict[str, Any] = {"client": client, "seq": seq, "attempt": attempt}
+    def _late_report(self, client: int, seq: int, attempt: int, frames: int) -> None:
+        """Account one stale-attempt REPORTS message: one late report per frame."""
+        self._late += frames
+        get_metrics().counter("serve_late_reports_total").inc(frames)
+        attributes: dict[str, Any] = {
+            "client": client, "seq": seq, "attempt": attempt, "frames": frames,
+        }
         attributes.update(self._attribution(client))
         with get_tracer().span("uplink.late", attributes):
             pass
@@ -420,7 +470,7 @@ class RoundServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        """Register one client, then pump its uplinks into the queue."""
+        """Register one connection's client range, then pump its uplinks into the queue."""
         get_metrics().counter("serve_connections_total").inc()
         self._session_counter += 1
         session = self._session_counter
@@ -432,7 +482,7 @@ class RoundServer:
         )
         self._connections.add(writer)
         self._greeting[session] = (writer, peer)
-        client_id: int | None = None
+        lo: int | None = None
         try:
             try:
                 kind, _seq, payload = await read_message(reader)
@@ -442,31 +492,34 @@ class RoundServer:
                     raise ProtocolError(f"expected HELLO, got message kind {kind}")
                 hello = json.loads(payload)
                 client_id = int(hello["client_id"])
-            except ProtocolError as exc:
+                k = hello.get("clients", 1)
+                if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= MAX_RANGE:
+                    raise ValueError(f"HELLO clients must be an int in [1, {MAX_RANGE}], got {k!r}")
+            except (ProtocolError, KeyError, TypeError, ValueError) as exc:
                 self._reject(None, "hello", 0, str(exc), peer=peer, session=session)
                 return
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                self._reject(None, "hello", 0, str(exc), peer=peer, session=session)
-                return
-            if not 0 <= client_id < self.config.n_clients:
+            if not 0 <= client_id <= self.config.n_clients - k:
                 self._reject(client_id, "hello-id-range", 0, peer=peer, session=session)
                 return
-            if client_id in self._writers:
+            if (self._owner[client_id:client_id + k] >= 0).any():
                 self._reject(client_id, "hello-duplicate", 0, peer=peer, session=session)
                 return
-            self._writers[client_id] = writer
-            self._sessions[client_id] = (session, peer)
-            self._live.add(client_id)
-            # Clock-skew anchor: the HELLO carries the client's wall clock;
+            lo = client_id
+            self._owner[lo:lo + k] = lo
+            self._ranges[lo] = (k, writer)
+            self._sessions[lo] = (session, peer)
+            self._registered += k
+            self._live.add(lo)
+            # Clock-skew anchor: the HELLO carries the fleet's wall clock;
             # paired with our receive time it aligns every remote span this
-            # client later uplinks.  Only read the clock when someone will
+            # connection later uplinks.  Only read the clock when someone will
             # consume the offset (a live tracer).
             tracer = get_tracer()
             if tracer.enabled:
-                clock_s = hello.get("clock_s") if isinstance(hello, dict) else None
+                clock_s = hello.get("clock_s")
                 if isinstance(clock_s, (int, float)) and not isinstance(clock_s, bool):
-                    self._clock_offsets[client_id] = tracer.wall_time() - float(clock_s)
-            if len(self._writers) == self.config.n_clients:
+                    self._clock_offsets[lo] = tracer.wall_time() - float(clock_s)
+            if self._registered == self.config.n_clients:
                 self._all_registered.set()
             while True:
                 try:
@@ -474,22 +527,22 @@ class RoundServer:
                 except ProtocolError as exc:
                     # Garbage at the message layer desynchronizes the stream:
                     # account it and drop the connection.
-                    self._reject(client_id, "message", 0, str(exc))
+                    self._reject(lo, "message", 0, str(exc))
                     return
                 if kind == MSG_TELEMETRY:
-                    await self._telemetry_queue.put((client_id, payload))
+                    await self._telemetry_queue.put((lo, payload))
                     continue
                 if kind != MSG_REPORTS:
-                    self._reject(client_id, "unexpected-kind", seq, f"kind {kind}")
+                    self._reject(lo, "unexpected-kind", seq, f"kind {kind}")
                     continue
-                await self._uplinks.put((client_id, seq, payload, self._arrival_clock()))
+                await self._uplinks.put((lo, seq, payload, self._arrival_clock()))
         except (asyncio.IncompleteReadError, ConnectionError):
             return
         finally:
             self._greeting.pop(session, None)
-            if client_id is not None:
-                self._live.discard(client_id)
-            if client_id is None or self._writers.get(client_id) is not writer:
+            if lo is not None:
+                self._live.discard(lo)
+            if lo is None or self._ranges.get(lo, (0, None))[1] is not writer:
                 writer.close()
                 self._connections.discard(writer)
 
@@ -497,7 +550,7 @@ class RoundServer:
     async def _broadcast_announce(
         self, assignment: np.ndarray, attempt: int, parent_span_id: int = 0
     ) -> None:
-        """Send each registered client its bit assignment for this attempt."""
+        """Send each registered range its slice of this attempt's bit assignment."""
         cfg = self.config
         base = {
             "attempt": attempt,
@@ -514,8 +567,9 @@ class RoundServer:
                 parent_span_id=parent_span_id,
                 clock_s=self._wall_now(),
             )
-        for client_id, writer in self._writers.items():
-            payload = dict(base, bit_index=int(assignment[client_id]))
+        for lo, (k, writer) in list(self._ranges.items()):
+            indices = int(assignment[lo]) if k == 1 else assignment[lo:lo + k].tolist()
+            payload = dict(base, bit_index=indices)
             try:
                 writer.write(
                     encode_message(MSG_ANNOUNCE, encode_announce(payload, context), seq=attempt)
@@ -526,7 +580,7 @@ class RoundServer:
 
     async def _broadcast_control(self, kind: int, payload: dict, attempt: int) -> None:
         message = encode_message(kind, json.dumps(payload).encode(), seq=attempt)
-        for writer in self._writers.values():
+        for _k, writer in list(self._ranges.values()):
             try:
                 writer.write(message)
                 await writer.drain()
@@ -539,102 +593,129 @@ class RoundServer:
         batch: Sequence[tuple[int, int, bytes, float]],
         attempt: int,
         assignment: np.ndarray,
-        accepted: dict[int, tuple[int, int]],
-        accept_log: list[tuple[int, float, float]],
-    ) -> None:
-        """Validate one drained batch of uplinks; fold survivors into ``accepted``.
+        reports: _Reports,
+        accept_log: list[tuple[np.ndarray, np.ndarray, float]],
+    ) -> int:
+        """Validate one drained batch of uplinks; accept survivors into ``reports``.
 
-        The frame layer is vectorized: every well-sized frame in the batch is
-        decoded through one structured ``frombuffer`` plus one validity mask
-        (the :func:`~repro.federated.wire.decode_batch_array` kernels), and
-        only invalid frames pay a scalar :func:`decode_report` call to
-        recover the exact :class:`ProtocolError` message for the reject span.
+        Each REPORTS message first passes the per-message checks: a stale
+        attempt counts its frames late, and a payload that is not 1 to ``k``
+        whole frames (``k`` = its connection's range) is one ``frame-size``
+        reject.  The frames of every other message then go through one
+        structured ``frombuffer`` (the
+        :func:`~repro.federated.wire.decode_batch_array` kernels) and get one
+        reason code each, in the order of :data:`_FRAME_REASONS`: ``frame``,
+        ``spoofed-id`` (the claimed id lies outside the connection's range),
+        ``assignment-mismatch``, ``flag-mismatch``, ``duplicate`` (already
+        accepted, or repeated within the batch).  Only rejected frames pay a
+        Python loop, for their spans and their scalar :func:`decode_report`
+        messages.  Returns the number of reports accepted.
 
-        ``accept_log`` collects ``(client, arrival_wall_s, drained_wall_s)``
-        per accepted uplink when tracing is live -- plain appends here, one
-        wall read per *batch*; the timing spans are emitted once per attempt,
-        never per uplink.
+        ``accept_log`` collects ``(clients, arrival_wall_s, drained_wall_s)``
+        arrays per batch when tracing is live -- one wall read per *batch*;
+        the timing spans are emitted once per attempt, never per uplink.
         """
-        current: list[tuple[int, bytes, float]] = []
-        for client_id, seq, payload, arrival_s in batch:
+        owners: list[int] = []
+        sizes: list[int] = []
+        counts: list[int] = []
+        payloads: list[bytes] = []
+        arrivals: list[float] = []
+        for lo, seq, payload, arrival_s in batch:
+            k = self._ranges[lo][0]
+            frames, partial = divmod(len(payload), REPORT_SIZE)
+            well_sized = not partial and 1 <= frames <= k
             if seq != attempt:
-                self._late_report(client_id, seq, attempt)
+                self._late_report(lo, seq, attempt, frames if well_sized else 1)
                 continue
-            if len(payload) != REPORT_SIZE:
+            if not well_sized:
+                shape = (
+                    f"one {REPORT_SIZE}-byte frame"
+                    if k == 1
+                    else f"1 to {k} whole {REPORT_SIZE}-byte frames"
+                )
                 self._reject(
-                    client_id,
-                    "frame-size",
-                    attempt,
-                    f"uplink of {len(payload)} bytes is not one {REPORT_SIZE}-byte frame",
+                    lo, "frame-size", attempt, f"uplink of {len(payload)} bytes is not {shape}"
                 )
                 continue
-            current.append((client_id, payload, arrival_s))
-        if not current:
-            return
+            owners.append(lo)
+            sizes.append(k)
+            counts.append(frames)
+            payloads.append(payload)
+            arrivals.append(arrival_s)
+        if not payloads:
+            return 0
         tracer = get_tracer()
         drained_s = tracer.wall_time() if tracer.enabled else 0.0
-        with tracer.span("uplink.drain", {"uplinks": len(current), "attempt": attempt}):
-            data = b"".join(frame for _owner, frame, _t in current)
+        with tracer.span(
+            "uplink.drain",
+            {"uplinks": len(payloads), "frames": sum(counts), "attempt": attempt},
+        ):
+            data = b"".join(payloads)
             fields = _frame_fields(data)
-            valid = _frame_validity(fields)
+            lo = np.repeat(np.asarray(owners, dtype=np.uint64), counts)
+            hi = lo + np.repeat(np.asarray(sizes, dtype=np.uint64), counts)
+            claimed = fields["client_id"]
+            in_range = (claimed >= lo) & (claimed < hi)
+            clients = np.where(in_range, claimed, lo).astype(np.int64)
+            bit_index = fields["bit_index"].astype(np.int64)
+            randomized = (fields["flags"] & FLAG_RANDOMIZED_RESPONSE) != 0
             rr_expected = self.config.epsilon is not None
-            for i, (owner, frame, arrival_s) in enumerate(current):
-                if not valid[i]:
+            code = np.select(
+                [
+                    ~_frame_validity(fields),
+                    ~in_range,
+                    bit_index != assignment[clients],
+                    randomized != rr_expected,
+                ],
+                [1, 2, 3, 4],
+                0,
+            )
+            candidates = np.flatnonzero(code == 0)
+            _unique, first = np.unique(clients[candidates], return_index=True)
+            repeated = np.ones(candidates.size, dtype=bool)
+            repeated[first] = False
+            code[candidates[repeated | reports.accepted[clients[candidates]]]] = 5
+            accept = np.flatnonzero(code == 0)
+            reports.accept(clients[accept], bit_index[accept], fields["bit"][accept])
+            if tracer.enabled and accept.size:
+                arrival_s = np.repeat(np.asarray(arrivals, dtype=np.float64), counts)
+                accept_log.append((clients[accept], arrival_s[accept], drained_s))
+            for i in np.flatnonzero(code).tolist():
+                reason = _FRAME_REASONS[code[i]]
+                client = int(clients[i])
+                if reason == "frame":
                     try:
-                        decode_report(frame)
+                        decode_report(data[i * REPORT_SIZE:(i + 1) * REPORT_SIZE])
                         detail = "invalid frame"  # pragma: no cover - decode raises
                     except ProtocolError as exc:
                         detail = str(exc)
-                    self._reject(owner, "frame", attempt, detail)
-                    continue
-                if int(fields["client_id"][i]) != owner:
-                    self._reject(
-                        owner,
-                        "spoofed-id",
-                        attempt,
-                        f"frame claims client {int(fields['client_id'][i])}",
-                    )
-                    continue
-                bit_index = int(fields["bit_index"][i])
-                if bit_index != int(assignment[owner]):
-                    self._reject(
-                        owner,
-                        "assignment-mismatch",
-                        attempt,
-                        f"reported bit {bit_index}, assigned {int(assignment[owner])}",
-                    )
-                    continue
-                randomized = bool(fields["flags"][i] & FLAG_RANDOMIZED_RESPONSE)
-                if randomized != rr_expected:
-                    self._reject(
-                        owner,
-                        "flag-mismatch",
-                        attempt,
-                        f"randomized_response={randomized}, expected {rr_expected}",
-                    )
-                    continue
-                if owner in accepted:
-                    self._reject(owner, "duplicate", attempt)
-                    continue
-                accepted[owner] = (bit_index, int(fields["bit"][i]))
-                if tracer.enabled:
-                    accept_log.append((owner, arrival_s, drained_s))
+                elif reason == "spoofed-id":
+                    detail = f"frame claims client {int(claimed[i])}"
+                elif reason == "assignment-mismatch":
+                    detail = f"reported bit {bit_index[i]}, assigned {int(assignment[client])}"
+                elif reason == "flag-mismatch":
+                    detail = f"randomized_response={bool(randomized[i])}, expected {rr_expected}"
+                else:
+                    detail = ""
+                self._reject(client, reason, attempt, detail)
+        return int(accept.size)
 
     async def _collect(
         self, attempt: int, assignment: np.ndarray
-    ) -> tuple[dict[int, tuple[int, int]], float, list[tuple[int, float, float]]]:
+    ) -> tuple[_Reports, float, list[tuple[np.ndarray, np.ndarray, float]]]:
         """Collect uplinks until every registered client reported or the deadline."""
         loop = asyncio.get_running_loop()
-        accepted: dict[int, tuple[int, int]] = {}
-        accept_log: list[tuple[int, float, float]] = []
-        expected = len(self._writers)
+        reports = _Reports.empty(self.config.n_clients)
+        accepted = 0
+        accept_log: list[tuple[np.ndarray, np.ndarray, float]] = []
+        expected = self._registered
         start = loop.time()
         deadline = None if self.config.deadline_s is None else start + self.config.deadline_s
         with get_tracer().span(
             "serve.collect",
             {"attempt": attempt, "expected": expected, "deadline_s": self.config.deadline_s},
         ) as span:
-            while len(accepted) < expected:
+            while accepted < expected:
                 timeout = None if deadline is None else deadline - loop.time()
                 if timeout is not None and timeout <= 0:
                     break
@@ -645,29 +726,29 @@ class RoundServer:
                 batch = [first]
                 while not self._uplinks.empty():
                     batch.append(self._uplinks.get_nowait())
-                self._process_uplinks(batch, attempt, assignment, accepted, accept_log)
+                accepted += self._process_uplinks(batch, attempt, assignment, reports, accept_log)
             duration = loop.time() - start
-            span.set_attribute("accepted", len(accepted))
+            span.set_attribute("accepted", accepted)
             span.set_attribute("duration_s", duration)
         metrics = get_metrics()
         if metrics.enabled:
-            metrics.counter("serve_reports_total").inc(len(accepted))
+            metrics.counter("serve_reports_total").inc(accepted)
             metrics.histogram("serve_collect_duration_s").observe(duration)
             if duration > 0:
-                metrics.gauge("serve_reports_per_s").set(len(accepted) / duration)
-        return accepted, duration, accept_log
+                metrics.gauge("serve_reports_per_s").set(accepted / duration)
+        return reports, duration, accept_log
 
     # ------------------------------------------------------------------
     def _record_uplink_timings(
         self,
         attempt: int,
         announce_wall: float,
-        accept_log: list[tuple[int, float, float]],
+        accept_log: list[tuple[np.ndarray, np.ndarray, float]],
         round_span: Any,
     ) -> None:
         """One ``serve.uplink_timings`` span per attempt + straggler stats.
 
-        The per-uplink arrival and queue-delay samples ride as index-aligned
+        The per-report arrival and queue-delay samples ride as index-aligned
         arrays on a single span (never a span per uplink), and the attempt's
         ``serve.round`` span gains the median / slowest-decile uplink latency
         attributes the ``straggler-skew`` health rule and the report's
@@ -676,21 +757,21 @@ class RoundServer:
         tracer = get_tracer()
         if not tracer.enabled or not accept_log:
             return
-        clients = [owner for owner, _a, _d in accept_log]
-        arrival_s = [arrival for _o, arrival, _d in accept_log]
-        queue_delay_s = [drained - arrival for _o, arrival, drained in accept_log]
+        clients = np.concatenate([ids for ids, _a, _d in accept_log])
+        arrival_s = np.concatenate([arrival for _i, arrival, _d in accept_log])
+        queue_delay_s = np.concatenate([drained - arrival for _i, arrival, drained in accept_log])
         with tracer.span(
             "serve.uplink_timings",
             {
                 "attempt": attempt,
                 "announce_s": announce_wall,
-                "clients": clients,
-                "arrival_s": arrival_s,
-                "queue_delay_s": queue_delay_s,
+                "clients": clients.tolist(),
+                "arrival_s": arrival_s.tolist(),
+                "queue_delay_s": queue_delay_s.tolist(),
             },
         ):
             pass
-        latencies = np.asarray(arrival_s, dtype=np.float64) - announce_wall
+        latencies = arrival_s - announce_wall
         latencies.sort()
         slowest = latencies[-max(1, latencies.size // 10):]
         round_span.set_attribute("uplink_median_s", float(np.median(latencies)))
@@ -702,14 +783,14 @@ class RoundServer:
 
         Strictly off the uplink hot path: runs once, after RESULT/ABORT has
         been broadcast.  Waits up to ``telemetry_timeout_s`` for one message
-        per registered client, but gives up early once every surviving
+        per registered connection, but gives up early once every surviving
         connection has hung up -- an old (pre-tracing) fleet costs one poll
         interval, not the full timeout.
         """
         cfg = self.config
         if not cfg.telemetry:
             return
-        expected = len(self._writers)
+        expected = len(self._ranges)
         loop = asyncio.get_running_loop()
         deadline = loop.time() + cfg.telemetry_timeout_s
         with get_tracer().span(
@@ -718,20 +799,18 @@ class RoundServer:
             received = 0
             while received < expected:
                 try:
-                    client_id, payload = self._telemetry_queue.get_nowait()
+                    lo, payload = self._telemetry_queue.get_nowait()
                 except asyncio.QueueEmpty:
                     if loop.time() >= deadline:
                         break
                     if not self._live:
-                        break  # every client hung up; nothing more is coming
+                        break  # every connection hung up; nothing more is coming
                     try:
-                        client_id, payload = await asyncio.wait_for(
-                            self._telemetry_queue.get(), 0.05
-                        )
+                        lo, payload = await asyncio.wait_for(self._telemetry_queue.get(), 0.05)
                     except asyncio.TimeoutError:
                         continue
                 received += 1
-                self._ingest_telemetry(client_id, payload)
+                self._ingest_telemetry(lo, payload)
             span.set_attribute("received", received)
             span.set_attribute("ingested_clients", self._telemetry_clients)
             span.set_attribute("remote_spans", self._remote_spans)
@@ -746,14 +825,16 @@ class RoundServer:
             pass
 
     def _ingest_telemetry(self, client_id: int, payload: bytes) -> None:
-        """Fold one client's telemetry into the tracer and metrics registry.
+        """Fold one connection's telemetry into the tracer and metrics registry.
 
-        Remote spans are remapped into the server tracer's id space, clock-
-        aligned with the client's HELLO-derived offset, re-parented under the
-        attempt's ``serve.round`` span (roots) and stamped ``remote`` -- then
-        exported through the normal fan-out, so the flight recorder captures
-        the whole fleet.  Any defect rejects the payload without touching
-        the round.
+        ``client_id`` is the first id of the connection's range, and the
+        message covers the range's ``k`` clients.  Remote spans are remapped
+        into the server tracer's id space, clock-aligned with the
+        connection's HELLO-derived offset, re-parented under the attempt's
+        ``serve.round`` span (roots) and stamped ``remote`` with the range's
+        ``client`` and ``clients`` -- then exported through the normal
+        fan-out, so the flight recorder captures the whole fleet.  Any defect
+        rejects the payload without touching the round.
         """
         try:
             telemetry = decode_telemetry(payload)
@@ -773,6 +854,7 @@ class RoundServer:
             except (AttributeError, KeyError, TypeError, ValueError) as exc:
                 self._reject_telemetry(client_id, f"unmergeable metrics: {exc}")
                 return
+        k = self._ranges.get(client_id, (1, None))[0]
         tracer = get_tracer()
         if tracer.enabled and telemetry.spans:
             offset = self._clock_offsets.get(client_id, 0.0)
@@ -790,7 +872,7 @@ class RoundServer:
                 attributes = dict(span.get("attributes", {}))
                 attributes.update(attribution)
                 attributes.update(
-                    {"remote": True, "client": client_id, "trace_id": self.trace_id}
+                    {"remote": True, "client": client_id, "clients": k, "trace_id": self.trace_id}
                 )
                 tracer.ingest(
                     SpanRecord(
@@ -806,9 +888,9 @@ class RoundServer:
             self._remote_spans += len(telemetry.spans)
             if metrics.enabled:
                 metrics.counter("serve_telemetry_spans_total").inc(len(telemetry.spans))
-        self._telemetry_clients += 1
+        self._telemetry_clients += k
         if metrics.enabled:
-            metrics.counter("serve_telemetry_clients_total").inc()
+            metrics.counter("serve_telemetry_clients_total").inc(k)
 
     # ------------------------------------------------------------------
     async def serve_round(self) -> ServeResult:
@@ -845,8 +927,9 @@ class RoundServer:
                     self._reject(None, "hello-timeout", 0, peer=peer, session=session)
                     writer.close()
                 self._greeting.clear()
-                registered = len(self._writers)
+                registered, connections = self._registered, len(self._ranges)
                 reg_span.set_attribute("registered", registered)
+                reg_span.set_attribute("connections", connections)
             session_span.set_attribute("registered", registered)
 
             attempts = AttemptLoop(self.core)
@@ -901,6 +984,7 @@ class RoundServer:
                 planned_clients=n,
                 surviving_clients=outcome.surviving_clients,
                 registered_clients=registered,
+                connections=connections,
                 attempts=outcome.attempts,
                 degraded=outcome.degraded,
                 backoff_s=outcome.backoff_s,
@@ -930,15 +1014,16 @@ class RoundServer:
             with tracer.span("round.assign", {"n_bits": cfg.n_bits, "n_clients": n}):
                 assignment = central_assignment(n, cfg.schedule, gen)
             with tracer.span(
-                "serve.announce", {"clients": len(self._writers), "attempt": attempt}
+                "serve.announce",
+                {"clients": self._registered, "connections": len(self._ranges), "attempt": attempt},
             ):
                 announce_wall = self._wall_now() if tracer.enabled else 0.0
                 await self._broadcast_announce(
                     assignment, attempt, parent_span_id=round_span_id or 0
                 )
-            accepted, duration, accept_log = await self._collect(attempt, assignment)
+            reports, duration, accept_log = await self._collect(attempt, assignment)
             self._record_uplink_timings(attempt, announce_wall, accept_log, round_span)
-            return _fold_reports(self.core, round_span, cfg, attempt, accepted, duration)
+            return _fold_reports(self.core, round_span, cfg, attempt, reports, duration)
 
 
 # ----------------------------------------------------------------------
@@ -977,15 +1062,15 @@ def in_process_estimate(
     attempts = AttemptLoop(core)
     while True:
         assignment = central_assignment(config.n_clients, config.schedule, gen)
-        accepted: dict[int, tuple[int, int]] = {}
+        reports = _Reports.empty(config.n_clients)
         for i, client_gen in enumerate(client_gens):
             bit_index = int(assignment[i])
             bit = report_bit(vals[i], bit_index, core.encoder, config.epsilon, client_gen)
             delivered = profile is None or profile.draw(client_gen)[0]
             if delivered and i not in excluded:
-                accepted[i] = (bit_index, bit)
+                reports.accept(i, bit_index, bit)
         try:
-            outcome = _fold_reports(core, NullSpan(), config, attempts.attempt, accepted, 0.0)
+            outcome = _fold_reports(core, NullSpan(), config, attempts.attempt, reports, 0.0)
         except RoundFailedError as exc:
             if attempts.retry_after(exc):
                 continue
@@ -1045,6 +1130,23 @@ def run_loopback(
     wire protocol, but setup/teardown is a single call.  ``clock_factory``
     is forwarded to the fleet (deterministic client-side telemetry clocks).
     """
-    return asyncio.run(
-        _loopback(config, values, profile, fleet_seed, mutate, clock_factory)
-    )
+    return run_coroutine(_loopback(config, values, profile, fleet_seed, mutate, clock_factory))
+
+
+def run_coroutine(coro: Coroutine[Any, Any, _T]) -> _T:
+    """``asyncio.run(coro)``, with the result passed back through a local.
+
+    On Python 3.11 and 3.12, ``asyncio.run`` restores the SIGINT handler
+    through ``signal.getsignal``, which fails an enum lookup on the runner's
+    ``functools.partial`` and builds a ``ValueError`` message holding the
+    finished main task's repr -- and with it ``reprlib.repr`` of the task's
+    result, which calls a dataclass ``__repr__`` in full before truncating.
+    A main task that returns ``None`` keeps that message cheap.
+    """
+    box: list[_T] = []
+
+    async def main() -> None:
+        box.append(await coro)
+
+    asyncio.run(main())
+    return box[0]

@@ -50,6 +50,7 @@ __all__ = [
     "encode_batch",
     "decode_batch",
     "decode_batch_array",
+    "encode_frames",
     "encode_announce",
     "decode_announce",
     "encode_telemetry",
@@ -267,6 +268,36 @@ def _frame_validity(fields: np.ndarray) -> np.ndarray:
         & (fields["bit_index"] < 64)
         & ((fields["flags"] & ~np.uint8(FLAG_RANDOMIZED_RESPONSE)) == 0)
     )
+
+
+def encode_frames(
+    client_ids: np.ndarray,
+    bit_indices: np.ndarray,
+    bits: np.ndarray,
+    randomized_response: bool = False,
+) -> bytes:
+    """Vectorized :func:`encode_batch`: the frames of index-aligned arrays.
+
+    One structured array through the frame dtype, so the bytes are exactly
+    ``encode_batch`` over the same reports -- the uplink of a fleet
+    connection that speaks for a range of clients.  Out-of-range fields
+    raise :class:`ProtocolError`, as :func:`encode_report` does.
+    """
+    ids = np.asarray(client_ids)
+    indices = np.asarray(bit_indices)
+    values = np.asarray(bits)
+    if ids.size and (
+        ids.min() < 0 or indices.min() < 0 or indices.max() >= 64 or values.max() > 1
+    ):
+        raise ProtocolError("frame fields out of range: id >= 0, bit index in [0, 64), bit 0/1")
+    frames = np.empty(ids.shape[0], dtype=_FRAME_DTYPE)
+    frames["magic"] = MAGIC
+    frames["version"] = VERSION
+    frames["bit_index"] = indices
+    frames["bit"] = values
+    frames["flags"] = FLAG_RANDOMIZED_RESPONSE if randomized_response else 0
+    frames["client_id"] = ids
+    return frames.tobytes()
 
 
 def decode_batch_array(data: bytes) -> ReportBatch:

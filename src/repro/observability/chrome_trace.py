@@ -3,13 +3,15 @@
 A served round's flight-recorder artifact holds two kinds of spans: the
 server's own phases (``serve.round``, ``serve.announce``, ``serve.collect``,
 ...) and remote spans ingested from fleet telemetry (``fleet.round``,
-``fleet.encode``, ``fleet.uplink``, stamped ``remote: True`` with a
-``client`` attribute and clock-skew-aligned timestamps).  This module lays
-them out as Chrome trace-event JSON -- the ``{"traceEvents": [...]}`` format
-that Perfetto and ``chrome://tracing`` render natively -- with the server's
-phases on their own track and one track per fleet client, so one timeline
-shows ANNOUNCE fan-out, every client's encode/uplink window, and the
-server-side collect/reconstruct tail end to end.
+``fleet.encode``, ``fleet.uplink``, stamped ``remote: True`` with the
+``client`` (first id) and ``clients`` (size) of the fleet connection's client
+range, and clock-skew-aligned timestamps).  This module lays them out as
+Chrome trace-event JSON -- the ``{"traceEvents": [...]}`` format that
+Perfetto and ``chrome://tracing`` render natively -- with the server's
+phases on their own track and one track per fleet connection, labelled with
+its range, so one timeline shows ANNOUNCE fan-out, every connection's
+encode/uplink window, and the server-side collect/reconstruct tail end to
+end.
 
 Timestamps are emitted in microseconds relative to the earliest span in the
 export (Chrome's viewers dislike epoch-sized ``ts`` values); durations are
@@ -28,7 +30,7 @@ from repro.observability.tracing import SpanRecord
 
 __all__ = ["SERVER_TRACK", "build_chrome_trace", "write_chrome_trace"]
 
-#: Thread id of the server-phase track (clients are numbered from 1).
+#: Thread id of the server-phase track (fleet connections are numbered from 1).
 SERVER_TRACK = 0
 
 _PID = 1
@@ -56,17 +58,19 @@ def build_chrome_trace(
 
     Local (server) spans land on thread :data:`SERVER_TRACK`; spans whose
     attributes carry ``remote: True`` land on one thread per distinct
-    ``client`` attribute, ordered by client id.  Returns the complete
-    ``{"traceEvents": [...], ...}`` document, metadata events included.
+    ``client`` attribute (a fleet connection's first client id), ordered by
+    client id and labelled ``client i`` or, for a range of ``k > 1``
+    clients, ``clients i-j``.  ``otherData["clients"]`` counts the clients
+    the tracks cover.  Returns the complete ``{"traceEvents": [...], ...}``
+    document, metadata events included.
     """
     spans = list(records)
-    clients = sorted(
-        {
-            int(record.attributes["client"])
-            for record in spans
-            if record.attributes.get("remote") and "client" in record.attributes
-        }
-    )
+    ranges: dict[int, int] = {}
+    for record in spans:
+        if record.attributes.get("remote") and "client" in record.attributes:
+            client = int(record.attributes["client"])
+            ranges[client] = max(ranges.get(client, 1), int(record.attributes.get("clients", 1)))
+    clients = sorted(ranges)
     tids = {client: index + 1 for index, client in enumerate(clients)}
     origin_s = min((record.start_time_s for record in spans), default=0.0)
 
@@ -87,13 +91,15 @@ def build_chrome_trace(
         },
     ]
     for client in clients:
+        k = ranges[client]
+        name = f"client {client}" if k == 1 else f"clients {client}-{client + k - 1}"
         events.append(
             {
                 "name": "thread_name",
                 "ph": "M",
                 "pid": _PID,
                 "tid": tids[client],
-                "args": {"name": f"client {client}"},
+                "args": {"name": name},
             }
         )
 
@@ -122,7 +128,7 @@ def build_chrome_trace(
         "otherData": {
             "label": label,
             "spans": len(spans),
-            "clients": len(clients),
+            "clients": sum(ranges.values()),
         },
     }
 

@@ -40,8 +40,9 @@ from repro.federated import (
     round_trace_id,
     run_loopback,
 )
+from repro.federated import fleet as fleet_module
 from repro.federated.client import BitReport
-from repro.federated.fleet import read_message
+from repro.federated.fleet import fleet_ranges, read_message
 from repro.federated.wire import (
     MSG_ABORT,
     MSG_ANNOUNCE,
@@ -71,6 +72,8 @@ class TestLoopbackParity:
         values = fleet_values(n, seed=3)
         cfg = ServeConfig(n_clients=n, seed=11, deadline_s=10.0, registration_timeout_s=5.0)
         served, fleet = run_loopback(cfg, values, fleet_seed=3)
+        assert served.connections == len(fleet_ranges(n))
+        assert served.registered_clients == n
 
         population = [ClientDevice(i, [float(v)]) for i, v in enumerate(values)]
         in_process = FederatedMeanQuery(
@@ -440,6 +443,22 @@ class TestServedPrivacyAccounting:
         assert served.meter.total_bits == n
 
 
+@pytest.fixture
+def ranges_of_one(monkeypatch):
+    """Every fleet connection speaks for one client: the one-device protocol shape."""
+    monkeypatch.setattr(fleet_module, "FLEET_CONNECTIONS", 10**6)
+
+
+@pytest.mark.usefixtures("ranges_of_one")
+class TestLoopbackParityRangesOfOne(TestLoopbackParity):
+    """:class:`TestLoopbackParity` with one client per fleet connection."""
+
+
+@pytest.mark.usefixtures("ranges_of_one")
+class TestServedPrivacyAccountingRangesOfOne(TestServedPrivacyAccounting):
+    """:class:`TestServedPrivacyAccounting` with one client per fleet connection."""
+
+
 def _undecodable(data: bytes) -> bytes:
     """Make arbitrary bytes guaranteed-invalid as a report frame."""
     if len(data) != REPORT_SIZE:
@@ -447,40 +466,77 @@ def _undecodable(data: bytes) -> bytes:
     return b"\x00" + data[1:]  # can never carry the frame magic
 
 
+def _rejects_for(payload: bytes, k: int) -> int:
+    """Rejects one garbage uplink earns on a range of ``k`` clients.
+
+    A payload of 1 to ``k`` whole frames is checked frame by frame (every
+    frame here is undecodable); any other size is one ``frame-size`` reject.
+    """
+    frames, partial = divmod(len(payload), REPORT_SIZE)
+    return frames if not partial and 1 <= frames <= k else 1
+
+
+def _fuzzed_round(data) -> None:
+    """Garbage uplinks from a drawn set of clients never break the round."""
+    n = 8
+    corrupted = data.draw(
+        st.sets(st.integers(min_value=0, max_value=n - 1), min_size=1, max_size=n - 1)
+    )
+    garbage = {
+        cid: data.draw(st.binary(max_size=3 * REPORT_SIZE).map(_undecodable))
+        for cid in sorted(corrupted)
+    }
+    values = fleet_values(n, seed=13)
+    cfg = ServeConfig(n_clients=n, seed=21, deadline_s=0.4, registration_timeout_s=5.0)
+    registry = MetricsRegistry()
+    memory = InMemoryExporter()
+    with instrumented(Tracer([memory]), registry):
+        served, fleet = run_loopback(
+            cfg,
+            values,
+            fleet_seed=13,
+            mutate=lambda cid, attempt, frame: garbage.get(cid, frame),
+        )
+    twin = in_process_estimate(values, cfg, fleet_seed=13, corrupted=corrupted)
+    range_size = {c: hi - lo for lo, hi in fleet_ranges(n) for c in range(lo, hi)}
+    expected = sum(_rejects_for(garbage[cid], range_size[cid]) for cid in corrupted)
+
+    assert served.estimate.value == twin.value
+    assert served.surviving_clients == n - len(corrupted)
+    assert served.wire_rejects == expected
+    counters = registry.snapshot()["counters"]
+    assert counters["wire_rejects_total"] == float(expected)
+    rejects = [r for r in memory.records if r.name == "uplink.reject"]
+    assert len(rejects) == expected
+    assert {r.attributes["reason"] for r in rejects} <= {"frame", "frame-size"}
+    assert fleet.uplinks_sent == n
+
+
 class TestFuzzedServedRound:
     @given(data=st.data())
     @settings(max_examples=6, deadline=None)
     def test_fuzzed_uplinks_never_break_the_round(self, data):
-        n = 8
-        corrupted = data.draw(
-            st.sets(st.integers(min_value=0, max_value=n - 1), min_size=1, max_size=n - 1)
-        )
-        garbage = {
-            cid: data.draw(st.binary(max_size=3 * REPORT_SIZE).map(_undecodable))
-            for cid in sorted(corrupted)
-        }
-        values = fleet_values(n, seed=13)
-        cfg = ServeConfig(n_clients=n, seed=21, deadline_s=0.4, registration_timeout_s=5.0)
-        registry = MetricsRegistry()
-        memory = InMemoryExporter()
-        with instrumented(Tracer([memory]), registry):
-            served, fleet = run_loopback(
-                cfg,
-                values,
-                fleet_seed=13,
-                mutate=lambda cid, attempt, frame: garbage.get(cid, frame),
-            )
-        twin = in_process_estimate(values, cfg, fleet_seed=13, corrupted=corrupted)
+        _fuzzed_round(data)
 
-        assert served.estimate.value == twin.value
-        assert served.surviving_clients == n - len(corrupted)
-        assert served.wire_rejects == len(corrupted)
-        counters = registry.snapshot()["counters"]
-        assert counters["wire_rejects_total"] == float(len(corrupted))
-        rejects = [r for r in memory.records if r.name == "uplink.reject"]
-        assert len(rejects) == len(corrupted)
-        assert {r.attributes["reason"] for r in rejects} <= {"frame", "frame-size"}
-        assert fleet.uplinks_sent == n
+
+@pytest.fixture
+def ranges_of_four(monkeypatch):
+    """The fuzzed fleet of 8 on two connections of four clients."""
+    monkeypatch.setattr(fleet_module, "FLEET_CONNECTIONS", 2)
+
+
+@pytest.mark.usefixtures("ranges_of_four")
+class TestFuzzedServedRoundOnRanges:
+    """:class:`TestFuzzedServedRound` on ranges of four clients.
+
+    Its fleet of 8 runs one client per connection by default, so this is the
+    shape where whole-frame garbage shares its range's message.
+    """
+
+    @given(data=st.data())
+    @settings(max_examples=6, deadline=None)
+    def test_fuzzed_uplinks_never_break_the_round(self, data):
+        _fuzzed_round(data)
 
 
 async def _wait_for_port(port_file: Path, timeout_s: float = 10.0) -> int:
@@ -765,17 +821,27 @@ class TestDistributedTracing:
         assert served.estimate.value == twin.value
         assert served.telemetry_clients == n
         assert fleet.telemetry_sent == n
+        # One TELEMETRY message per connection, each covering its range.
+        connections = len(fleet_ranges(n))
+        assert served.connections == connections < n
+        (drain,) = [r for r in memory.records if r.name == "serve.telemetry"]
+        assert drain.attributes["received"] == connections
+        assert drain.attributes["ingested_clients"] == n
 
         remote = [r for r in memory.records if r.attributes.get("remote")]
         assert served.remote_spans == len(remote) > 0
-        # Every fleet client contributed spans, all under the round's trace id.
-        assert {r.attributes["client"] for r in remote} == set(range(n))
+        # Every connection contributed spans, all under the round's trace id,
+        # and the connections' client ranges cover every client once.
+        ranges = {(r.attributes["client"], r.attributes["clients"]) for r in remote}
+        assert len(ranges) == connections
+        assert sorted(c for lo, k in ranges for c in range(lo, lo + k)) == list(range(n))
         assert {r.attributes["trace_id"] for r in remote} == {round_trace_id(cfg.seed)}
         assert {r.name for r in remote} == {"fleet.round", "fleet.encode", "fleet.uplink"}
-        # Remote roots are re-parented under the server's serve.round span.
+        # Remote roots are re-parented under the server's serve.round span:
+        # one fleet.round per connection.
         round_ids = {r.span_id for r in memory.records if r.name == "serve.round"}
         fleet_rounds = [r for r in remote if r.name == "fleet.round"]
-        assert len(fleet_rounds) == n
+        assert len(fleet_rounds) == connections
         assert all(r.parent_id in round_ids for r in fleet_rounds)
         # Ingested spans carry connection attribution next to the client id.
         assert all(r.attributes["peer"].startswith("127.0.0.1:") for r in remote)
