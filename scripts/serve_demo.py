@@ -44,13 +44,7 @@ from repro.federated import (
     in_process_estimate,
     run_loopback,
 )
-from repro.observability import (
-    FlightRecorder,
-    MetricsRegistry,
-    Tracer,
-    instrumented,
-    load_run,
-)
+from repro.observability import ObservedRun, load_run
 from repro.observability.recorder import EVENTS_FILENAME
 
 LOSSLESS_N = 32
@@ -60,21 +54,15 @@ CORRUPTED = (3, 11, 19)
 
 def _recorded_loopback(directory: Path, config: ServeConfig, values, **kwargs):
     """Run one loopback round under a flight recorder; return (served, fleet, manifest)."""
-    registry = MetricsRegistry()
-    recorder = FlightRecorder(
-        directory,
+    with ObservedRun(
+        record_dir=directory,
         config={"command": "serve-demo", **config.to_manifest()},
         seed=config.seed,
-        metrics=registry,
         round_span="serve.round",
-    )
-    with instrumented(Tracer([recorder]), registry):
+    ) as run:
         served, fleet = run_loopback(config, values, **kwargs)
-    manifest = recorder.finalize(
-        estimate=served.estimate,
-        metrics=registry.snapshot(),
-        accountant=served.accountant,
-        meter=served.meter,
+    manifest = run.finalize(
+        estimate=served.estimate, accountant=served.accountant, meter=served.meter
     )
     return served, fleet, manifest
 

@@ -42,15 +42,7 @@ from repro.federated import (
     run_loopback,
 )
 from repro.federated.fleet import fleet_ranges
-from repro.observability import (
-    FlightRecorder,
-    MetricsRegistry,
-    SimClock,
-    Tracer,
-    instrumented,
-    load_run,
-    write_chrome_trace,
-)
+from repro.observability import ObservedRun, SimClock, load_run, write_chrome_trace
 from repro.observability.chrome_trace import SERVER_TRACK
 
 N_CLIENTS = 24
@@ -68,23 +60,20 @@ def run_traced_leg(out_root: Path) -> Path:
         n_clients=N_CLIENTS, seed=SEED, deadline_s=30.0, registration_timeout_s=30.0
     )
     record_dir = out_root / "run"
-    registry = MetricsRegistry()
-    recorder = FlightRecorder(
-        record_dir,
+    with ObservedRun(
+        record_dir=record_dir,
         config={"command": "serve-trace-demo", **cfg.to_manifest()},
         seed=cfg.seed,
-        metrics=registry,
         round_span="serve.round",
-    )
-    sim = SimClock(start=1.0, step=0.001)
-    with instrumented(Tracer([recorder], clock=sim, wall_clock=sim), registry):
+        sim_clock=True,
+    ) as run:
         served, fleet = run_loopback(
             cfg,
             values,
             fleet_seed=FLEET_SEED,
             clock_factory=lambda: SimClock(start=1.0, step=0.001),
         )
-    recorder.finalize(estimate=served.estimate, metrics=registry.snapshot())
+    run.finalize(estimate=served.estimate)
 
     twin = in_process_estimate(values, cfg, fleet_seed=FLEET_SEED)
     if served.estimate.value != twin.value:

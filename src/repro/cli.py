@@ -84,22 +84,13 @@ from repro.federated.serve import run_coroutine
 from repro.analysis import per_report_bit_variance
 from repro.metrics.execution import executor_for
 from repro.observability import (
-    ALERTS_FILENAME,
-    FlightRecorder,
-    HealthMonitor,
-    InMemoryExporter,
-    JsonLinesExporter,
     LiveMonitor,
-    MetricsRegistry,
-    PhaseProfiler,
-    SimClock,
-    Tracer,
+    ObservedRun,
     build_report,
     check_comparison,
     compare_runs,
     default_rules,
     format_span_tree,
-    instrumented,
     load_run,
     render_compare_markdown,
     render_list_markdown,
@@ -270,7 +261,8 @@ def _build_parser() -> argparse.ArgumentParser:
     trace.add_argument(
         "--sim-clock", action="store_true",
         help="time spans with a deterministic simulated clock so same-seed runs "
-        "produce byte-identical traces, artifacts, and reports",
+        "produce byte-identical traces, artifacts, and reports (except --secure-agg "
+        "runs, whose shard timings stay real)",
     )
     trace.add_argument(
         "--watch", action="store_true",
@@ -516,12 +508,13 @@ def run_traced_round(
     :class:`SimClock`, so two same-seed runs produce byte-identical
     artifacts (``trace_malloc`` is ignored in that mode -- allocation peaks
     are not deterministic, but ``alerts.jsonl`` is: alert times derive from
-    span times).  Every run evaluates the default SLO health rules per
-    round; recorded runs persist the transitions to ``alerts.jsonl`` and the
-    summary into the manifest.  ``watch`` renders live per-round progress
-    and active alerts to ``watch_stream`` (stderr by default) without
-    touching stdout.  Returns a summary dict (estimate, truth, paths,
-    analysis, reconciliation).
+    span times).  Secure rounds are the exception: shard timings are real
+    (``docs/observability.md``).  Every run evaluates the default SLO health
+    rules per round; recorded runs persist the transitions to
+    ``alerts.jsonl`` and the summary into the manifest.  ``watch`` renders
+    live per-round progress and active alerts to ``watch_stream`` (stderr
+    by default) without touching stdout.  Returns a summary dict (estimate,
+    truth, paths, analysis, reconciliation).
     """
     stream = stream if stream is not None else sys.stdout
     n_clients = int(clients) if clients is not None else (2_000 if quick else 20_000)
@@ -565,96 +558,52 @@ def run_traced_round(
         chunk_clients=chunk,
     )
 
-    sim = SimClock(start=1.0, step=0.001) if sim_clock else None
-    profiler = None
-    if profile or trace_malloc or recording:
-        profiler = PhaseProfiler(
-            trace_malloc=trace_malloc and not sim_clock,
-            cpu_clock=sim,
-        )
-
-    registry = MetricsRegistry()
-    memory = InMemoryExporter()
-    exporters: list = [memory]
     # The standalone JSONL trace stays the default; under --record the
     # artifact's event log subsumes it unless --out asks for both.
     path = None
-    jsonl = None
     if out_path is not None or not recording:
         path = out_path or f"trace_{target}.jsonl"
-        jsonl = JsonLinesExporter(path)
-        exporters.append(jsonl)
-    recorder = None
-    if recording:
-        recorder = FlightRecorder(
-            record_dir,
-            config={
-                "target": target,
-                "quick": quick,
-                "secure_agg": secure_agg,
-                "shard_size": shard_size,
-                "n_clients": n_clients,
-                "chunk": chunk,
-                "n_bits": encoder.n_bits,
-                "epsilon": epsilon,
-                "max_retries": max_retries,
-                "min_quorum": min_quorum,
-                "sim_clock": sim_clock,
-            },
-            seed=seed,
-            metrics=registry,
-        )
-        exporters.append(recorder)
-    # SLO watchdog: every round span is one health sample; recorded runs
-    # persist fire/resolve transitions next to the artifact.  The adaptive
-    # pipeline plans 2 rounds, each spending the perturbation's epsilon.
-    health = HealthMonitor(
+    run = ObservedRun(
+        trace_path=path,
+        record_dir=record_dir,
+        config={
+            "target": target,
+            "quick": quick,
+            "secure_agg": secure_agg,
+            "shard_size": shard_size,
+            "n_clients": n_clients,
+            "chunk": chunk,
+            "n_bits": encoder.n_bits,
+            "epsilon": epsilon,
+            "max_retries": max_retries,
+            "min_quorum": min_quorum,
+            "sim_clock": sim_clock,
+        },
+        seed=seed,
+        # The adaptive pipeline plans 2 rounds, each spending the
+        # perturbation's epsilon.
         rules=default_rules(
             epsilon_budget=2.0 * epsilon if epsilon is not None else None,
             planned_rounds=2,
         ),
-        metrics=registry,
-        sink=(recorder.directory / ALERTS_FILENAME) if recorder is not None else None,
+        sim_clock=sim_clock,
+        profile=profile or trace_malloc or recording,
+        trace_malloc=trace_malloc,
     )
-    exporters.append(health)
     live = None
     if watch:
-        live = LiveMonitor(planned_rounds=2, health=health, stream=watch_stream)
-        exporters.append(live)
-    tracer = Tracer(exporters, profiler=profiler, clock=sim, wall_clock=sim)
-
-    try:
-        with instrumented(tracer, registry):
-            estimate = query.run(population, rng=rng)
-        snapshot = registry.snapshot()
-        if jsonl is not None:
-            jsonl.export_metrics(snapshot)
-    except BaseException:
-        if recorder is not None:
-            recorder.close()
-        raise
-    finally:
-        if jsonl is not None:
-            jsonl.close()
-        if profiler is not None:
-            profiler.stop()
+        live = LiveMonitor(planned_rounds=2, health=run.health, stream=watch_stream)
+        run.tracer.add_exporter(live)
+    with run:
+        estimate = query.run(population, rng=rng)
 
     analysis = _lemma31_analysis(estimate, truth, encoder, epsilon)
-    health.observe_estimate(analysis)
-    health.close()
-    health_summary = health.summary()
+    run.health.observe_estimate(analysis)
     if live is not None:
         live.finish(estimate=float(estimate.value))
-    if recorder is not None:
-        recorder.finalize(
-            estimate=estimate,
-            metrics=snapshot,
-            profiler=profiler,
-            accountant=accountant,
-            meter=meter,
-            analysis=analysis,
-            extra={"health": health_summary},
-        )
+    run.finalize(estimate=estimate, accountant=accountant, meter=meter, analysis=analysis)
+    health_summary = run.health.summary()
+    snapshot = run.snapshot
 
     counters = snapshot["counters"]
     planned = counters.get("round_reports_planned_total", 0.0)
@@ -675,7 +624,7 @@ def run_traced_round(
         "path": path,
         "snapshot": snapshot,
         "reconciled": reconciled,
-        "n_spans": len(memory.records),
+        "n_spans": len(run.spans),
         "analysis": analysis,
         "health": health_summary,
         "record_dir": str(record_dir) if recording else None,
@@ -693,7 +642,7 @@ def run_traced_round(
             "estimate": float(estimate.value),
             "truth": float(truth),
             "reconciled": reconciled,
-            "n_spans": len(memory.records),
+            "n_spans": len(run.spans),
             "trace_path": path,
             "record_dir": result["record_dir"],
             "analysis": analysis,
@@ -703,7 +652,7 @@ def run_traced_round(
                 "degraded_rounds": estimate.metadata["degraded_rounds"],
                 "backoff_s": estimate.metadata["backoff_s"],
             },
-            "spans": [record.to_dict() for record in memory.records],
+            "spans": [record.to_dict() for record in run.spans],
             "metrics": snapshot,
         }
         print(json.dumps(payload, indent=2, default=str), file=stream)
@@ -717,7 +666,7 @@ def run_traced_round(
         file=stream,
     )
     print(file=stream)
-    print(format_span_tree(memory.records), file=stream)
+    print(format_span_tree(run.spans), file=stream)
     print(file=stream)
     print("## Metrics", file=stream)
     print(json.dumps(snapshot, indent=2, default=str), file=stream)
@@ -753,10 +702,10 @@ def run_traced_round(
         ),
         file=stream,
     )
-    if profiler is not None:
+    if run.profiler is not None:
         print(file=stream)
         print("## Phases (p50/p95/p99 ms)", file=stream)
-        for phase in profiler.phases()[:12]:
+        for phase in run.profiler.phases()[:12]:
             print(
                 f"{phase.name}: n={phase.count} total={phase.total_s * 1e3:.3f}ms "
                 f"cpu={phase.cpu_total_s * 1e3:.3f}ms p50={phase.p50_s * 1e3:.3f} "
@@ -765,10 +714,10 @@ def run_traced_round(
             )
     if path is not None:
         print(
-            f"trace written to {path} ({len(memory.records)} spans + metrics snapshot)",
+            f"trace written to {path} ({len(run.spans)} spans + metrics snapshot)",
             file=stream,
         )
-    if recorder is not None:
+    if recording:
         print(f"flight-recorder artifact written to {record_dir}", file=stream)
     return result
 
@@ -881,34 +830,20 @@ def run_selfcheck_command(
 
     stream = stream if stream is not None else sys.stdout
     executor = executor_for(workers)
-    memory = InMemoryExporter()
-    exporters = [memory]
-    jsonl = None
-    if trace_out:
-        jsonl = JsonLinesExporter(trace_out)
-        exporters.append(jsonl)
-    registry = MetricsRegistry()
-    try:
-        with instrumented(Tracer(exporters), registry):
-            report = run_selfcheck(deep=deep, seed=seed, executor=executor)
-        snapshot = registry.snapshot()
-        if jsonl is not None:
-            jsonl.export_metrics(snapshot)
-    finally:
-        if jsonl is not None:
-            jsonl.close()
+    with ObservedRun(trace_path=trace_out or None) as run:
+        report = run_selfcheck(deep=deep, seed=seed, executor=executor)
 
+    counters = run.snapshot["counters"]
     if as_json:
         payload = report.to_dict()
-        payload["metrics"] = snapshot["counters"]
+        payload["metrics"] = counters
         print(json.dumps(payload, indent=2, default=str), file=stream)
     else:
         print(f"# Selfcheck ({'deep' if deep else 'quick'}, seed={seed})", file=stream)
         print(file=stream)
         print(report.render(), file=stream)
-        counters = snapshot["counters"]
         print(
-            f"spans: {len(memory.records)}  checks: "
+            f"spans: {len(run.spans)}  checks: "
             f"{counters.get('selfcheck_checks_total', 0):.0f}  failures: "
             f"{counters.get('selfcheck_failures_total', 0):.0f}"
             + (f"  trace written to {trace_out}" if trace_out else ""),
@@ -963,108 +898,66 @@ def run_serve_command(
         port=port,
     )
 
-    registry = MetricsRegistry()
-    memory = InMemoryExporter()
-    exporters: list = [memory]
-    jsonl = JsonLinesExporter(out_path) if out_path is not None else None
-    if jsonl is not None:
-        exporters.append(jsonl)
-    recorder = None
-    if record_dir is not None:
-        recorder = FlightRecorder(
-            record_dir,
-            config={"command": "serve", "sim_clock": sim_clock, **config.to_manifest()},
-            seed=seed,
-            metrics=registry,
-            round_span="serve.round",
-        )
-        exporters.append(recorder)
-    # Served rounds get the same SLO watchdog traced in-process rounds have;
-    # the straggler-skew rule reads the uplink-latency attributes the server
-    # stamps on each serve.round span.  Recorded runs persist transitions.
-    health = HealthMonitor(
-        metrics=registry,
-        sink=(recorder.directory / ALERTS_FILENAME) if recorder is not None else None,
+    run = ObservedRun(
+        trace_path=out_path,
+        record_dir=record_dir,
+        config={"command": "serve", "sim_clock": sim_clock, **config.to_manifest()},
+        seed=seed,
         round_span="serve.round",
+        sim_clock=sim_clock,
     )
-    exporters.append(health)
-    sim = SimClock(start=1.0, step=0.001) if sim_clock else None
 
     async def _serve():
         server = RoundServer(config)
         bound_port = await server.start()
-        if port_file is not None:
-            Path(port_file).write_text(f"{bound_port}\n")
         try:
+            if port_file is not None:
+                Path(port_file).write_text(f"{bound_port}\n")
             result = await server.serve_round()
         finally:
             await server.close()
         return bound_port, result
 
     try:
-        with instrumented(Tracer(exporters, clock=sim, wall_clock=sim), registry):
+        with run:
             # Not asyncio.run, which formats the result's repr on 3.11-3.12.
             bound_port, result = run_coroutine(_serve())
-        snapshot = registry.snapshot()
-        if jsonl is not None:
-            jsonl.export_metrics(snapshot)
     except RoundFailedError as exc:
-        if recorder is not None:
-            recorder.close()
         print(f"round failed: {exc}", file=error_stream)
         return 1
-    except BaseException:
-        if recorder is not None:
-            recorder.close()
-        raise
-    finally:
-        if jsonl is not None:
-            jsonl.close()
-        health.close()
 
-    if recorder is not None:
-        recorder.finalize(
-            estimate=result.estimate,
-            metrics=snapshot,
-            accountant=result.accountant,
-            meter=result.meter,
-            extra={
-                "serve": {
-                    "port": bound_port,
-                    "registered_clients": result.registered_clients,
-                    "connections": result.connections,
-                    "surviving_clients": result.surviving_clients,
-                    "attempts": result.attempts,
-                    "wire_rejects": result.wire_rejects,
-                    "late_reports": result.late_reports,
-                    "telemetry_clients": result.telemetry_clients,
-                    "remote_spans": result.remote_spans,
-                },
-                "health": health.summary(),
-            },
-        )
+    # The manifest's ``serve`` section; ``--json`` prints the same fields.
+    served = {
+        "port": bound_port,
+        "registered_clients": result.registered_clients,
+        "connections": result.connections,
+        "surviving_clients": result.surviving_clients,
+        "attempts": result.attempts,
+        "wire_rejects": result.wire_rejects,
+        "late_reports": result.late_reports,
+        "telemetry_clients": result.telemetry_clients,
+        "remote_spans": result.remote_spans,
+    }
+    run.finalize(
+        estimate=result.estimate,
+        accountant=result.accountant,
+        meter=result.meter,
+        extra={"serve": served},
+    )
 
-    counters = snapshot["counters"]
+    counters = run.snapshot["counters"]
     if as_json:
         payload = {
             "command": "serve",
             "estimate": float(result.estimate.value),
-            "port": bound_port,
             "planned_clients": result.planned_clients,
-            "registered_clients": result.registered_clients,
-            "connections": result.connections,
-            "surviving_clients": result.surviving_clients,
-            "attempts": result.attempts,
+            **served,
             "degraded": result.degraded,
             "backoff_s": result.backoff_s,
-            "wire_rejects": result.wire_rejects,
-            "late_reports": result.late_reports,
-            "telemetry_clients": result.telemetry_clients,
-            "remote_spans": result.remote_spans,
             "collect_duration_s": result.duration_s,
             "record_dir": record_dir,
             "trace_path": out_path,
-            "metrics": snapshot,
+            "metrics": run.snapshot,
         }
         print(json.dumps(payload, indent=2, default=str), file=stream)
         return 0
@@ -1202,6 +1095,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"round failed: {exc}", file=sys.stderr)
         return 1
     except ConfigurationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # A port in use, a refused connection, a path that cannot be written.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

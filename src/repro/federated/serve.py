@@ -108,6 +108,10 @@ __all__ = [
 
 _T = TypeVar("_T")
 
+#: How long the server waits for the fleet's telemetry after broadcasting the
+#: round outcome before sealing the artifact without it.
+TELEMETRY_TIMEOUT_S = 5.0
+
 #: ``uplink.reject`` reasons of the per-frame checks, indexed by reason code
 #: (0 accepts); a frame gets the first that applies.
 _FRAME_REASONS = (
@@ -156,14 +160,8 @@ class ServeConfig:
         simulated time (recorded, never slept).
     host, port:
         Bind address; port ``0`` picks an ephemeral port.
-    telemetry:
-        Ship trace context in every ANNOUNCE and ingest the fleet's
-        TELEMETRY messages after RESULT/ABORT (default on).  Telemetry is
-        strictly off the uplink hot path: disabling it only removes the
-        post-round ingestion drain and the context fields.
-    telemetry_timeout_s:
-        How long to wait for the fleet's telemetry after broadcasting the
-        round outcome before sealing the artifact without it.
+
+    Telemetry is always on: every ANNOUNCE carries the trace context.
     """
 
     n_clients: int
@@ -179,8 +177,6 @@ class ServeConfig:
     retry: RetryPolicy | None = None
     host: str = "127.0.0.1"
     port: int = 0
-    telemetry: bool = True
-    telemetry_timeout_s: float = 5.0
 
     def __post_init__(self) -> None:
         if self.n_clients < 1:
@@ -193,10 +189,6 @@ class ServeConfig:
             )
         if self.epsilon is not None and self.epsilon <= 0:
             raise ConfigurationError(f"epsilon must be positive, got {self.epsilon}")
-        if self.telemetry_timeout_s <= 0:
-            raise ConfigurationError(
-                f"telemetry_timeout_s must be positive, got {self.telemetry_timeout_s}"
-            )
         _served_core(self)  # validates the encoding and the round policy eagerly
 
     @property
@@ -225,8 +217,7 @@ class ServeConfig:
             "max_attempts": self.retry.max_attempts if self.retry else 1,
             "host": self.host,
             "port": self.port,
-            "telemetry": self.telemetry,
-            "trace_id": round_trace_id(self.seed) if self.telemetry else None,
+            "trace_id": round_trace_id(self.seed),
         }
 
 
@@ -560,13 +551,11 @@ class RoundServer:
             "epsilon": cfg.epsilon,
             "deadline_s": cfg.deadline_s,
         }
-        context = None
-        if cfg.telemetry:
-            context = TraceContext(
-                trace_id=self.trace_id,
-                parent_span_id=parent_span_id,
-                clock_s=self._wall_now(),
-            )
+        context = TraceContext(
+            trace_id=self.trace_id,
+            parent_span_id=parent_span_id,
+            clock_s=self._wall_now(),
+        )
         for lo, (k, writer) in list(self._ranges.items()):
             indices = int(assignment[lo]) if k == 1 else assignment[lo:lo + k].tolist()
             payload = dict(base, bit_index=indices)
@@ -782,17 +771,14 @@ class RoundServer:
         """Ingest the fleet's TELEMETRY messages after the round outcome.
 
         Strictly off the uplink hot path: runs once, after RESULT/ABORT has
-        been broadcast.  Waits up to ``telemetry_timeout_s`` for one message
+        been broadcast.  Waits up to :data:`TELEMETRY_TIMEOUT_S` for one message
         per registered connection, but gives up early once every surviving
         connection has hung up -- an old (pre-tracing) fleet costs one poll
         interval, not the full timeout.
         """
-        cfg = self.config
-        if not cfg.telemetry:
-            return
         expected = len(self._ranges)
         loop = asyncio.get_running_loop()
-        deadline = loop.time() + cfg.telemetry_timeout_s
+        deadline = loop.time() + TELEMETRY_TIMEOUT_S
         with get_tracer().span(
             "serve.telemetry", {"attempt": attempt, "expected": expected}
         ) as span:
@@ -960,8 +946,7 @@ class RoundServer:
                     "port": self.port,
                     "wire_rejects": self._rejects,
                     "late_reports": self._late,
-                    "telemetry": cfg.telemetry,
-                    "trace_id": self.trace_id if cfg.telemetry else None,
+                    "trace_id": self.trace_id,
                 },
             )
             await self._broadcast_control(

@@ -14,16 +14,17 @@ touched -- until instrumentation is explicitly installed:
     print(format_span_tree(exporter.records))
     print(metrics.snapshot())
 
-``python -m repro.cli trace <figure|ablation>`` wraps exactly this around a
-representative federated round and writes the spans plus a final metrics
-snapshot as JSON lines.  The span and metric catalogue lives in
-``docs/observability.md``.
+``python -m repro.cli trace <figure|ablation>`` wraps an :class:`ObservedRun`
+(this stack plus a JSONL trace, flight recorder and health monitor) around a
+representative federated round, as ``serve`` and ``selfcheck`` do around
+theirs.  The span and metric catalogue lives in ``docs/observability.md``.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterator
+from pathlib import Path
+from typing import Any, Iterator, Mapping, Sequence
 
 from repro.observability.chrome_trace import build_chrome_trace, write_chrome_trace
 from repro.observability.exporters import (
@@ -108,6 +109,7 @@ __all__ = [
     "NullMetrics",
     "NullSpan",
     "NullTracer",
+    "ObservedRun",
     "PhaseProfiler",
     "PhaseSummary",
     "RunArtifact",
@@ -194,3 +196,108 @@ def instrumented(
         yield (_tracer, _metrics)
     finally:
         _tracer, _metrics = previous
+
+
+class ObservedRun:
+    """One observed run: the stack ``trace``, ``serve`` and ``selfcheck`` install.
+
+    The ``with`` block runs under :attr:`tracer` and :attr:`metrics`, whose
+    exporters are, in order: :attr:`spans` in memory, a JSONL trace at
+    ``trace_path``, a :class:`FlightRecorder` in ``record_dir`` and a
+    :class:`HealthMonitor` over ``rules`` that sinks alerts into the artifact.
+    ``sim_clock`` drives every clock from one :class:`SimClock`; ``profile``
+    adds a :class:`PhaseProfiler` (``trace_malloc`` is ignored under it).
+    Leaving the block snapshots the metrics onto the trace, closes it and
+    stops the profiler; if the block raised, it also closes the recorder
+    (no manifest) and the alert sink.  After a completed block, call
+    :meth:`finalize` once.
+    """
+
+    def __init__(
+        self,
+        trace_path: str | Path | None = None,
+        record_dir: str | Path | None = None,
+        config: Mapping[str, Any] | None = None,
+        seed: int | None = None,
+        rules: Sequence[HealthRule] | None = None,
+        round_span: str = "federated.round",
+        sim_clock: bool = False,
+        profile: bool = False,
+        trace_malloc: bool = False,
+    ) -> None:
+        sim = SimClock(start=1.0, step=0.001) if sim_clock else None
+        self.metrics = MetricsRegistry()
+        self.snapshot: dict[str, Any] = {}
+        self.profiler = (
+            PhaseProfiler(trace_malloc=trace_malloc and not sim_clock, cpu_clock=sim)
+            if profile
+            else None
+        )
+        self._memory = InMemoryExporter()
+        self._jsonl: JsonLinesExporter | None = None
+        self.recorder: FlightRecorder | None = None
+        self.health: HealthMonitor | None = None
+        try:
+            if trace_path is not None:
+                self._jsonl = JsonLinesExporter(trace_path)
+            if record_dir is not None:
+                self.recorder = FlightRecorder(
+                    record_dir, config, seed, metrics=self.metrics, round_span=round_span
+                )
+            sink = self.recorder.directory / ALERTS_FILENAME if self.recorder else None
+            self.health = HealthMonitor(
+                rules=rules, metrics=self.metrics, sink=sink, round_span=round_span
+            )
+        except BaseException:
+            self._close(failed=True)
+            raise
+        exporters = [x for x in (self._memory, self._jsonl, self.recorder, self.health) if x]
+        self.tracer = Tracer(exporters, profiler=self.profiler, clock=sim, wall_clock=sim)
+
+    @property
+    def spans(self) -> list[SpanRecord]:
+        """Every span finished so far, in completion order."""
+        return self._memory.records
+
+    def __enter__(self) -> "ObservedRun":
+        global _tracer, _metrics
+        self._previous = (_tracer, _metrics)
+        _tracer, _metrics = self.tracer, self.metrics
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        global _tracer, _metrics
+        _tracer, _metrics = self._previous
+        try:
+            if exc_type is None:
+                self.snapshot = self.metrics.snapshot()
+                if self._jsonl is not None:
+                    self._jsonl.export_metrics(self.snapshot)
+        except BaseException:
+            self._close(failed=True)
+            raise
+        self._close(failed=exc_type is not None)
+        return False
+
+    def _close(self, failed: bool) -> None:
+        if self._jsonl is not None:
+            self._jsonl.close()
+        if self.profiler is not None:
+            self.profiler.stop()
+        if failed and self.recorder is not None:
+            self.recorder.close()
+        if failed and self.health is not None:
+            self.health.close()
+
+    def finalize(self, extra: Mapping[str, Any] | None = None, **fields: Any) -> dict | None:
+        """Close the alert sink; when recording, write the manifest (with
+        ``fields`` and ``extra`` plus ``"health"``) and return it."""
+        self.health.close()
+        if self.recorder is None:
+            return None
+        return self.recorder.finalize(
+            metrics=self.snapshot,
+            profiler=self.profiler,
+            extra={**(extra or {}), "health": self.health.summary()},
+            **fields,
+        )

@@ -5,7 +5,10 @@ test plumbing (labels, shapes, metrics, determinism), not to re-validate
 accuracy claims (the benchmarks do that at full scale).
 """
 
+import gc
 import io
+import socket
+import warnings
 
 import numpy as np
 import pytest
@@ -220,3 +223,42 @@ class TestCli:
         assert "Traceback" not in err
         assert len(err.splitlines()) == 1
         assert err.startswith(prefix)
+
+    def _assert_os_error_line(self, args, capsys):
+        """An operating-system error is one ``error:`` line and exit 2, and
+        leaves no file or socket open."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli_main(args) == 2
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith("error: [Errno ")
+
+    def test_serve_on_a_port_in_use(self, capsys):
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            sock.listen()
+            port = str(sock.getsockname()[1])
+            self._assert_os_error_line(["serve", "--clients", "2", "--port", port], capsys)
+
+    def test_serve_with_an_unwritable_port_file(self, tmp_path, capsys):
+        port_file = str(tmp_path / "absent" / "port")
+        self._assert_os_error_line(["serve", "--clients", "2", "--port-file", port_file], capsys)
+
+    def test_fleet_refused_by_the_server(self, capsys):
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = str(sock.getsockname()[1])
+        self._assert_os_error_line(["fleet", "--clients", "16", "--port", port], capsys)
+
+    def test_trace_record_under_a_file(self, tmp_path, capsys):
+        (tmp_path / "F").touch()
+        run_dir = str(tmp_path / "F" / "run")
+        self._assert_os_error_line(["trace", "1a", "--quick", "--record", run_dir], capsys)
+
+    def test_selfcheck_trace_out_under_a_file(self, tmp_path, capsys):
+        (tmp_path / "F").touch()
+        trace_out = str(tmp_path / "F" / "t.jsonl")
+        self._assert_os_error_line(["selfcheck", "--trace-out", trace_out], capsys)

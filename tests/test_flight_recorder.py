@@ -11,6 +11,10 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -203,6 +207,31 @@ class TestRecordedRun:
         assert result["record_dir"] is None
         assert out.exists()
         assert list(tmp_path.iterdir()) == [out]
+
+    def test_failed_round_closes_its_artifact_in_one_line(self, tmp_path):
+        """A recorded round that misses its quorum prints one line and leaves
+        its event log without a manifest.  Under ``-X dev`` an unclosed file
+        (the alert sink included) would add a ResourceWarning to stderr."""
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        record_dir = tmp_path / "x"
+        proc = subprocess.run(
+            [
+                sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
+                "-m", "repro.cli", "trace", "1a", "--quick",
+                "--record", str(record_dir), "--min-quorum", "100000",
+            ],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 1
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert proc.stderr.startswith("round failed: ")
+        assert (record_dir / EVENTS_FILENAME).exists()
+        assert not (record_dir / MANIFEST_FILENAME).exists()
 
 
 def _span(name, span_id, start, duration, parent=None, status="ok", **attributes):

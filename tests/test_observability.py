@@ -1,7 +1,9 @@
 """Unit tests for the observability substrate: spans, metrics, exporters."""
 
+import gc
 import json
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from repro.observability import (
     InMemoryExporter,
     JsonLinesExporter,
     MetricsRegistry,
+    ObservedRun,
     Tracer,
     configure,
     disable,
@@ -124,6 +127,62 @@ class TestRuntimeConfiguration:
         finally:
             disable()
         assert get_tracer() is NULL_TRACER
+
+
+class TestObservedRun:
+    def test_completed_block_snapshots_metrics_onto_the_trace(self, tmp_path):
+        run = ObservedRun(trace_path=tmp_path / "t.jsonl")
+        with run:
+            assert get_tracer() is run.tracer
+            assert get_metrics() is run.metrics
+            with get_tracer().span("work"):
+                get_metrics().counter("work_total").inc()
+        assert get_tracer() is NULL_TRACER
+        assert get_metrics() is NULL_METRICS
+        assert [record.name for record in run.spans] == ["work"]
+        lines = [json.loads(line) for line in (tmp_path / "t.jsonl").read_text().splitlines()]
+        assert [line["type"] for line in lines] == ["span", "metrics"]
+        assert lines[1]["metrics"] == run.snapshot
+        assert run.snapshot["counters"]["work_total"] == 1.0
+        assert run.finalize() is None
+
+    def test_failed_block_closes_the_artifact_without_a_manifest(self, tmp_path):
+        run = ObservedRun(record_dir=tmp_path / "run")
+        with pytest.raises(RuntimeError):
+            with run:
+                raise RuntimeError("oops")
+        assert get_tracer() is NULL_TRACER
+        assert sorted(path.name for path in (tmp_path / "run").iterdir()) == [
+            "alerts.jsonl",
+            "events.jsonl",
+        ]
+
+    def test_finalize_writes_the_manifest_with_the_health_summary(self, tmp_path):
+        with ObservedRun(
+            record_dir=tmp_path / "run", config={"k": 1}, seed=3, sim_clock=True, profile=True
+        ) as run:
+            with get_tracer().span("work"):
+                pass
+        manifest = run.finalize(extra={"note": "x"})
+        assert manifest == json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert manifest["config"] == {"k": 1}
+        assert manifest["seed"] == 3
+        assert manifest["note"] == "x"
+        assert manifest["health"] == run.health.summary()
+        assert [phase["name"] for phase in manifest["profile"]["phases"]] == ["work"]
+        # One SimClock: the profiler's CPU reading, the wall start, then the
+        # monotonic start and end, 1 ms apart.
+        assert run.spans[0].start_time_s == 1.001
+        assert run.spans[0].duration_s == pytest.approx(0.001)
+
+    def test_failed_set_up_closes_what_it_opened(self, tmp_path):
+        (tmp_path / "F").touch()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NotADirectoryError):
+                ObservedRun(trace_path=tmp_path / "t.jsonl", record_dir=tmp_path / "F" / "run")
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 class TestMetrics:

@@ -861,26 +861,6 @@ class TestDistributedTracing:
         assert counters["serve_telemetry_spans_total"] == float(len(remote))
         assert "telemetry_rejects_total" not in counters
 
-    def test_telemetry_disabled_config_runs_untraced(self):
-        n = 6
-        values = fleet_values(n, seed=4)
-        cfg = ServeConfig(
-            n_clients=n,
-            seed=5,
-            deadline_s=10.0,
-            registration_timeout_s=5.0,
-            telemetry=False,
-        )
-        twin = in_process_estimate(values, cfg, fleet_seed=4)
-        memory = InMemoryExporter()
-        with instrumented(Tracer([memory]), MetricsRegistry()):
-            served, fleet = run_loopback(cfg, values, fleet_seed=4)
-        assert served.estimate.value == twin.value
-        assert served.telemetry_clients == 0
-        assert served.remote_spans == 0
-        assert fleet.telemetry_sent == 0
-        assert not [r for r in memory.records if r.attributes.get("remote")]
-
     def test_clock_skew_alignment_pins_known_offset(self):
         cfg = ServeConfig(n_clients=1, seed=2)
         server = RoundServer(cfg)
