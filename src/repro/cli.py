@@ -261,8 +261,8 @@ def _build_parser() -> argparse.ArgumentParser:
     trace.add_argument(
         "--sim-clock", action="store_true",
         help="time spans with a deterministic simulated clock so same-seed runs "
-        "produce byte-identical traces, artifacts, and reports (except --secure-agg "
-        "runs, whose shard timings stay real)",
+        "produce byte-identical traces, artifacts, and reports (except the timings "
+        "that --secure-agg pool workers take when REPRO_WORKERS is above 1)",
     )
     trace.add_argument(
         "--watch", action="store_true",

@@ -25,6 +25,7 @@ from repro.federated.secure_agg.protocol import (
 from repro.federated.secure_agg.shamir import (
     Share,
     reconstruct_secret,
+    reconstruct_secret_sets,
     reconstruct_secrets,
     split_secret,
     split_secrets,
@@ -48,6 +49,7 @@ __all__ = [
     "pairwise_mask_sign",
     "philox4x64",
     "reconstruct_secret",
+    "reconstruct_secret_sets",
     "reconstruct_secrets",
     "secure_sum",
     "shard_bounds",

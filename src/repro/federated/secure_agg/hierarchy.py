@@ -25,11 +25,13 @@ variance accounting and raises a health alert instead of failing the round.
 A group builds its sessions, checks every shard's batch, then expands all
 of its sessions' masks in one Philox pass per phase -- masking at submit,
 unmasking at finalize -- and per ring width present, instead of one small
-pass per session and phase.  Each session draws only from its own seed,
-and a Philox row depends only on its seed, so a group's totals and masked
-rows equal its sessions' one-by-one results, whatever the group size.
-Each group times its ``secure_agg.setup``, ``secure_agg.mask`` and
-``secure_agg.unmask`` phases as spans.
+pass per session and phase.  Unmasking reconstructs the survivor
+self-seeds of all of its sessions with one Shamir product per threshold
+present.  Each session draws only from its own seed, a Philox row depends
+only on its seed, and Shamir reconstruction is exact, so a group's totals
+and masked rows equal its sessions' one-by-one results, whatever the
+group size.  Each group times its ``secure_agg.setup``,
+``secure_agg.mask`` and ``secure_agg.unmask`` phases as spans.
 
 **Parallelism.**  Groups are independent, so they fan out over a
 ``fork``-based process pool (one worker per group, at most ``workers`` in
@@ -48,7 +50,8 @@ from __future__ import annotations
 import itertools
 import multiprocessing
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from collections import deque
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator
@@ -59,6 +62,7 @@ from repro.exceptions import ConfigurationError, SecureAggregationError
 from repro.federated.secure_agg.masking import expand_masks
 from repro.federated.secure_agg.protocol import (
     SecureAggregationSession,
+    _recover_self_seeds,
     default_threshold,
 )
 from repro.metrics.execution import (
@@ -138,7 +142,8 @@ class ShardOutcome:
     whose vectors this shard's session actually contains (``start`` plus
     the task's shard-local submitted ids).  ``ring_bits`` is the width of
     the session's mask ring (0 for a singleton shard, which has no session),
-    and ``duration_s`` the shard's share of its group's wall time.
+    and ``duration_s`` the shard's share of its group's time on the
+    tracer's clock.
     """
 
     index: int
@@ -250,19 +255,23 @@ def _run_group(
     The group builds its sessions in shard order, each from its own spawned
     seed; checks every shard's batch exactly as ``submit_batch`` does;
     expands every session's mask-phase seeds in one pass per ring width
-    and applies them; then collects the unmask-phase seeds of every session
-    at or above its threshold into one more pass and finalizes those
-    sessions.  A shard that cannot complete -- a singleton (no peer to mask
-    against) or a below-threshold survivor set -- returns
-    ``recovered=False`` instead of raising: shard failure is a contained,
-    reportable outcome, not an error of the tree.
+    and applies them.  To unmask, it checks every session's threshold,
+    reconstructs the survivor self-seeds of every session at or above it
+    with one Shamir product per threshold present, and collects those
+    sessions' unmask-phase seeds into one more pass per ring width.  A
+    shard that cannot complete -- a singleton (no peer to mask against) or
+    a below-threshold survivor set -- returns ``recovered=False`` instead
+    of raising: shard failure is a contained, reportable outcome, not an
+    error of the tree.
 
     Each shard's duration is its own steps plus a share of the rest of the
-    group's wall time (the two passes, mostly) in proportion to the seeds it
-    expanded, so the group's durations sum to its wall time.  Returns the
-    outcomes and the three phases' ``(name, wall start, duration, attrs)``.
+    group's time (the passes and the Shamir products, mostly) in proportion
+    to the seeds it expanded, so the group's durations sum to its time.
+    Shards are timed with the tracer's clock, so a simulated clock makes
+    them deterministic.  Returns the outcomes and the three phases'
+    ``(name, wall start, duration, attrs)``.
     """
-    clock = time.perf_counter
+    clock = get_tracer().now
     start = clock()
     own = [0.0] * len(tasks)
     expanded = [0] * len(tasks)
@@ -295,15 +304,10 @@ def _run_group(
             ring_bits=ring_bits,
         )
 
-    def run_phase(name: str, seeds_step, failure=()) -> dict[int, Any]:
-        """Every session's seeds step, one pass per ring width, then every apply step."""
+    def run_phase(name: str, gather) -> dict[int, Any]:
+        """The sessions' seeds steps, one pass per ring width, then every apply step."""
         with _phase(name, phases) as attrs:
-            steps = {}
-            for i, session in sessions.items():
-                try:
-                    steps[i] = timed(i, seeds_step, i, session)
-                except failure:
-                    pass  # below threshold: this shard fails alone
+            steps = gather()
             masks = _expand_by_lane(sessions, steps, vector_length)
             applied = {i: timed(i, apply, masks[i]) for i, (_, apply) in steps.items()}
             for i, (step_seeds, _) in steps.items():
@@ -315,15 +319,28 @@ def _run_group(
             )
         return applied
 
+    def unmask_steps() -> dict[int, Any]:
+        ready = {}
+        for i, session in sessions.items():
+            try:
+                timed(i, session._check_threshold)
+            except SecureAggregationError:
+                continue  # below threshold: this shard fails alone
+            ready[i] = session
+        self_seeds = _recover_self_seeds(list(ready.values()))
+        return {
+            i: timed(i, session._unmask_phase, shard_seeds)
+            for (i, session), shard_seeds in zip(ready.items(), self_seeds)
+        }
+
     run_phase(
         "secure_agg.mask",
-        lambda i, session: session._mask_phase(tasks[i].submitted_ids, tasks[i].vectors),
+        lambda: {
+            i: timed(i, session._mask_phase, tasks[i].submitted_ids, tasks[i].vectors)
+            for i, session in sessions.items()
+        },
     )
-    totals = run_phase(
-        "secure_agg.unmask",
-        lambda i, session: session._unmask_phase(),
-        failure=SecureAggregationError,
-    )
+    totals = run_phase("secure_agg.unmask", unmask_steps)
     rest = clock() - start - sum(own)
     weights = np.asarray(expanded, dtype=np.float64) if sum(expanded) else np.ones(len(tasks))
     shares = rest * weights / weights.sum()
@@ -473,21 +490,21 @@ def aggregate_shards(
         context = multiprocessing.get_context("fork")
         parent_metrics_enabled = metrics.enabled
         with ProcessPoolExecutor(max_workers=n_workers, mp_context=context) as pool:
-            pending = set()
+            # Groups are recorded in submission order, not completion
+            # order, so a traced pooled round lists its spans in one order.
+            pending: deque = deque()
 
-            def drain(done_set) -> None:
-                for future in done_set:
-                    group_outcomes, phases, snapshot = future.result()
-                    _record_phases(phases, tracer)
-                    record(group_outcomes)
-                    if snapshot is not None and metrics.enabled:
-                        metrics.merge_snapshot(snapshot)
+            def drain_oldest() -> None:
+                group_outcomes, phases, snapshot = pending.popleft().result()
+                _record_phases(phases, tracer)
+                record(group_outcomes)
+                if snapshot is not None and metrics.enabled:
+                    metrics.merge_snapshot(snapshot)
 
             for group, seeds, bitgen_cls in source:
                 if len(pending) >= n_workers:
-                    done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                    drain(done)
-                pending.add(
+                    drain_oldest()
+                pending.append(
                     pool.submit(
                         _forked_group,
                         group,
@@ -497,8 +514,8 @@ def aggregate_shards(
                         parent_metrics_enabled,
                     )
                 )
-            done, _ = wait(pending)
-            drain(done)
+            while pending:
+                drain_oldest()
 
     outcomes.sort(key=lambda o: o.index)
     total = np.zeros(vector_length, dtype=np.int64)

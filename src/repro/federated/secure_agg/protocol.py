@@ -24,9 +24,12 @@ All session work is whole-array.  Pairwise seeds live in one uint64
 vector in ``np.triu_indices`` order.  Each phase is two private steps --
 gather the seeds it needs, then apply their expanded rows -- joined by one
 :func:`~repro.federated.secure_agg.masking.expand_masks` pass that covers
-self-masks and pairwise masks alike;
+self-masks and pairwise masks alike.  Unmasking first checks the threshold
+and reconstructs the survivors' self-mask seeds with
+:func:`_recover_self_seeds`, one Shamir product per threshold present;
 :mod:`repro.federated.secure_agg.hierarchy` runs the same steps with one
-pass for a whole group of shard sessions.  Masks live in the ring of
+pass, and one product per threshold, for a whole group of shard sessions.
+Masks live in the ring of
 :func:`~repro.federated.secure_agg.masking.mask_ring`, sized by the
 session's entry ``dtype`` (8 bits for report bits over up to 255 clients),
 and combine through the lane's native wrap-around;
@@ -46,6 +49,7 @@ dropouts, and hard failure below the threshold.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -53,7 +57,7 @@ import numpy as np
 from repro.exceptions import ConfigurationError, SecureAggregationError
 from repro.federated.secure_agg.field import PrimeField
 from repro.federated.secure_agg.masking import expand_masks, mask_ring
-from repro.federated.secure_agg.shamir import reconstruct_secrets, split_secrets
+from repro.federated.secure_agg.shamir import reconstruct_secret_sets, split_secrets
 from repro.observability import get_metrics, get_tracer
 from repro.rng import ensure_rng
 
@@ -83,6 +87,49 @@ def _pair_index(a, b, n_clients: int):
     """
     i, j = np.minimum(a, b), np.maximum(a, b)
     return i * (2 * n_clients - i - 1) // 2 + j - i - 1
+
+
+@lru_cache(maxsize=16)
+def _pair_layout(n_clients: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(n, n)`` upper-triangle mask and every ``(a, b)``'s pair position.
+
+    The mask's true entries, read row-major, are the pairs in
+    ``np.triu_indices(n_clients, k=1)`` order; the position matrix is
+    :func:`_pair_index` of every id pair (its diagonal is meaningless).
+    Built once per session size and shared, so both are read-only.
+    """
+    ids = np.arange(n_clients)
+    upper = ids[:, None] < ids
+    position = _pair_index(ids[:, None], ids, n_clients)
+    upper.setflags(write=False)
+    position.setflags(write=False)
+    return upper, position
+
+
+def _recover_self_seeds(sessions: Sequence["SecureAggregationSession"]) -> list[np.ndarray]:
+    """Every session's survivor self-mask seeds, by Shamir reconstruction.
+
+    Each session interpolates at its first ``threshold`` surviving
+    shareholders, so all sessions of one threshold share one exact mod-p
+    product (:func:`~repro.federated.secure_agg.shamir.reconstruct_secret_sets`).
+    :meth:`SecureAggregationSession.finalize` runs it on a group of one, and
+    :mod:`repro.federated.secure_agg.hierarchy` on every session of a shard
+    group that passed its threshold check.
+    """
+    if not sessions:
+        return []
+    point_sets, blocks = [], []
+    for session in sessions:
+        survivors = sorted(session._submissions)
+        holders = survivors[: session.threshold]
+        point_sets.append([holder + 1 for holder in holders])
+        blocks.append(session._self_seed_shares[np.ix_(survivors, holders)])
+    return reconstruct_secret_sets(
+        point_sets,
+        blocks,
+        sessions[0].field,
+        expected_thresholds=[session.threshold for session in sessions],
+    )
 
 
 class SecureAggregationSession:
@@ -200,13 +247,18 @@ class SecureAggregationSession:
         self._validate_ids(client_ids)
         rows = self.ring.encode(vectors)
         ids = np.asarray(client_ids, dtype=np.intp)
-        peers = np.arange(self.n_clients)
-        # (k, n) pair positions of every (client, peer); + toward larger
-        # ids, - toward smaller (the pairwise_mask_sign convention).
-        plus = peers > ids[:, None]
-        minus = peers < ids[:, None]
-        index = _pair_index(ids[:, None], peers, self.n_clients)
-        pairs = np.unique(index[plus | minus])
+        upper, position = _pair_layout(self.n_clients)
+        # The pairs with an endpoint in the batch, in triu order, and each
+        # one's slot among them: the running count of the touched pairs.
+        member = np.zeros(self.n_clients, dtype=bool)
+        member[ids] = True
+        touched = (member[:, None] | member)[upper]
+        pairs = np.flatnonzero(touched)
+        slot = np.cumsum(touched) - 1
+        # (k, n) rows of every (client, peer); + toward larger ids, -
+        # toward smaller (the pairwise_mask_sign convention).
+        plus = upper[ids]
+        minus = upper.T[ids]
         seeds = np.concatenate([self._self_seeds[ids], self._pair_seeds[pairs]])
 
         def apply(masks: np.ndarray) -> np.ndarray:
@@ -215,7 +267,7 @@ class SecureAggregationSession:
             # an appended all-zero row, which fills each sign's other slots
             # (the diagonal included).
             pair_masks = np.vstack([masks[ids.size :], np.zeros((1, self.vector_length), lane)])
-            slots = np.searchsorted(pairs, index)
+            slots = slot[position[ids]]
             masked = (
                 rows
                 + masks[: ids.size]
@@ -253,56 +305,57 @@ class SecureAggregationSession:
         return apply(expand_masks(seeds, self.vector_length, self.ring.lane))
 
     # ------------------------------------------------------------------
-    def _unmask_phase(self) -> tuple[np.ndarray, Callable[[np.ndarray], list[int]]]:
-        """Check the threshold; return the seeds unmasking needs and the step applying them.
+    def _check_threshold(self) -> None:
+        """Open the unmask phase: raise unless at least ``threshold`` clients submitted.
 
-        Every survivor's self-mask seed comes back by Shamir reconstruction,
-        and each survivor reveals the seed it shared with each dropout.
         Below the threshold this raises :class:`SecureAggregationError` and
-        closes the session, counting the failure once.
+        closes the session, counting the failure once.  The check is the
+        session's ``secure_agg.finalize`` span.
         """
         if self._finalized:
             raise SecureAggregationError("session already finalized")
-        survivors = sorted(self._submissions)
-        dropped = [c for c in range(self.n_clients) if c not in self._submissions]
+        submitted = len(self._submissions)
         with get_tracer().span(
             "secure_agg.finalize",
             {
                 "n_clients": self.n_clients,
-                "submitted": len(survivors),
-                "dropouts": len(dropped),
+                "submitted": submitted,
+                "dropouts": self.n_clients - submitted,
                 "threshold": self.threshold,
             },
         ):
-            if len(survivors) < self.threshold:
+            if submitted < self.threshold:
                 first_failure = not self._failed
                 self._failed = True
                 metrics = get_metrics()
                 if metrics.enabled and first_failure:
                     metrics.counter("secure_agg_failures_total").inc()
                 raise SecureAggregationError(
-                    f"only {len(survivors)} of {self.n_clients} clients submitted; "
+                    f"only {submitted} of {self.n_clients} clients submitted; "
                     f"threshold is {self.threshold}"
                 )
-            # One batched interpolation over the shares held by the first
-            # `threshold` surviving shareholders (the session layer's known
-            # threshold guards against silent under-threshold interpolation).
-            holders = survivors[: self.threshold]
-            self_seeds = reconstruct_secrets(
-                [holder + 1 for holder in holders],
-                self._self_seed_shares[np.ix_(survivors, holders)],
-                self.field,
-                expected_threshold=self.threshold,
-            )
-            # Survivor-dropout pairwise masks linger in the total with the
-            # survivor's sign, so masks it added (dropout id larger) are
-            # subtracted along with the self-masks, and the others added back.
-            live = np.asarray(survivors)[:, None]
-            dead = np.asarray(dropped, dtype=np.intp)
-            index = _pair_index(live, dead, self.n_clients)
-            added = live < dead
-            subtract = np.concatenate([self_seeds, self._pair_seeds[index[added]]])
-            seeds = np.concatenate([subtract, self._pair_seeds[index[~added]]])
+
+    def _unmask_phase(
+        self, self_seeds: np.ndarray
+    ) -> tuple[np.ndarray, Callable[[np.ndarray], list[int]]]:
+        """Return the seeds unmasking needs and the step applying them.
+
+        ``self_seeds`` are the survivors' self-mask seeds, which
+        :func:`_recover_self_seeds` reconstructs once the session has passed
+        :meth:`_check_threshold`; each survivor also reveals the seed it
+        shared with each dropout.
+        """
+        survivors = sorted(self._submissions)
+        dropped = [c for c in range(self.n_clients) if c not in self._submissions]
+        # Survivor-dropout pairwise masks linger in the total with the
+        # survivor's sign, so masks it added (dropout id larger) are
+        # subtracted along with the self-masks, and the others added back.
+        upper, position = _pair_layout(self.n_clients)
+        block = np.ix_(survivors, dropped)
+        index = position[block]
+        added = upper[block]
+        subtract = np.concatenate([self_seeds, self._pair_seeds[index[added]]])
+        seeds = np.concatenate([subtract, self._pair_seeds[index[~added]]])
 
         def apply(masks: np.ndarray) -> list[int]:
             lane = self.ring.lane
@@ -333,7 +386,9 @@ class SecureAggregationSession:
         the session closed: calling it again re-raises without re-counting
         the failure metric.
         """
-        seeds, apply = self._unmask_phase()
+        self._check_threshold()
+        (self_seeds,) = _recover_self_seeds([self])
+        seeds, apply = self._unmask_phase(self_seeds)
         return apply(expand_masks(seeds, self.vector_length, self.ring.lane))
 
     # ------------------------------------------------------------------

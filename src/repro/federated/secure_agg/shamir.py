@@ -14,8 +14,10 @@ interpolation at zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -29,6 +31,7 @@ __all__ = [
     "split_secrets",
     "reconstruct_secret",
     "reconstruct_secrets",
+    "reconstruct_secret_sets",
 ]
 
 
@@ -127,17 +130,91 @@ def split_secrets(
 
 @lru_cache(maxsize=512)
 def _lagrange_weights_at_zero(xs: tuple[int, ...], modulus: int) -> tuple[int, ...]:
-    field = PrimeField(modulus)
-    weights = []
+    """Each point's Lagrange basis weight at zero, ``prod_{j != i} x_j / (x_j - x_i) mod p``.
+
+    ``xs`` must be distinct mod p.  Each numerator and denominator is an
+    exact integer product, reduced once.  One ``pow`` inverts the product
+    of all denominators, and a backward walk over their prefix products
+    peels off each one's inverse (Montgomery's batched inversion), instead
+    of one modular inverse per point.
+    """
+    numerators, denominators = [], []
     for i, x_i in enumerate(xs):
-        numerator, denominator = 1, 1
-        for j, x_j in enumerate(xs):
-            if i == j:
-                continue
-            numerator = field.mul(numerator, field.neg(x_j))
-            denominator = field.mul(denominator, field.sub(x_i, x_j))
-        weights.append(field.mul(numerator, field.inv(denominator)))
+        others = xs[:i] + xs[i + 1 :]
+        numerators.append(math.prod(others) % modulus)
+        denominators.append(math.prod([x_j - x_i for x_j in others]) % modulus)
+    prefix = [1]
+    for denominator in denominators:
+        prefix.append(prefix[-1] * denominator % modulus)
+    inverse = pow(prefix[-1], -1, modulus)
+    weights = [0] * len(xs)
+    for i in reversed(range(len(xs))):
+        weights[i] = numerators[i] * prefix[i] % modulus * inverse % modulus
+        inverse = inverse * denominators[i] % modulus
     return tuple(weights)
+
+
+def _check_points(xs: tuple[int, ...], field: PrimeField, expected_threshold: int | None) -> None:
+    """Reject an empty, under-threshold or duplicate (mod p) share point set."""
+    if not xs:
+        raise SecureAggregationError("cannot reconstruct from zero shares")
+    if expected_threshold is not None and len(xs) < expected_threshold:
+        raise SecureAggregationError(
+            f"reconstruction needs >= {expected_threshold} shares, got {len(xs)}; "
+            "interpolating fewer would silently yield garbage"
+        )
+    # Points equal mod p are one point of the polynomial: interpolating
+    # through both has no solution (a zero denominator).
+    if len({x % field.modulus for x in xs}) != len(xs):
+        raise SecureAggregationError(
+            f"duplicate share points mod {field.modulus}: {sorted(xs)}"
+        )
+
+
+def reconstruct_secret_sets(
+    point_sets: Sequence,
+    share_blocks: Sequence[np.ndarray],
+    field: PrimeField,
+    expected_thresholds: Sequence[int | None] | None = None,
+) -> list[np.ndarray]:
+    """:func:`reconstruct_secrets` for several point sets, one product per set size.
+
+    Block ``s`` of ``share_blocks`` is a ``(m_s, len(point_sets[s]))``
+    uint64 matrix: row ``i`` holds one secret's share values at
+    ``point_sets[s]``.  The blocks of the sets that hold ``t`` points are
+    stacked into one ``(sum m_s, t)`` matrix and multiplied by the ``(t,
+    sets)`` matrix of each set's Lagrange weights at zero, one exact mod-p
+    product; each row keeps its own set's column.  ``expected_thresholds``
+    gives each set's :func:`reconstruct_secrets` ``expected_threshold``.
+    Raises like :func:`reconstruct_secrets` on any set.
+    """
+    if expected_thresholds is None:
+        expected_thresholds = [None] * len(point_sets)
+    point_sets = [tuple(int(x) for x in xs) for xs in point_sets]
+    blocks = []
+    for xs, ys, threshold in zip(point_sets, share_blocks, expected_thresholds):
+        _check_points(xs, field, threshold)
+        ys = np.atleast_2d(np.asarray(ys, dtype=np.uint64))
+        if ys.shape[-1] != len(xs):
+            raise ConfigurationError(
+                f"share matrix has {ys.shape[-1]} columns for {len(xs)} points"
+            )
+        blocks.append(ys)
+    by_size: dict[int, list[int]] = {}
+    for s, xs in enumerate(point_sets):
+        by_size.setdefault(len(xs), []).append(s)
+    secrets: list = [None] * len(blocks)
+    for members in by_size.values():
+        weights = np.array(
+            [_lagrange_weights_at_zero(point_sets[s], field.modulus) for s in members],
+            dtype=np.uint64,
+        )
+        rows = [blocks[s].shape[0] for s in members]
+        products = field.matmul_arrays(np.concatenate([blocks[s] for s in members]), weights.T)
+        own = products[np.arange(products.shape[0]), np.repeat(np.arange(len(members)), rows)]
+        for s, part in zip(members, np.split(own, np.cumsum(rows)[:-1])):
+            secrets[s] = part
+    return secrets
 
 
 def reconstruct_secrets(
@@ -153,28 +230,11 @@ def reconstruct_secrets(
     Every row reuses the same Lagrange weights at zero (computed, and
     inverted, once per point set instead of once per secret), so the batch
     is one exact mod-p matrix-vector product.  Raises exactly like the
-    scalar twin on empty/duplicate points or an under-``expected_threshold``
-    share set.
+    scalar twin on empty, under-``expected_threshold`` or duplicate (mod p)
+    share points.
     """
-    xs = tuple(int(x) for x in xs)
-    if not xs:
-        raise SecureAggregationError("cannot reconstruct from zero shares")
-    if expected_threshold is not None and len(xs) < expected_threshold:
-        raise SecureAggregationError(
-            f"reconstruction needs >= {expected_threshold} shares, got {len(xs)}; "
-            "interpolating fewer would silently yield garbage"
-        )
-    if len(set(xs)) != len(xs):
-        raise SecureAggregationError(f"duplicate share points: {sorted(xs)}")
-    ys = np.atleast_2d(np.asarray(ys, dtype=np.uint64))
-    if ys.shape[-1] != len(xs):
-        raise ConfigurationError(
-            f"share matrix has {ys.shape[-1]} columns for {len(xs)} points"
-        )
-    weights = np.array(
-        _lagrange_weights_at_zero(xs, field.modulus), dtype=np.uint64
-    )
-    return field.matmul_arrays(ys, weights[:, None])[:, 0]
+    (secrets,) = reconstruct_secret_sets([xs], [ys], field, [expected_threshold])
+    return secrets
 
 
 def reconstruct_secret(
@@ -185,24 +245,15 @@ def reconstruct_secret(
     """Reconstruct the secret from at least ``threshold`` distinct shares.
 
     Lagrange interpolation at ``x = 0``.  Raises
-    :class:`SecureAggregationError` on duplicate evaluation points (a sign
-    of protocol corruption).  Supplying fewer than ``threshold`` shares is
+    :class:`SecureAggregationError` on evaluation points equal mod p (a
+    sign of protocol corruption).  Supplying fewer than ``threshold`` shares is
     mathematically undetectable -- interpolation happily returns a value
     that is *not* the secret -- so callers that know the split's threshold
     must pass it as ``expected_threshold``: an under-threshold share set
     then raises instead of silently corrupting whatever sum the "secret"
     feeds (the session layer always passes it).
     """
-    if not shares:
-        raise SecureAggregationError("cannot reconstruct from zero shares")
-    if expected_threshold is not None and len(shares) < expected_threshold:
-        raise SecureAggregationError(
-            f"reconstruction needs >= {expected_threshold} shares, got {len(shares)}; "
-            "interpolating fewer would silently yield garbage"
-        )
-    xs = [s.x for s in shares]
-    if len(set(xs)) != len(xs):
-        raise SecureAggregationError(f"duplicate share points: {sorted(xs)}")
+    _check_points(tuple(s.x for s in shares), field, expected_threshold)
     secret = 0
     for i, share_i in enumerate(shares):
         # Lagrange basis polynomial evaluated at 0.

@@ -226,6 +226,14 @@ class Tracer:
         """One reading of this tracer's wall clock (handshake timestamps)."""
         return self._wall()
 
+    def now(self) -> float:
+        """One reading of this tracer's duration clock.
+
+        For work timed outside a span and reported as an attribute, so that
+        a :class:`SimClock` makes those timings deterministic too.
+        """
+        return self._clock()
+
     def current_span_id(self) -> int | None:
         """Id of this thread's innermost open span (``None`` outside any span).
 
@@ -284,6 +292,9 @@ class NullTracer:
 
     def wall_time(self) -> float:
         return 0.0
+
+    def now(self) -> float:
+        return time.perf_counter()
 
     def current_span_id(self) -> int | None:
         return None

@@ -29,6 +29,7 @@ from repro.federated.secure_agg import (
 )
 from repro.federated.secure_agg import protocol
 from repro.federated.secure_agg.protocol import _pair_index
+from repro.federated.secure_agg.shamir import _lagrange_weights_at_zero, reconstruct_secret_sets
 from repro.observability import MetricsRegistry, configure, disable
 
 #: The four ring lanes, 8 to 64 bits.
@@ -419,6 +420,64 @@ class TestBatchedShamir:
             reconstruct_secrets([1, 2, 3], ys, field)
         with pytest.raises(ConfigurationError, match="threshold"):
             split_secrets([1], n_shares=2, threshold=3, field=field, rng=0)
+        # Points equal mod p are one point: a domain error, not a bare
+        # ZeroDivisionError, and never a silent zero from the batched inverse.
+        small = PrimeField(97)
+        with pytest.raises(SecureAggregationError, match="duplicate share points"):
+            reconstruct_secrets([1, 98], ys, small)
+        with pytest.raises(SecureAggregationError, match="duplicate share points"):
+            reconstruct_secret([Share(1, 5), Share(98, 6)], small)
+
+    def test_sets_match_one_reconstruction_each(self, rng, monkeypatch):
+        field = PrimeField()
+        point_sets = [[1, 3, 4], [2, 3, 5, 6, 7], [2, 4, 5], [1, 2, 3, 4, 5]]
+        blocks, expected = [], []
+        for xs in point_sets:
+            secrets = rng.integers(0, field.modulus, size=4).astype(np.uint64)
+            shares = split_secrets(secrets, 7, len(xs), field, rng)
+            blocks.append(shares[:, [x - 1 for x in xs]])
+            expected.append(secrets.tolist())
+        calls = []
+        matmul = PrimeField.matmul_arrays
+
+        def counting(self, a, b):
+            calls.append(b.shape)
+            return matmul(self, a, b)
+
+        monkeypatch.setattr(PrimeField, "matmul_arrays", counting)
+        got = reconstruct_secret_sets(point_sets, blocks, field, [3, 5, 3, 5])
+        assert [g.tolist() for g in got] == expected
+        # One product per set size: two sets of 3 points, two of 5.
+        assert sorted(calls) == [(3, 2), (5, 2)]
+        for xs, ys, secrets in zip(point_sets, blocks, expected):
+            assert reconstruct_secrets(xs, ys, field).tolist() == secrets
+        with pytest.raises(SecureAggregationError, match="needs >= 4 shares"):
+            reconstruct_secret_sets(point_sets, blocks, field, [3, 5, 4, 5])
+
+
+class TestLagrangeWeights:
+    """The batched-inversion weights against the scalar interpolation."""
+
+    # 200 distinct non-zero points need a modulus above 200.
+    @pytest.mark.parametrize(
+        "modulus, n_points",
+        [(p, k) for p in (97, 2**31 - 1, 2**61 - 1) for k in (1, 2, 22, 200) if k < p],
+    )
+    def test_agree_with_scalar_reconstruct(self, modulus, n_points):
+        field = PrimeField(modulus)
+        draw = np.random.default_rng([modulus % 1000, n_points])
+        xs = tuple(int(x) + 1 for x in draw.choice(modulus - 1, n_points, replace=False))
+        weights = _lagrange_weights_at_zero(xs, modulus)
+        # The weights are the interpolation's basis at zero, so any share
+        # values combine through them exactly as the scalar twin does.
+        for _ in range(3):
+            ys = [int(y) for y in draw.integers(0, modulus, n_points)]
+            expected = reconstruct_secret([Share(x, y) for x, y in zip(xs, ys)], field)
+            assert sum(w * y for w, y in zip(weights, ys)) % modulus == expected
+        if n_points <= 22:
+            for i in range(n_points):
+                unit = [Share(x, int(i == j)) for j, x in enumerate(xs)]
+                assert weights[i] == reconstruct_secret(unit, field)
 
 
 class TestExpectedThreshold:

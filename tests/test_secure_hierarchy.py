@@ -22,16 +22,18 @@ from repro.federated.secure_agg import (
     secure_sum,
     shard_bounds,
 )
-from repro.federated.secure_agg import hierarchy, protocol
+from repro.federated.secure_agg import PrimeField, hierarchy, protocol
 from repro.federated.secure_agg.masking import expand_masks
 from repro.metrics.execution import spawn_seed_sequences
 from repro.observability import (
     HealthMonitor,
     InMemoryExporter,
     MetricsRegistry,
+    SimClock,
     Tracer,
     configure,
     disable,
+    get_tracer,
     instrumented,
 )
 from repro.observability.health import ShardFailureRule
@@ -191,6 +193,19 @@ def _one_session_each(tasks, length, seed):
     return rows, totals
 
 
+def _matmul_spans(monkeypatch):
+    """Patch the field product to record each call's ``(open span id, b's shape)``."""
+    calls = []
+    matmul = PrimeField.matmul_arrays
+
+    def recording(self, a, b):
+        calls.append((get_tracer().current_span_id(), np.shape(b)))
+        return matmul(self, a, b)
+
+    monkeypatch.setattr(PrimeField, "matmul_arrays", recording)
+    return calls
+
+
 def _recording_sessions(monkeypatch):
     """Patch the group path's session class to keep every session it builds."""
     built = []
@@ -254,6 +269,42 @@ class TestShardGroups:
         assert [s.total.tolist() for s in result.shards] == totals
         np.testing.assert_array_equal(result.total, vecs[submitted].sum(axis=0))
 
+    def test_one_shamir_product_per_threshold(self, monkeypatch):
+        # shard_size=9 over 55 clients: five 9-client shards (threshold 6)
+        # and a 10-client last shard (threshold 7), all in one group.
+        draw = np.random.default_rng(10)
+        vecs = draw.random((55, 4)) < 0.5
+        submitted = np.ones(55, dtype=bool)
+        submitted[[2, 30, 50]] = False
+        submitted[9:13] = False  # shard 1 keeps 5 of 9, below its threshold of 6
+        tasks = _tasks(vecs, submitted, 9)
+        assert [t.n_clients for t in tasks] == [9] * 5 + [10]
+        built = _recording_sessions(monkeypatch)
+        calls = _matmul_spans(monkeypatch)
+        exporter = InMemoryExporter()
+        with instrumented(Tracer([exporter]), MetricsRegistry()):
+            result = aggregate_shards(tasks, 4, rng=np.random.default_rng(4), workers=1)
+        (unmask,) = exporter.find("secure_agg.unmask")
+        # Setup splits one share matrix per session; unmasking reconstructs
+        # the four threshold-6 sessions in one product and the one
+        # threshold-7 session in another.
+        assert sorted(shape for span, shape in calls if span == unmask.span_id) == [
+            (6, 4),
+            (7, 1),
+        ]
+        assert len(calls) == len(tasks) + 2
+        rows, totals = _one_session_each(tasks, 4, 4)
+        assert [s.recovered for s in result.shards] == [t is not None for t in totals]
+        assert [s.index for s in result.failed_shards] == [1]
+        for session, task, expected_rows, total, outcome in zip(
+            built, tasks, rows, totals, result.shards
+        ):
+            got = [session._submissions[int(cid)] for cid in task.submitted_ids]
+            np.testing.assert_array_equal(np.asarray(got), expected_rows)
+            if total is not None:
+                assert outcome.total.tolist() == total
+        np.testing.assert_array_equal(result.total, vecs[result.included].sum(axis=0))
+
     def test_one_expansion_per_phase_for_a_group(self, monkeypatch):
         calls = []
 
@@ -269,8 +320,9 @@ class TestShardGroups:
         assert len(calls) == 2
         np.testing.assert_array_equal(result.total, vecs.sum(axis=0))
 
-    def test_groups_time_their_phases(self):
+    def test_groups_time_their_phases(self, monkeypatch):
         exporter = InMemoryExporter()
+        calls = _matmul_spans(monkeypatch)
         vecs = np.random.default_rng(6).random((40, 6)) < 0.5
         submitted = np.ones(40, dtype=bool)
         submitted[[3, 17]] = False
@@ -292,10 +344,33 @@ class TestShardGroups:
         finalize = exporter.find("secure_agg.finalize")
         assert len(finalize) == 5
         assert {s.parent_id for s in finalize} == {phases["secure_agg.unmask"].span_id}
+        # Five share splits in setup; one Shamir reconstruction for the
+        # group's five threshold-6 sessions, inside the unmask phase.
+        assert calls == [(phases["secure_agg.setup"].span_id, (6, 8))] * 5 + [
+            (phases["secure_agg.unmask"].span_id, (6, 5))
+        ]
         # Shard durations share out the group's wall time, which holds the phases.
         assert sum(s.duration_s for s in result.shards) >= sum(
             span.duration_s for span in phases.values()
         )
+
+    def test_sim_clock_times_shards(self):
+        vecs = np.random.default_rng(6).random((40, 6)) < 0.5
+        submitted = np.ones(40, dtype=bool)
+        submitted[[3, 17]] = False
+        runs = []
+        for _ in range(2):
+            clock = SimClock()
+            exporter = InMemoryExporter()
+            tracer = Tracer([exporter], clock=clock, wall_clock=clock)
+            with instrumented(tracer, MetricsRegistry()):
+                hierarchical_secure_sum(vecs, submitted, shard_size=8, workers=1, rng=3)
+            runs.append([span.to_dict() for span in exporter.records])
+        assert runs[0] == runs[1]
+        durations = [
+            span["attributes"]["duration_s"] for span in runs[0] if span["name"] == "shard.session"
+        ]
+        assert len(durations) == 5 and all(d > 0 for d in durations)
 
     def test_pooled_groups_record_worker_phase_spans(self, monkeypatch):
         monkeypatch.setattr(hierarchy, "SHARD_GROUP", 2)
@@ -307,10 +382,10 @@ class TestShardGroups:
         (root,) = exporter.find("secure_agg.hierarchy")
         for name in ("secure_agg.setup", "secure_agg.mask", "secure_agg.unmask"):
             spans = exporter.find(name)
-            assert [s.attributes["shards"] for s in spans] and sorted(
-                s.attributes["shards"] for s in spans
-            ) == [1, 2, 2]
+            # Groups of 2, 2 and 1 shards, recorded in group order.
+            assert [s.attributes["shards"] for s in spans] == [2, 2, 1]
             assert all(s.parent_id == root.span_id and s.attributes["worker"] for s in spans)
+        assert [s.attributes["shard"] for s in exporter.find("shard.session")] == [0, 1, 2, 3, 4]
         # Workers trace nothing, but their metrics merge back.
         assert not exporter.find("secure_agg.finalize")
         counters = registry.snapshot()["counters"]
