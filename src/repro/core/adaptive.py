@@ -21,6 +21,9 @@ schedule is computed, and to the final pooled means before reconstruction.
 
 from __future__ import annotations
 
+import math
+from typing import Callable
+
 import numpy as np
 
 from repro.core.client_plane import (
@@ -31,8 +34,9 @@ from repro.core.client_plane import (
 from repro.core.encoding import FixedPointEncoder
 from repro.core.protocol import (
     BitPerturbation,
-    bit_means_from_stats,
     combine_round_stats,
+    decode_estimate,
+    round_summary,
 )
 from repro.core.results import MeanEstimate, RoundSummary
 from repro.core.sampling import (
@@ -49,9 +53,17 @@ __all__ = ["AdaptiveBitPushing"]
 
 _RANDOMNESS_MODES = ("central", "local")
 
+#: ``run_round(indices, schedule, round_index) -> RoundSummary``; see run_rounds.
+RunRound = Callable[[np.ndarray, BitSamplingSchedule, int], RoundSummary]
+
 
 class AdaptiveBitPushing:
     """Two-round adaptive bit-pushing estimator (Algorithm 2).
+
+    The plan is :meth:`run_rounds`, over any kind of round:
+    :meth:`estimate_encoded` collects each round from an encoded array, and
+    :class:`~repro.federated.server.FederatedMeanQuery` through its attempt
+    loop and transport.
 
     Parameters
     ----------
@@ -76,7 +88,8 @@ class AdaptiveBitPushing:
         Optional local DP mechanism applied to every transmitted bit.
     squash_multiple:
         Bit-squash threshold in multiples of the expected DP noise level
-        (0 disables squashing; only meaningful with a perturbation).
+        (0 disables squashing; only meaningful with a perturbation that
+        exposes its ``epsilon``).
 
     Examples
     --------
@@ -102,16 +115,22 @@ class AdaptiveBitPushing:
         perturbation: BitPerturbation | None = None,
         squash_multiple: float = 0.0,
     ) -> None:
+        # Checked before any round spends epsilon; NaN fails every check.
         if not 0.0 < delta < 1.0:
             raise ConfigurationError(f"delta must be in (0, 1), got {delta}")
         if randomness not in _RANDOMNESS_MODES:
             raise ConfigurationError(f"randomness must be one of {_RANDOMNESS_MODES}")
-        if alpha < 0:
-            raise ConfigurationError(f"alpha must be >= 0, got {alpha}")
-        if squash_multiple < 0:
-            raise ConfigurationError(f"squash_multiple must be >= 0, got {squash_multiple}")
-        if squash_multiple > 0 and perturbation is None:
-            raise ConfigurationError("squash_multiple requires a perturbation (it is a DP noise filter)")
+        if not (math.isfinite(alpha) and alpha >= 0):
+            raise ConfigurationError(f"alpha must be finite and >= 0, got {alpha}")
+        if gamma is not None and not math.isfinite(gamma):
+            raise ConfigurationError(f"gamma must be finite, got {gamma}")
+        if not (math.isfinite(squash_multiple) and squash_multiple >= 0):
+            raise ConfigurationError(
+                f"squash_multiple must be finite and >= 0, got {squash_multiple}"
+            )
+        if squash_multiple > 0 and getattr(perturbation, "epsilon", None) is None:
+            # Squashing filters DP noise, in multiples of epsilon's noise level.
+            raise ConfigurationError("squash_multiple needs a perturbation with an `epsilon`")
         self.encoder = encoder
         self.gamma = gamma if gamma is not None else (0.0 if perturbation is not None else 0.5)
         self.alpha = alpha
@@ -139,39 +158,77 @@ class AdaptiveBitPushing:
     ) -> MeanEstimate:
         """Estimate from already-encoded uint64 values (one per client)."""
         gen = ensure_rng(rng)
-        tracer = get_tracer()
-        metrics = get_metrics()
         encoded = np.asarray(encoded, dtype=np.uint64)
         n_clients = int(encoded.size)
-        if n_clients < 2:
-            raise ConfigurationError(
-                f"adaptive bit-pushing needs at least 2 clients, got {n_clients}"
+        assign = central_assignment if self.randomness == "central" else local_assignment
+
+        def run_round(indices, schedule, round_index):
+            assignment = assign(indices.size, schedule, gen)
+            # Chunk-streamed collection; bit-identical to collect_bit_reports
+            # for any chunk size (see repro.core.client_plane).
+            sums, counts = accumulate_bit_reports(
+                encoded[indices], self.encoder.n_bits, assignment, self.perturbation, gen
             )
-        n_bits = self.encoder.n_bits
+            return round_summary(
+                sums, counts, schedule.probabilities, indices.size, self.perturbation
+            )
+
+        rounds, (means, counts) = self.run_rounds(n_clients, gen, run_round)
+        return decode_estimate(
+            self.encoder,
+            means,
+            counts,
+            perturbation=self.perturbation,
+            threshold=self.squash_thresholds(counts),
+            n_clients=n_clients,
+            method=self.method,
+            rounds=rounds,
+            metadata={
+                "gamma": self.gamma,
+                "alpha": self.alpha,
+                "delta": self.delta,
+                "caching": self.caching,
+                "randomness": self.randomness,
+                "ldp": self.perturbation is not None,
+                "squash_multiple": self.squash_multiple,
+            },
+        )
+
+    def run_rounds(
+        self, n_clients: int, gen: np.random.Generator, run_round: RunRound
+    ) -> tuple[tuple[RoundSummary, RoundSummary], tuple[np.ndarray, np.ndarray]]:
+        """Run Algorithm 2's two rounds over a cohort of ``n_clients``.
+
+        Draws the cohort split from ``gen``, then calls ``run_round`` once
+        per round with that round's cohort positions and schedule.  Returns
+        both rounds' summaries and the pooled ``(bit_means, counts)``, still
+        unsquashed: the caller decodes them with
+        :func:`~repro.core.protocol.decode_estimate` under
+        :meth:`squash_thresholds`.
+        """
+        if n_clients < 2:
+            raise ConfigurationError(f"adaptive mode needs at least 2 clients, got {n_clients}")
+        tracer = get_tracer()
+        metrics = get_metrics()
 
         # Split the cohort: a random delta-fraction participates in round 1.
         n_round1 = min(max(int(round(self.delta * n_clients)), 1), n_clients - 1)
         order = gen.permutation(n_clients)
-        cohort1 = encoded[order[:n_round1]]
-        cohort2 = encoded[order[n_round1:]]
 
         # --- Round 1: input-independent geometric schedule. ---
-        with tracer.span(
-            "adaptive.round1", {"n_clients": n_round1, "gamma": self.gamma}
-        ):
-            schedule1 = BitSamplingSchedule.geometric(n_bits, gamma=self.gamma)
-            summary1 = self._run_round(cohort1, schedule1, gen)
+        with tracer.span("adaptive.round1", {"n_clients": n_round1, "gamma": self.gamma}):
+            schedule1 = BitSamplingSchedule.geometric(self.encoder.n_bits, gamma=self.gamma)
+            summary1 = run_round(order[:n_round1], schedule1, 1)
         round1_means = summary1.bit_means
-        if self.squash_multiple > 0 and self.perturbation is not None:
-            threshold = self._squash_threshold(summary1.counts)
+        if self.squash_multiple > 0:
+            threshold = self.squash_thresholds(summary1.counts)
             round1_means, _ = squash_bit_means(round1_means, threshold)
 
         # --- Round 2: data-driven schedule from round-1 bit means. ---
-        with tracer.span(
-            "adaptive.round2", {"n_clients": n_clients - n_round1, "alpha": self.alpha}
-        ):
+        n_round2 = n_clients - n_round1
+        with tracer.span("adaptive.round2", {"n_clients": n_round2, "alpha": self.alpha}):
             schedule2 = BitSamplingSchedule.from_bit_means(round1_means, alpha=self.alpha)
-            summary2 = self._run_round(cohort2, schedule2, gen)
+            summary2 = run_round(order[n_round1:], schedule2, 2)
 
         # --- Final aggregation (Algorithm 2 lines 9-11). ---
         with tracer.span("adaptive.combine", {"caching": self.caching}) as combine_span:
@@ -190,44 +247,23 @@ class AdaptiveBitPushing:
                 # Round 2 only, but bits it never sampled fall back to round 1
                 # (they carried ~0 weight; dropping them entirely biases the
                 # estimate whenever round 1 mis-scored a bit).
-                pooled_means = np.where(
-                    summary2.counts > 0, summary2.bit_means, summary1.bit_means
-                )
-                pooled_counts = np.where(summary2.counts > 0, summary2.counts, summary1.counts)
+                have2 = summary2.counts > 0
+                pooled_means = np.where(have2, summary2.bit_means, summary1.bit_means)
+                pooled_counts = np.where(have2, summary2.counts, summary1.counts)
         if metrics.enabled:
             metrics.counter("adaptive_estimates_total").inc()
+        return (summary1, summary2), (pooled_means, pooled_counts)
 
-        squashed: tuple[int, ...] = ()
-        if self.perturbation is not None:
-            threshold = (
-                self._squash_threshold(pooled_counts)
-                if self.squash_multiple > 0
-                else np.zeros_like(pooled_means)
-            )
-            pooled_means, squashed_idx = squash_bit_means(pooled_means, threshold)
-            squashed = tuple(int(j) for j in squashed_idx)
+    def squash_thresholds(self, counts: np.ndarray) -> float | np.ndarray:
+        """Per-bit squash thresholds for bits with ``counts`` reports.
 
-        encoded_mean = float(self.encoder.powers @ pooled_means)
-        return MeanEstimate(
-            value=self.encoder.decode_scalar(encoded_mean),
-            encoded_value=encoded_mean,
-            bit_means=pooled_means,
-            counts=pooled_counts,
-            n_clients=n_clients,
-            n_bits=n_bits,
-            method=self.method,
-            rounds=(summary1, summary2),
-            squashed_bits=squashed,
-            metadata={
-                "gamma": self.gamma,
-                "alpha": self.alpha,
-                "delta": self.delta,
-                "caching": self.caching,
-                "randomness": self.randomness,
-                "ldp": self.perturbation is not None,
-                "squash_multiple": self.squash_multiple,
-            },
-        )
+        ``squash_multiple`` times each bit's expected randomized-response
+        noise (Section 3.3); 0 when squashing is off.
+        """
+        if self.squash_multiple == 0:
+            return 0.0
+        epsilon = float(self.perturbation.epsilon)  # checked at construction
+        return per_bit_squash_thresholds(self.squash_multiple, epsilon, counts)
 
     def estimate_clients(
         self,
@@ -245,37 +281,3 @@ class AdaptiveBitPushing:
         gen = ensure_rng(rng)
         values = elicit_values(batch, strategy, gen, chunk=chunk)
         return self.estimate(values, gen)
-
-    # ------------------------------------------------------------------
-    def _run_round(
-        self,
-        cohort: np.ndarray,
-        schedule: BitSamplingSchedule,
-        gen: np.random.Generator,
-    ) -> RoundSummary:
-        n = int(cohort.size)
-        if self.randomness == "central":
-            assignment = central_assignment(n, schedule, gen)
-        else:
-            assignment = local_assignment(n, schedule, gen)
-        # Chunk-streamed collection; bit-identical to collect_bit_reports
-        # for any chunk size (see repro.core.client_plane).
-        sums, counts = accumulate_bit_reports(
-            cohort, self.encoder.n_bits, assignment, self.perturbation, gen
-        )
-        means = bit_means_from_stats(sums, counts, self.perturbation)
-        return RoundSummary(
-            probabilities=schedule.probabilities,
-            counts=counts,
-            sums=means * counts,
-            bit_means=means,
-            n_clients=n,
-        )
-
-    def _squash_threshold(self, counts: np.ndarray) -> np.ndarray:
-        epsilon = getattr(self.perturbation, "epsilon", None)
-        if epsilon is None:
-            raise ConfigurationError(
-                "squash_multiple needs a perturbation exposing an `epsilon` attribute"
-            )
-        return per_bit_squash_thresholds(self.squash_multiple, float(epsilon), counts)

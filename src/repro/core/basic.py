@@ -26,8 +26,10 @@ from repro.core.encoding import FixedPointEncoder
 from repro.core.protocol import (
     BitPerturbation,
     bit_means_from_stats,
+    decode_estimate,
+    round_summary,
 )
-from repro.core.results import MeanEstimate, RoundSummary
+from repro.core.results import MeanEstimate
 from repro.core.sampling import (
     BitSamplingSchedule,
     apportion_counts,
@@ -140,28 +142,18 @@ class BasicBitPushing:
         sums, counts = accumulate_bit_reports(
             encoded, self.encoder.n_bits, assignment, self.perturbation, gen
         )
-        means = bit_means_from_stats(sums, counts, self.perturbation)
-        round_summary = RoundSummary(
-            probabilities=self.schedule.probabilities,
-            counts=counts,
-            sums=means * counts,
-            bit_means=means,
-            n_clients=n_clients,
+        summary = round_summary(
+            sums, counts, self.schedule.probabilities, n_clients, self.perturbation
         )
-        final_means, squashed = squash_bit_means(
-            means, self.squash_threshold, clip_to_unit=self.perturbation is not None
-        )
-        encoded_mean = float(self.encoder.powers @ final_means)
-        return MeanEstimate(
-            value=self.encoder.decode_scalar(encoded_mean),
-            encoded_value=encoded_mean,
-            bit_means=final_means,
-            counts=counts,
+        return decode_estimate(
+            self.encoder,
+            summary.bit_means,
+            counts,
+            perturbation=self.perturbation,
+            threshold=self.squash_threshold,
             n_clients=n_clients,
-            n_bits=self.encoder.n_bits,
             method=self.method,
-            rounds=(round_summary,),
-            squashed_bits=tuple(int(j) for j in squashed),
+            rounds=(summary,),
             metadata={
                 "b_send": self.b_send,
                 "randomness": self.randomness,

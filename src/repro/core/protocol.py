@@ -6,7 +6,9 @@ indices, extract the assigned bits, optionally pass them through a local
 privacy perturbation, and aggregate into per-bit sums and counts.  The basic
 and adaptive estimators, the LDP wrapper, the federated simulator, and the
 poisoning attacks all build on these primitives, so the protocol logic lives
-exactly once.
+exactly once.  So do the two steps every round path shares, summarizing a
+round (:func:`round_summary`) and decoding the final bit means
+(:func:`decode_estimate`).
 
 Privacy perturbations are duck-typed via :class:`BitPerturbation` so the core
 package does not depend on :mod:`repro.privacy` (the dependency points the
@@ -15,11 +17,14 @@ other way: privacy mechanisms *implement* this protocol).
 
 from __future__ import annotations
 
-from typing import Protocol, runtime_checkable
+from typing import Any, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
+from repro.core.encoding import FixedPointEncoder
+from repro.core.results import MeanEstimate, RoundSummary
 from repro.core.sampling import BitSamplingSchedule
+from repro.core.squashing import squash_bit_means
 from repro.exceptions import ProtocolError
 from repro.rng import ensure_rng
 
@@ -27,7 +32,9 @@ __all__ = [
     "BitPerturbation",
     "collect_bit_reports",
     "bit_means_from_stats",
+    "round_summary",
     "combine_round_stats",
+    "decode_estimate",
     "theoretical_variance",
     "optimal_probabilities_bound",
 ]
@@ -143,6 +150,27 @@ def bit_means_from_stats(
     return means
 
 
+def round_summary(
+    sums: np.ndarray, counts: np.ndarray, probabilities: np.ndarray, n_clients: int,
+    perturbation: BitPerturbation | None = None,
+) -> RoundSummary:
+    """One round's raw ``(sums, counts)`` as its :class:`RoundSummary`.
+
+    The bit means are :func:`bit_means_from_stats`'s and the sums are
+    ``means * counts``.  Under randomized response both may leave their
+    natural range: clipping is a decode step (:func:`decode_estimate`), so
+    caching pools the unbiased evidence.
+    """
+    means = bit_means_from_stats(sums, counts, perturbation)
+    return RoundSummary(
+        probabilities=probabilities,
+        counts=counts,
+        sums=means * counts,
+        bit_means=means,
+        n_clients=n_clients,
+    )
+
+
 def combine_round_stats(
     unbiased_means: list[np.ndarray],
     counts: list[np.ndarray],
@@ -164,6 +192,34 @@ def combine_round_stats(
     sampled = total_counts > 0
     pooled[sampled] = weighted[sampled] / total_counts[sampled]
     return pooled, total_counts.astype(np.int64)
+
+
+def decode_estimate(
+    encoder: FixedPointEncoder, bit_means: np.ndarray, counts: np.ndarray, *,
+    perturbation: BitPerturbation | None = None, threshold: float | np.ndarray = 0.0,
+    n_clients: int, method: str, rounds: Sequence[RoundSummary], metadata: dict[str, Any],
+) -> MeanEstimate:
+    """Squash, clip and decode the final bit means into a :class:`MeanEstimate`.
+
+    Means below ``threshold`` (scalar or per bit; 0 disables) become zero,
+    and under a perturbation the rest are clipped into [0, 1]: a true bit
+    mean is a proportion, and post-processing spends no privacy (Section
+    3.3).  Then ``sum_j 2**j m_j`` is decoded into the real domain.
+    """
+    means, squashed = squash_bit_means(bit_means, threshold, clip_to_unit=perturbation is not None)
+    encoded_mean = float(encoder.powers @ means)
+    return MeanEstimate(
+        value=encoder.decode_scalar(encoded_mean),
+        encoded_value=encoded_mean,
+        bit_means=means,
+        counts=counts,
+        n_clients=n_clients,
+        n_bits=encoder.n_bits,
+        method=method,
+        rounds=tuple(rounds),
+        squashed_bits=tuple(int(j) for j in squashed),
+        metadata=metadata,
+    )
 
 
 # ----------------------------------------------------------------------

@@ -13,11 +13,15 @@ server calls it between its ``await`` points:
 * :meth:`RoundCore.check_quorum` -- the quorum verdict and its
   :class:`~repro.exceptions.RoundFailedError` messages and counters;
 * :meth:`RoundCore.fold` -- per-bit ``(sums, counts)`` to a
-  :class:`RoundOutcome`, then privacy accounting over the folded clients:
-  the bit meter first and the epsilon ledger second, so an over-disclosure
-  aborts the round before any epsilon is spent;
-* :meth:`RoundCore.reconstruct` -- the LDP clip/squash, the decode and the
-  :class:`~repro.core.results.MeanEstimate` metadata.
+  :class:`RoundOutcome` (the summary is
+  :func:`~repro.core.protocol.round_summary`'s), then privacy accounting
+  over the folded clients: the bit meter first and the epsilon ledger
+  second, so an over-disclosure aborts the round before any epsilon is
+  spent;
+* :meth:`RoundCore.reconstruct` -- the round's
+  :class:`~repro.core.results.MeanEstimate` metadata around
+  :func:`~repro.core.protocol.decode_estimate`, the squash, clip and decode
+  the core estimators use too.
 """
 
 from __future__ import annotations
@@ -28,9 +32,8 @@ from typing import Any, Hashable, Mapping, Sequence
 import numpy as np
 
 from repro.core.encoding import FixedPointEncoder
-from repro.core.protocol import BitPerturbation, bit_means_from_stats
+from repro.core.protocol import BitPerturbation, decode_estimate, round_summary
 from repro.core.results import MeanEstimate, RoundSummary
-from repro.core.squashing import squash_bit_means
 from repro.exceptions import ConfigurationError, RoundFailedError
 from repro.federated.retry import RetryPolicy
 from repro.observability import HealthMonitor, get_metrics, get_tracer
@@ -194,14 +197,7 @@ class RoundCore:
         fraction looks healthy: exclusions widen the variance like dropout.
         """
         survived = int(counts.sum())
-        means = bit_means_from_stats(sums, counts, self.perturbation)
-        summary = RoundSummary(
-            probabilities=probabilities,
-            counts=counts,
-            sums=means * counts,
-            bit_means=means,
-            n_clients=survived,
-        )
+        summary = round_summary(sums, counts, probabilities, survived, self.perturbation)
         degraded = survived < self.degraded_fraction * planned or shard_failures > 0
         outcome = RoundOutcome(summary, planned, survived, duration_s, degraded=degraded)
         if self.meter is not None:
@@ -247,47 +243,41 @@ class RoundCore:
 
         ``pooled`` holds ``(bit_means, counts)`` pooled across rounds; by
         default the single round's own.  Under LDP the debiased means are
-        first squashed below ``threshold`` and clipped into [0, 1]: a true
-        bit mean is a proportion, and post-processing spends no privacy.
+        first squashed below ``threshold`` and clipped into [0, 1]
+        (:func:`~repro.core.protocol.decode_estimate`).
         """
         means, counts = pooled or (outcomes[0].summary.bit_means, outcomes[0].summary.counts)
         with get_tracer().span(span_name, {"n_bits": self.encoder.n_bits}) as span:
-            squashed: tuple[int, ...] = ()
-            if self.perturbation is not None:
-                means, squashed_idx = squash_bit_means(means, threshold)
-                squashed = tuple(int(j) for j in squashed_idx)
-            encoded_mean = float(self.encoder.powers @ means)
-            value = self.encoder.decode_scalar(encoded_mean)
-            span.set_attribute("squashed_bits", list(squashed))
-            span.set_attribute("estimate", value)
-        return MeanEstimate(
-            value=value,
-            encoded_value=encoded_mean,
-            bit_means=means,
-            counts=counts,
-            n_clients=n_clients,
-            n_bits=self.encoder.n_bits,
-            method=method,
-            rounds=tuple(o.summary for o in outcomes),
-            squashed_bits=squashed,
-            metadata={
-                "cohort_size": n_clients,
-                "dropout_rates": [o.dropout_rate for o in outcomes],
-                "round_durations_s": [o.round_duration_s for o in outcomes],
-                "total_duration_s": sum(o.round_duration_s + o.backoff_s for o in outcomes),
-                "planned_clients": [o.planned_clients for o in outcomes],
-                "surviving_clients": [o.surviving_clients for o in outcomes],
-                "round_attempts": [o.attempts for o in outcomes],
-                "degraded_rounds": [o.degraded for o in outcomes],
-                "variance_inflation": [o.variance_inflation for o in outcomes],
-                "backoff_s": [o.backoff_s for o in outcomes],
-                "attempt_history": [
-                    [list(pair) for pair in o.attempt_history] for o in outcomes
-                ],
-                **metadata,
-                "ldp": self.perturbation is not None,
-            },
-        )
+            estimate = decode_estimate(
+                self.encoder,
+                means,
+                counts,
+                perturbation=self.perturbation,
+                threshold=threshold,
+                n_clients=n_clients,
+                method=method,
+                rounds=[o.summary for o in outcomes],
+                metadata={
+                    "cohort_size": n_clients,
+                    "dropout_rates": [o.dropout_rate for o in outcomes],
+                    "round_durations_s": [o.round_duration_s for o in outcomes],
+                    "total_duration_s": sum(o.round_duration_s + o.backoff_s for o in outcomes),
+                    "planned_clients": [o.planned_clients for o in outcomes],
+                    "surviving_clients": [o.surviving_clients for o in outcomes],
+                    "round_attempts": [o.attempts for o in outcomes],
+                    "degraded_rounds": [o.degraded for o in outcomes],
+                    "variance_inflation": [o.variance_inflation for o in outcomes],
+                    "backoff_s": [o.backoff_s for o in outcomes],
+                    "attempt_history": [
+                        [list(pair) for pair in o.attempt_history] for o in outcomes
+                    ],
+                    **metadata,
+                    "ldp": self.perturbation is not None,
+                },
+            )
+            span.set_attribute("squashed_bits", list(estimate.squashed_bits))
+            span.set_attribute("estimate", estimate.value)
+        return estimate
 
 
 class AttemptLoop:

@@ -8,9 +8,11 @@ lossy network from clients that may vanish mid-round, meter each disclosure,
 optionally route the per-bit counters through secure aggregation, and
 reconstruct the mean -- in one round (basic) or two (adaptive).
 
-The arithmetic is exactly :mod:`repro.core`'s; this layer adds the systems
-behaviour around it, so core tests guarantee correctness and federated tests
-guarantee robustness.
+The arithmetic is exactly :mod:`repro.core`'s: adaptive mode runs
+:meth:`~repro.core.adaptive.AdaptiveBitPushing.run_rounds`, Algorithm 2's
+one plan, with this layer's attempt loop as its round.  This layer adds the
+systems behaviour around it, so core tests guarantee correctness and
+federated tests guarantee robustness.
 """
 
 from __future__ import annotations
@@ -19,16 +21,16 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core.adaptive import AdaptiveBitPushing
 from repro.core.client_plane import (
     ClientBatch,
     collect_client_reports,
     elicit_values,
 )
 from repro.core.encoding import FixedPointEncoder
-from repro.core.protocol import BitPerturbation, combine_round_stats
+from repro.core.protocol import BitPerturbation
 from repro.core.results import MeanEstimate
 from repro.core.sampling import BitSamplingSchedule, central_assignment
-from repro.core.squashing import per_bit_squash_thresholds, squash_bit_means
 from repro.exceptions import ConfigurationError, RoundFailedError
 from repro.federated.cohort import CohortSelector, Eligibility, Population, as_batch
 from repro.federated.dropout import DropoutModel, DropoutRateTracker
@@ -64,13 +66,15 @@ class FederatedMeanQuery(RoundCore):
         Basic-mode sampling schedule (default: the Eq. 7 ``p_j \\propto 2**j``,
         i.e. weighted ``alpha = 1.0``).
     gamma, alpha, delta, caching:
-        Adaptive-mode parameters, as in
-        :class:`~repro.core.adaptive.AdaptiveBitPushing`.
+        Adaptive-mode parameters of :attr:`plan`, the
+        :class:`~repro.core.adaptive.AdaptiveBitPushing` whose
+        :meth:`~repro.core.adaptive.AdaptiveBitPushing.run_rounds` runs the
+        two rounds.  It validates them at construction, in either mode.
     perturbation:
         Optional local-DP bit perturbation (randomized response).
     squash_multiple:
         Bit-squash threshold in expected-DP-noise multiples (needs a
-        perturbation).
+        perturbation with an ``epsilon``).
     dropout, network:
         Failure models; ``None`` disables each.
     selector:
@@ -148,14 +152,12 @@ class FederatedMeanQuery(RoundCore):
     ) -> None:
         if mode not in _MODES:
             raise ConfigurationError(f"mode must be one of {_MODES}, got {mode!r}")
-        if not 0.0 < delta < 1.0:
-            raise ConfigurationError(f"delta must be in (0, 1), got {delta}")
+        self.plan = AdaptiveBitPushing(
+            encoder, gamma=gamma, alpha=alpha, delta=delta, caching=caching,
+            perturbation=perturbation, squash_multiple=squash_multiple,
+        )
         if min_reports_per_bit < 0:
             raise ConfigurationError(f"min_reports_per_bit must be >= 0, got {min_reports_per_bit}")
-        if squash_multiple < 0:
-            raise ConfigurationError(f"squash_multiple must be >= 0, got {squash_multiple}")
-        if squash_multiple > 0 and perturbation is None:
-            raise ConfigurationError("squash_multiple requires a perturbation")
         if shard_size < 2:
             raise ConfigurationError(f"shard_size must be >= 2, got {shard_size}")
         if chunk_clients is not None and chunk_clients < 1:
@@ -171,13 +173,6 @@ class FederatedMeanQuery(RoundCore):
         )
         self.mode = mode
         self.schedule = schedule or BitSamplingSchedule.weighted(encoder.n_bits, alpha=1.0)
-        # Under LDP the exploratory round defaults to uniform sampling; see
-        # AdaptiveBitPushing for the rationale.
-        self.gamma = gamma if gamma is not None else (0.0 if perturbation is not None else 0.5)
-        self.alpha = alpha
-        self.delta = delta
-        self.caching = caching
-        self.squash_multiple = squash_multiple
         self.dropout = dropout
         self.network = network
         self.selector = selector or CohortSelector(min_cohort_size=1)
@@ -190,6 +185,13 @@ class FederatedMeanQuery(RoundCore):
         self.dropout_tracker = DropoutRateTracker(
             prior_rate=dropout.rate if dropout is not None else 0.0
         )
+
+    # Algorithm 2's parameters live on the plan (gamma with its LDP default).
+    gamma = property(lambda self: self.plan.gamma)
+    alpha = property(lambda self: self.plan.alpha)
+    delta = property(lambda self: self.plan.delta)
+    caching = property(lambda self: self.plan.caching)
+    squash_multiple = property(lambda self: self.plan.squash_multiple)
 
     # ------------------------------------------------------------------
     def run(
@@ -228,48 +230,19 @@ class FederatedMeanQuery(RoundCore):
                     population=population, eligibility=eligibility,
                 )
                 outcomes = [outcome]
-                pooled_means = outcome.summary.bit_means
-                pooled_counts = outcome.summary.counts
+                pooled = (outcome.summary.bit_means, outcome.summary.counts)
             else:
-                if len(cohort) < 2:
-                    raise ConfigurationError(
-                        f"adaptive mode needs at least 2 clients, got {len(cohort)}"
-                    )
-                n_round1 = min(max(int(round(self.delta * len(cohort))), 1), len(cohort) - 1)
-                order = gen.permutation(len(cohort))
-                cohort1 = cohort.take(order[:n_round1])
-                cohort2 = cohort.take(order[n_round1:])
+                outcomes = []
 
-                schedule1 = BitSamplingSchedule.geometric(self.encoder.n_bits, gamma=self.gamma)
-                outcome1 = self._run_round_with_recovery(
-                    cohort1, schedule1, gen, round_index=1,
-                    population=population, eligibility=eligibility,
-                )
-                round1_means = outcome1.summary.bit_means
-                if self.squash_multiple > 0 and self.perturbation is not None:
-                    threshold = self._squash_threshold(outcome1.summary.counts)
-                    round1_means, _ = squash_bit_means(round1_means, threshold)
+                def run_round(indices, schedule, round_index):
+                    outcome = self._run_round_with_recovery(
+                        cohort.take(indices), schedule, gen, round_index=round_index,
+                        population=population, eligibility=eligibility,
+                    )
+                    outcomes.append(outcome)
+                    return outcome.summary
 
-                schedule2 = BitSamplingSchedule.from_bit_means(round1_means, alpha=self.alpha)
-                outcome2 = self._run_round_with_recovery(
-                    cohort2, schedule2, gen, round_index=2,
-                    population=population, eligibility=eligibility,
-                )
-                outcomes = [outcome1, outcome2]
-
-                if self.caching:
-                    pooled_means, pooled_counts = combine_round_stats(
-                        [outcome1.summary.bit_means, outcome2.summary.bit_means],
-                        [outcome1.summary.counts, outcome2.summary.counts],
-                    )
-                else:
-                    have2 = outcome2.summary.counts > 0
-                    pooled_means = np.where(
-                        have2, outcome2.summary.bit_means, outcome1.summary.bit_means
-                    )
-                    pooled_counts = np.where(
-                        have2, outcome2.summary.counts, outcome1.summary.counts
-                    )
+                _, pooled = self.plan.run_rounds(len(cohort), gen, run_round)
 
             return self.reconstruct(
                 "federated.reconstruct", outcomes, len(cohort), f"federated-{self.mode}",
@@ -277,10 +250,8 @@ class FederatedMeanQuery(RoundCore):
                     "secure_aggregation": self.secure_aggregation,
                     "elicitation": self.elicitation,
                 },
-                pooled=(pooled_means, pooled_counts),
-                threshold=(
-                    self._squash_threshold(pooled_counts) if self.squash_multiple > 0 else 0.0
-                ),
+                pooled=pooled,
+                threshold=self.plan.squash_thresholds(pooled[1]),
             )
 
     # ------------------------------------------------------------------
@@ -545,11 +516,3 @@ class FederatedMeanQuery(RoundCore):
             context="secure-agg per-bit sums",
         )
         return sums, counts, result
-
-    def _squash_threshold(self, counts: np.ndarray) -> np.ndarray:
-        epsilon = getattr(self.perturbation, "epsilon", None)
-        if epsilon is None:
-            raise ConfigurationError(
-                "squash_multiple needs a perturbation exposing an `epsilon` attribute"
-            )
-        return per_bit_squash_thresholds(self.squash_multiple, float(epsilon), counts)

@@ -20,8 +20,8 @@ from typing import Iterable
 import numpy as np
 
 from repro.core.encoding import FixedPointEncoder
-from repro.core.protocol import BitPerturbation, bit_means_from_stats
-from repro.core.results import MeanEstimate, RoundSummary
+from repro.core.protocol import BitPerturbation, decode_estimate, round_summary
+from repro.core.results import MeanEstimate
 from repro.exceptions import CohortTooSmallError, ConfigurationError, ProtocolError
 from repro.federated.client import BitReport
 from repro.observability import HealthMonitor, get_metrics, get_tracer
@@ -134,19 +134,10 @@ class StreamingAggregator:
                 raise CohortTooSmallError(
                     f"only {total} reports accumulated; minimum is {self.min_reports}"
                 )
-            means = bit_means_from_stats(
-                self._sums.copy(), self._counts.copy(), self.perturbation
-            )
-            if self.perturbation is not None:
-                means = np.clip(means, 0.0, 1.0)
-            encoded_mean = float(self.encoder.powers @ means)
             counts = self._counts.copy()
-            summary = RoundSummary(
-                probabilities=np.where(counts > 0, counts / total, 0.0),
-                counts=counts,
-                sums=means * counts,
-                bit_means=means,
-                n_clients=total,
+            summary = round_summary(
+                self._sums, counts, np.where(counts > 0, counts / total, 0.0), total,
+                self.perturbation,
             )
             metadata: dict = {"ldp": self.perturbation is not None, "streaming": True}
             if self.target_reports is not None:
@@ -156,25 +147,24 @@ class StreamingAggregator:
                     span.set_attribute("degraded", True)
                     metrics.counter("streaming_degraded_snapshots_total").inc()
             metrics.counter("streaming_snapshots_total").inc()
-            value = self.encoder.decode_scalar(encoded_mean)
-            span.set_attribute("estimate", value)
+            estimate = decode_estimate(
+                self.encoder,
+                summary.bit_means,
+                counts,
+                perturbation=self.perturbation,
+                n_clients=total,
+                method="streaming",
+                rounds=(summary,),
+                metadata=metadata,
+            )
+            span.set_attribute("estimate", estimate.value)
             if self.health is not None:
                 self.health.observe_streaming(
                     reports=total,
                     degraded=bool(metadata.get("degraded", False)),
                     evidence_ratio=metadata.get("evidence_ratio"),
                 )
-            return MeanEstimate(
-                value=value,
-                encoded_value=encoded_mean,
-                bit_means=means,
-                counts=counts,
-                n_clients=total,
-                n_bits=self.encoder.n_bits,
-                method="streaming",
-                rounds=(summary,),
-                metadata=metadata,
-            )
+            return estimate
 
     # ------------------------------------------------------------------
     @property

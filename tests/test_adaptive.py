@@ -26,6 +26,17 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             AdaptiveBitPushing(encoder8, squash_multiple=2.0)
 
+    def test_squash_needs_an_epsilon(self, encoder8):
+        class NoEpsilon:
+            def perturb_bits(self, bits, rng):
+                return bits
+
+            def unbias_bit_means(self, means):
+                return means
+
+        with pytest.raises(ConfigurationError, match="epsilon"):
+            AdaptiveBitPushing(encoder8, perturbation=NoEpsilon(), squash_multiple=1.0)
+
     def test_too_few_clients_raise(self, encoder8, rng):
         with pytest.raises(ConfigurationError):
             AdaptiveBitPushing(encoder8).estimate(np.array([5.0]), rng)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import ClientBatch, FixedPointEncoder
+from repro.core import AdaptiveBitPushing, ClientBatch, FixedPointEncoder
 from repro.exceptions import CohortTooSmallError, ConfigurationError
 from repro.federated import (
     ClientDevice,
@@ -14,7 +14,19 @@ from repro.federated import (
     attribute_equals,
     ground_truth_mean,
 )
-from repro.privacy import BitMeter, RandomizedResponse
+from repro.privacy import BitMeter, PrivacyAccountant, RandomizedResponse
+
+#: Plans Algorithm 2 cannot run; NaN once meant "off" for squash_multiple.
+BAD_PLANS = [
+    {"alpha": -1.0},
+    {"alpha": float("nan")},
+    {"alpha": float("inf")},
+    {"gamma": float("nan")},
+    {"gamma": float("inf")},
+    {"squash_multiple": -1.0},
+    {"squash_multiple": float("nan")},
+    {"squash_multiple": float("inf")},
+]
 
 
 def make_population(n=3_000, mean=200.0, std=40.0, seed=0, multi=False):
@@ -219,6 +231,22 @@ class TestConfigValidation:
 
         with pytest.raises(ConfigurationError):
             FederatedMeanQuery(encoder, schedule=BitSamplingSchedule.uniform(4))
+
+    @pytest.mark.parametrize("bad", BAD_PLANS)
+    def test_bad_plan_rejected_before_any_round(self, encoder, bad):
+        rr = RandomizedResponse(1.0)
+        with pytest.raises(ConfigurationError):
+            AdaptiveBitPushing(encoder, perturbation=rr, **bad)
+        for mode in ("basic", "adaptive"):
+            accountant = PrivacyAccountant()
+            meter = BitMeter()
+            with pytest.raises(ConfigurationError):
+                FederatedMeanQuery(
+                    encoder, mode=mode, perturbation=rr, accountant=accountant, meter=meter,
+                    **bad,
+                )
+            assert accountant.spent_epsilon == 0.0 and accountant.entries == ()
+            assert meter.total_bits == 0
 
     def test_invalid_shard_size(self, encoder):
         with pytest.raises(ConfigurationError):

@@ -69,11 +69,16 @@ class TestTracedFederatedRound:
         top_level = exporter.children_of(root.span_id)
         assert [r.name for r in top_level] == [
             "federated.cohort_select",
-            "federated.round",
-            "federated.round",
+            "adaptive.round1",
+            "adaptive.round2",
+            "adaptive.combine",
             "federated.reconstruct",
         ]
-        for round_record in exporter.find("federated.round"):
+        # Algorithm 2's plan runs each federated round inside its own span.
+        for index, plan_round in enumerate(top_level[1:3], 1):
+            (round_record,) = exporter.children_of(plan_round.span_id)
+            assert round_record.name == "federated.round"
+            assert round_record.attributes["round_index"] == index
             child_names = [r.name for r in exporter.children_of(round_record.span_id)]
             assert child_names == [
                 "round.assign",
@@ -82,9 +87,7 @@ class TestTracedFederatedRound:
                 "round.elicit",
                 "round.collect",
             ]
-        round1, round2 = exporter.find("federated.round")
-        assert round1.attributes["round_index"] == 1
-        assert round2.attributes["round_index"] == 2
+        assert exporter.children_of(top_level[3].span_id) == []
 
     def test_counters_reconcile_with_round_outcomes(self, encoder10):
         query = FederatedMeanQuery(
@@ -169,6 +172,21 @@ class TestAdaptiveCoreSpans:
             AdaptiveBitPushing(encoder8).estimate(values, rng=0)
         names = exporter.names()
         assert names.index("adaptive.round1") < names.index("adaptive.round2")
+        (combine,) = exporter.find("adaptive.combine")
+        assert combine.attributes["caching"] is True
+        assert combine.attributes["cache_hits"] > 0
+        counters = registry.snapshot()["counters"]
+        assert counters["adaptive_estimates_total"] == 1
+        assert counters["adaptive_cache_hits_total"] == combine.attributes["cache_hits"]
+
+    def test_federated_query_runs_the_same_plan(self, encoder8):
+        query = FederatedMeanQuery(encoder8, mode="adaptive")
+        _, exporter, registry = _traced_run(query, _population(2_000))
+        names = exporter.names()
+        assert names.index("adaptive.round1") < names.index("adaptive.round2")
+        (round1,) = exporter.find("adaptive.round1")
+        (round2,) = exporter.find("adaptive.round2")
+        assert round1.attributes["n_clients"] + round2.attributes["n_clients"] == 2_000
         (combine,) = exporter.find("adaptive.combine")
         assert combine.attributes["caching"] is True
         assert combine.attributes["cache_hits"] > 0

@@ -85,6 +85,30 @@ class TestStreamingAggregator:
             agg.submit(BitReport(client, j, noisy))
         assert agg.estimate().value == pytest.approx(200.0, abs=8.0)
 
+    def test_round_summary_keeps_debiased_means(self, encoder8):
+        # The summary keeps the unbiased evidence, which may leave [0, 1];
+        # only the estimate's own bit means are clipped before decoding.
+        rng = np.random.default_rng(3)
+        rr = RandomizedResponse(epsilon=0.5)
+        agg = StreamingAggregator(encoder8, perturbation=rr)
+        sums = np.zeros(8)
+        counts = np.zeros(8, dtype=np.int64)
+        for client in range(200):
+            j = client % 8
+            noisy = int(rr.perturb_bits(np.array([(77 >> j) & 1], dtype=np.uint8), rng)[0])
+            agg.submit(BitReport(client, j, noisy))
+            sums[j] += noisy
+            counts[j] += 1
+        estimate = agg.estimate()
+        debiased = rr.unbias_bit_means(sums / counts)
+        assert debiased.min() < 0.0 and debiased.max() > 1.0
+        (summary,) = estimate.rounds
+        np.testing.assert_array_equal(summary.bit_means, debiased)
+        np.testing.assert_array_equal(summary.sums, debiased * counts)
+        clipped = np.clip(debiased, 0.0, 1.0)
+        np.testing.assert_array_equal(estimate.bit_means, clipped)
+        assert estimate.value == encoder8.decode_scalar(float(encoder8.powers @ clipped))
+
     def test_reset(self, encoder8):
         agg = StreamingAggregator(encoder8)
         agg.submit(BitReport(0, 0, 1))
