@@ -2,8 +2,8 @@
 
 Each figure bench runs its experiment once (timed by pytest-benchmark),
 prints the resulting series as a markdown table -- the tabular equivalent of
-the paper's plot -- and saves it under ``benchmarks/results/`` for
-EXPERIMENTS.md cross-referencing.  Shape assertions (who wins, what grows)
+the paper's plot -- and saves it under ``benchmarks/results/``, an untracked
+output directory that each run rewrites.  Shape assertions (who wins, what grows)
 encode the paper's qualitative claims; exact values are Monte-Carlo and
 environment dependent.
 

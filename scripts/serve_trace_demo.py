@@ -20,11 +20,13 @@ while a flight recorder captures the merged span stream.  The round must
    artifact) with the server phases on track 0 and one track per
    connection, labelled with its client range.
 
-Both clocks are simulated (``SimClock`` server-side and per connection), so
-the artifact and the exported timeline are deterministic.  Any parity miss,
-missing client, foreign trace id, or malformed export exits non-zero -- the
-CI chaos job runs this next to the failure-injection campaigns and uploads
-``trace.json`` for inspection in Perfetto.
+Both clocks are simulated (``SimClock`` server-side and per connection), and
+nothing recorded names an OS-assigned port, so two runs write byte-identical
+``run/events.jsonl``, ``run/manifest.json`` and ``trace.json``.  Any parity
+miss, missing client, foreign trace id, or malformed export exits non-zero --
+the CI chaos job runs this twice next to the failure-injection campaigns,
+compares the two runs' files byte for byte, and uploads ``trace.json`` for
+inspection in Perfetto.
 """
 
 from __future__ import annotations

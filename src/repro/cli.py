@@ -261,8 +261,7 @@ def _build_parser() -> argparse.ArgumentParser:
     trace.add_argument(
         "--sim-clock", action="store_true",
         help="time spans with a deterministic simulated clock so same-seed runs "
-        "produce byte-identical traces, artifacts, and reports (except the timings "
-        "that --secure-agg pool workers take when REPRO_WORKERS is above 1)",
+        "produce byte-identical traces, artifacts, and reports",
     )
     trace.add_argument(
         "--watch", action="store_true",
@@ -318,8 +317,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--sim-clock", action="store_true",
-        help="time spans with a deterministic SimClock instead of wall clocks "
-        "(byte-identical artifacts across same-seed runs)",
+        help="time spans with a deterministic SimClock instead of the real clock; "
+        "same-seed runs write byte-identical artifacts only with a sim-clocked fleet "
+        "in the same process (the `fleet` command times with the real clock)",
     )
     serve.add_argument("--json", action="store_true", help="emit the result as JSON")
 
@@ -508,13 +508,12 @@ def run_traced_round(
     :class:`SimClock`, so two same-seed runs produce byte-identical
     artifacts (``trace_malloc`` is ignored in that mode -- allocation peaks
     are not deterministic, but ``alerts.jsonl`` is: alert times derive from
-    span times).  Secure rounds are the exception: shard timings are real
-    (``docs/observability.md``).  Every run evaluates the default SLO health
-    rules per round; recorded runs persist the transitions to
-    ``alerts.jsonl`` and the summary into the manifest.  ``watch`` renders
-    live per-round progress and active alerts to ``watch_stream`` (stderr
-    by default) without touching stdout.  Returns a summary dict (estimate,
-    truth, paths, analysis, reconciliation).
+    span times).  Every run evaluates the default SLO health rules per
+    round; recorded runs persist the transitions to ``alerts.jsonl`` and the
+    summary into the manifest.  ``watch`` renders live per-round progress
+    and active alerts to ``watch_stream`` (stderr by default) without
+    touching stdout.  Returns a summary dict (estimate, truth, paths,
+    analysis, reconciliation).
     """
     stream = stream if stream is not None else sys.stdout
     n_clients = int(clients) if clients is not None else (2_000 if quick else 20_000)
@@ -547,11 +546,7 @@ def run_traced_round(
         shard_size=shard_size,
         min_reports_per_bit=2,
         min_quorum=min_quorum,
-        # Recorded runs meter every disclosure at the paper's 1-bit cap, which
-        # requires the two adaptive rounds' cohorts to stay disjoint -- a
-        # redrawn retry cohort could overlap the other round's, so recording
-        # retries the same cohort instead (failed attempts elicit nothing).
-        retry=_retry_policy(max_retries, redraw_cohort=not recording),
+        retry=_retry_policy(max_retries, redraw_cohort=True),
         faults=FaultSchedule.load(fault_schedule) if fault_schedule else None,
         meter=meter,
         accountant=accountant,
@@ -926,9 +921,9 @@ def run_serve_command(
         print(f"round failed: {exc}", file=error_stream)
         return 1
 
-    # The manifest's ``serve`` section; ``--json`` prints the same fields.
+    # The manifest's ``serve`` section; ``--json`` prints the same fields
+    # and the bound port, which the manifest leaves out to stay reproducible.
     served = {
-        "port": bound_port,
         "registered_clients": result.registered_clients,
         "connections": result.connections,
         "surviving_clients": result.surviving_clients,
@@ -951,6 +946,7 @@ def run_serve_command(
             "command": "serve",
             "estimate": float(result.estimate.value),
             "planned_clients": result.planned_clients,
+            "port": bound_port,
             **served,
             "degraded": result.degraded,
             "backoff_s": result.backoff_s,

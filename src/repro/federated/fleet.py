@@ -281,10 +281,9 @@ class ClientFleet:
         returned frame of exactly 16 bytes joins its range's REPORTS
         message; one of any other length goes alone in its own message.
     clock_factory:
-        Optional zero-argument callable returning a clock for each
-        connection's private tracer (both span and wall clock).  Pass
-        ``lambda: SimClock(...)`` to make fleet telemetry timestamps
-        deterministic; the default is real time.
+        Optional zero-argument callable returning the clock of each
+        connection's private tracer.  Pass ``lambda: SimClock(...)`` to make
+        fleet telemetry timestamps deterministic; the default is real time.
 
     Each connection records ``fleet.round`` / ``fleet.encode`` /
     ``fleet.uplink`` spans into a private tracer and, if the server's
@@ -321,7 +320,7 @@ class ClientFleet:
         ranges = fleet_ranges(n)
         with get_tracer().span(
             "fleet.session",
-            {"clients": n, "connections": len(ranges), "host": host, "port": port},
+            {"clients": n, "connections": len(ranges), "host": host},
         ):
             outcomes = await asyncio.gather(
                 *(self._run_range(host, port, lo, hi) for lo, hi in ranges)
@@ -425,7 +424,7 @@ class ClientFleet:
         # message, exactly as they would across real machines.
         exporter = InMemoryExporter()
         clock = self.clock_factory() if self.clock_factory is not None else None
-        tracer = Tracer([exporter], clock=clock, wall_clock=clock)
+        tracer = Tracer([exporter], clock=clock)
         registry = MetricsRegistry()
         reader, writer = await asyncio.open_connection(host, port)
         try:

@@ -39,22 +39,22 @@ flight).  Determinism follows the executor discipline of
 :func:`repro.metrics.execution.spawn_seed_sequences`: shard ``i`` always
 seeds its session from the ``i``-th spawned child of the caller's generator,
 so results are bit-identical for every worker count and completion order.
-Workers run with tracing disabled and return their phase timings and a
-private metrics snapshot for the parent to record and merge, exactly like
-the trial executors.  Shard inputs are consumed lazily, group by group, so
-aggregating a large cohort never materializes cohort-sized arrays.
+Workers run with tracing disabled, time on a copy of the tracer's clock,
+and return their phase timings and a private metrics snapshot for the
+parent to record and merge.  Shard inputs are consumed lazily, group by
+group, so aggregating a large cohort never materializes cohort-sized arrays.
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
 import multiprocessing
-import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -71,7 +71,7 @@ from repro.metrics.execution import (
     spawn_seed_sequences,
 )
 from repro.observability import get_metrics, get_tracer
-from repro.observability.tracing import SpanRecord
+from repro.observability.tracing import SimClock, SpanRecord
 from repro.rng import ensure_rng
 
 __all__ = [
@@ -212,16 +212,15 @@ class HierarchicalResult:
 
 
 @contextmanager
-def _phase(name: str, phases: list) -> Iterator[dict[str, Any]]:
-    """Time one group phase as a span; the caller fills in its attributes."""
+def _phase(name: str, phases: list, clock: Callable[[], float]) -> Iterator[dict[str, Any]]:
+    """Time one group phase as a span and on ``clock``; the caller fills in its attributes."""
     attrs: dict[str, Any] = {}
-    wall = time.time()
-    start = time.perf_counter()
+    start = clock()
     with get_tracer().span(name) as span:
         yield attrs
         for key, value in attrs.items():
             span.set_attribute(key, value)
-    phases.append((name, wall, time.perf_counter() - start, attrs))
+    phases.append((name, start, clock() - start, attrs))
 
 
 def _expand_by_lane(
@@ -249,6 +248,7 @@ def _run_group(
     seeds: list[np.random.SeedSequence],
     bitgen_cls: type,
     vector_length: int,
+    clock: Callable[[], float],
 ) -> tuple[list[ShardOutcome], list[tuple[str, float, float, dict[str, Any]]]]:
     """Run one contiguous group of shards' sessions end to end (any process).
 
@@ -267,11 +267,10 @@ def _run_group(
     Each shard's duration is its own steps plus a share of the rest of the
     group's time (the passes and the Shamir products, mostly) in proportion
     to the seeds it expanded, so the group's durations sum to its time.
-    Shards are timed with the tracer's clock, so a simulated clock makes
-    them deterministic.  Returns the outcomes and the three phases'
-    ``(name, wall start, duration, attrs)``.
+    Shards and phases are timed on ``clock``, the tracer's or a worker's
+    copy of it.  Returns the outcomes and the three phases'
+    ``(name, start reading, duration, attrs)``.
     """
-    clock = get_tracer().now
     start = clock()
     own = [0.0] * len(tasks)
     expanded = [0] * len(tasks)
@@ -285,7 +284,7 @@ def _run_group(
             own[i] += clock() - t
 
     sessions: dict[int, SecureAggregationSession] = {}
-    with _phase("secure_agg.setup", phases) as attrs:
+    with _phase("secure_agg.setup", phases, clock) as attrs:
         for i, task in enumerate(tasks):
             if task.n_clients >= 2:
                 sessions[i] = timed(
@@ -306,7 +305,7 @@ def _run_group(
 
     def run_phase(name: str, gather) -> dict[int, Any]:
         """The sessions' seeds steps, one pass per ring width, then every apply step."""
-        with _phase(name, phases) as attrs:
+        with _phase(name, phases, clock) as attrs:
             steps = gather()
             masks = _expand_by_lane(sessions, steps, vector_length)
             applied = {i: timed(i, apply, masks[i]) for i, (_, apply) in steps.items()}
@@ -367,14 +366,15 @@ def _forked_group(
     bitgen_cls: type,
     vector_length: int,
     parent_metrics_enabled: bool,
-) -> tuple[list[ShardOutcome], list, dict | None]:
+    clock: Callable[[], float],
+) -> tuple[list[ShardOutcome], list, dict | None, Callable[[], float]]:
     """Worker entry point: one shard group with worker-private observability.
 
     Mirrors the trial executors' fork discipline: tracing off (a forked
     exporter would interleave writes on the shared descriptor), metrics into
     a private registry whose snapshot rides back for the parent to merge --
-    so session counters match serial execution exactly.  The group's phase
-    timings ride back too, for the parent to record as spans.
+    so session counters match serial execution exactly.  The phase timings
+    and ``clock`` ride back too, for the parent to record as spans.
     """
     from repro import observability
     from repro.observability import MetricsRegistry
@@ -384,23 +384,25 @@ def _forked_group(
     if parent_metrics_enabled:
         worker_metrics = MetricsRegistry()
         observability.configure(metrics=worker_metrics)
-    outcomes, phases = _run_group(tasks, seeds, bitgen_cls, vector_length)
+    outcomes, phases = _run_group(tasks, seeds, bitgen_cls, vector_length, clock)
     snapshot = worker_metrics.snapshot() if worker_metrics is not None else None
-    return outcomes, phases, snapshot
+    return outcomes, phases, snapshot, clock
 
 
-def _record_phases(phases: list, tracer) -> None:
-    """Record a worker group's phase timings as finished spans under the open span."""
+def _record_phases(phases: list, clock: Callable[[], float], tracer) -> None:
+    """Record a worker's phase readings of ``clock``, a copy of the tracer's, as spans."""
     if not tracer.enabled:
         return
+    if isinstance(tracer.clock, SimClock):
+        tracer.clock.catch_up(clock)
     parent = tracer.current_span_id()
-    for name, wall, duration, attrs in phases:
+    for name, start, duration, attrs in phases:
         tracer.ingest(
             SpanRecord(
                 name=name,
                 span_id=tracer.next_span_id(),
                 parent_id=parent,
-                start_time_s=wall,
+                start_time_s=tracer.epoch + start,
                 duration_s=duration,
                 attributes={**attrs, "worker": True},
             )
@@ -485,7 +487,7 @@ def aggregate_shards(
     source = itertools.chain(head, source)
     if n_workers < 2 or not _FORK_AVAILABLE or len(head) < 2:
         for group, seeds, bitgen_cls in source:
-            record(_run_group(group, seeds, bitgen_cls, vector_length)[0])
+            record(_run_group(group, seeds, bitgen_cls, vector_length, tracer.clock)[0])
     else:
         context = multiprocessing.get_context("fork")
         parent_metrics_enabled = metrics.enabled
@@ -495,8 +497,8 @@ def aggregate_shards(
             pending: deque = deque()
 
             def drain_oldest() -> None:
-                group_outcomes, phases, snapshot = pending.popleft().result()
-                _record_phases(phases, tracer)
+                group_outcomes, phases, snapshot, clock = pending.popleft().result()
+                _record_phases(phases, clock, tracer)
                 record(group_outcomes)
                 if snapshot is not None and metrics.enabled:
                     metrics.merge_snapshot(snapshot)
@@ -512,6 +514,7 @@ def aggregate_shards(
                         bitgen_cls,
                         vector_length,
                         parent_metrics_enabled,
+                        copy.copy(tracer.clock),
                     )
                 )
             while pending:

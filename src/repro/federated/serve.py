@@ -1,8 +1,8 @@
 """Asyncio round server: federated rounds over real wire-protocol sockets.
 
-This is the step that turns "simulation" into "system" (ROADMAP item 3): the
-same round state machine :class:`~repro.federated.server.FederatedMeanQuery`
-drives in-process -- cohort announcement, report collection under a deadline,
+This is the step that turns "simulation" into "system": the same round
+state machine :class:`~repro.federated.server.FederatedMeanQuery` drives
+in-process -- cohort announcement, report collection under a deadline,
 quorum/degradation with retry -- executed against a TCP client fleet speaking
 :mod:`repro.federated.wire` frames inside length-prefixed control messages.
 
@@ -22,7 +22,7 @@ A connection speaks for every id it registered: a frame claiming another id
 inside its range is that client's report.  Every malformed or late uplink is
 rejected *at the uplink* with :class:`~repro.exceptions.ProtocolError`
 accounting (``wire_rejects_total``, ``uplink.reject``/``uplink.late`` spans,
-each carrying the peer address and session id of its connection) and never
+each carrying the peer host and session id of its connection) and never
 folded into the per-bit counters.  Each drained batch of frames is decoded
 and validated as arrays, through the
 :func:`~repro.federated.wire.decode_batch_array` kernels, and accepted
@@ -53,7 +53,6 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import json
-import time
 from dataclasses import dataclass
 from typing import Any, Coroutine, Iterable, Sequence, TypeVar
 
@@ -157,7 +156,8 @@ class ServeConfig:
     min_quorum, degraded_fraction, retry:
         Round-failure semantics, exactly as on
         :class:`~repro.federated.server.FederatedMeanQuery`; retry backoff is
-        simulated time (recorded, never slept).
+        simulated time (recorded, never slept).  A served retry re-contacts
+        the registered fleet, so ``retry.redraw_cohort`` must be false.
     host, port:
         Bind address; port ``0`` picks an ephemeral port.
 
@@ -189,6 +189,11 @@ class ServeConfig:
             )
         if self.epsilon is not None and self.epsilon <= 0:
             raise ConfigurationError(f"epsilon must be positive, got {self.epsilon}")
+        if self.retry is not None and self.retry.redraw_cohort:
+            raise ConfigurationError(
+                "a served retry re-contacts the registered fleet; "
+                "use RetryPolicy(redraw_cohort=False)"
+            )
         _served_core(self)  # validates the encoding and the round policy eagerly
 
     @property
@@ -253,10 +258,6 @@ class ServeResult:
         if self.planned_clients == 0:
             return 0.0
         return 1.0 - self.surviving_clients / self.planned_clients
-
-
-def _zero_clock() -> float:
-    return 0.0
 
 
 def _served_core(config: ServeConfig) -> RoundCore:
@@ -333,12 +334,14 @@ class RoundServer:
         self._connections: set[asyncio.StreamWriter] = set()
         #: session id -> (writer, peer) of connections yet to send HELLO.
         self._greeting: dict[int, tuple[asyncio.StreamWriter, str]] = {}
+        #: False once the registration window closed: later connections are rejected.
+        self._registering = True
         #: range's first id -> (clients in the range, writer).
         self._ranges: dict[int, tuple[int, asyncio.StreamWriter]] = {}
         #: client id -> first id of the range that registered it (-1: none).
         self._owner = np.full(config.n_clients, -1, dtype=np.int64)
         self._registered = 0
-        #: (range's first id, seq, payload, arrival wall time) per REPORTS.
+        #: (range's first id, seq, payload, the tracer's arrival wall time) per REPORTS.
         self._uplinks: asyncio.Queue[tuple[int, int, bytes, float]] = asyncio.Queue()
         self._telemetry_queue: asyncio.Queue[tuple[int, bytes]] = asyncio.Queue()
         self._all_registered = asyncio.Event()
@@ -347,7 +350,7 @@ class RoundServer:
         self._telemetry_rejects = 0
         self._telemetry_clients = 0
         self._remote_spans = 0
-        #: range's first id -> (session id, "host:port" peer) for attribution.
+        #: range's first id -> (session id, peer host) for attribution.
         self._sessions: dict[int, tuple[int, str]] = {}
         self._session_counter = 0
         #: ranges whose connection handler is still alive (telemetry drain
@@ -360,10 +363,6 @@ class RoundServer:
         #: ``fleet.round`` roots re-parent here on ingestion).
         self._attempt_spans: dict[int, int] = {}
         self._session_span_id: int | None = None
-        # Wall clock stamped on each queued uplink; a bound tracer clock when
-        # tracing is live, else a constant -- the hot path never pays a
-        # syscall for timing nobody will read.
-        self._arrival_clock: Any = _zero_clock
 
     # ------------------------------------------------------------------
     async def start(self) -> int:
@@ -402,13 +401,8 @@ class RoundServer:
             self._server = None
 
     # ------------------------------------------------------------------
-    def _wall_now(self) -> float:
-        """One wall-clock reading consistent with recorded span timestamps."""
-        tracer = get_tracer()
-        return tracer.wall_time() if tracer.enabled else time.time()
-
     def _attribution(self, client: int | None) -> dict[str, Any]:
-        """Peer address + session id of the connection that registered ``client``."""
+        """Peer host + session id of the connection that registered ``client``."""
         if client is None or not 0 <= client < self.config.n_clients:
             return {}
         session = self._sessions.get(int(self._owner[client]))
@@ -429,7 +423,7 @@ class RoundServer:
 
         Rejected frames never touch the per-bit counters -- the accounting
         here is the only trace they leave, so the span carries the peer
-        address and session id that make the reject attributable in merged
+        host and session id that make the reject attributable in merged
         traces even when the claimed client id is spoofed or absent.
         """
         self._rejects += 1
@@ -466,15 +460,15 @@ class RoundServer:
         self._session_counter += 1
         session = self._session_counter
         peername = writer.get_extra_info("peername")
-        peer = (
-            f"{peername[0]}:{peername[1]}"
-            if isinstance(peername, (tuple, list)) and len(peername) >= 2
-            else str(peername)
-        )
+        # The host only: the OS-assigned port would make records irreproducible.
+        peer = str(peername[0] if isinstance(peername, (tuple, list)) else peername)
         self._connections.add(writer)
-        self._greeting[session] = (writer, peer)
         lo: int | None = None
         try:
+            if not self._registering:
+                self._reject(None, "hello-timeout", 0, peer=peer, session=session)
+                return
+            self._greeting[session] = (writer, peer)
             try:
                 kind, _seq, payload = await read_message(reader)
                 if self._greeting.pop(session, None) is None:
@@ -503,13 +497,10 @@ class RoundServer:
             self._live.add(lo)
             # Clock-skew anchor: the HELLO carries the fleet's wall clock;
             # paired with our receive time it aligns every remote span this
-            # connection later uplinks.  Only read the clock when someone will
-            # consume the offset (a live tracer).
-            tracer = get_tracer()
-            if tracer.enabled:
-                clock_s = hello.get("clock_s")
-                if isinstance(clock_s, (int, float)) and not isinstance(clock_s, bool):
-                    self._clock_offsets[lo] = tracer.wall_time() - float(clock_s)
+            # connection later uplinks.
+            clock_s = hello.get("clock_s")
+            if isinstance(clock_s, (int, float)) and not isinstance(clock_s, bool):
+                self._clock_offsets[lo] = get_tracer().wall_time() - float(clock_s)
             if self._registered == self.config.n_clients:
                 self._all_registered.set()
             while True:
@@ -526,7 +517,7 @@ class RoundServer:
                 if kind != MSG_REPORTS:
                     self._reject(lo, "unexpected-kind", seq, f"kind {kind}")
                     continue
-                await self._uplinks.put((lo, seq, payload, self._arrival_clock()))
+                await self._uplinks.put((lo, seq, payload, get_tracer().wall_time()))
         except (asyncio.IncompleteReadError, ConnectionError):
             return
         finally:
@@ -554,7 +545,7 @@ class RoundServer:
         context = TraceContext(
             trace_id=self.trace_id,
             parent_span_id=parent_span_id,
-            clock_s=self._wall_now(),
+            clock_s=get_tracer().wall_time(),
         )
         for lo, (k, writer) in list(self._ranges.items()):
             indices = int(assignment[lo]) if k == 1 else assignment[lo:lo + k].tolist()
@@ -634,7 +625,7 @@ class RoundServer:
         if not payloads:
             return 0
         tracer = get_tracer()
-        drained_s = tracer.wall_time() if tracer.enabled else 0.0
+        drained_s = tracer.wall_time()
         with tracer.span(
             "uplink.drain",
             {"uplinks": len(payloads), "frames": sum(counts), "attempt": attempt},
@@ -692,15 +683,19 @@ class RoundServer:
     async def _collect(
         self, attempt: int, assignment: np.ndarray
     ) -> tuple[_Reports, float, list[tuple[np.ndarray, np.ndarray, float]]]:
-        """Collect uplinks until every registered client reported or the deadline."""
+        """Collect uplinks until every registered client reported or the deadline.
+
+        The deadline reads the event loop's clock, the recorded duration the tracer's.
+        """
         loop = asyncio.get_running_loop()
+        tracer = get_tracer()
         reports = _Reports.empty(self.config.n_clients)
         accepted = 0
         accept_log: list[tuple[np.ndarray, np.ndarray, float]] = []
         expected = self._registered
-        start = loop.time()
-        deadline = None if self.config.deadline_s is None else start + self.config.deadline_s
-        with get_tracer().span(
+        start = tracer.now()
+        deadline = None if self.config.deadline_s is None else loop.time() + self.config.deadline_s
+        with tracer.span(
             "serve.collect",
             {"attempt": attempt, "expected": expected, "deadline_s": self.config.deadline_s},
         ) as span:
@@ -716,7 +711,7 @@ class RoundServer:
                 while not self._uplinks.empty():
                     batch.append(self._uplinks.get_nowait())
                 accepted += self._process_uplinks(batch, attempt, assignment, reports, accept_log)
-            duration = loop.time() - start
+            duration = tracer.now() - start
             span.set_attribute("accepted", accepted)
             span.set_attribute("duration_s", duration)
         metrics = get_metrics()
@@ -885,15 +880,12 @@ class RoundServer:
         tracer = get_tracer()
         gen = ensure_rng(cfg.seed)
         n = cfg.n_clients
-        if tracer.enabled:
-            self._arrival_clock = tracer.wall_time
         with tracer.span(
             "serve.session",
             {
                 "n_clients": n,
                 "n_bits": cfg.n_bits,
                 "epsilon": cfg.epsilon,
-                "port": self.port,
                 "trace_id": self.trace_id,
             },
         ) as session_span:
@@ -908,7 +900,9 @@ class RoundServer:
                     )
                 except asyncio.TimeoutError:
                     pass
-                # The window is over: a connection still silent never joins.
+                # The window is over: a connection still silent never joins,
+                # and neither does one opened from now on.
+                self._registering = False
                 for session, (writer, peer) in self._greeting.items():
                     self._reject(None, "hello-timeout", 0, peer=peer, session=session)
                     writer.close()
@@ -943,7 +937,6 @@ class RoundServer:
                     "elicitation": "single",
                     "served": True,
                     "transport": "tcp",
-                    "port": self.port,
                     "wire_rejects": self._rejects,
                     "late_reports": self._late,
                     "trace_id": self.trace_id,
@@ -1002,7 +995,7 @@ class RoundServer:
                 "serve.announce",
                 {"clients": self._registered, "connections": len(self._ranges), "attempt": attempt},
             ):
-                announce_wall = self._wall_now() if tracer.enabled else 0.0
+                announce_wall = tracer.wall_time()
                 await self._broadcast_announce(
                     assignment, attempt, parent_span_id=round_span_id or 0
                 )

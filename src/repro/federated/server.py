@@ -17,7 +17,7 @@ federated tests guarantee robustness.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -51,6 +51,17 @@ from repro.rng import ensure_rng
 __all__ = ["RoundOutcome", "FederatedMeanQuery"]
 
 _MODES = ("basic", "adaptive")
+
+
+class _Excluding:
+    """Eligibility minus a set of client ids: the pool a redrawn cohort comes from."""
+
+    def __init__(self, eligibility: Eligibility | None, client_ids: np.ndarray) -> None:
+        self.eligibility, self.client_ids = eligibility, client_ids
+
+    def mask(self, batch: ClientBatch) -> np.ndarray:
+        mask = ~np.isin(batch.client_ids, self.client_ids)
+        return mask if self.eligibility is None else mask & self.eligibility.mask(batch)
 
 
 class FederatedMeanQuery(RoundCore):
@@ -206,7 +217,9 @@ class FederatedMeanQuery(RoundCore):
         ``population`` is a columnar
         :class:`~repro.core.client_plane.ClientBatch` or a list of device
         records, converted here once, so both adaptive rounds and every
-        redrawn retry draw from the same batch.
+        redrawn retry draw from the same batch.  An adaptive round's redrawn
+        cohort leaves out the clients the other round plans or ran, so each
+        client discloses in one round at most.
         """
         gen = ensure_rng(rng)
         tracer = get_tracer()
@@ -225,7 +238,7 @@ class FederatedMeanQuery(RoundCore):
             query_span.set_attribute("cohort_size", len(cohort))
 
             if self.mode == "basic":
-                outcome = self._run_round_with_recovery(
+                outcome, _ = self._run_round_with_recovery(
                     cohort, self.schedule, gen, round_index=1,
                     population=population, eligibility=eligibility,
                 )
@@ -233,12 +246,17 @@ class FederatedMeanQuery(RoundCore):
                 pooled = (outcome.summary.bit_means, outcome.summary.counts)
             else:
                 outcomes = []
+                ran: list[np.ndarray] = []  # client ids of each finished round's cohort
 
                 def run_round(indices, schedule, round_index):
-                    outcome = self._run_round_with_recovery(
+                    outcome, clients = self._run_round_with_recovery(
                         cohort.take(indices), schedule, gen, round_index=round_index,
                         population=population, eligibility=eligibility,
+                        others=lambda: np.concatenate(
+                            [np.delete(cohort.client_ids, indices), *ran]
+                        ),
                     )
+                    ran.append(clients.client_ids)
                     outcomes.append(outcome)
                     return outcome.summary
 
@@ -263,12 +281,14 @@ class FederatedMeanQuery(RoundCore):
         round_index: int = 1,
         population: ClientBatch | None = None,
         eligibility: Eligibility | None = None,
-    ) -> RoundOutcome:
+        others: Callable[[], np.ndarray] | None = None,
+    ) -> tuple[RoundOutcome, ClientBatch]:
         """Run one round, retrying failed attempts through the core's :class:`AttemptLoop`.
 
         Each attempt is a full :meth:`_run_round` (the fault schedule's clock
         ticks per attempt); a retry may first re-draw a fresh cohort from the
-        eligible population.
+        eligible population, less the client ids ``others()`` returns (the
+        query's other round).  Returns the outcome and the cohort it ran on.
         """
         attempts = AttemptLoop(self, round_index)
         while True:
@@ -278,9 +298,10 @@ class FederatedMeanQuery(RoundCore):
                 if not attempts.retry_after(exc):
                     raise
                 if self.retry.redraw_cohort and population is not None:
-                    clients = self.selector.select(population, eligibility, len(clients), gen)
+                    pool = eligibility if others is None else _Excluding(eligibility, others())
+                    clients = self.selector.select(population, pool, len(clients), gen)
                 continue
-            return attempts.complete(outcome)
+            return attempts.complete(outcome), clients
 
     # ------------------------------------------------------------------
     def _run_round(

@@ -407,8 +407,9 @@ class TraceContext:
     ``trace_id`` names the whole round (one id per served round, shared by
     every span on both sides of the wire); ``parent_span_id`` is the server
     span the client's ``fleet.round`` spans are re-parented under on
-    ingestion; ``clock_s`` is the server's wall clock at announce time, the
-    second anchor (after HELLO) for clock-skew alignment.
+    ingestion; ``clock_s`` is the server tracer's wall time at announce (0
+    when the server records nothing), the second anchor (after HELLO) for
+    clock-skew alignment.
     """
 
     trace_id: str

@@ -252,7 +252,7 @@ class ObservedRun:
             self._close(failed=True)
             raise
         exporters = [x for x in (self._memory, self._jsonl, self.recorder, self.health) if x]
-        self.tracer = Tracer(exporters, profiler=self.profiler, clock=sim, wall_clock=sim)
+        self.tracer = Tracer(exporters, profiler=self.profiler, clock=sim)
 
     @property
     def spans(self) -> list[SpanRecord]:

@@ -6,7 +6,7 @@ A :class:`Tracer` hands out context-manager :class:`Span` objects::
         outcome = network.transmit(512, rng)
         span.set_attribute("delivered", int(outcome.delivered.sum()))
 
-Spans are timed with the monotonic clock, nest through a per-thread stack
+Spans are timed with the tracer's one clock, nest through a per-thread stack
 (so concurrent rounds on different threads never corrupt each other's
 parentage), and are handed to every configured exporter as an immutable
 :class:`SpanRecord` the moment they close.  Exceptions mark the span's
@@ -57,6 +57,10 @@ class SimClock:
         self._now = now + self.step
         return now
 
+    def catch_up(self, copy: "SimClock") -> None:
+        """Skip the readings a copy of this clock made elsewhere (a pool worker's)."""
+        self._now = max(self._now, copy._now)
+
 
 @dataclass(frozen=True)
 class SpanRecord:
@@ -94,7 +98,6 @@ class Span:
         "span_id",
         "parent_id",
         "_start",
-        "_wall_start",
         "_profile",
     )
 
@@ -105,7 +108,6 @@ class Span:
         self.span_id = 0
         self.parent_id: int | None = None
         self._start = 0.0
-        self._wall_start = 0.0
         self._profile: Any = None
 
     def set_attribute(self, key: str, value: Any) -> None:
@@ -118,12 +120,11 @@ class Span:
         profiler = self._tracer.profiler
         if profiler is not None:
             self._profile = profiler.begin()
-        self._wall_start = self._tracer._wall()
-        self._start = self._tracer._clock()
+        self._start = self._tracer.clock()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        duration = self._tracer._clock() - self._start
+        duration = self._tracer.clock() - self._start
         profiler = self._tracer.profiler
         if profiler is not None and self._profile is not None:
             self.attributes.update(profiler.end(self._profile))
@@ -132,7 +133,7 @@ class Span:
             name=self.name,
             span_id=self.span_id,
             parent_id=self.parent_id,
-            start_time_s=self._wall_start,
+            start_time_s=self._tracer.epoch + self._start,
             duration_s=duration,
             status="ok" if exc_type is None else "error",
             attributes=dict(self.attributes)
@@ -174,10 +175,12 @@ class Tracer:
         set, every span is enriched with CPU time (and, opt-in, peak
         allocation) attributes on close, and the profiler accumulates
         per-phase latency histograms from the finished records.
-    clock, wall_clock:
-        Monotonic-duration and wall-timestamp clocks (default
-        :func:`time.perf_counter` / :func:`time.time`).  Swap both for one
-        :class:`SimClock` to make recorded timings deterministic.
+    clock:
+        The one clock every recorded time reads (default
+        :func:`time.perf_counter`; a :class:`SimClock` makes recorded timings
+        deterministic).  A span starts at :attr:`epoch` plus a reading: the
+        default clock's epoch puts it on the ``time.time()`` scale, others' is 0.
+        Pooled secure rounds send workers a copy, so the clock must pickle.
     """
 
     enabled = True
@@ -187,14 +190,13 @@ class Tracer:
         exporters: Sequence[Any] = (),
         profiler: Any = None,
         clock: Any = None,
-        wall_clock: Any = None,
     ) -> None:
         self._exporters = list(exporters)
         self._ids = itertools.count(1)
         self._local = threading.local()
         self.profiler = profiler
-        self._clock = clock if clock is not None else time.perf_counter
-        self._wall = wall_clock if wall_clock is not None else time.time
+        self.clock = clock if clock is not None else time.perf_counter
+        self.epoch = time.time() - time.perf_counter() if clock is None else 0.0
 
     def add_exporter(self, exporter: Any) -> None:
         self._exporters.append(exporter)
@@ -218,21 +220,21 @@ class Tracer:
         The record flows through the same exporter fan-out a locally closed
         span does; the caller is responsible for having remapped ``span_id``/
         ``parent_id`` into this tracer's id space (:meth:`next_span_id`) and
-        for any clock alignment of ``start_time_s``.
+        for placing ``start_time_s`` on this tracer's timeline.
         """
         self._export(record)
 
     def wall_time(self) -> float:
-        """One reading of this tracer's wall clock (handshake timestamps)."""
-        return self._wall()
+        """One clock reading on the span timeline: :attr:`epoch` plus :meth:`now`."""
+        return self.epoch + self.clock()
 
     def now(self) -> float:
-        """One reading of this tracer's duration clock.
+        """One reading of this tracer's clock.
 
         For work timed outside a span and reported as an attribute, so that
         a :class:`SimClock` makes those timings deterministic too.
         """
-        return self._clock()
+        return self.clock()
 
     def current_span_id(self) -> int | None:
         """Id of this thread's innermost open span (``None`` outside any span).
@@ -277,6 +279,7 @@ class NullTracer:
 
     enabled = False
     profiler = None
+    clock = staticmethod(time.perf_counter)
 
     def add_exporter(self, exporter: Any) -> None:
         pass

@@ -30,10 +30,11 @@ from repro.federated import (
     RetryPolicy,
     SecureAggregationSession,
     StreamingAggregator,
+    attribute_equals,
 )
 from repro.observability import MetricsRegistry, instrumented
 from repro.federated.secure_agg import PrimeField, Share, reconstruct_secret
-from repro.privacy import RandomizedResponse
+from repro.privacy import BitMeter, PrivacyAccountant, RandomizedResponse
 
 
 class TestDegenerateSizes:
@@ -216,6 +217,34 @@ class TestFederatedQueryFailureModes:
         est = query.run(self._population(200), rng=2)
         (history,) = est.metadata["attempt_history"]
         assert history[0][1] < 150 <= history[1][1]
+
+    def test_redrawn_cohort_stays_out_of_the_other_round(self):
+        # Round 1's first attempt blacks out and redraws its cohort; the
+        # redraw must leave out round 2's clients, or a client discloses in
+        # both rounds and the 1-bit meter aborts round 2 after round 1
+        # spent its epsilon.
+        rng = np.random.default_rng(0)
+        devices = [
+            ClientDevice(i, [float(rng.integers(0, 1000))], {"geo": "us" if i % 2 else "eu"})
+            for i in range(1500)
+        ]
+        meter, accountant = BitMeter(), PrivacyAccountant()
+        query = FederatedMeanQuery(
+            FixedPointEncoder.for_integers(10),
+            perturbation=RandomizedResponse(1.0),
+            faults=FaultSchedule.from_spec("1:blackout"),
+            retry=RetryPolicy(max_attempts=3, redraw_cohort=True),
+            meter=meter,
+            accountant=accountant,
+        )
+        est = query.run(
+            devices, rng=1, eligibility=attribute_equals("geo", "us"), cohort_size=500
+        )
+        assert est.metadata["round_attempts"] == [2, 1]
+        assert accountant.spent_epsilon == 2.0
+        # One bit per client that reported in either round's last attempt.
+        history = est.metadata["attempt_history"]
+        assert meter.total_bits == sum(attempts[-1][1] for attempts in history)
 
     def test_network_blackout_recovered_when_fault_lifts(self, encoder8):
         # The *base* network is fine; the fault schedule makes attempt 1

@@ -19,7 +19,10 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main, run_traced_round
+from repro.federated import ServeConfig, fleet_values, run_loopback
 from repro.observability import (
+    ObservedRun,
+    SimClock,
     build_chrome_trace,
     build_report,
     load_run,
@@ -168,6 +171,29 @@ class TestRecordedRun:
         report_a = render_markdown(build_report(load_run(dir_a)))
         report_b = render_markdown(build_report(load_run(dir_b)))
         assert report_a == report_b
+
+    def test_sim_clock_served_runs_are_byte_identical(self, tmp_path):
+        # A served round records the tracer's clock, never the event loop's,
+        # and no OS-assigned port: with a sim-clocked fleet, two same-seed
+        # rounds over real sockets write the same bytes.
+        config = ServeConfig(n_clients=6, seed=4)
+        values = fleet_values(6, seed=1)
+        dirs = []
+        for name in ("a", "b"):
+            with ObservedRun(
+                record_dir=tmp_path / name / "run",
+                config=config.to_manifest(),
+                seed=config.seed,
+                round_span="serve.round",
+                sim_clock=True,
+            ) as run:
+                served, _ = run_loopback(
+                    config, values, fleet_seed=2, clock_factory=lambda: SimClock(start=1.0)
+                )
+            run.finalize(estimate=served.estimate, meter=served.meter)
+            dirs.append(tmp_path / name / "run")
+        for filename in (EVENTS_FILENAME, MANIFEST_FILENAME):
+            assert (dirs[0] / filename).read_bytes() == (dirs[1] / filename).read_bytes()
 
     def test_chaos_run_records_retries_and_degradation(self, tmp_path):
         record_dir, result = _run_recorded(

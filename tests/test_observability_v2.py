@@ -8,6 +8,7 @@ phase profiler's CPU/allocation enrichment.
 from __future__ import annotations
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -191,7 +192,7 @@ class TestSimClock:
         def run():
             clock = SimClock(start=1.0, step=0.001)
             memory = InMemoryExporter()
-            tracer = Tracer([memory], clock=clock, wall_clock=clock)
+            tracer = Tracer([memory], clock=clock)
             with tracer.span("outer"):
                 with tracer.span("inner"):
                     pass
@@ -199,9 +200,19 @@ class TestSimClock:
 
         assert run() == run()
 
+    def test_real_clock_spans_start_at_wall_time(self):
+        # One clock: the default tracer's epoch puts perf_counter readings on
+        # the time.time() scale, and durations stay differences of readings.
+        memory = InMemoryExporter()
+        with Tracer([memory]).span("work"):
+            sum(range(1000))
+        (record,) = memory.records
+        assert abs(record.start_time_s - time.time()) < 1.0
+        assert record.duration_s > 0.0
+
     def test_null_profiler_attribute_untouched(self):
         clock = SimClock()
-        tracer = Tracer([], clock=clock, wall_clock=clock)
+        tracer = Tracer([], clock=clock)
         assert tracer.profiler is None
 
 
@@ -263,7 +274,7 @@ class TestPhaseProfiler:
         def run():
             clock = SimClock(start=1.0, step=0.001)
             profiler = PhaseProfiler(cpu_clock=clock)
-            tracer = Tracer([], profiler=profiler, clock=clock, wall_clock=clock)
+            tracer = Tracer([], profiler=profiler, clock=clock)
             with tracer.span("outer"):
                 with tracer.span("inner"):
                     pass

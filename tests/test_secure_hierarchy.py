@@ -354,19 +354,27 @@ class TestShardGroups:
             span.duration_s for span in phases.values()
         )
 
-    def test_sim_clock_times_shards(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sim_clock_times_shards(self, monkeypatch, workers):
+        # Groups of 2 shards, so workers=2 takes the pooled path: each worker
+        # times its group on a copy of the tracer's clock, and its phases land
+        # on the run's timeline.
+        monkeypatch.setattr(hierarchy, "SHARD_GROUP", 2)
         vecs = np.random.default_rng(6).random((40, 6)) < 0.5
         submitted = np.ones(40, dtype=bool)
         submitted[[3, 17]] = False
         runs = []
         for _ in range(2):
-            clock = SimClock()
+            clock = SimClock(start=1.0)
             exporter = InMemoryExporter()
-            tracer = Tracer([exporter], clock=clock, wall_clock=clock)
+            tracer = Tracer([exporter], clock=clock)
             with instrumented(tracer, MetricsRegistry()):
-                hierarchical_secure_sum(vecs, submitted, shard_size=8, workers=1, rng=3)
+                hierarchical_secure_sum(vecs, submitted, shard_size=8, workers=workers, rng=3)
+            end = clock()
+            assert all(1.0 <= span.start_time_s < end for span in exporter.records)
             runs.append([span.to_dict() for span in exporter.records])
         assert runs[0] == runs[1]
+        assert sum(span["name"] == "secure_agg.mask" for span in runs[0]) == 3
         durations = [
             span["attributes"]["duration_s"] for span in runs[0] if span["name"] == "shard.session"
         ]

@@ -92,6 +92,10 @@ class TestLoopbackParity:
         assert len(fleet.results) == n
         assert served.estimate.metadata["served"] is True
         assert served.estimate.metadata["transport"] == "tcp"
+        # The port is the result's, not the estimate's; untraced, the
+        # collection is still timed on the real clock.
+        assert "port" not in served.estimate.metadata and served.port > 0
+        assert served.duration_s > 0
 
     def test_lossy_rr_round_matches_twin(self):
         n = 40
@@ -239,7 +243,7 @@ class TestUplinkRejection:
         ]
         assert attributed
         for record in attributed:
-            assert record.attributes["peer"].startswith("127.0.0.1:")
+            assert record.attributes["peer"] == "127.0.0.1"
             assert isinstance(record.attributes["session"], int)
 
     async def _adversarial_scenario(self):
@@ -386,7 +390,38 @@ class TestSilentConnection:
         assert registry.snapshot()["counters"]["wire_rejects_total"] == 1.0
         (reject,) = [r for r in memory.records if r.name == "uplink.reject"]
         assert reject.attributes["reason"] == "hello-timeout"
-        assert reject.attributes["peer"].startswith("127.0.0.1:")
+        assert reject.attributes["peer"] == "127.0.0.1"
+
+    def test_connection_after_the_window_is_rejected(self):
+        # Nobody registers in the window, so the round fails; a connection
+        # opened afterwards sends a HELLO for clients 0-1 and is turned away.
+        cfg = ServeConfig(n_clients=2, seed=0, deadline_s=5.0, registration_timeout_s=0.2)
+
+        async def scenario():
+            server = RoundServer(cfg)
+            port = await server.start()
+            with pytest.raises(RoundFailedError):
+                await server.serve_round()
+            reader, writer = await asyncio.open_connection(cfg.host, port)
+            hello = json.dumps({"client_id": 0, "clients": 2}).encode()
+            try:
+                writer.write(encode_message(MSG_HELLO, hello))
+                await writer.drain()
+                closed = await asyncio.wait_for(reader.read(), 2.0) == b""
+            except ConnectionError:  # closed with the HELLO unread: a reset
+                closed = True
+            writer.close()
+            await server.close()
+            return server, closed
+
+        memory = InMemoryExporter()
+        with instrumented(Tracer([memory]), MetricsRegistry()):
+            server, closed = asyncio.run(scenario())
+        assert closed
+        assert server._registered == 0 and server._rejects == 1
+        (reject,) = [r for r in memory.records if r.name == "uplink.reject"]
+        assert reject.attributes["reason"] == "hello-timeout"
+        assert reject.attributes["peer"] == "127.0.0.1"
 
 
 class TestServedPrivacyAccounting:
@@ -844,7 +879,7 @@ class TestDistributedTracing:
         assert len(fleet_rounds) == connections
         assert all(r.parent_id in round_ids for r in fleet_rounds)
         # Ingested spans carry connection attribution next to the client id.
-        assert all(r.attributes["peer"].startswith("127.0.0.1:") for r in remote)
+        assert all(r.attributes["peer"] == "127.0.0.1" for r in remote)
 
         # The round span carries straggler stats derived from uplink arrivals.
         (round_span,) = [r for r in memory.records if r.name == "serve.round"]
@@ -865,7 +900,7 @@ class TestDistributedTracing:
         cfg = ServeConfig(n_clients=1, seed=2)
         server = RoundServer(cfg)
         memory = InMemoryExporter()
-        tracer = Tracer([memory], wall_clock=lambda: 1000.0)
+        tracer = Tracer([memory], clock=lambda: 1000.0)
         with instrumented(tracer, MetricsRegistry()):
             # HELLO anchor: client clock read 400 when the server read 1000,
             # so every remote timestamp shifts forward by exactly 600.
@@ -1034,6 +1069,10 @@ class TestConfigSurface:
             ServeConfig(n_clients=1, epsilon=-1.0)
         with pytest.raises(ConfigurationError):
             ServeConfig(n_clients=1, min_quorum=0)
+        # A served retry re-contacts the registered fleet; it cannot redraw.
+        with pytest.raises(ConfigurationError, match="redraw_cohort=False"):
+            ServeConfig(n_clients=4, retry=RetryPolicy())
+        ServeConfig(n_clients=4, retry=RetryPolicy(redraw_cohort=False))
 
     def test_fleet_values_deterministic(self):
         assert np.array_equal(fleet_values(16, 7), fleet_values(16, 7))
