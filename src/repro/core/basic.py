@@ -32,7 +32,6 @@ from repro.core.protocol import (
 from repro.core.results import MeanEstimate
 from repro.core.sampling import (
     BitSamplingSchedule,
-    apportion_counts,
     central_assignment,
     local_assignment,
     multi_bit_assignment,
@@ -196,10 +195,9 @@ class BasicBitPushing:
         configuration (asserted in ``tests/test_execution.py``).
 
         The speedup comes from hoisting the shape-dependent work out of the
-        repetition loop: one 2-D encode, a shared ``np.repeat`` assignment
-        template (central mode permutes a copy per repetition), one batched
-        shift-and-mask bit extraction, and a single flattened-offset
-        ``np.bincount`` for all ``R * n_bits`` report sums and counts.
+        repetition loop: one 2-D encode, one batched shift-and-mask bit
+        extraction, and a single flattened-offset ``np.bincount`` for all
+        ``R * n_bits`` report sums and counts.
         Returns the R decoded mean estimates as a float64 array.
         """
         vals = np.asarray(values, dtype=np.float64)
@@ -214,21 +212,12 @@ class BasicBitPushing:
         encoded = self.encoder.encode(vals)
 
         # Per-rep randomness must replay estimate()'s stream, so the draws
-        # stay in a loop; only the shared template is hoisted.
-        use_template = self.b_send == 1 and self.randomness == "central"
-        if use_template:
-            counts = apportion_counts(n_clients, self.schedule)
-            template = np.repeat(np.arange(n_bits, dtype=np.int64), counts)
+        # stay in a loop.
         gens = [ensure_rng(rng) for rng in rngs]
         b_send = self.b_send if self.b_send > 1 else 1
         assignments = np.empty((n_reps, n_clients, b_send), dtype=np.int64)
         for r, gen in enumerate(gens):
-            if use_template:
-                assignment = template.copy()
-                gen.shuffle(assignment)
-            else:
-                assignment = self._draw_assignment(n_clients, gen)
-            assignments[r] = assignment.reshape(n_clients, b_send)
+            assignments[r] = self._draw_assignment(n_clients, gen).reshape(n_clients, b_send)
 
         reported = (
             (encoded[:, :, None] >> assignments.astype(np.uint64)) & np.uint64(1)

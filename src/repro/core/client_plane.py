@@ -44,7 +44,7 @@ from typing import Any, Iterable, Iterator, Sequence
 import numpy as np
 
 from repro.core.encoding import FixedPointEncoder
-from repro.core.protocol import BitPerturbation
+from repro.core.protocol import BitPerturbation, validated_assignment
 from repro.exceptions import ConfigurationError, ProtocolError
 from repro.observability import get_tracer
 from repro.rng import ensure_rng
@@ -357,19 +357,6 @@ def elicit_values(
     )
 
 
-def _validated_assignment(assignment: np.ndarray, n: int, n_bits: int) -> np.ndarray:
-    assign = np.asarray(assignment, dtype=np.int64)
-    if assign.ndim == 1:
-        assign = assign.reshape(-1, 1)
-    if assign.ndim != 2 or assign.shape[0] != n:
-        raise ProtocolError(
-            f"assignment shape {assign.shape} incompatible with {n} clients"
-        )
-    if assign.size and (assign.min() < 0 or assign.max() >= n_bits):
-        raise ProtocolError(f"assignment indexes outside [0, {n_bits})")
-    return assign
-
-
 def _collect_chunk(
     encoded_chunk: np.ndarray,
     assign_chunk: np.ndarray,
@@ -383,10 +370,14 @@ def _collect_chunk(
 
     One joint ``bincount`` over ``2 * bit_index + (report == 1)`` counts
     both halves at once: odd slots are reports equal to 1 (the sums), and
-    each even/odd pair adds up to the bit's report count.
+    each even/odd pair adds up to the bit's report count.  The assignment
+    arrives in its compact integer dtype.  The shift reads it through a
+    uint64 loop, exact because the indices lie in ``[0, n_bits)``, and the
+    joint index is built in ``np.intp``, where ``2 * bit_index`` cannot wrap.
     """
     bits = (
-        (encoded_chunk[:, None] >> assign_chunk.astype(np.uint64)) & np.uint64(1)
+        np.right_shift(encoded_chunk[:, None], assign_chunk, dtype=np.uint64, casting="unsafe")
+        & np.uint64(1)
     ).astype(np.uint8)
     if perturbation is not None:
         bits = np.asarray(perturbation.perturb_bits(bits, gen), dtype=np.uint8)
@@ -394,9 +385,10 @@ def _collect_chunk(
             raise ProtocolError(
                 f"perturbation changed report shape from {assign_chunk.shape} to {bits.shape}"
             )
-    joint = np.bincount(
-        2 * assign_chunk.ravel() + (bits.ravel() == 1), minlength=2 * n_bits
-    )
+    joint = assign_chunk.astype(np.intp).ravel()
+    joint *= 2
+    joint += bits.ravel() == 1
+    joint = np.bincount(joint, minlength=2 * n_bits)
     sums += joint[1::2]
     counts += joint[0::2]
     counts += joint[1::2]
@@ -421,7 +413,7 @@ def accumulate_bit_reports(
     """
     enc = np.asarray(encoded, dtype=np.uint64)
     n = int(enc.shape[0]) if enc.ndim else int(enc.size)
-    assign = _validated_assignment(assignment, n, n_bits)
+    assign = validated_assignment(assignment, n, n_bits)
     size = batch_chunk_size(chunk)
     gen = ensure_rng(rng) if perturbation is not None else None
     sums = np.zeros(n_bits, dtype=np.int64)
@@ -460,7 +452,7 @@ def collect_client_reports(
     """
     vals = np.asarray(values, dtype=np.float64)
     n = int(vals.size)
-    assign = _validated_assignment(assignment, n, encoder.n_bits)
+    assign = validated_assignment(assignment, n, encoder.n_bits)
     size = batch_chunk_size(chunk)
     gen = ensure_rng(rng) if perturbation is not None else None
     sums = np.zeros(encoder.n_bits, dtype=np.int64)

@@ -184,13 +184,23 @@ class FixedPointEncoder:
     # Encode / decode
     # ------------------------------------------------------------------
     def encode(self, values: np.ndarray) -> np.ndarray:
-        """Quantize ``values`` to the fixed-point grid (uint64 array)."""
+        """Quantize ``values`` to the fixed-point grid (uint64 array).
+
+        Quantizes in place in one float temporary, never in ``values``
+        itself.  A finite sum proves every value finite, so only a
+        non-finite sum (an inf, a NaN, or a total that overflows) pays for
+        the exact element-wise scan.
+        """
         vals = np.asarray(values, dtype=np.float64)
-        if vals.size and not np.all(np.isfinite(vals)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = np.add.reduce(vals, axis=None)
+        if not np.isfinite(total) and not np.all(np.isfinite(vals)):
             raise EncodingError("cannot encode non-finite values")
-        quantized = np.rint((vals - self.offset) / self.scale)
+        quantized = np.subtract(vals, self.offset, out=np.empty(vals.shape))
+        quantized /= self.scale
+        np.rint(quantized, out=quantized)
         if self.clip:
-            quantized = np.clip(quantized, 0, self.max_encoded)
+            np.clip(quantized, 0, self.max_encoded, out=quantized)
         else:
             out_of_range = (quantized < 0) | (quantized > self.max_encoded)
             if np.any(out_of_range):

@@ -37,6 +37,7 @@ __all__ = [
     "decode_estimate",
     "theoretical_variance",
     "optimal_probabilities_bound",
+    "validated_assignment",
 ]
 
 
@@ -65,6 +66,27 @@ class BitPerturbation(Protocol):
         ...
 
 
+def validated_assignment(assignment: np.ndarray, n: int, n_bits: int) -> np.ndarray:
+    """``assignment`` as an ``(n, b_send)`` array of bit indices, checked.
+
+    A 1-D assignment becomes one column.  Integer dtypes pass through as
+    they are (:func:`~repro.core.sampling.central_assignment` hands out one
+    byte per client), so callers widen to ``np.intp`` before any index
+    arithmetic.  Any other dtype raises :class:`ProtocolError`: a float
+    index would truncate to a bit, and a bool one would read as bit 0 or 1.
+    """
+    assign = np.asarray(assignment)
+    if assign.ndim == 1:
+        assign = assign.reshape(-1, 1)
+    if assign.ndim != 2 or assign.shape[0] != n:
+        raise ProtocolError(f"assignment shape {assign.shape} incompatible with {n} clients")
+    if assign.dtype.kind not in "iu":
+        raise ProtocolError(f"assignment must hold integer bit indices, got {assign.dtype}")
+    if assign.size and (assign.min() < 0 or assign.max() >= n_bits):
+        raise ProtocolError(f"assignment indexes outside [0, {n_bits})")
+    return assign
+
+
 def collect_bit_reports(
     encoded: np.ndarray,
     n_bits: int,
@@ -81,8 +103,8 @@ def collect_bit_reports(
     n_bits:
         Bit depth; assignments must index into ``[0, n_bits)``.
     assignment:
-        Either shape ``(n,)`` (each client reports one bit) or
-        ``(n, b_send)`` (each client reports several distinct bits).
+        Integer bit indices, either shape ``(n,)`` (each client reports one
+        bit) or ``(n, b_send)`` (each client reports several distinct bits).
     perturbation:
         Optional local privacy mechanism applied to the true bits.
     rng:
@@ -97,15 +119,7 @@ def collect_bit_reports(
         :func:`bit_means_from_stats`.
     """
     enc = np.asarray(encoded, dtype=np.uint64)
-    assign = np.asarray(assignment, dtype=np.int64)
-    if assign.ndim == 1:
-        assign = assign.reshape(-1, 1)
-    if assign.ndim != 2 or assign.shape[0] != enc.shape[0]:
-        raise ProtocolError(
-            f"assignment shape {assign.shape} incompatible with {enc.shape[0]} clients"
-        )
-    if assign.size and (assign.min() < 0 or assign.max() >= n_bits):
-        raise ProtocolError(f"assignment indexes outside [0, {n_bits})")
+    assign = validated_assignment(assignment, enc.shape[0], n_bits)
 
     # Each client extracts its assigned bit(s) from its own value.
     reported = ((enc[:, None] >> assign.astype(np.uint64)) & np.uint64(1)).astype(np.float64)
@@ -119,7 +133,7 @@ def collect_bit_reports(
                 f"perturbation changed report shape from {assign.shape} to {reported.shape}"
             )
 
-    flat_bits = assign.ravel()
+    flat_bits = assign.ravel().astype(np.intp, copy=False)
     flat_reports = reported.ravel()
     sums = np.bincount(flat_bits, weights=flat_reports, minlength=n_bits)
     counts = np.bincount(flat_bits, minlength=n_bits).astype(np.int64)

@@ -123,9 +123,39 @@ class CohortSelector:
         population and no per-client pass or copy happens at all.
         """
         batch = as_batch(population)
-        n_population = len(batch)
+        picked = self._draw(batch, eligibility, cohort_size, rng)
+        return np.arange(len(batch), dtype=np.int64) if picked is None else picked
+
+    def select(
+        self,
+        population: Population,
+        eligibility: Eligibility | None = None,
+        cohort_size: int | None = None,
+        rng: np.random.Generator | int | None = None,
+    ) -> ClientBatch:
+        """Filter by eligibility, enforce the minimum, optionally subsample.
+
+        Returns the eligible clients (all of them, or a uniform sample of
+        ``cohort_size``) as a :class:`ClientBatch`; the unfiltered
+        full-population case returns the batch itself, copy-free and
+        without an index array.  Raises :class:`CohortTooSmallError` if
+        either the eligible population or the requested cohort would
+        violate the minimum size.
+        """
+        batch = as_batch(population)
+        picked = self._draw(batch, eligibility, cohort_size, rng)
+        return batch if picked is None else batch.take(picked)
+
+    def _draw(
+        self,
+        batch: ClientBatch,
+        eligibility: Eligibility | None,
+        cohort_size: int | None,
+        rng: np.random.Generator | int | None,
+    ) -> np.ndarray | None:
+        """Cohort positions, or ``None`` for the whole unfiltered population."""
         eligible_idx: np.ndarray | None = None  # None == all of population
-        n_eligible = n_population
+        n_eligible = len(batch)
         if eligibility is not None:
             mask = getattr(eligibility, "mask", None)
             if mask is None:
@@ -146,32 +176,9 @@ class CohortSelector:
                 f"{self.min_cohort_size}"
             )
         if cohort_size is None or cohort_size >= n_eligible:
-            if eligible_idx is None:
-                return np.arange(n_population, dtype=np.int64)
             return eligible_idx
         gen = ensure_rng(rng)
         picked = gen.choice(n_eligible, size=cohort_size, replace=False)
         if eligible_idx is None:
             return np.asarray(picked, dtype=np.int64)
         return eligible_idx[picked]
-
-    def select(
-        self,
-        population: Population,
-        eligibility: Eligibility | None = None,
-        cohort_size: int | None = None,
-        rng: np.random.Generator | int | None = None,
-    ) -> ClientBatch:
-        """Filter by eligibility, enforce the minimum, optionally subsample.
-
-        Returns the eligible clients (all of them, or a uniform sample of
-        ``cohort_size``) as a :class:`ClientBatch`; the unfiltered
-        full-population case returns the batch itself, copy-free.  Raises
-        :class:`CohortTooSmallError` if either the eligible population or
-        the requested cohort would violate the minimum size.
-        """
-        batch = as_batch(population)
-        indices = self.select_indices(batch, eligibility, cohort_size, rng)
-        if indices.size == len(batch) and eligibility is None:
-            return batch
-        return batch.take(indices)

@@ -340,33 +340,37 @@ class FederatedMeanQuery(RoundCore):
                 assignment = central_assignment(n, schedule, gen)
 
             # Failure simulation: device dropout, then network delivery.
+            # With neither model no client is lost, and the round builds no
+            # survivor mask (unless secure shards need one) and no index.
+            alive = None
             with tracer.span("round.dropout", {"planned": n}) as dropout_span:
-                alive = (
-                    dropout.draw_survivors(n, gen)
-                    if dropout is not None
-                    else np.ones(n, dtype=bool)
-                )
-                dropout_span.set_attribute("survived", int(alive.sum()))
+                if dropout is not None:
+                    alive = dropout.draw_survivors(n, gen)
+                elif network is not None or self.secure_aggregation:
+                    alive = np.ones(n, dtype=bool)
+                survived = n if alive is None else int(alive.sum())
+                dropout_span.set_attribute("survived", survived)
             duration = 0.0
-            if network is not None and alive.any():
+            if network is not None and survived:
                 # An empty batch is never transmitted: there is nothing to
                 # deliver, and a vacuous DeliveryOutcome would conflate
                 # "nothing to send" with "everything sent was lost".
-                outcome = network.transmit(int(alive.sum()), gen)
+                outcome = network.transmit(survived, gen)
                 delivered = np.zeros(n, dtype=bool)
                 delivered[np.flatnonzero(alive)] = outcome.delivered
                 duration = outcome.round_duration_s
                 alive = delivered
-            survivors = np.flatnonzero(alive)
-            self.dropout_tracker.update(planned=n, survived=int(survivors.size))
-            self.check_quorum(round_span, n, int(survivors.size), round_index, attempt)
+                survived = int(alive.sum())
+            self.dropout_tracker.update(planned=n, survived=survived)
+            self.check_quorum(round_span, n, survived, round_index, attempt)
 
             # Client-side: elicit one value per survivor straight from the
             # flat value arrays, in bounded-memory chunks; a lossless round
             # passes the cohort and its assignment through instead of
             # copying them.
-            lossless = survivors.size == n
-            with tracer.span("round.elicit", {"n_clients": int(survivors.size)}):
+            lossless = survived == n
+            survivors = None if lossless else np.flatnonzero(alive)
+            with tracer.span("round.elicit", {"n_clients": survived}):
                 values = elicit_values(
                     clients if lossless else clients.take(survivors),
                     self.elicitation,
@@ -384,10 +388,7 @@ class FederatedMeanQuery(RoundCore):
                 # masked rows are never unmasked, so they disclose nothing.
                 with tracer.span(
                     "round.secure_agg",
-                    {
-                        "n_clients": int(survivors.size),
-                        "shard_size": self.shard_size,
-                    },
+                    {"n_clients": survived, "shard_size": self.shard_size},
                 ) as secure_span:
                     sums, counts, secure = self._secure_collect(
                         values, alive, assignment, gen, shard_blackout=shard_blackout
@@ -408,7 +409,7 @@ class FederatedMeanQuery(RoundCore):
                 # (client_plane.collect spans per chunk); bit-identical to
                 # the historical encode-then-collect_bit_reports for any
                 # chunk size.
-                with tracer.span("round.collect", {"n_clients": int(survivors.size)}):
+                with tracer.span("round.collect", {"n_clients": survived}):
                     sums, counts = collect_client_reports(
                         values,
                         self.encoder,
@@ -418,11 +419,14 @@ class FederatedMeanQuery(RoundCore):
                         chunk=self.chunk_clients,
                     )
                 folded = survivors
+            # Ids only for a meter: an unmetered round builds no id list.
+            client_ids = ()
+            if self.meter is not None:
+                ids = clients.client_ids if folded is None else clients.client_ids[folded]
+                client_ids = ids.tolist()
             return self.fold(
                 round_span, sums, counts, schedule.probabilities, n, duration,
-                round_index, attempt, shard_failures=shard_failures,
-                # Ids only for a meter: an unmetered round builds no id list.
-                client_ids=clients.client_ids[folded].tolist() if self.meter is not None else (),
+                round_index, attempt, shard_failures=shard_failures, client_ids=client_ids,
             )
 
     # ------------------------------------------------------------------
@@ -499,7 +503,7 @@ class FederatedMeanQuery(RoundCore):
                 if index in blackout:
                     local_ids = local_ids[:0]
                 rows = np.arange(local_ids.size)
-                cols = assignment[lo + local_ids]
+                cols = assignment[lo + local_ids].astype(np.intp)
                 vectors = np.zeros((local_ids.size, length), dtype=bool)
                 vectors[rows, cols] = True
                 vectors[rows, n_bits + cols] = bits[survivor_pos[lo + local_ids]]

@@ -6,6 +6,8 @@ columnar kernel consumes randomness exactly as its object-path twin, for
 columnar populations produce bit-identical estimates for the same seed.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,7 @@ from repro.federated import (
     NetworkModel,
     RetryPolicy,
     attribute_equals,
+    fleet_values,
 )
 from repro.federated.multivalue import elicit_batch, ground_truth_mean
 from repro.privacy import RandomizedResponse
@@ -292,6 +295,29 @@ class TestAccumulateBitReports:
                 encoded, self.n_bits, np.full(encoded.size, self.n_bits)
             )
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.bool_])
+    def test_non_integer_assignment_rejected(self, encoded, dtype):
+        # A float index would truncate to a bit; a bool one reads as bit 0 or 1.
+        assignment = np.ones(encoded.size, dtype=dtype)
+        with pytest.raises(ProtocolError, match="integer"):
+            accumulate_bit_reports(encoded, self.n_bits, assignment)
+        with pytest.raises(ProtocolError, match="integer"):
+            collect_client_reports(
+                encoded.astype(np.float64), FixedPointEncoder.for_integers(8), assignment
+            )
+
+    @pytest.mark.parametrize("chunk", [1, 50, 100_000])
+    def test_compact_assignment_widened_before_index_arithmetic(self, chunk):
+        # In uint8, 2 * 199 wraps to 142: an unwidened joint index would
+        # file bit 199's reports under bit 71.
+        encoded = np.random.default_rng(4).integers(0, 2**62, size=300, dtype=np.uint64)
+        assignment = np.resize(np.array([150, 199], dtype=np.uint8), 300)
+        got = accumulate_bit_reports(encoded, 200, assignment, chunk=chunk)
+        ref = accumulate_bit_reports(encoded, 200, assignment.astype(np.int64), chunk=chunk)
+        np.testing.assert_array_equal(got[0], ref[0])
+        np.testing.assert_array_equal(got[1], ref[1])
+        assert got[1][150] == got[1][199] == 150
+
 
 # ----------------------------------------------------------------------
 # Estimator twins: object path vs columnar path, chunk-invariant
@@ -451,6 +477,24 @@ class TestFederatedTwins:
     def test_chunk_clients_validated(self):
         with pytest.raises(ConfigurationError, match="chunk"):
             FederatedMeanQuery(FixedPointEncoder.for_integers(8), chunk_clients=0)
+
+    def test_lossless_million_client_round_stays_compact(self):
+        # One byte of assignment per client plus chunk-sized temporaries:
+        # any cohort-sized int64 array (assignment, copy or survivor index)
+        # would push the peak past 4 B per client.
+        batch = ClientBatch.from_values(fleet_values(10**6, 0))
+        query = FederatedMeanQuery(
+            FixedPointEncoder.for_integers(10), mode="basic",
+            chunk_clients=DEFAULT_CHUNK_CLIENTS,
+        )
+        assert query.run(batch, rng=1).value == 600.2256289440697
+        tracemalloc.start()
+        try:
+            query.run(batch, rng=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * len(batch), f"{peak / len(batch):.2f} B per client"
 
 
 # ----------------------------------------------------------------------

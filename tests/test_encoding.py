@@ -153,6 +153,17 @@ class TestFixedPointEncoderClipping:
         with pytest.raises(EncodingError):
             enc.encode([float("inf")])
 
+    def test_finiteness_checked_exactly_when_the_sum_is_not_finite(self):
+        # encode() sums before it scans: opposite infinities sum to NaN and
+        # are still rejected, while finite values whose sum overflows are
+        # encoded.  It never writes into its input.
+        enc = FixedPointEncoder(n_bits=8)
+        with pytest.raises(EncodingError):
+            enc.encode([float("inf"), float("-inf")])
+        values = np.array([1.7e308, 1.7e308, -3.0])
+        values.flags.writeable = False
+        assert enc.encode(values).tolist() == [255, 255, 0]
+
 
 class TestFixedPointEncoderBits:
     def test_bit_index_guard(self, encoder8):

@@ -57,6 +57,24 @@ class TestCollectBitReports:
         with pytest.raises(ProtocolError):
             collect_bit_reports(np.array([1], dtype=np.uint64), 2, np.array([0, 1]))
 
+    def test_fractional_assignment_raises(self):
+        # Truncating would count the reports as bits 2 and 0.
+        with pytest.raises(ProtocolError, match="integer"):
+            collect_bit_reports(np.array([5, 6], dtype=np.uint64), 3, np.array([2.7, 0.9]))
+
+    def test_bool_assignment_raises(self):
+        # Read as indices, True and False would be bits 1 and 0.
+        with pytest.raises(ProtocolError, match="integer"):
+            collect_bit_reports(np.array([5, 6], dtype=np.uint64), 3, np.array([True, False]))
+
+    def test_integer_dtypes_kept(self):
+        encoded = np.array([5, 6], dtype=np.uint64)
+        ref = collect_bit_reports(encoded, 3, np.array([2, 0]))
+        for dtype in (np.uint8, np.uint16, np.uint64, np.int8):
+            got = collect_bit_reports(encoded, 3, np.array([2, 0], dtype=dtype))
+            np.testing.assert_array_equal(got[0], ref[0])
+            np.testing.assert_array_equal(got[1], ref[1])
+
     def test_out_of_range_assignment_raises(self):
         with pytest.raises(ProtocolError):
             collect_bit_reports(np.array([1], dtype=np.uint64), 2, np.array([5]))

@@ -168,6 +168,13 @@ class TestApportionCounts:
         with pytest.raises(ConfigurationError):
             apportion_counts(-1, BitSamplingSchedule.uniform(2))
 
+    def test_returned_counts_are_the_callers_own(self):
+        # The apportionment is memoized; each call hands out its own copy.
+        sched = BitSamplingSchedule.weighted(6, 0.5)
+        counts = apportion_counts(1000, sched)
+        counts[:] = 0
+        assert apportion_counts(1000, sched).sum() == 1000
+
 
 class TestCentralAssignment:
     def test_counts_are_exact(self, rng):
@@ -187,6 +194,21 @@ class TestCentralAssignment:
         np.testing.assert_array_equal(
             central_assignment(50, sched, rng=3), central_assignment(50, sched, rng=3)
         )
+
+    @pytest.mark.parametrize("n", [0, 1, 1000, 2**19, 2**19 + 1])
+    @pytest.mark.parametrize("n_bits", [1, 10, 63, 300])
+    def test_compact_dtype_draws_the_int64_shuffle(self, n, n_bits):
+        # 2**19 and 2**19 + 1 sit on both sides of the compact-shuffle
+        # cutoff: each side must draw what an int64 shuffle draws, leave
+        # the generator where it leaves it, and hand out the compact dtype.
+        sched = BitSamplingSchedule.uniform(n_bits)
+        gen, twin = np.random.default_rng(11), np.random.default_rng(11)
+        assignment = central_assignment(n, sched, gen)
+        expected = np.repeat(np.arange(n_bits, dtype=np.int64), apportion_counts(n, sched))
+        twin.shuffle(expected)
+        assert assignment.dtype == np.min_scalar_type(n_bits - 1)
+        np.testing.assert_array_equal(assignment, expected)
+        assert gen.bit_generator.state == twin.bit_generator.state
 
 
 class TestLocalAssignment:
