@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.client_plane import report_bits
 from repro.core.encoding import FixedPointEncoder
 from repro.core.protocol import bit_means_from_stats
 from repro.core.sampling import BitSamplingSchedule, central_assignment, local_assignment
@@ -103,7 +104,7 @@ def poisoned_estimate(
         assignment = central_assignment(n, schedule, gen)
     else:
         assignment = local_assignment(n, schedule, gen)
-    honest_bits = ((encoded >> assignment.astype(np.uint64)) & np.uint64(1)).astype(np.float64)
+    honest_bits = report_bits(encoded, assignment).astype(np.float64)
 
     n_adv = int(round(adversary_fraction * n))
     adversaries = gen.permutation(n)[:n_adv]

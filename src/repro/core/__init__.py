@@ -13,7 +13,7 @@ Public surface:
 * scale: :class:`ClientBatch` and the chunk-streamed columnar kernels
   (:func:`elicit_values`, :func:`accumulate_bit_reports`,
   :func:`collect_client_reports`, tuned by ``REPRO_BATCH_CHUNK`` via
-  :func:`batch_chunk_size`).
+  :func:`batch_chunk_size`), all reporting through :func:`report_bits`.
 """
 
 from repro.core.adaptive import AdaptiveBitPushing
@@ -32,6 +32,7 @@ from repro.core.client_plane import (
     batch_chunk_size,
     collect_client_reports,
     elicit_values,
+    report_bits,
 )
 from repro.core.covariance import CovarianceEstimate, CovarianceEstimator
 from repro.core.histogram import FederatedHistogram, HistogramEstimate
@@ -114,6 +115,7 @@ __all__ = [
     "multi_bit_assignment",
     "optimal_probabilities_bound",
     "per_bit_squash_thresholds",
+    "report_bits",
     "required_bits",
     "rr_noise_std",
     "skewness",

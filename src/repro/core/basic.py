@@ -13,8 +13,6 @@ turn the same machinery into the paper's epsilon-LDP variant.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.core.client_plane import (
@@ -23,12 +21,7 @@ from repro.core.client_plane import (
     elicit_values,
 )
 from repro.core.encoding import FixedPointEncoder
-from repro.core.protocol import (
-    BitPerturbation,
-    bit_means_from_stats,
-    decode_estimate,
-    round_summary,
-)
+from repro.core.protocol import BitPerturbation, decode_estimate, round_summary
 from repro.core.results import MeanEstimate
 from repro.core.sampling import (
     BitSamplingSchedule,
@@ -36,7 +29,6 @@ from repro.core.sampling import (
     local_assignment,
     multi_bit_assignment,
 )
-from repro.core.squashing import squash_bit_means
 from repro.exceptions import ConfigurationError
 from repro.rng import ensure_rng
 
@@ -135,9 +127,7 @@ class BasicBitPushing:
 
         assignment = self._draw_assignment(n_clients, gen)
         # Chunk-streamed collection (bounded memory for million-client
-        # cohorts); bit-identical to collect_bit_reports for any chunk size,
-        # and a cohort that fits in one REPRO_BATCH_CHUNK takes exactly the
-        # legacy single-pass path.
+        # cohorts); bit-identical to collect_bit_reports for any chunk size.
         sums, counts = accumulate_bit_reports(
             encoded, self.encoder.n_bits, assignment, self.perturbation, gen
         )
@@ -178,89 +168,6 @@ class BasicBitPushing:
         gen = ensure_rng(rng)
         values = elicit_values(batch, strategy, gen, chunk=chunk)
         return self.estimate(values, gen)
-
-    # ------------------------------------------------------------------
-    def estimate_batch(
-        self,
-        values: np.ndarray,
-        rngs: "Sequence[np.random.Generator | int | None]",
-    ) -> np.ndarray:
-        """Estimate R independent repetitions at once from an ``(R, n)`` array.
-
-        Row ``r`` is one repetition's population and consumes randomness
-        only from ``rngs[r]``, in exactly the order :meth:`estimate` would
-        (assignment draw, then perturbation) -- so the result is
-        *bit-identical* to ``[estimate(values[r], rngs[r]).value for r]``
-        for any perturbation, randomness mode, ``b_send`` and squashing
-        configuration (asserted in ``tests/test_execution.py``).
-
-        The speedup comes from hoisting the shape-dependent work out of the
-        repetition loop: one 2-D encode, one batched shift-and-mask bit
-        extraction, and a single flattened-offset ``np.bincount`` for all
-        ``R * n_bits`` report sums and counts.
-        Returns the R decoded mean estimates as a float64 array.
-        """
-        vals = np.asarray(values, dtype=np.float64)
-        if vals.ndim != 2:
-            raise ConfigurationError(f"estimate_batch needs an (R, n) array, got shape {vals.shape}")
-        n_reps, n_clients = vals.shape
-        if n_clients == 0:
-            raise ConfigurationError("cannot estimate a mean from zero clients")
-        if len(rngs) != n_reps:
-            raise ConfigurationError(f"got {n_reps} repetitions but {len(rngs)} generators")
-        n_bits = self.encoder.n_bits
-        encoded = self.encoder.encode(vals)
-
-        # Per-rep randomness must replay estimate()'s stream, so the draws
-        # stay in a loop.
-        gens = [ensure_rng(rng) for rng in rngs]
-        b_send = self.b_send if self.b_send > 1 else 1
-        assignments = np.empty((n_reps, n_clients, b_send), dtype=np.int64)
-        for r, gen in enumerate(gens):
-            assignments[r] = self._draw_assignment(n_clients, gen).reshape(n_clients, b_send)
-
-        reported = (
-            (encoded[:, :, None] >> assignments.astype(np.uint64)) & np.uint64(1)
-        ).astype(np.uint8)
-        if self.perturbation is not None:
-            for r, gen in enumerate(gens):
-                reported[r] = np.asarray(
-                    self.perturbation.perturb_bits(reported[r], gen), dtype=np.uint8
-                )
-
-        # One bincount over all repetitions: offsetting rep r's bit indices
-        # by r * n_bits keeps every (rep, bit) accumulator separate.  Bits
-        # are 0/1, so the per-bit sum is the *count* of set bits -- an exact
-        # integer in float64, hence bit-identical to estimate()'s serial
-        # float accumulation regardless of summation order.
-        offsets = (
-            np.arange(n_reps, dtype=np.int64)[:, None] * n_bits
-            + assignments.reshape(n_reps, -1)
-        )
-        flat_offsets = offsets.ravel()
-        ones = flat_offsets[reported.reshape(n_reps, -1).ravel() == 1]
-        sums = (
-            np.bincount(ones, minlength=n_reps * n_bits)
-            .reshape(n_reps, n_bits)
-            .astype(np.float64)
-        )
-        report_counts = (
-            np.bincount(flat_offsets, minlength=n_reps * n_bits)
-            .reshape(n_reps, n_bits)
-            .astype(np.int64)
-        )
-
-        means = bit_means_from_stats(sums, report_counts, self.perturbation)
-        final_means, _ = squash_bit_means(
-            means, self.squash_threshold, clip_to_unit=self.perturbation is not None
-        )
-        # Per-row dots (not one (R, b) @ (b,) matmul): BLAS may reorder the
-        # 2-D reduction, and the contract is bit-identity with estimate().
-        powers = self.encoder.powers
-        estimates = np.empty(n_reps)
-        for r in range(n_reps):
-            estimates[r] = self.encoder.decode_scalar(float(powers @ final_means[r]))
-        return estimates
 
     # ------------------------------------------------------------------
     def _draw_assignment(self, n_clients: int, gen: np.random.Generator) -> np.ndarray:

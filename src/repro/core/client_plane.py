@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -54,6 +54,7 @@ __all__ = [
     "ClientBatch",
     "batch_chunk_size",
     "elicit_values",
+    "report_bits",
     "accumulate_bit_reports",
     "collect_client_reports",
 ]
@@ -357,41 +358,82 @@ def elicit_values(
     )
 
 
-def _collect_chunk(
-    encoded_chunk: np.ndarray,
-    assign_chunk: np.ndarray,
+def report_bits(
+    encoded: np.ndarray,
+    assignment: np.ndarray,
+    perturbation: BitPerturbation | None = None,
+    rng: np.random.Generator | int | None = None,
+) -> np.ndarray:
+    """Every client's report: its assigned bit(s), randomized when asked.
+
+    Client ``i`` reveals bit ``assignment[i]`` of ``encoded[i]``, or one bit
+    per column of an ``(n, b_send)`` assignment, and ``perturbation`` (if
+    any) randomizes the bits with ``rng``.  Returns uint8 reports in the
+    assignment's shape.  The assignment keeps its compact integer dtype:
+    the shift reads it through a uint64 loop, exact for indices in
+    ``[0, 64)``.  Range checks are the caller's
+    (:func:`~repro.core.protocol.validated_assignment`).
+
+    >>> report_bits(np.array([5, 5], dtype=np.uint64), np.array([0, 1])).tolist()
+    [1, 0]
+    """
+    enc = np.asarray(encoded, dtype=np.uint64)
+    assign = np.asarray(assignment)
+    if assign.ndim == 2:
+        enc = enc[:, None]
+    bits = (
+        np.right_shift(enc, assign, dtype=np.uint64, casting="unsafe") & np.uint64(1)
+    ).astype(np.uint8)
+    if perturbation is not None:
+        bits = np.asarray(perturbation.perturb_bits(bits, ensure_rng(rng)), dtype=np.uint8)
+        if bits.shape != assign.shape:
+            raise ProtocolError(
+                f"perturbation changed report shape from {assign.shape} to {bits.shape}"
+            )
+    return bits
+
+
+def _collect(
+    column: np.ndarray,
+    encode: Callable[[np.ndarray], np.ndarray] | None,
     n_bits: int,
+    assignment: np.ndarray,
     perturbation: BitPerturbation | None,
-    gen: np.random.Generator | None,
-    sums: np.ndarray,
-    counts: np.ndarray,
-) -> None:
-    """Extract, perturb, and fold one chunk into the int64 accumulators.
+    rng: np.random.Generator | int | None,
+    chunk: int | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The one chunk loop: each chunk of clients is encoded (when ``encode``
+    is given), reported through :func:`report_bits`, and counted.
 
     One joint ``bincount`` over ``2 * bit_index + (report == 1)`` counts
     both halves at once: odd slots are reports equal to 1 (the sums), and
-    each even/odd pair adds up to the bit's report count.  The assignment
-    arrives in its compact integer dtype.  The shift reads it through a
-    uint64 loop, exact because the indices lie in ``[0, n_bits)``, and the
-    joint index is built in ``np.intp``, where ``2 * bit_index`` cannot wrap.
+    each even/odd pair adds up to the bit's report count.  The joint index
+    is built in ``np.intp``, where ``2 * bit_index`` cannot wrap.
     """
-    bits = (
-        np.right_shift(encoded_chunk[:, None], assign_chunk, dtype=np.uint64, casting="unsafe")
-        & np.uint64(1)
-    ).astype(np.uint8)
-    if perturbation is not None:
-        bits = np.asarray(perturbation.perturb_bits(bits, gen), dtype=np.uint8)
-        if bits.shape != assign_chunk.shape:
-            raise ProtocolError(
-                f"perturbation changed report shape from {assign_chunk.shape} to {bits.shape}"
-            )
-    joint = assign_chunk.astype(np.intp).ravel()
-    joint *= 2
-    joint += bits.ravel() == 1
-    joint = np.bincount(joint, minlength=2 * n_bits)
-    sums += joint[1::2]
-    counts += joint[0::2]
-    counts += joint[1::2]
+    if column.ndim != 1:
+        raise ProtocolError(f"expected one value per client (1-D), got shape {column.shape}")
+    n = int(column.shape[0])
+    assign = validated_assignment(assignment, n, n_bits)
+    size = batch_chunk_size(chunk)
+    gen = ensure_rng(rng) if perturbation is not None else None
+    sums = np.zeros(n_bits, dtype=np.int64)
+    counts = np.zeros(n_bits, dtype=np.int64)
+    tracer = get_tracer()
+    for index, (lo, hi) in enumerate(_chunk_bounds(n, size)):
+        with tracer.span(
+            "client_plane.collect",
+            {"chunk": index, "lo": lo, "hi": hi, "n_bits": n_bits},
+        ):
+            encoded = column[lo:hi] if encode is None else encode(column[lo:hi])
+            bits = report_bits(encoded, assign[lo:hi], perturbation, gen)
+            joint = assign[lo:hi].astype(np.intp).ravel()
+            joint *= 2
+            joint += bits.ravel() == 1
+            joint = np.bincount(joint, minlength=2 * n_bits)
+            sums += joint[1::2]
+            counts += joint[0::2]
+            counts += joint[1::2]
+    return sums.astype(np.float64), counts
 
 
 def accumulate_bit_reports(
@@ -406,30 +448,12 @@ def accumulate_bit_reports(
 
     Identical signature and bit-identical ``(sums, counts)`` for every chunk
     size; the wide intermediates (extracted bits, perturbation draws) are
-    chunk-sized instead of cohort-sized.  A cohort that fits in one chunk
-    takes exactly the legacy single-pass code path (one ``perturb_bits``
-    call on the full array, no extra spans), so the hot small-``n`` loops of
-    the figure harness are unaffected.
+    chunk-sized instead of cohort-sized.  Emits one ``client_plane.collect``
+    span per chunk.
     """
-    enc = np.asarray(encoded, dtype=np.uint64)
-    n = int(enc.shape[0]) if enc.ndim else int(enc.size)
-    assign = validated_assignment(assignment, n, n_bits)
-    size = batch_chunk_size(chunk)
-    gen = ensure_rng(rng) if perturbation is not None else None
-    sums = np.zeros(n_bits, dtype=np.int64)
-    counts = np.zeros(n_bits, dtype=np.int64)
-    if n <= size:
-        _collect_chunk(enc, assign, n_bits, perturbation, gen, sums, counts)
-        return sums.astype(np.float64), counts
-    tracer = get_tracer()
-    for index, (lo, hi) in enumerate(_chunk_bounds(n, size)):
-        with tracer.span(
-            "client_plane.collect", {"chunk": index, "lo": lo, "hi": hi}
-        ):
-            _collect_chunk(
-                enc[lo:hi], assign[lo:hi], n_bits, perturbation, gen, sums, counts
-            )
-    return sums.astype(np.float64), counts
+    return _collect(
+        np.asarray(encoded, dtype=np.uint64), None, n_bits, assignment, perturbation, rng, chunk
+    )
 
 
 def collect_client_reports(
@@ -442,29 +466,14 @@ def collect_client_reports(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Encode + extract + perturb + aggregate elicited values, chunk by chunk.
 
-    The federated server's columnar collection stage: fuses fixed-point
-    encoding into the chunk loop so the cohort-sized uint64 array is never
-    materialized (per-chunk peak: ``chunk * (8B encoded + b_send bits +
-    perturbation draw)``).  Bit-identical to ``encoder.encode(values)``
-    followed by ``collect_bit_reports(...)`` for any chunk size.  Always
-    emits one ``client_plane.collect`` span per chunk so recorded artifacts
-    show the streaming structure.
+    The federated server's columnar collection stage:
+    :func:`accumulate_bit_reports` with fixed-point encoding fused into the
+    chunk loop, so the cohort-sized uint64 array is never materialized
+    (per-chunk peak: ``chunk * (8B encoded + b_send bits + perturbation
+    draw)``).  Bit-identical to ``encoder.encode(values)`` followed by
+    ``collect_bit_reports(...)`` for any chunk size.
     """
-    vals = np.asarray(values, dtype=np.float64)
-    n = int(vals.size)
-    assign = validated_assignment(assignment, n, encoder.n_bits)
-    size = batch_chunk_size(chunk)
-    gen = ensure_rng(rng) if perturbation is not None else None
-    sums = np.zeros(encoder.n_bits, dtype=np.int64)
-    counts = np.zeros(encoder.n_bits, dtype=np.int64)
-    tracer = get_tracer()
-    for index, (lo, hi) in enumerate(_chunk_bounds(n, size)):
-        with tracer.span(
-            "client_plane.collect",
-            {"chunk": index, "lo": lo, "hi": hi, "n_bits": encoder.n_bits},
-        ):
-            encoded_chunk = encoder.encode(vals[lo:hi])
-            _collect_chunk(
-                encoded_chunk, assign[lo:hi], encoder.n_bits, perturbation, gen, sums, counts
-            )
-    return sums.astype(np.float64), counts
+    return _collect(
+        np.asarray(values, dtype=np.float64), encoder.encode, encoder.n_bits,
+        assignment, perturbation, rng, chunk,
+    )

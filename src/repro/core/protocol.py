@@ -3,12 +3,14 @@
 This module implements "one round of Algorithm 1" as pure functions over
 numpy arrays: take encoded client values and an assignment of clients to bit
 indices, extract the assigned bits, optionally pass them through a local
-privacy perturbation, and aggregate into per-bit sums and counts.  The basic
-and adaptive estimators, the LDP wrapper, the federated simulator, and the
-poisoning attacks all build on these primitives, so the protocol logic lives
-exactly once.  So do the two steps every round path shares, summarizing a
-round (:func:`round_summary`) and decoding the final bit means
-(:func:`decode_estimate`).
+privacy perturbation, and aggregate into per-bit sums and counts.
+:func:`collect_bit_reports` is the single-pass reference for that step:
+every round path reports through
+:func:`repro.core.client_plane.report_bits` instead, and the chunked
+collection is tested against this independent copy.  The steps every round
+path shares live here exactly once: checking an assignment
+(:func:`validated_assignment`), summarizing a round (:func:`round_summary`)
+and decoding the final bit means (:func:`decode_estimate`).
 
 Privacy perturbations are duck-typed via :class:`BitPerturbation` so the core
 package does not depend on :mod:`repro.privacy` (the dependency points the
@@ -119,6 +121,8 @@ def collect_bit_reports(
         :func:`bit_means_from_stats`.
     """
     enc = np.asarray(encoded, dtype=np.uint64)
+    if enc.ndim != 1:
+        raise ProtocolError(f"expected one value per client (1-D), got shape {enc.shape}")
     assign = validated_assignment(assignment, enc.shape[0], n_bits)
 
     # Each client extracts its assigned bit(s) from its own value.

@@ -24,9 +24,9 @@ from repro.core import (
     AdaptiveBitPushing,
     BitSamplingSchedule,
     FixedPointEncoder,
+    accumulate_bit_reports,
     bit_means_from_stats,
     central_assignment,
-    collect_bit_reports,
 )
 from repro.core.squashing import threshold_from_noise_multiple
 from repro.data.census import sample_ages
@@ -139,7 +139,7 @@ def figure_4b(
     schedule = BitSamplingSchedule.uniform(n_bits)
     encoded = encoder.encode(values)
     assignment = central_assignment(n_clients, schedule, gen)
-    sums, counts = collect_bit_reports(encoded, n_bits, assignment, rr, gen)
+    sums, counts = accumulate_bit_reports(encoded, n_bits, assignment, rr, gen)
     means = bit_means_from_stats(sums, counts, rr)
     return BitMeansSnapshot(
         bit_means=means,

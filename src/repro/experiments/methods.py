@@ -34,8 +34,8 @@ from repro.core import (
     BitSamplingSchedule,
     FixedPointEncoder,
     VarianceEstimator,
+    accumulate_bit_reports,
     central_assignment,
-    collect_bit_reports,
 )
 from repro.exceptions import ConfigurationError
 from repro.privacy import RandomizedResponse
@@ -95,7 +95,7 @@ def mean_methods(
                 schedule=BitSamplingSchedule.weighted(n_bits, alpha=alpha),
                 perturbation=rr,
             )
-            methods[label] = _wrap(est.estimate, batch=est.estimate_batch)
+            methods[label] = _wrap(est.estimate)
         elif label == "adaptive":
             est = AdaptiveBitPushing(
                 _encoder(n_bits),
@@ -126,15 +126,10 @@ def mean_methods(
     return methods
 
 
-def _wrap(estimate: Callable, batch: Callable | None = None) -> MeanMethod:
+def _wrap(estimate: Callable) -> MeanMethod:
     def run(values: np.ndarray, rng: np.random.Generator) -> float:
         return float(estimate(values, rng).value)
 
-    if batch is not None:
-        # Advertise the vectorized kernel; the execution engine dispatches
-        # to it when repetition populations share a shape (bit-identical to
-        # the scalar path -- see repro.metrics.execution).
-        run.estimate_batch = batch
     return run
 
 
@@ -215,7 +210,7 @@ def distributed_mean_estimate(
     schedule = BitSamplingSchedule.weighted(n_bits, alpha=alpha)
     encoded = encoder.encode(np.asarray(values, dtype=np.float64))
     assignment = central_assignment(encoded.size, schedule, rng)
-    sums, counts = collect_bit_reports(encoded, n_bits, assignment)
+    sums, counts = accumulate_bit_reports(encoded, n_bits, assignment)
     noisy_means = mechanism.privatize_bit_means(sums, counts, rng)
     noisy_means = np.clip(noisy_means, 0.0, 1.0)
     return encoder.mean_from_bit_means(noisy_means)

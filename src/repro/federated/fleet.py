@@ -18,10 +18,10 @@ never sent, and latency optionally maps to real ``asyncio.sleep`` time via
 Determinism: client ``i`` owns the generator ``SeedSequence(seed).spawn(n)[i]``
 (built lazily, by :func:`client_generator`, and only when a round draws
 anything), and per announcement draws in a fixed order -- randomized
-response first (:func:`report_bit`), then the network emulation -- so
-:func:`repro.federated.serve.in_process_estimate` can replay the exact
-stream.  A lossless round draws nothing: a range computes its bits in one
-vectorized pass.
+response first (:func:`range_bits`), then the network emulation -- so
+:func:`repro.federated.serve.in_process_estimate`, which runs the same
+:func:`range_bits` over every client at once, replays the exact stream.  A
+lossless round draws nothing: its bits come from one vectorized pass.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
+from repro.core.client_plane import report_bits
 from repro.core.encoding import FixedPointEncoder
 from repro.exceptions import ConfigurationError, ProtocolError
 from repro.federated.network import NetworkModel
@@ -67,8 +68,8 @@ __all__ = [
     "client_generator",
     "fleet_ranges",
     "fleet_values",
+    "range_bits",
     "read_message",
-    "report_bit",
 ]
 
 #: Connections a fleet opens: ``min(n, FLEET_CONNECTIONS)``, so a fleet of
@@ -110,21 +111,24 @@ def client_generator(seed: int, client_id: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(client_id,)))
 
 
-def report_bit(
-    value: float, bit_index: int, encoder: FixedPointEncoder, epsilon: float | None,
-    rng: np.random.Generator,
-) -> int:
-    """One device's bit: encode, take ``bit_index``, randomize at ``epsilon``.
+def range_bits(
+    values: np.ndarray, indices: np.ndarray, encoder: FixedPointEncoder,
+    epsilon: float | None, gens: Sequence[np.random.Generator],
+) -> np.ndarray:
+    """Clients' report bits: each encodes its value and reveals its assigned bit.
 
-    The served round's in-process twin draws through this, one client at a
-    time; a fleet range computes the same bits elementwise.
+    Client ``j`` reports bit ``indices[j]`` of its encoded ``values[j]``,
+    all in one :func:`~repro.core.client_plane.report_bits` pass; under
+    ``epsilon``, randomized response then draws each client's bit from the
+    client's own generator ``gens[j]``.  A fleet range and the in-process
+    twin both report through it.
     """
-    encoded = encoder.encode(np.asarray([value]))
-    bit = int((encoded[0] >> np.uint64(bit_index)) & np.uint64(1))
-    if epsilon is None:
-        return bit
-    rr = RandomizedResponse(epsilon=float(epsilon))
-    return int(rr.perturb_bits(np.asarray([bit], dtype=np.uint8), rng)[0])
+    bits = report_bits(encoder.encode(values), indices)
+    if epsilon is not None:
+        rr = RandomizedResponse(epsilon=float(epsilon))
+        for j, gen in enumerate(gens):
+            bits[j:j + 1] = rr.perturb_bits(bits[j:j + 1], gen)
+    return bits
 
 
 #: Mutator hook: ``(client_id, attempt, frame) -> frame | None``.  Returning
@@ -307,13 +311,6 @@ class ClientFleet:
         self.mutate = mutate
         self.clock_factory = clock_factory
 
-    def spawn_generators(self) -> list[np.random.Generator]:
-        """One independent child generator per client (replayable by the twin)."""
-        return [
-            np.random.default_rng(s)
-            for s in np.random.SeedSequence(self.seed).spawn(self.values.size)
-        ]
-
     async def run(self, host: str, port: int) -> FleetResult:
         """Connect every range and play rounds until RESULT/ABORT/EOF."""
         n = int(self.values.size)
@@ -345,23 +342,6 @@ class ClientFleet:
             aborted=aborted,
             telemetry_sent=telemetry_sent,
         )
-
-    def _range_bits(
-        self,
-        lo: int,
-        indices: np.ndarray,
-        encoder: FixedPointEncoder,
-        epsilon: float | None,
-        gens: list[np.random.Generator],
-    ) -> np.ndarray:
-        """The range's report bits: one vectorized pass, then per-client RR draws."""
-        encoded = encoder.encode(self.values[lo:lo + indices.size])
-        bits = ((encoded >> indices.astype(np.uint64)) & np.uint64(1)).astype(np.uint8)
-        if epsilon is not None:
-            rr = RandomizedResponse(epsilon=float(epsilon))
-            for j, gen in enumerate(gens):
-                bits[j] = rr.perturb_bits(bits[j:j + 1], gen)[0]
-        return bits
 
     def _deliveries(
         self, lo: int, seq: int, frames: bytes, gens: list[np.random.Generator]
@@ -475,7 +455,7 @@ class ClientFleet:
                         epsilon = announce.get("epsilon")
                         if not gens and (epsilon is not None or self.profile is not None):
                             gens = [client_generator(self.seed, i) for i in range(lo, hi)]
-                        bits = self._range_bits(lo, indices, encoder, epsilon, gens)
+                        bits = range_bits(self.values[lo:hi], indices, encoder, epsilon, gens)
                         frames = encode_frames(ids, indices, bits, epsilon is not None)
                     if self.mutate is None and self.profile is None:
                         deliveries = [(0.0, frames)]  # the range's frames, one message

@@ -309,31 +309,19 @@ class SecureAggregationSession:
         """Open the unmask phase: raise unless at least ``threshold`` clients submitted.
 
         Below the threshold this raises :class:`SecureAggregationError` and
-        closes the session, counting the failure once.  The check is the
-        session's ``secure_agg.finalize`` span.
+        closes the session, counting the failure once.
         """
-        if self._finalized:
-            raise SecureAggregationError("session already finalized")
         submitted = len(self._submissions)
-        with get_tracer().span(
-            "secure_agg.finalize",
-            {
-                "n_clients": self.n_clients,
-                "submitted": submitted,
-                "dropouts": self.n_clients - submitted,
-                "threshold": self.threshold,
-            },
-        ):
-            if submitted < self.threshold:
-                first_failure = not self._failed
-                self._failed = True
-                metrics = get_metrics()
-                if metrics.enabled and first_failure:
-                    metrics.counter("secure_agg_failures_total").inc()
-                raise SecureAggregationError(
-                    f"only {submitted} of {self.n_clients} clients submitted; "
-                    f"threshold is {self.threshold}"
-                )
+        if submitted < self.threshold:
+            first_failure = not self._failed
+            self._failed = True
+            metrics = get_metrics()
+            if metrics.enabled and first_failure:
+                metrics.counter("secure_agg_failures_total").inc()
+            raise SecureAggregationError(
+                f"only {submitted} of {self.n_clients} clients submitted; "
+                f"threshold is {self.threshold}"
+            )
 
     def _unmask_phase(
         self, self_seeds: np.ndarray
@@ -384,9 +372,24 @@ class SecureAggregationSession:
         clients submitted (mask recovery would be impossible -- and, in the
         real protocol, privacy would be at risk).  A failed finalize leaves
         the session closed: calling it again re-raises without re-counting
-        the failure metric.
+        the failure metric.  The threshold check is the session's
+        ``secure_agg.finalize`` span.  (The shard tree checks its sessions'
+        thresholds without it and reports each verdict in its
+        ``shard.session`` span.)
         """
-        self._check_threshold()
+        if self._finalized:
+            raise SecureAggregationError("session already finalized")
+        submitted = len(self._submissions)
+        with get_tracer().span(
+            "secure_agg.finalize",
+            {
+                "n_clients": self.n_clients,
+                "submitted": submitted,
+                "dropouts": self.n_clients - submitted,
+                "threshold": self.threshold,
+            },
+        ):
+            self._check_threshold()
         (self_seeds,) = _recover_self_seeds([self])
         seeds, apply = self._unmask_phase(self_seeds)
         return apply(expand_masks(seeds, self.vector_length, self.ring.lane))

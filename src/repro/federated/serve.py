@@ -67,8 +67,9 @@ from repro.federated.fleet import (
     ClientFleet,
     EmulationProfile,
     FleetResult,
+    client_generator,
+    range_bits,
     read_message,
-    report_bit,
 )
 from repro.federated.retry import RetryPolicy
 from repro.federated.rounds import AttemptLoop, RoundCore, RoundOutcome
@@ -1014,13 +1015,17 @@ def in_process_estimate(
 ) -> MeanEstimate:
     """The served round's deterministic in-process twin.
 
-    The round core over an in-memory transport: the server generator draws
-    one bit assignment per attempt; each client's spawned generator draws
-    its bit through the fleet's :func:`report_bit`, then the profile's loss
-    and latency; delivered reports fold, retry and reconstruct through the
-    code :class:`RoundServer` runs.  ``corrupted`` names clients whose
-    uplinks the server always rejects (the fuzzing twin: their client-side
-    draws still advance, their reports never land).
+    The round core over an in-memory transport, with the fleet's client code
+    run over one range of every client: the server generator draws one bit
+    assignment per attempt; the clients report through the fleet's
+    :func:`~repro.federated.fleet.range_bits`, each then drawing its
+    uplink's loss and latency from the profile after its randomized
+    response, as a fleet connection does; delivered reports fold, retry and
+    reconstruct through the code :class:`RoundServer` runs.  Client
+    generators are built only when the round draws (``epsilon`` or a
+    profile).  ``corrupted`` names clients whose uplinks the server always
+    rejects (the fuzzing twin: their client-side draws still advance, their
+    reports never land); ids outside ``[0, n_clients)`` name no client.
 
     With no profile, no corruption, and no ``epsilon``, the result is also
     bit-identical to ``FederatedMeanQuery(encoder, mode="basic",
@@ -1031,22 +1036,24 @@ def in_process_estimate(
     exactly as the server does.
     """
     vals = np.asarray(values, dtype=np.float64)
-    if vals.size != config.n_clients:
-        raise ConfigurationError(f"{vals.size} values for a {config.n_clients}-client round")
+    n = config.n_clients
+    if vals.size != n:
+        raise ConfigurationError(f"{vals.size} values for a {n}-client round")
     core = _served_core(config)
     gen = ensure_rng(config.seed)
-    client_gens = ClientFleet(vals, seed=fleet_seed).spawn_generators()
-    excluded = frozenset(int(c) for c in corrupted)
+    draws = config.epsilon is not None or profile is not None
+    client_gens = [client_generator(fleet_seed, i) for i in range(n)] if draws else []
+    excluded = np.array([c for c in map(int, corrupted) if 0 <= c < n], dtype=np.int64)
     attempts = AttemptLoop(core)
     while True:
-        assignment = central_assignment(config.n_clients, config.schedule, gen)
-        reports = _Reports.empty(config.n_clients)
-        for i, client_gen in enumerate(client_gens):
-            bit_index = int(assignment[i])
-            bit = report_bit(vals[i], bit_index, core.encoder, config.epsilon, client_gen)
-            delivered = profile is None or profile.draw(client_gen)[0]
-            if delivered and i not in excluded:
-                reports.accept(i, bit_index, bit)
+        assignment = central_assignment(n, config.schedule, gen)
+        bits = range_bits(vals, assignment, core.encoder, config.epsilon, client_gens)
+        if profile is None:
+            delivered = np.ones(n, dtype=bool)
+        else:
+            delivered = np.fromiter((profile.draw(g)[0] for g in client_gens), bool, n)
+        delivered[excluded] = False
+        reports = _Reports(delivered, assignment, bits)
         try:
             outcome = _fold_reports(core, NullSpan(), config, attempts.attempt, reports, 0.0)
         except RoundFailedError as exc:
@@ -1054,7 +1061,7 @@ def in_process_estimate(
                 continue
             raise
         return core.reconstruct(
-            "serve.reconstruct", [attempts.complete(outcome)], config.n_clients,
+            "serve.reconstruct", [attempts.complete(outcome)], n,
             "federated-served-twin", {"served": False},
         )
 

@@ -26,6 +26,7 @@ from repro.core.client_plane import (
     ClientBatch,
     collect_client_reports,
     elicit_values,
+    report_bits,
 )
 from repro.core.encoding import FixedPointEncoder
 from repro.core.protocol import BitPerturbation
@@ -489,12 +490,9 @@ class FederatedMeanQuery(RoundCore):
         length = 2 * n_bits
         # Per-survivor bit reports (1-D, one scalar per client).
         survivor_pos = np.cumsum(alive) - 1
-        encoded = self.encoder.encode(np.asarray(values))
-        bits = (
-            (encoded >> assignment[alive].astype(np.uint64)) & np.uint64(1)
-        ).astype(np.uint8)
-        if self.perturbation is not None:
-            bits = self.perturbation.perturb_bits(bits, gen)
+        bits = report_bits(
+            self.encoder.encode(np.asarray(values)), assignment[alive], self.perturbation, gen
+        )
         blackout = frozenset(int(s) for s in shard_blackout)
 
         def tasks():

@@ -18,17 +18,6 @@ reads another repetition's stream, and chunk boundaries carry no randomness.
 Estimates and truths are therefore *bit-identical* across executors and
 worker counts (asserted by ``tests/test_execution.py``).
 
-**Batch dispatch.**  If a cell's ``run_estimator`` callable exposes an
-``estimate_batch(values_2d, rngs) -> estimates`` attribute (see
-:meth:`repro.core.basic.BasicBitPushing.estimate_batch`), the chunk runner
-stacks same-shape populations into ``(r, n)`` arrays and calls the kernel
-once per slice, again bit-identical to the per-repetition loop.  Slices are
-bounded by the same ``REPRO_BATCH_CHUNK`` element budget the columnar client
-plane streams with (:func:`repro.core.client_plane.batch_chunk_size`): a
-population larger than the budget flushes alone and runs the scalar
-estimator, whose own collection stage chunk-streams internally -- so there
-is no population-size cap on dispatch, just one memory knob.
-
 Closures (figure cell factories) are not picklable, so the parallel backend
 relies on ``fork`` semantics: the cell task is parked in a module global
 immediately before the pool forks, and workers inherit it by memory copy.
@@ -57,7 +46,6 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from repro.core.client_plane import batch_chunk_size
 from repro.exceptions import ConfigurationError
 from repro.observability import get_metrics, get_tracer
 
@@ -76,15 +64,6 @@ __all__ = [
 ]
 
 _FORK_AVAILABLE = "fork" in multiprocessing.get_all_start_methods()
-
-# The ceiling on elements per stacked batch-kernel call (reps x population)
-# is the shared REPRO_BATCH_CHUNK budget (batch_chunk_size()): a stacked
-# (R, n) working set that outgrows the cache loses more to memory traffic
-# than the batching saves, and slicing repetitions cannot change results
-# (they are independent).  A single population at or above the budget
-# flushes alone through the scalar estimator, whose collection stage
-# chunk-streams with the same knob -- dispatch is a pure performance
-# decision, both paths are bit-identical.
 
 
 @dataclass(frozen=True)
@@ -138,67 +117,18 @@ def run_rep_chunk(
     """Run one contiguous chunk of repetitions; returns (estimates, truths).
 
     This is the single place repetition semantics live: both executors (and
-    every worker process) call it, so serial, parallel, looped, and batched
-    paths cannot drift apart.
+    every worker process) call it, so serial and parallel paths cannot drift
+    apart.
     """
     n = len(rep_seeds)
     estimates = np.empty(n)
     truths = np.empty(n)
-    batch = getattr(task.run_estimator, "estimate_batch", None)
-
-    if batch is None:
-        for i, seed in enumerate(rep_seeds):
-            gen = np.random.Generator(bit_generator_cls(seed))
-            data_rng, est_rng = gen.spawn(2)
-            values = task.make_data(data_rng)
-            truths[i] = task.truth_fn(values)
-            estimates[i] = float(task.run_estimator(values, est_rng))
-        return estimates, truths
-
-    # Batch path: accumulate same-shape populations into cache-sized slices
-    # and hand each slice to the vectorized kernel as one stacked (r, n)
-    # array.  Every repetition still consumes only its own spawned streams
-    # (population draw, then estimator), so slice boundaries -- like chunk
-    # boundaries -- carry no randomness and cannot change results.  A
-    # population that cannot join a slice (ragged shape, non-1-D, or alone
-    # when its slice flushes) runs through the scalar estimator instead,
-    # which is bit-identical by the kernel's contract.
-    pending: list[np.ndarray] = []
-    pending_rngs: list[np.random.Generator] = []
-    pending_start = 0
-    slice_elements = batch_chunk_size()
-
-    def flush() -> None:
-        if not pending:
-            return
-        lo = pending_start
-        if len(pending) == 1:
-            estimates[lo] = float(task.run_estimator(pending[0], pending_rngs[0]))
-        else:
-            estimates[lo : lo + len(pending)] = np.asarray(
-                batch(np.stack(pending), pending_rngs), dtype=np.float64
-            )
-        pending.clear()
-        pending_rngs.clear()
-
     for i, seed in enumerate(rep_seeds):
         gen = np.random.Generator(bit_generator_cls(seed))
         data_rng, est_rng = gen.spawn(2)
-        values = np.asarray(task.make_data(data_rng))
+        values = task.make_data(data_rng)
         truths[i] = task.truth_fn(values)
-        batchable = values.ndim == 1 and values.size > 0
-        if pending and (not batchable or values.shape != pending[0].shape):
-            flush()
-        if not batchable:
-            estimates[i] = float(task.run_estimator(values, est_rng))
-            continue
-        if not pending:
-            pending_start = i
-        pending.append(values)
-        pending_rngs.append(est_rng)
-        if len(pending) * values.size >= slice_elements:
-            flush()
-    flush()
+        estimates[i] = float(task.run_estimator(values, est_rng))
     return estimates, truths
 
 

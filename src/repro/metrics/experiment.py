@@ -116,8 +116,7 @@ def run_trials(
     (the process default from :func:`~repro.metrics.execution.get_executor`
     when ``executor`` is None).  Every executor honours the same spawned-seed
     discipline, so results are bit-identical across backends and worker
-    counts; estimators exposing an ``estimate_batch`` attribute are
-    dispatched to their vectorized batch path when population shapes allow.
+    counts.
     """
     if n_reps < 1:
         raise ValueError(f"n_reps must be >= 1, got {n_reps}")

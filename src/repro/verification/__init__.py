@@ -42,7 +42,6 @@ from repro.verification.oracles import (
     executor_twin_oracle,
     rr_debias_oracle,
     secure_agg_oracle,
-    serial_twin_oracle,
     variance_estimator_oracle,
 )
 from repro.verification.selfcheck import CheckOutcome, SelfCheckReport, run_selfcheck
@@ -79,7 +78,6 @@ __all__ = [
     "rr_debias_oracle",
     "run_selfcheck",
     "secure_agg_oracle",
-    "serial_twin_oracle",
     "variance_estimator_oracle",
     "variance_upper_tail",
     "z_test",

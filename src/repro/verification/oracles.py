@@ -3,9 +3,9 @@
 Each oracle runs a fixed, seeded experiment and compares the outcome to a
 *ground truth the implementation cannot influence*: a closed-form
 expectation (unbiasedness, the Lemma 3.1 variance bound, the randomized-
-response debias identity), an exact plaintext twin (secure aggregation,
-batch/serial and parallel/serial bit-identity -- the PR-2 discipline made
-reusable), or a tolerance against the population statistic.
+response debias identity), an exact twin (secure aggregation against its
+plaintext sum, parallel against serial trial execution, columnar against
+object rounds), or a tolerance against the population statistic.
 
 All oracles consume randomness exclusively through spawned children of the
 caller's seed, so a given ``(oracle, seed)`` pair is fully deterministic --
@@ -55,7 +55,6 @@ __all__ = [
     "executor_twin_oracle",
     "rr_debias_oracle",
     "secure_agg_oracle",
-    "serial_twin_oracle",
     "variance_estimator_oracle",
 ]
 
@@ -299,48 +298,6 @@ def baseline_unbiasedness_oracle(
 # ----------------------------------------------------------------------
 # Differential (exact-twin) oracles
 # ----------------------------------------------------------------------
-
-def serial_twin_oracle(
-    seed: int = 0,
-    n_reps: int = 32,
-    n_clients: int = 512,
-    n_bits: int = 8,
-    perturbation: BitPerturbation | None = None,
-    squash_threshold: float = 0.0,
-) -> OracleResult:
-    """``estimate_batch`` is bit-identical to the serial ``estimate`` loop.
-
-    The PR-2 vectorization discipline as a standing check: both paths
-    consume per-repetition child generators in the same order, so any
-    divergence at all -- one ULP -- means the batch kernel drifted.
-    """
-    parent = ensure_rng(seed)
-    pop_gen = parent.spawn(1)[0]
-    values = pop_gen.integers(0, 2**n_bits, size=(n_reps, n_clients)).astype(np.float64)
-    encoder = FixedPointEncoder.for_integers(n_bits)
-    estimator = BasicBitPushing(
-        encoder, perturbation=perturbation, squash_threshold=squash_threshold
-    )
-    seeds = [int(s) for s in parent.integers(0, 2**31, size=n_reps)]
-    batch = estimator.estimate_batch(values, [np.random.default_rng(s) for s in seeds])
-    serial = np.array(
-        [
-            estimator.estimate(values[r], rng=np.random.default_rng(seeds[r])).value
-            for r in range(n_reps)
-        ]
-    )
-    max_diff = float(np.max(np.abs(batch - serial))) if n_reps else 0.0
-    identical = bool(np.array_equal(batch, serial))
-    return OracleResult(
-        name=f"twin-batch-vs-serial[ldp={perturbation is not None}]",
-        passed=identical,
-        detail=(
-            "bit-identical" if identical else f"batch/serial max |diff| = {max_diff:.3e}"
-        ),
-        statistic=max_diff,
-        n_reps=n_reps,
-    )
-
 
 def executor_twin_oracle(
     seed: int = 0,

@@ -207,16 +207,6 @@ def _oracle_runs(
             lambda: _oracles.adaptive_unbiasedness_oracle(seed=seed + 3, n_reps=reps),
         ),
         (
-            "twin/batch-vs-serial",
-            lambda: _oracles.serial_twin_oracle(seed=seed + 4),
-        ),
-        (
-            "twin/batch-vs-serial/ldp",
-            lambda: _oracles.serial_twin_oracle(
-                seed=seed + 5, perturbation=RandomizedResponse(epsilon=2.0)
-            ),
-        ),
-        (
             "twin/executor",
             lambda: _oracles.executor_twin_oracle(seed=seed + 6, executor=executor),
         ),

@@ -29,6 +29,7 @@ from repro.core import (
     batch_chunk_size,
     collect_client_reports,
     elicit_values,
+    report_bits,
 )
 from repro.core.client_plane import DEFAULT_CHUNK_CLIENTS
 from repro.core.protocol import collect_bit_reports
@@ -45,6 +46,7 @@ from repro.federated import (
     fleet_values,
 )
 from repro.federated.multivalue import elicit_batch, ground_truth_mean
+from repro.observability import InMemoryExporter, Tracer, instrumented
 from repro.privacy import RandomizedResponse
 
 CHUNKS = (1, 3, 7, 50, 200, 100_000)  # includes chunk = 1 and chunk > n
@@ -216,6 +218,46 @@ class TestElicitValues:
 # ----------------------------------------------------------------------
 
 
+class TestReportBits:
+    """``report_bits``: the one kernel every client's report comes from."""
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int64])
+    @pytest.mark.parametrize("b_send", [None, 3])
+    def test_matches_per_element_shift(self, dtype, b_send):
+        rng = np.random.default_rng(12)
+        encoded = rng.integers(0, 2**63, size=40, dtype=np.uint64) | np.uint64(2**63)
+        shape = (40,) if b_send is None else (40, b_send)
+        assignment = rng.integers(0, 64, size=shape).astype(dtype)
+        assignment.flat[0] = 63  # the top bit, held in the narrowest dtype too
+        bits = report_bits(encoded, assignment)
+        assert bits.dtype == np.uint8 and bits.shape == shape
+        rows = assignment.reshape(40, -1)
+        expected = [
+            [(int(v) >> int(j)) & 1 for j in row] for v, row in zip(encoded, rows)
+        ]
+        np.testing.assert_array_equal(bits.reshape(40, -1), expected)
+        assert bits.flat[0] == 1
+
+    def test_perturbation_draws_in_the_assignments_shape(self):
+        encoded = np.arange(30, dtype=np.uint64)
+        assignment = np.arange(60).reshape(30, 2) % 5
+        rr = RandomizedResponse(epsilon=1.0)
+        bits = report_bits(encoded, assignment, rr, np.random.default_rng(3))
+        assert bits.dtype == np.uint8 and bits.shape == (30, 2)
+        expected = rr.perturb_bits(report_bits(encoded, assignment), np.random.default_rng(3))
+        np.testing.assert_array_equal(bits, expected)
+
+    def test_shape_changing_perturbation_rejected(self):
+        class Flattening:
+            def perturb_bits(self, bits, rng):
+                return bits.ravel()
+
+        with pytest.raises(ProtocolError, match="changed report shape"):
+            report_bits(
+                np.arange(4, dtype=np.uint64), np.zeros((4, 1), np.uint8), Flattening(), 0
+            )
+
+
 class TestAccumulateBitReports:
     n_bits = 8
 
@@ -293,6 +335,37 @@ class TestAccumulateBitReports:
         with pytest.raises(ProtocolError, match="outside"):
             accumulate_bit_reports(
                 encoded, self.n_bits, np.full(encoded.size, self.n_bits)
+            )
+
+    @pytest.mark.parametrize("chunk, spans", [(100_000, 1), (50, 5)])
+    def test_one_collect_span_per_chunk(self, encoded, chunk, spans):
+        # Both entry points run one loop: a cohort that fits in one chunk
+        # records its one span too.
+        values = encoded.astype(np.float64)
+        assignment = np.arange(encoded.size) % self.n_bits
+        for collect in (
+            lambda: accumulate_bit_reports(encoded, self.n_bits, assignment, chunk=chunk),
+            lambda: collect_client_reports(
+                values, FixedPointEncoder.for_integers(self.n_bits), assignment, chunk=chunk
+            ),
+        ):
+            exporter = InMemoryExporter()
+            with instrumented(Tracer([exporter])):
+                collect()
+            found = exporter.find("client_plane.collect")
+            assert [s.attributes["chunk"] for s in found] == list(range(spans))
+            assert {s.attributes["n_bits"] for s in found} == {self.n_bits}
+            assert found[-1].attributes["hi"] == encoded.size
+
+    @pytest.mark.parametrize(
+        "column", [np.uint64(5), np.arange(6, dtype=np.uint64).reshape(3, 2)], ids=["0-d", "2-d"]
+    )
+    def test_encoded_must_be_one_value_per_client(self, column):
+        with pytest.raises(ProtocolError, match="1-D"):
+            accumulate_bit_reports(column, 3, np.array([0]))
+        with pytest.raises(ProtocolError, match="1-D"):
+            collect_client_reports(
+                column.astype(np.float64), FixedPointEncoder.for_integers(3), np.array([0])
             )
 
     @pytest.mark.parametrize("dtype", [np.float64, np.bool_])
@@ -579,20 +652,3 @@ class TestVectorGrouping:
                 vectors[groups[dim], dim], gen
             )
             assert result.per_dim[dim].value == expected.value
-
-
-# ----------------------------------------------------------------------
-# estimate_batch dispatch: no population cap, shared chunk budget
-# ----------------------------------------------------------------------
-
-
-class TestBatchDispatchUncapped:
-    def test_large_population_batches_bit_identically(self, monkeypatch):
-        # 3000 > the old 2048 cap: rows must still go through estimate_batch
-        # and match per-row estimate() exactly.
-        rng = np.random.default_rng(4)
-        values = rng.normal(300.0, 50.0, size=(3, 3000))
-        est = BasicBitPushing(FixedPointEncoder.for_integers(9))
-        batched = est.estimate_batch(values, [10, 11, 12])
-        scalar = [est.estimate(values[r], np.random.default_rng(10 + r)).value for r in range(3)]
-        np.testing.assert_array_equal(batched, scalar)

@@ -1,9 +1,9 @@
-"""Trial-execution engine: determinism, batch kernels, and plumbing.
+"""Trial-execution engine: determinism and plumbing.
 
 The engine's whole value proposition is "faster, same bytes": every test
 here is some flavour of *bit-identical* -- serial vs parallel executors,
-looped vs vectorized estimators, explicit vs environment-configured worker
-counts -- plus the error paths that protect the contract.
+explicit vs environment-configured worker counts -- plus the error paths
+that protect the contract.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import BasicBitPushing, BitSamplingSchedule, FixedPointEncoder
+from repro.core import BasicBitPushing, FixedPointEncoder
 from repro.exceptions import ConfigurationError, PrivacyBudgetExceeded
 from repro.experiments import figure_1a, render_series_table
 from repro.federated.multivalue import elicit_batch, elicit_single_value
@@ -109,98 +109,6 @@ class TestExecutorDeterminism:
         task = CellTask(_make_data, lambda v, r: 0.0, lambda v: 0.0)
         with pytest.raises(ConfigurationError, match="SeedSequence"):
             SerialExecutor().run_cell(task, 2, _FakeGen())
-
-
-# ----------------------------------------------------------------------
-# Batch kernel vs per-repetition loop
-# ----------------------------------------------------------------------
-
-
-class TestEstimateBatch:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {},
-            {"b_send": 3},
-            {"randomness": "local"},
-            {"perturbation": RandomizedResponse(epsilon=1.0)},
-            {"perturbation": RandomizedResponse(epsilon=1.0), "squash_threshold": 0.05},
-            {"squash_threshold": 0.02},
-        ],
-        ids=["default", "b_send=3", "local", "rr", "rr+squash", "squash"],
-    )
-    def test_batch_matches_loop(self, kwargs):
-        encoder = FixedPointEncoder.for_integers(10)
-        est = _estimator(encoder, **kwargs)
-        rng = np.random.default_rng(3)
-        values = np.stack([np.clip(rng.normal(600.0, 100.0, 400), 0.0, None) for _ in range(6)])
-        loop = np.array(
-            [est.estimate(values[r], np.random.default_rng(100 + r)).value for r in range(6)]
-        )
-        batch = est.estimate_batch(
-            values, [np.random.default_rng(100 + r) for r in range(6)]
-        )
-        np.testing.assert_array_equal(loop, batch)
-
-    def test_flat_alpha_schedule(self):
-        encoder = FixedPointEncoder.for_integers(8)
-        schedule = BitSamplingSchedule.weighted(8, alpha=0.5)
-        est = _estimator(encoder, schedule=schedule)
-        rng = np.random.default_rng(11)
-        values = np.stack([rng.uniform(0, 255, 300) for _ in range(4)])
-        loop = np.array(
-            [est.estimate(values[r], np.random.default_rng(r)).value for r in range(4)]
-        )
-        batch = est.estimate_batch(values, [np.random.default_rng(r) for r in range(4)])
-        np.testing.assert_array_equal(loop, batch)
-
-    def test_batch_rejects_bad_shapes(self):
-        est = _estimator()
-        with pytest.raises(ConfigurationError):
-            est.estimate_batch(np.zeros(5), [np.random.default_rng(0)])
-        with pytest.raises(ConfigurationError):
-            est.estimate_batch(np.zeros((2, 0)), [np.random.default_rng(0)] * 2)
-        with pytest.raises(ConfigurationError):
-            est.estimate_batch(np.zeros((2, 5)), [np.random.default_rng(0)])
-
-    def test_run_trials_batch_dispatch_matches_plain_callable(self):
-        # An estimator exposing estimate_batch must give the same cell as
-        # the identical estimator hidden behind a plain closure.
-        est = _estimator()
-
-        def plain(values, rng):
-            return est.estimate(values, rng).value
-
-        def dispatched(values, rng):
-            return est.estimate(values, rng).value
-
-        dispatched.estimate_batch = est.estimate_batch
-
-        plain_stats = run_trials(_make_data, plain, n_reps=10, seed=5)
-        batch_stats = run_trials(_make_data, dispatched, n_reps=10, seed=5)
-        np.testing.assert_array_equal(plain_stats.estimates, batch_stats.estimates)
-
-        parallel = run_trials(
-            _make_data, dispatched, n_reps=10, seed=5, executor=ParallelExecutor(3)
-        )
-        np.testing.assert_array_equal(plain_stats.estimates, parallel.estimates)
-
-    def test_ragged_populations_fall_back_to_loop(self):
-        est = _estimator()
-
-        def ragged(rng):
-            return np.clip(rng.normal(600.0, 100.0, int(rng.integers(100, 200))), 0.0, None)
-
-        def plain(values, rng):
-            return est.estimate(values, rng).value
-
-        def dispatched(values, rng):
-            return est.estimate(values, rng).value
-
-        dispatched.estimate_batch = est.estimate_batch
-        plain_stats = run_trials(ragged, plain, n_reps=6, seed=2)
-        batch_stats = run_trials(ragged, dispatched, n_reps=6, seed=2)
-        np.testing.assert_array_equal(plain_stats.estimates, batch_stats.estimates)
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,7 @@ from repro.federated import (
     elicit_single_value,
     ground_truth_mean,
 )
-from repro.federated.fleet import report_bit
+from repro.federated.fleet import range_bits
 
 
 class TestClientDevice:
@@ -34,16 +34,31 @@ class TestClientDevice:
         assert elicit_single_value(values, "latest", rng) == 9.0
         assert elicit_single_value(values, "sample", rng) in {1.0, 2.0, 9.0}
 
-    def test_report_bit_truthful_without_perturbation(self, encoder8, rng):
-        # 5 == 0b101
-        assert report_bit(5.0, 0, encoder8, None, rng) == 1
-        assert report_bit(5.0, 1, encoder8, None, rng) == 0
-        assert report_bit(5.0, 2, encoder8, None, rng) == 1
+    def test_report_bit_truthful_without_perturbation(self, encoder8):
+        # 5 == 0b101; a lossless range draws nothing, so it needs no generators.
+        bits = range_bits(np.full(3, 5.0), np.array([0, 1, 2]), encoder8, None, [])
+        assert bits.dtype == np.uint8
+        assert bits.tolist() == [1, 0, 1]
 
     def test_report_with_perturbation_is_binary(self, encoder8, rng):
-        bits = [report_bit(5.0, 0, encoder8, 1.0, rng) for _ in range(200)]
-        assert all(type(bit) is int for bit in bits)
-        assert set(bits) == {0, 1}    # randomized: some reports flipped
+        gens = rng.spawn(200)
+        bits = range_bits(np.full(200, 5.0), np.zeros(200, np.int64), encoder8, 1.0, gens)
+        assert bits.dtype == np.uint8 and bits.shape == (200,)
+        assert set(bits.tolist()) == {0, 1}    # randomized: some reports flipped
+
+    def test_each_client_randomizes_with_its_own_generator(self, encoder8):
+        # Client j's report is its one-client range's report: the draws of
+        # one client never depend on another's.
+        values = np.arange(50, dtype=np.float64)
+        indices = np.arange(50) % 6
+        seeds = np.random.SeedSequence(8).spawn(50)
+        bits = range_bits(values, indices, encoder8, 0.5, [np.random.default_rng(s) for s in seeds])
+        alone = [
+            range_bits(values[j:j + 1], indices[j:j + 1], encoder8, 0.5,
+                       [np.random.default_rng(seeds[j])])[0]
+            for j in range(50)
+        ]
+        assert bits.tolist() == alone
 
 
 class TestMultivalue:

@@ -89,8 +89,9 @@ class TestFleetShape:
         assert max(hi - lo for lo, hi in ranges) <= MAX_RANGE
 
     def test_range_generators_are_slices_of_spawn_generators(self):
-        fleet = ClientFleet(fleet_values(300, seed=1), seed=17)
-        spawned = [gen.random(4) for gen in fleet.spawn_generators()]
+        spawned = [
+            np.random.default_rng(s).random(4) for s in np.random.SeedSequence(17).spawn(300)
+        ]
         for lo, hi in fleet_ranges(300):
             lazy = [client_generator(17, i).random(4) for i in range(lo, hi)]
             assert all(np.array_equal(a, b) for a, b in zip(lazy, spawned[lo:hi]))

@@ -119,7 +119,16 @@ class TestTracedFederatedRound:
         )
         estimate, exporter, registry = _traced_run(query, _population(64))
         assert exporter.find("round.secure_agg")
-        assert exporter.find("secure_agg.finalize")
+        # The shard tree reports each session's threshold verdict once, in
+        # its shard.session span, at any worker count.
+        verdicts = [
+            {key: s.attributes[key] for key in ("planned", "submitted", "threshold", "recovered")}
+            for s in exporter.find("shard.session")
+        ]
+        assert verdicts == [
+            {"planned": 16, "submitted": 16, "threshold": 11, "recovered": True}
+        ] * 4
+        assert not exporter.find("secure_agg.finalize")
         counters = registry.snapshot()["counters"]
         assert counters["secure_agg_sessions_total"] == 4
         assert counters["secure_agg_dropouts_total"] == 0
@@ -250,6 +259,12 @@ class TestTraceCli:
         capsys.readouterr()
         assert result["reconciled"] is True
         lines = [json.loads(line) for line in out.read_text().splitlines()]
-        span_names = {line["name"] for line in lines if line["type"] == "span"}
+        spans = [line for line in lines if line["type"] == "span"]
+        span_names = {span["name"] for span in spans}
         assert "round.secure_agg" in span_names
-        assert "secure_agg.finalize" in span_names
+        sessions = [span["attributes"] for span in spans if span["name"] == "shard.session"]
+        assert sessions
+        for attrs in sessions:
+            assert attrs["recovered"] == (attrs["submitted"] >= attrs["threshold"])
+            assert attrs["submitted"] <= attrs["planned"]
+        assert "secure_agg.finalize" not in span_names

@@ -57,6 +57,13 @@ class TestCollectBitReports:
         with pytest.raises(ProtocolError):
             collect_bit_reports(np.array([1], dtype=np.uint64), 2, np.array([0, 1]))
 
+    @pytest.mark.parametrize(
+        "encoded", [np.uint64(5), np.arange(6, dtype=np.uint64).reshape(3, 2)], ids=["0-d", "2-d"]
+    )
+    def test_encoded_must_be_one_value_per_client(self, encoded):
+        with pytest.raises(ProtocolError, match="1-D"):
+            collect_bit_reports(encoded, 3, np.array([0]))
+
     def test_fractional_assignment_raises(self):
         # Truncating would count the reports as bits 2 and 0.
         with pytest.raises(ProtocolError, match="integer"):

@@ -30,7 +30,14 @@ from repro.federated.secure_agg import (
 from repro.federated.secure_agg import protocol
 from repro.federated.secure_agg.protocol import _pair_index
 from repro.federated.secure_agg.shamir import _lagrange_weights_at_zero, reconstruct_secret_sets
-from repro.observability import MetricsRegistry, configure, disable
+from repro.observability import (
+    InMemoryExporter,
+    MetricsRegistry,
+    Tracer,
+    configure,
+    disable,
+    instrumented,
+)
 
 #: The four ring lanes, 8 to 64 bits.
 LANES = (np.uint8, np.uint16, np.uint32, np.uint64)
@@ -189,6 +196,23 @@ class TestSession:
         session.submit(1, [1, 1])
         with pytest.raises(SecureAggregationError):
             session.finalize()
+
+    def test_standalone_finalize_records_its_threshold_check(self):
+        exporter = InMemoryExporter()
+        with instrumented(Tracer([exporter])):
+            session = SecureAggregationSession(4, 1, threshold=3, rng=2)
+            session.submit_batch([0, 1, 3], [[1], [1], [1]])
+            assert session.finalize() == [3]
+            failing = SecureAggregationSession(4, 1, threshold=3, rng=2)
+            failing.submit(0, [1])
+            with pytest.raises(SecureAggregationError):
+                failing.finalize()
+        passed, failed = exporter.find("secure_agg.finalize")
+        assert passed.attributes == {
+            "n_clients": 4, "submitted": 3, "dropouts": 1, "threshold": 3
+        }
+        assert failed.attributes["submitted"] == 1
+        assert "threshold is 3" in failed.attributes["error"]
 
     def test_masked_submission_hides_plaintext(self):
         session = SecureAggregationSession(3, 4, threshold=2, rng=3)

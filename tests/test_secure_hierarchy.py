@@ -341,9 +341,17 @@ class TestShardGroups:
         # reconstructed self seeds and 2 x 7 survivor-dropout pairs.
         assert phases["secure_agg.mask"].attributes["seeds"] == 38 + 5 * 28
         assert phases["secure_agg.unmask"].attributes["seeds"] == 38 + 2 * 7
-        finalize = exporter.find("secure_agg.finalize")
-        assert len(finalize) == 5
-        assert {s.parent_id for s in finalize} == {phases["secure_agg.unmask"].span_id}
+        # Each session's threshold verdict lands once, in its shard.session
+        # span; the group's unmask phase records no per-session span.
+        verdicts = [
+            (s.attributes["planned"], s.attributes["submitted"], s.attributes["threshold"],
+             s.attributes["recovered"])
+            for s in exporter.find("shard.session")
+        ]
+        assert verdicts == [(8, 7, 6, True), (8, 8, 6, True), (8, 7, 6, True)] + [
+            (8, 8, 6, True)
+        ] * 2
+        assert not exporter.find("secure_agg.finalize")
         # Five share splits in setup; one Shamir reconstruction for the
         # group's five threshold-6 sessions, inside the unmask phase.
         assert calls == [(phases["secure_agg.setup"].span_id, (6, 8))] * 5 + [
@@ -379,6 +387,8 @@ class TestShardGroups:
             span["attributes"]["duration_s"] for span in runs[0] if span["name"] == "shard.session"
         ]
         assert len(durations) == 5 and all(d > 0 for d in durations)
+        # Serial or pooled, the tree reports verdicts in shard.session only.
+        assert not any(span["name"] == "secure_agg.finalize" for span in runs[0])
 
     def test_pooled_groups_record_worker_phase_spans(self, monkeypatch):
         monkeypatch.setattr(hierarchy, "SHARD_GROUP", 2)
@@ -394,8 +404,10 @@ class TestShardGroups:
             assert [s.attributes["shards"] for s in spans] == [2, 2, 1]
             assert all(s.parent_id == root.span_id and s.attributes["worker"] for s in spans)
         assert [s.attributes["shard"] for s in exporter.find("shard.session")] == [0, 1, 2, 3, 4]
-        # Workers trace nothing, but their metrics merge back.
+        # Workers trace nothing, but their metrics merge back; the verdicts
+        # live in the parent's shard.session spans, as on the serial path.
         assert not exporter.find("secure_agg.finalize")
+        assert all(s.attributes["recovered"] for s in exporter.find("shard.session"))
         counters = registry.snapshot()["counters"]
         assert counters["secure_agg_sessions_total"] == 5
         assert counters["secure_agg_masked_bytes_total"] == 40 * 6

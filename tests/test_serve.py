@@ -41,6 +41,7 @@ from repro.federated import (
     run_loopback,
 )
 from repro.federated import fleet as fleet_module
+from repro.federated import serve as serve_module
 from repro.federated.client import BitReport
 from repro.federated.fleet import fleet_ranges, read_message
 from repro.federated.wire import (
@@ -209,6 +210,95 @@ class TestLoopbackParity:
 
         with pytest.raises(RoundFailedError, match="every client dropped"):
             in_process_estimate(values, cfg, fleet_seed=2, corrupted=range(n))
+
+
+class TestInProcessTwin:
+    """The twin runs the fleet's client code over one in-memory range."""
+
+    def test_lossless_twin_builds_no_client_generator(self, monkeypatch):
+        def refuse(seed, client_id):
+            raise AssertionError("a lossless twin draws nothing client-side")
+
+        monkeypatch.setattr(serve_module, "client_generator", refuse)
+        values = fleet_values(300, seed=4)
+        cfg = ServeConfig(n_clients=300, seed=9)
+        population = [ClientDevice(i, [v]) for i, v in enumerate(values)]
+        reference = FederatedMeanQuery(cfg.encoder, mode="basic", schedule=cfg.schedule).run(
+            population, rng=cfg.seed
+        )
+        assert in_process_estimate(values, cfg, fleet_seed=4).value == reference.value
+
+    @pytest.mark.parametrize(
+        "epsilon, profile", [(1.0, None), (None, EmulationProfile(loss_rate=0.2))]
+    )
+    def test_drawing_twin_builds_one_generator_per_client(self, monkeypatch, epsilon, profile):
+        built = []
+
+        def counting(seed, client_id):
+            built.append(client_id)
+            return fleet_module.client_generator(seed, client_id)
+
+        monkeypatch.setattr(serve_module, "client_generator", counting)
+        cfg = ServeConfig(n_clients=50, seed=9, epsilon=epsilon)
+        in_process_estimate(fleet_values(50, seed=4), cfg, profile, fleet_seed=4)
+        assert built == list(range(50))
+
+    def test_draws_replay_each_clients_own_stream(self):
+        # Per client: randomized response, then the uplink's loss draw, both
+        # from the client's own generator, across retried attempts too.
+        n = 60
+        values = fleet_values(n, seed=3)
+        profile = EmulationProfile(loss_rate=0.4)
+        cfg = ServeConfig(
+            n_clients=n, seed=2, epsilon=1.0, min_quorum=40,
+            retry=RetryPolicy(max_attempts=4, redraw_cohort=False),
+        )
+        twin = in_process_estimate(values, cfg, profile, fleet_seed=6)
+
+        gen = ensure_rng(cfg.seed)
+        gens = [fleet_module.client_generator(6, i) for i in range(n)]
+        rr = RandomizedResponse(epsilon=1.0)
+        encoded = cfg.encoder.encode(values)
+        attempts = 0
+        while True:
+            attempts += 1
+            assignment = central_assignment(n, cfg.schedule, gen)
+            delivered = []
+            for i, client_gen in enumerate(gens):
+                bit = (int(encoded[i]) >> int(assignment[i])) & 1
+                bit = int(rr.perturb_bits(np.array([bit], dtype=np.uint8), client_gen)[0])
+                if profile.draw(client_gen)[0]:
+                    delivered.append((int(assignment[i]), bit))
+            if len(delivered) >= cfg.min_quorum:
+                break
+        assert attempts > 1  # the stream carries across a retry
+        assert twin.metadata["round_attempts"] == [attempts]
+        index, bits = np.array(delivered).T
+        counts = np.bincount(index, minlength=cfg.n_bits)
+        sums = np.bincount(index, weights=bits, minlength=cfg.n_bits)
+        means, _ = squash_bit_means(
+            bit_means_from_stats(sums, counts, rr), 0.0, clip_to_unit=True
+        )
+        assert twin.value == cfg.encoder.decode_scalar(float(cfg.encoder.powers @ means))
+
+    def test_corrupted_ids_outside_the_cohort_are_ignored(self):
+        values = fleet_values(20, seed=1)
+        cfg = ServeConfig(n_clients=20, seed=3)
+        clean = in_process_estimate(values, cfg, fleet_seed=1)
+        # -1 must not wrap onto the last client, nor 20 fail to index.
+        ignored = in_process_estimate(values, cfg, fleet_seed=1, corrupted=[-1, 20, 99])
+        assert ignored.value == clean.value
+        assert int(ignored.counts.sum()) == 20
+        last = in_process_estimate(values, cfg, fleet_seed=1, corrupted=[19, -1])
+        assert int(last.counts.sum()) == 19
+
+    def test_hundred_thousand_client_twin_is_pinned(self):
+        # The estimate the two-process served smoke pins (serve --seed 5,
+        # fleet --seed 2).
+        twin = in_process_estimate(
+            fleet_values(100_000, 2), ServeConfig(n_clients=100_000, seed=5), fleet_seed=2
+        )
+        assert twin.value == 598.4426550231725
 
 
 class TestUplinkRejection:

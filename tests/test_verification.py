@@ -36,7 +36,6 @@ from repro.verification.oracles import (
     basic_variance_bound_oracle,
     rr_debias_oracle,
     secure_agg_oracle,
-    serial_twin_oracle,
     variance_estimator_oracle,
 )
 from repro.verification.statcheck import TestResult as StatResult
@@ -254,10 +253,6 @@ class TestOraclesPassOnHonestCode:
 
     def test_variance_estimator(self):
         result = variance_estimator_oracle(seed=11, n_reps=30, n_clients=8000)
-        assert result.passed, result.detail
-
-    def test_serial_twin(self):
-        result = serial_twin_oracle(seed=11, n_reps=8, n_clients=256)
         assert result.passed, result.detail
 
     def test_secure_agg(self):
