@@ -58,7 +58,6 @@ def _recorded_loopback(directory: Path, config: ServeConfig, values, **kwargs):
         record_dir=directory,
         config={"command": "serve-demo", **config.to_manifest()},
         seed=config.seed,
-        round_span="serve.round",
     ) as run:
         served, fleet = run_loopback(config, values, **kwargs)
     manifest = run.finalize(

@@ -44,7 +44,13 @@ from repro.federated import (
     run_loopback,
 )
 from repro.federated.fleet import fleet_ranges
-from repro.observability import ObservedRun, SimClock, load_run, write_chrome_trace
+from repro.observability import (
+    ROUND_SPAN,
+    ObservedRun,
+    SimClock,
+    load_run,
+    write_chrome_trace,
+)
 from repro.observability.chrome_trace import SERVER_TRACK
 
 N_CLIENTS = 24
@@ -66,7 +72,6 @@ def run_traced_leg(out_root: Path) -> Path:
         record_dir=record_dir,
         config={"command": "serve-trace-demo", **cfg.to_manifest()},
         seed=cfg.seed,
-        round_span="serve.round",
         sim_clock=True,
     ) as run:
         served, fleet = run_loopback(
@@ -125,7 +130,7 @@ def verify_merged_trace(record_dir: Path) -> list:
     names = {span.name for span in remote}
     if not FLEET_SPANS <= names:
         raise SystemExit(f"TRACE MISS: remote span names {sorted(names)}")
-    round_ids = {span.span_id for span in spans if span.name == "serve.round"}
+    round_ids = {span.span_id for span in spans if span.name == ROUND_SPAN}
     orphans = [
         span
         for span in remote
@@ -138,7 +143,7 @@ def verify_merged_trace(record_dir: Path) -> list:
     print(
         f"leg 2 ok: {len(remote)} remote spans from {len(ranges)} connections "
         f"covering {len(clients)} clients, all under trace {expected_trace}, "
-        "every fleet.round parented to serve.round"
+        f"every fleet.round parented to {ROUND_SPAN}"
     )
     return spans
 

@@ -871,8 +871,9 @@ def run_serve_command(
     Binds (writing the bound port to ``port_file`` for an ephemeral-port
     rendezvous with ``repro.cli fleet``), waits for registration, and drives
     the announce/collect/reconstruct state machine under full
-    instrumentation: ``--out`` exports the ``serve.*``/``uplink.*`` spans and
-    a metrics snapshot as JSONL, ``--record`` captures a flight-recorder
+    instrumentation: ``--out`` exports the round core's ``federated.*`` and
+    ``round.*`` spans, the ``serve.*``/``uplink.*`` spans and a metrics
+    snapshot as JSONL, ``--record`` captures a flight-recorder
     artifact in exactly the form in-process traced rounds produce (rendered
     by ``repro.cli report``), with the round's epsilon ledger and bit-meter
     totals.  A round that exhausts its retry budget prints the failure and
@@ -898,7 +899,6 @@ def run_serve_command(
         record_dir=record_dir,
         config={"command": "serve", "sim_clock": sim_clock, **config.to_manifest()},
         seed=seed,
-        round_span="serve.round",
         sim_clock=sim_clock,
     )
 

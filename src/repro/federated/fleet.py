@@ -176,21 +176,14 @@ class EmulationProfile:
     latency_median_s: float = 90.0
     latency_sigma: float = 0.6
     time_scale: float = 0.0
+    #: The equivalent :class:`NetworkModel`, built once (no deadline: the server owns it).
+    network: NetworkModel = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        # NetworkModel validates loss/latency/sigma; do it eagerly.
-        self.network  # noqa: B018 -- validation side effect
+        network = NetworkModel(self.loss_rate, self.latency_median_s, self.latency_sigma)
+        object.__setattr__(self, "network", network)
         if self.time_scale < 0:
             raise ConfigurationError(f"time_scale must be >= 0, got {self.time_scale}")
-
-    @property
-    def network(self) -> NetworkModel:
-        """The equivalent :class:`NetworkModel` (no deadline: the server owns it)."""
-        return NetworkModel(
-            loss_rate=self.loss_rate,
-            latency_median_s=self.latency_median_s,
-            latency_sigma=self.latency_sigma,
-        )
 
     @classmethod
     def parse(cls, spec: str) -> "EmulationProfile":
@@ -230,9 +223,10 @@ class EmulationProfile:
 
         Consumes the generator exactly as ``NetworkModel.transmit(1, rng)``
         does (one lognormal draw, one uniform draw), so the in-process twin
-        can replay the stream.
+        can replay the stream, but through :meth:`NetworkModel.draw`: a
+        client's uplink opens no span and counts in no server metric.
         """
-        outcome = self.network.transmit(1, rng)
+        outcome = self.network.draw(1, rng)
         return bool(outcome.delivered[0]), float(outcome.latencies_s[0])
 
 

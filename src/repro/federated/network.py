@@ -84,21 +84,26 @@ class NetworkModel:
         if self.deadline_s is not None and self.deadline_s <= 0:
             raise ConfigurationError(f"deadline_s must be positive, got {self.deadline_s}")
 
+    def draw(self, n_reports: int, gen: np.random.Generator) -> DeliveryOutcome:
+        """:meth:`transmit`'s draws (latencies, then losses), recording nothing."""
+        latencies = gen.lognormal(np.log(self.latency_median_s), self.latency_sigma, n_reports)
+        delivered = gen.random(n_reports) >= self.loss_rate
+        if self.deadline_s is not None:
+            delivered &= latencies <= self.deadline_s
+        return DeliveryOutcome(delivered=delivered, latencies_s=latencies)
+
     def transmit(
         self, n_reports: int, rng: np.random.Generator | int | None = None
     ) -> DeliveryOutcome:
-        """Simulate delivery of ``n_reports`` independent reports."""
+        """Simulate delivery of ``n_reports`` independent reports, traced and counted."""
         if n_reports < 0:
             raise ConfigurationError(f"n_reports must be >= 0, got {n_reports}")
         gen = ensure_rng(rng)
         with get_tracer().span(
             "network.transmit", {"n_reports": n_reports, "loss_rate": self.loss_rate}
         ) as span:
-            latencies = gen.lognormal(np.log(self.latency_median_s), self.latency_sigma, n_reports)
-            delivered = gen.random(n_reports) >= self.loss_rate
-            if self.deadline_s is not None:
-                delivered &= latencies <= self.deadline_s
-            outcome = DeliveryOutcome(delivered=delivered, latencies_s=latencies)
+            outcome = self.draw(n_reports, gen)
+            delivered = outcome.delivered
             span.set_attribute("delivered", int(delivered.sum()))
             span.set_attribute("round_duration_s", outcome.round_duration_s)
         metrics = get_metrics()
@@ -106,5 +111,5 @@ class NetworkModel:
             n_delivered = int(delivered.sum())
             metrics.counter("network_reports_sent_total").inc(n_reports)
             metrics.counter("network_reports_lost_total").inc(n_reports - n_delivered)
-            metrics.histogram("network_latency_s").observe_array(latencies[delivered])
+            metrics.histogram("network_latency_s").observe_array(outcome.latencies_s[delivered])
         return outcome

@@ -5,41 +5,51 @@ network and collect, or the secure shard tree),
 :class:`~repro.federated.serve.RoundServer` (TCP announce and collect) and
 :func:`~repro.federated.serve.in_process_estimate` (the served round's
 per-client draws, replayed in memory) differ only in how reports arrive.
-Everything after that lives here, once, and runs synchronously, so the TCP
+Everything around that lives here, once, and runs synchronously, so the TCP
 server calls it between its ``await`` points:
 
-* :class:`AttemptLoop` -- retry backoff, the ``round.retry`` span,
-  ``round_retries_total``, the attempt history and health observations;
-* :meth:`RoundCore.check_quorum` -- the quorum verdict and its
+* :meth:`AttemptLoop.attempt` -- each attempt's ``federated.round`` span and
+  ``round_attempts_total``, and the retry loop around it: backoff, the
+  ``round.retry`` span, ``round_retries_total``, the attempt history and
+  health observations;
+* :meth:`RoundCore.assign` -- the attempt's ``round.assign`` draw of the
+  central bit assignment;
+* :meth:`Attempt.check_quorum` -- the quorum verdict and its
   :class:`~repro.exceptions.RoundFailedError` messages and counters;
-* :meth:`RoundCore.fold` -- per-bit ``(sums, counts)`` to a
+* :meth:`Attempt.fold` -- per-bit ``(sums, counts)`` to a
   :class:`RoundOutcome` (the summary is
   :func:`~repro.core.protocol.round_summary`'s), then privacy accounting
   over the folded clients: the bit meter first and the epsilon ledger
   second, so an over-disclosure aborts the round before any epsilon is
   spent;
-* :meth:`RoundCore.reconstruct` -- the round's
-  :class:`~repro.core.results.MeanEstimate` metadata around
+* :meth:`RoundCore.reconstruct` -- the ``federated.reconstruct`` span: the
+  round's :class:`~repro.core.results.MeanEstimate` metadata around
   :func:`~repro.core.protocol.decode_estimate`, the squash, clip and decode
   the core estimators use too.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Any, Hashable, Mapping, Sequence
+from typing import Any, Hashable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from repro.core.encoding import FixedPointEncoder
 from repro.core.protocol import BitPerturbation, decode_estimate, round_summary
 from repro.core.results import MeanEstimate, RoundSummary
+from repro.core.sampling import BitSamplingSchedule, central_assignment
 from repro.exceptions import ConfigurationError, RoundFailedError
 from repro.federated.retry import RetryPolicy
-from repro.observability import HealthMonitor, get_metrics, get_tracer
+from repro.observability import ROUND_SPAN, HealthMonitor, get_metrics, get_tracer
 from repro.privacy.accountant import BitMeter, PrivacyAccountant
 
-__all__ = ["AttemptLoop", "RoundCore", "RoundOutcome"]
+__all__ = ["DEGRADED_FRACTION", "Attempt", "AttemptLoop", "RoundCore", "RoundOutcome"]
+
+#: A completed round whose survivors fall below this fraction of the plan is
+#: flagged degraded (``rounds_degraded_total`` metric).
+DEGRADED_FRACTION = 0.5
 
 
 @dataclass(frozen=True)
@@ -96,10 +106,8 @@ class RoundCore:
         or above quorum completes even under heavy loss, with the
         degradation recorded on the :class:`RoundOutcome`
         (``degraded``/``variance_inflation``).  Default 1: only a
-        zero-survivor round fails.
-    degraded_fraction:
-        A completed round whose survivors fall below this fraction of the
-        plan is flagged degraded (``rounds_degraded_total`` metric).
+        zero-survivor round fails.  A completed round whose survivors fall
+        below :data:`DEGRADED_FRACTION` of the plan is flagged degraded.
     retry:
         :class:`RetryPolicy` for failed round attempts (``None`` disables
         retries: a failed round raises).
@@ -128,7 +136,6 @@ class RoundCore:
         encoder: FixedPointEncoder,
         perturbation: BitPerturbation | None = None,
         min_quorum: int = 1,
-        degraded_fraction: float = 0.5,
         retry: RetryPolicy | None = None,
         meter: BitMeter | None = None,
         metric_name: str = "metric",
@@ -137,14 +144,9 @@ class RoundCore:
     ) -> None:
         if min_quorum < 1:
             raise ConfigurationError(f"min_quorum must be >= 1, got {min_quorum}")
-        if not 0.0 < degraded_fraction <= 1.0:
-            raise ConfigurationError(
-                f"degraded_fraction must be in (0, 1], got {degraded_fraction}"
-            )
         self.encoder = encoder
         self.perturbation = perturbation
         self.min_quorum = min_quorum
-        self.degraded_fraction = degraded_fraction
         self.retry = retry
         self.meter = meter
         self.metric_name = metric_name
@@ -152,94 +154,17 @@ class RoundCore:
         self.health = health
 
     # ------------------------------------------------------------------
-    def check_quorum(
-        self, span: Any, planned: int, survived: int, round_index: int, attempt: int,
-        secure: bool = False,
-    ) -> None:
-        """Raise :class:`RoundFailedError` if an attempt's survivors miss quorum.
-
-        ``secure`` marks the second check secure aggregation runs, on the
-        clients its shards could unmask.
-        """
-        if survived >= self.min_quorum:
-            return
-        metrics = get_metrics()
-        metrics.counter("rounds_failed_total").inc()
-        metrics.counter("round_reports_planned_total").inc(planned)
-        metrics.counter("round_reports_delivered_total").inc(survived)
-        metrics.counter("round_reports_lost_total").inc(planned - survived)
-        span.set_attribute("failed", True)
-        span.set_attribute("surviving_clients", survived)
-        if secure:
-            message = (
-                f"round {round_index} attempt {attempt}: secure aggregation "
-                f"recovered {survived} clients, below quorum {self.min_quorum}"
-            )
-        elif survived == 0:
-            message = "every client dropped out of the round"
-        else:
-            message = (
-                f"round {round_index} attempt {attempt}: {survived} "
-                f"survivors below quorum {self.min_quorum}"
-            )
-        raise RoundFailedError(message, planned=planned, survived=survived)
-
-    def fold(
-        self, span: Any, sums: np.ndarray, counts: np.ndarray, probabilities: np.ndarray,
-        planned: int, duration_s: float, round_index: int, attempt: int,
-        client_ids: Sequence[Hashable] = (), shard_failures: int = 0,
-    ) -> RoundOutcome:
-        """Fold a completed attempt's per-bit counters into its outcome.
-
-        Each folded client reported one bit, so ``counts`` sums to the
-        survivors; ``client_ids`` names them for the meter (only read when
-        one is set).  Lost shards degrade the round even when the survivor
-        fraction looks healthy: exclusions widen the variance like dropout.
-        """
-        survived = int(counts.sum())
-        summary = round_summary(sums, counts, probabilities, survived, self.perturbation)
-        degraded = survived < self.degraded_fraction * planned or shard_failures > 0
-        outcome = RoundOutcome(summary, planned, survived, duration_s, degraded=degraded)
-        if self.meter is not None:
-            self.meter.record_batch(client_ids, self.metric_name)
-        epsilon = getattr(self.perturbation, "epsilon", None)
-        if self.accountant is not None and epsilon is not None:
-            self.accountant.spend(
-                float(epsilon),
-                note=(
-                    f"round {round_index} attempt {attempt}: randomized response "
-                    f"over {survived} reports"
-                ),
-            )
-        span.set_attribute("surviving_clients", survived)
-        span.set_attribute("round_duration_s", duration_s)
-        metrics = get_metrics()
-        if degraded:
-            span.set_attribute("degraded", True)
-            span.set_attribute("variance_inflation", outcome.variance_inflation)
-            metrics.counter("rounds_degraded_total").inc()
-        if metrics.enabled:
-            metrics.counter("rounds_total").inc()
-            metrics.counter("round_reports_planned_total").inc(planned)
-            metrics.counter("round_reports_delivered_total").inc(survived)
-            metrics.counter("round_reports_lost_total").inc(planned - survived)
-            metrics.gauge("dropout_rate").set(outcome.dropout_rate)
-            metrics.histogram("round_duration_s").observe(duration_s)
-            bit_hist = metrics.histogram(
-                "bit_index_distribution",
-                buckets=tuple(float(j) for j in range(self.encoder.n_bits)),
-            )
-            for j, count in enumerate(counts):
-                if count:
-                    bit_hist.observe(float(j), count=int(count))
-        return outcome
+    def assign(self, n: int, schedule: BitSamplingSchedule, gen: np.random.Generator) -> np.ndarray:
+        """An attempt's central bit assignment of ``n`` clients, under ``round.assign``."""
+        with get_tracer().span("round.assign", {"n_bits": self.encoder.n_bits, "n_clients": n}):
+            return central_assignment(n, schedule, gen)
 
     def reconstruct(
-        self, span_name: str, outcomes: Sequence[RoundOutcome], n_clients: int, method: str,
+        self, outcomes: Sequence[RoundOutcome], n_clients: int, method: str,
         metadata: Mapping[str, Any], pooled: tuple[np.ndarray, np.ndarray] | None = None,
         threshold: float | np.ndarray = 0.0,
     ) -> MeanEstimate:
-        """Decode the rounds' bit means into the estimate, under a ``span_name`` span.
+        """Decode the rounds' bit means into the estimate, under ``federated.reconstruct``.
 
         ``pooled`` holds ``(bit_means, counts)`` pooled across rounds; by
         default the single round's own.  Under LDP the debiased means are
@@ -247,7 +172,7 @@ class RoundCore:
         (:func:`~repro.core.protocol.decode_estimate`).
         """
         means, counts = pooled or (outcomes[0].summary.bit_means, outcomes[0].summary.counts)
-        with get_tracer().span(span_name, {"n_bits": self.encoder.n_bits}) as span:
+        with get_tracer().span("federated.reconstruct", {"n_bits": self.encoder.n_bits}) as span:
             estimate = decode_estimate(
                 self.encoder,
                 means,
@@ -280,28 +205,141 @@ class RoundCore:
         return estimate
 
 
-class AttemptLoop:
-    """Retry bookkeeping around one round's attempts; the transport runs each.
+@dataclass(frozen=True)
+class Attempt:
+    """One round attempt in flight: its ``federated.round`` span and plan."""
 
-    ``attempt`` is the 1-based number of the attempt to run next.  After a
-    failed attempt :meth:`retry_after` says whether another may run; a
-    completed one goes through :meth:`complete`.  Backoff is simulated
-    time: recorded, never slept.
+    core: RoundCore
+    span: Any
+    round_index: int
+    number: int
+    planned: int
+
+    def check_quorum(self, survived: int, secure: bool = False) -> None:
+        """Raise :class:`RoundFailedError` if the attempt's survivors miss quorum.
+
+        ``secure`` marks the second check secure aggregation runs, on the
+        clients its shards could unmask.
+        """
+        min_quorum = self.core.min_quorum
+        if survived >= min_quorum:
+            return
+        planned = self.planned
+        metrics = get_metrics()
+        metrics.counter("rounds_failed_total").inc()
+        metrics.counter("round_reports_planned_total").inc(planned)
+        metrics.counter("round_reports_delivered_total").inc(survived)
+        metrics.counter("round_reports_lost_total").inc(planned - survived)
+        self.span.set_attribute("failed", True)
+        self.span.set_attribute("surviving_clients", survived)
+        where = f"round {self.round_index} attempt {self.number}"
+        if secure:
+            message = (
+                f"{where}: secure aggregation recovered {survived} clients, "
+                f"below quorum {min_quorum}"
+            )
+        elif survived == 0:
+            message = "every client dropped out of the round"
+        else:
+            message = f"{where}: {survived} survivors below quorum {min_quorum}"
+        raise RoundFailedError(message, planned=planned, survived=survived)
+
+    def fold(
+        self, sums: np.ndarray, counts: np.ndarray, probabilities: np.ndarray,
+        duration_s: float, client_ids: Sequence[Hashable] = (), shard_failures: int = 0,
+    ) -> RoundOutcome:
+        """Fold the attempt's per-bit counters into its outcome.
+
+        Each folded client reported one bit, so ``counts`` sums to the
+        survivors; ``client_ids`` names them for the meter (only read when
+        one is set).  Lost shards degrade the round even when the survivor
+        fraction looks healthy: exclusions widen the variance like dropout.
+        """
+        core, span, planned = self.core, self.span, self.planned
+        survived = int(counts.sum())
+        summary = round_summary(sums, counts, probabilities, survived, core.perturbation)
+        degraded = survived < DEGRADED_FRACTION * planned or shard_failures > 0
+        outcome = RoundOutcome(summary, planned, survived, duration_s, degraded=degraded)
+        if core.meter is not None:
+            core.meter.record_batch(client_ids, core.metric_name)
+        epsilon = getattr(core.perturbation, "epsilon", None)
+        if core.accountant is not None and epsilon is not None:
+            core.accountant.spend(
+                float(epsilon),
+                note=(
+                    f"round {self.round_index} attempt {self.number}: randomized response "
+                    f"over {survived} reports"
+                ),
+            )
+        span.set_attribute("surviving_clients", survived)
+        span.set_attribute("round_duration_s", duration_s)
+        metrics = get_metrics()
+        if degraded:
+            span.set_attribute("degraded", True)
+            span.set_attribute("variance_inflation", outcome.variance_inflation)
+            metrics.counter("rounds_degraded_total").inc()
+        if metrics.enabled:
+            metrics.counter("rounds_total").inc()
+            metrics.counter("round_reports_planned_total").inc(planned)
+            metrics.counter("round_reports_delivered_total").inc(survived)
+            metrics.counter("round_reports_lost_total").inc(planned - survived)
+            metrics.gauge("dropout_rate").set(outcome.dropout_rate)
+            metrics.histogram("round_duration_s").observe(duration_s)
+            bit_hist = metrics.histogram(
+                "bit_index_distribution",
+                buckets=tuple(float(j) for j in range(core.encoder.n_bits)),
+            )
+            for j, count in enumerate(counts):
+                if count:
+                    bit_hist.observe(float(j), count=int(count))
+        return outcome
+
+
+class AttemptLoop:
+    """One round's attempts and the retry loop around them.
+
+    A transport runs each attempt in a ``while True:`` loop under
+    :meth:`attempt`, breaking out once it folds, then stamps the outcome
+    with :meth:`complete`.  ``number`` is the 1-based number of the attempt
+    to run next.  Backoff is simulated time: recorded, never slept.
     """
 
     def __init__(self, core: RoundCore, round_index: int = 1) -> None:
         self.core = core
         self.round_index = round_index
-        self.attempt = 1
+        self.number = 1
         self.backoff_s = 0.0
         self.history: list[tuple[int, int]] = []
+
+    @contextmanager
+    def attempt(self, planned: int) -> Iterator[Attempt]:
+        """Run the next attempt, of ``planned`` clients, under its ``federated.round`` span.
+
+        A :class:`RoundFailedError` inside closes the span, then goes through
+        :meth:`retry_after` and is swallowed while another attempt may run;
+        any other exception passes through unchanged, unretried.
+        """
+        try:
+            with get_tracer().span(
+                ROUND_SPAN,
+                {
+                    "round_index": self.round_index,
+                    "planned_clients": planned,
+                    "attempt": self.number,
+                },
+            ) as span:
+                get_metrics().counter("round_attempts_total").inc()
+                yield Attempt(self.core, span, self.round_index, self.number, planned)
+        except RoundFailedError as exc:
+            if not self.retry_after(exc):
+                raise
 
     def _observe(self, planned: int, survived: int, **sample: Any) -> None:
         self.history.append((planned, survived))
         health, accountant = self.core.health, self.core.accountant
         if health is not None:
             health.observe_round(
-                round_index=self.round_index, attempt=self.attempt, planned=planned,
+                round_index=self.round_index, attempt=self.number, planned=planned,
                 survived=survived, **sample,
                 epsilon_spent=None if accountant is None else float(accountant.spent_epsilon),
             )
@@ -310,17 +348,17 @@ class AttemptLoop:
         """Record a failed attempt; ``False`` once the retry budget is spent."""
         self._observe(exc.planned, exc.survived, failed=True)
         retry = self.core.retry
-        if retry is None or self.attempt >= retry.max_attempts:
+        if retry is None or self.number >= retry.max_attempts:
             return False
-        backoff = retry.backoff_s(self.attempt)
+        backoff = retry.backoff_s(self.number)
         self.backoff_s += backoff
         get_metrics().counter("round_retries_total").inc()
         with get_tracer().span(
             "round.retry",
             {
                 "round_index": self.round_index,
-                "failed_attempt": self.attempt,
-                "next_attempt": self.attempt + 1,
+                "failed_attempt": self.number,
+                "next_attempt": self.number + 1,
                 "backoff_s": backoff,
                 "survived": exc.survived,
                 "planned": exc.planned,
@@ -328,7 +366,7 @@ class AttemptLoop:
             },
         ):
             pass
-        self.attempt += 1
+        self.number += 1
         return True
 
     def complete(self, outcome: RoundOutcome) -> RoundOutcome:
@@ -338,6 +376,6 @@ class AttemptLoop:
             degraded=outcome.degraded, duration_s=outcome.round_duration_s,
         )
         return replace(
-            outcome, attempts=self.attempt, backoff_s=self.backoff_s,
+            outcome, attempts=self.number, backoff_s=self.backoff_s,
             attempt_history=tuple(self.history),
         )

@@ -29,7 +29,7 @@ and validated as arrays, through the
 reports live in arrays indexed by client id.
 
 Distributed tracing: each ANNOUNCE carries the round's trace context (a
-seed-derived ``trace_id`` plus the attempt's ``serve.round`` span id), the
+seed-derived ``trace_id`` plus the attempt's ``federated.round`` span id), the
 fleet records ``fleet.*`` child spans against it, and after RESULT/ABORT each
 connection ships them back in one TELEMETRY message.  The server remaps the span
 ids, aligns client clocks using the HELLO handshake offset, stamps the spans
@@ -37,15 +37,15 @@ ids, aligns client clocks using the HELLO handshake offset, stamps the spans
 linked timeline per round, strictly off the uplink hot path.
 
 Determinism: the server consumes its seeded generator exactly as the
-in-process basic-mode round does -- one :func:`central_assignment` draw per
-attempt and nothing else -- so a lossless served round is bit-identical to
+in-process basic-mode round does -- one ``round.assign`` draw per attempt
+and nothing else -- so a lossless served round is bit-identical to
 ``FederatedMeanQuery(mode="basic").run(population, rng=seed)`` on the same
 values, and :func:`in_process_estimate` replays lossy/LDP rounds exactly.
 
-Only announce and collect live here; retries, quorum, fold, privacy
-metering and reconstruction are the round core
+Only announce and collect live here; each attempt's span and assignment,
+retries, quorum, fold, privacy metering and reconstruction are the round core
 (:mod:`repro.federated.rounds`), which the twin runs over in-memory reports.
-So a served round meters exactly like an in-process one.
+So a served round records and meters exactly like an in-process one.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ import numpy as np
 
 from repro.core.encoding import FixedPointEncoder
 from repro.core.results import MeanEstimate
-from repro.core.sampling import BitSamplingSchedule, central_assignment
+from repro.core.sampling import BitSamplingSchedule
 from repro.exceptions import ConfigurationError, ProtocolError, RoundFailedError
 from repro.federated.fleet import (
     MAX_RANGE,
@@ -72,7 +72,7 @@ from repro.federated.fleet import (
     read_message,
 )
 from repro.federated.retry import RetryPolicy
-from repro.federated.rounds import AttemptLoop, RoundCore, RoundOutcome
+from repro.federated.rounds import Attempt, AttemptLoop, RoundCore, RoundOutcome
 from repro.federated.wire import (
     FLAG_RANDOMIZED_RESPONSE,
     MSG_ABORT,
@@ -91,7 +91,7 @@ from repro.federated.wire import (
     encode_message,
 )
 from repro.observability import get_metrics, get_tracer
-from repro.observability.tracing import NullSpan, SpanRecord
+from repro.observability.tracing import SpanRecord
 from repro.privacy.accountant import BitMeter, PrivacyAccountant
 from repro.privacy.randomized_response import RandomizedResponse
 from repro.rng import ensure_rng
@@ -154,7 +154,7 @@ class ServeConfig:
         round anyway (unregistered clients become dropouts).  When the
         window ends, every connection that has not sent HELLO is closed
         with a ``hello-timeout`` reject.
-    min_quorum, degraded_fraction, retry:
+    min_quorum, retry:
         Round-failure semantics, exactly as on
         :class:`~repro.federated.server.FederatedMeanQuery`; retry backoff is
         simulated time (recorded, never slept).  A served retry re-contacts
@@ -174,7 +174,6 @@ class ServeConfig:
     deadline_s: float | None = 30.0
     registration_timeout_s: float = 30.0
     min_quorum: int = 1
-    degraded_fraction: float = 0.5
     retry: RetryPolicy | None = None
     host: str = "127.0.0.1"
     port: int = 0
@@ -219,7 +218,6 @@ class ServeConfig:
             "deadline_s": self.deadline_s,
             "registration_timeout_s": self.registration_timeout_s,
             "min_quorum": self.min_quorum,
-            "degraded_fraction": self.degraded_fraction,
             "max_attempts": self.retry.max_attempts if self.retry else 1,
             "host": self.host,
             "port": self.port,
@@ -266,8 +264,8 @@ def _served_core(config: ServeConfig) -> RoundCore:
     return RoundCore(
         config.encoder,
         perturbation=None if config.epsilon is None else RandomizedResponse(config.epsilon),
-        min_quorum=config.min_quorum, degraded_fraction=config.degraded_fraction,
-        retry=config.retry, meter=BitMeter(max_bits_per_value=1), accountant=PrivacyAccountant(),
+        min_quorum=config.min_quorum, retry=config.retry,
+        meter=BitMeter(max_bits_per_value=1), accountant=PrivacyAccountant(),
     )
 
 
@@ -294,19 +292,16 @@ class _Reports:
 
 
 def _fold_reports(
-    core: RoundCore, span: Any, config: ServeConfig, attempt: int,
-    reports: _Reports, duration_s: float,
+    attempt: Attempt, config: ServeConfig, reports: _Reports, duration_s: float
 ) -> RoundOutcome:
     """One served attempt's quorum verdict and fold over its accepted reports."""
-    n = config.n_clients
     clients = np.flatnonzero(reports.accepted)
-    core.check_quorum(span, n, clients.size, 1, attempt)
+    attempt.check_quorum(clients.size)
     bit_index = reports.bit_index[clients]
     counts = np.bincount(bit_index, minlength=config.n_bits)
     sums = np.bincount(bit_index, weights=reports.bit[clients], minlength=config.n_bits)
-    return core.fold(
-        span, sums, counts, config.schedule.probabilities, n, duration_s, 1, attempt,
-        client_ids=clients.tolist(),
+    return attempt.fold(
+        sums, counts, config.schedule.probabilities, duration_s, client_ids=clients.tolist()
     )
 
 
@@ -322,7 +317,8 @@ class RoundServer:
     its own accountant and one-bit-per-value meter.  Instrumentation flows
     through the process-wide tracer/metrics pair, so wrapping the round in
     ``instrumented(...)`` (or the ``serve`` CLI's flight recorder) captures
-    ``serve.*``/``uplink.*`` spans and the reject/report counters.
+    the round core's ``federated.round``/``round.*``/``federated.reconstruct``
+    spans, the ``serve.*``/``uplink.*`` spans and the reject/report counters.
     """
 
     def __init__(self, config: ServeConfig) -> None:
@@ -360,7 +356,7 @@ class RoundServer:
         #: range's first id -> server_wall_at_HELLO - fleet_clock_in_HELLO;
         #: added to every remote span start so fleet timelines align with ours.
         self._clock_offsets: dict[int, float] = {}
-        #: attempt -> that attempt's ``serve.round`` span id (remote
+        #: attempt -> that attempt's ``federated.round`` span id (remote
         #: ``fleet.round`` roots re-parent here on ingestion).
         self._attempt_spans: dict[int, int] = {}
         self._session_span_id: int | None = None
@@ -726,18 +722,17 @@ class RoundServer:
     # ------------------------------------------------------------------
     def _record_uplink_timings(
         self,
-        attempt: int,
+        attempt: Attempt,
         announce_wall: float,
         accept_log: list[tuple[np.ndarray, np.ndarray, float]],
-        round_span: Any,
     ) -> None:
         """One ``serve.uplink_timings`` span per attempt + straggler stats.
 
         The per-report arrival and queue-delay samples ride as index-aligned
         arrays on a single span (never a span per uplink), and the attempt's
-        ``serve.round`` span gains the median / slowest-decile uplink latency
-        attributes the ``straggler-skew`` health rule and the report's
-        wire-latency section read.
+        ``federated.round`` span gains the median / slowest-decile uplink
+        latency attributes the ``straggler-skew`` health rule and the
+        report's wire-latency section read.
         """
         tracer = get_tracer()
         if not tracer.enabled or not accept_log:
@@ -748,7 +743,7 @@ class RoundServer:
         with tracer.span(
             "serve.uplink_timings",
             {
-                "attempt": attempt,
+                "attempt": attempt.number,
                 "announce_s": announce_wall,
                 "clients": clients.tolist(),
                 "arrival_s": arrival_s.tolist(),
@@ -759,8 +754,8 @@ class RoundServer:
         latencies = arrival_s - announce_wall
         latencies.sort()
         slowest = latencies[-max(1, latencies.size // 10):]
-        round_span.set_attribute("uplink_median_s", float(np.median(latencies)))
-        round_span.set_attribute("uplink_slow_decile_s", float(slowest.mean()))
+        attempt.span.set_attribute("uplink_median_s", float(np.median(latencies)))
+        attempt.span.set_attribute("uplink_slow_decile_s", float(slowest.mean()))
 
     # ------------------------------------------------------------------
     async def _drain_telemetry(self, attempt: int) -> None:
@@ -813,7 +808,7 @@ class RoundServer:
         message covers the range's ``k`` clients.  Remote spans are remapped
         into the server tracer's id space, clock-aligned with the
         connection's HELLO-derived offset, re-parented under the attempt's
-        ``serve.round`` span (roots) and stamped ``remote`` with the range's
+        ``federated.round`` span (roots) and stamped ``remote`` with the range's
         ``client`` and ``clients`` -- then exported through the normal
         fan-out, so the flight recorder captures the whole fleet.  Any defect
         rejects the payload without touching the round.
@@ -914,25 +909,22 @@ class RoundServer:
             session_span.set_attribute("registered", registered)
 
             attempts = AttemptLoop(self.core)
-            while True:
-                try:
-                    outcome = await self._run_attempt(gen, attempts.attempt)
-                except RoundFailedError as exc:
-                    if attempts.retry_after(exc):
-                        continue
-                    await self._broadcast_control(
-                        MSG_ABORT,
-                        {"reason": str(exc), "attempt": attempts.attempt},
-                        attempts.attempt,
-                    )
-                    # Best-effort: an aborted round's artifact still
-                    # deserves the fleet's side of the story.
-                    await self._drain_telemetry(attempts.attempt)
-                    raise
-                break
+            try:
+                while True:
+                    with attempts.attempt(n) as attempt:
+                        outcome = await self._run_attempt(gen, attempt)
+                        break
+            except RoundFailedError as exc:
+                await self._broadcast_control(
+                    MSG_ABORT, {"reason": str(exc), "attempt": attempts.number}, attempts.number
+                )
+                # Best-effort: an aborted round's artifact still deserves
+                # the fleet's side of the story.
+                await self._drain_telemetry(attempts.number)
+                raise
             outcome = attempts.complete(outcome)
             estimate = self.core.reconstruct(
-                "serve.reconstruct", [outcome], n, "federated-served",
+                [outcome], n, "federated-served",
                 {
                     "secure_aggregation": False,
                     "elicitation": "single",
@@ -977,32 +969,22 @@ class RoundServer:
                 remote_spans=self._remote_spans,
             )
 
-    async def _run_attempt(self, gen: np.random.Generator, attempt: int) -> RoundOutcome:
+    async def _run_attempt(self, gen: np.random.Generator, attempt: Attempt) -> RoundOutcome:
         """One attempt: assign, announce, collect; the core judges and folds."""
-        cfg = self.config
-        tracer = get_tracer()
-        n = cfg.n_clients
+        cfg, tracer, number = self.config, get_tracer(), attempt.number
+        span_id = getattr(attempt.span, "span_id", None)
+        if span_id is not None:
+            self._attempt_spans[number] = span_id
+        assignment = self.core.assign(cfg.n_clients, cfg.schedule, gen)
         with tracer.span(
-            "serve.round",
-            {"round_index": 1, "planned_clients": n, "attempt": attempt},
-        ) as round_span:
-            round_span_id = getattr(round_span, "span_id", None)
-            if round_span_id is not None:
-                self._attempt_spans[attempt] = round_span_id
-            get_metrics().counter("round_attempts_total").inc()
-            with tracer.span("round.assign", {"n_bits": cfg.n_bits, "n_clients": n}):
-                assignment = central_assignment(n, cfg.schedule, gen)
-            with tracer.span(
-                "serve.announce",
-                {"clients": self._registered, "connections": len(self._ranges), "attempt": attempt},
-            ):
-                announce_wall = tracer.wall_time()
-                await self._broadcast_announce(
-                    assignment, attempt, parent_span_id=round_span_id or 0
-                )
-            reports, duration, accept_log = await self._collect(attempt, assignment)
-            self._record_uplink_timings(attempt, announce_wall, accept_log, round_span)
-            return _fold_reports(self.core, round_span, cfg, attempt, reports, duration)
+            "serve.announce",
+            {"clients": self._registered, "connections": len(self._ranges), "attempt": number},
+        ):
+            announce_wall = tracer.wall_time()
+            await self._broadcast_announce(assignment, number, parent_span_id=span_id or 0)
+        reports, duration, accept_log = await self._collect(number, assignment)
+        self._record_uplink_timings(attempt, announce_wall, accept_log)
+        return _fold_reports(attempt, cfg, reports, duration)
 
 
 # ----------------------------------------------------------------------
@@ -1021,7 +1003,8 @@ def in_process_estimate(
     :func:`~repro.federated.fleet.range_bits`, each then drawing its
     uplink's loss and latency from the profile after its randomized
     response, as a fleet connection does; delivered reports fold, retry and
-    reconstruct through the code :class:`RoundServer` runs.  Client
+    reconstruct through the code :class:`RoundServer` runs, under the same
+    ``federated.round`` and ``federated.reconstruct`` spans.  Client
     generators are built only when the round draws (``epsilon`` or a
     profile).  ``corrupted`` names clients whose uplinks the server always
     rejects (the fuzzing twin: their client-side draws still advance, their
@@ -1046,24 +1029,19 @@ def in_process_estimate(
     excluded = np.array([c for c in map(int, corrupted) if 0 <= c < n], dtype=np.int64)
     attempts = AttemptLoop(core)
     while True:
-        assignment = central_assignment(n, config.schedule, gen)
-        bits = range_bits(vals, assignment, core.encoder, config.epsilon, client_gens)
-        if profile is None:
-            delivered = np.ones(n, dtype=bool)
-        else:
-            delivered = np.fromiter((profile.draw(g)[0] for g in client_gens), bool, n)
-        delivered[excluded] = False
-        reports = _Reports(delivered, assignment, bits)
-        try:
-            outcome = _fold_reports(core, NullSpan(), config, attempts.attempt, reports, 0.0)
-        except RoundFailedError as exc:
-            if attempts.retry_after(exc):
-                continue
-            raise
-        return core.reconstruct(
-            "serve.reconstruct", [attempts.complete(outcome)], n,
-            "federated-served-twin", {"served": False},
-        )
+        with attempts.attempt(n) as attempt:
+            assignment = core.assign(n, config.schedule, gen)
+            bits = range_bits(vals, assignment, core.encoder, config.epsilon, client_gens)
+            if profile is None:
+                delivered = np.ones(n, dtype=bool)
+            else:
+                delivered = np.fromiter((profile.draw(g)[0] for g in client_gens), bool, n)
+            delivered[excluded] = False
+            outcome = _fold_reports(attempt, config, _Reports(delivered, assignment, bits), 0.0)
+            break
+    return core.reconstruct(
+        [attempts.complete(outcome)], n, "federated-served-twin", {"served": False}
+    )
 
 
 # ----------------------------------------------------------------------

@@ -31,14 +31,14 @@ from repro.core.client_plane import (
 from repro.core.encoding import FixedPointEncoder
 from repro.core.protocol import BitPerturbation
 from repro.core.results import MeanEstimate
-from repro.core.sampling import BitSamplingSchedule, central_assignment
-from repro.exceptions import ConfigurationError, RoundFailedError
+from repro.core.sampling import BitSamplingSchedule
+from repro.exceptions import ConfigurationError
 from repro.federated.cohort import CohortSelector, Eligibility, Population, as_batch
 from repro.federated.dropout import DropoutModel, DropoutRateTracker
 from repro.federated.faults import FaultSchedule
 from repro.federated.network import NetworkModel
 from repro.federated.retry import RetryPolicy
-from repro.federated.rounds import AttemptLoop, RoundCore, RoundOutcome
+from repro.federated.rounds import Attempt, AttemptLoop, RoundCore, RoundOutcome
 from repro.federated.secure_agg.hierarchy import (
     HierarchicalResult,
     ShardTask,
@@ -113,7 +113,7 @@ class FederatedMeanQuery(RoundCore):
         Optional :class:`~repro.federated.faults.FaultSchedule`; its clock
         advances once per round *attempt* and the active fault overrides
         wrap ``dropout``/``network`` for that attempt.
-    min_quorum, degraded_fraction, retry, meter, metric_name, accountant, health:
+    min_quorum, retry, meter, metric_name, accountant, health:
         The round policy every transport shares (quorum, retries, privacy
         metering, health); see :class:`~repro.federated.rounds.RoundCore`.
     chunk_clients:
@@ -155,7 +155,6 @@ class FederatedMeanQuery(RoundCore):
         secure_aggregation: bool = False,
         shard_size: int = 32,
         min_quorum: int = 1,
-        degraded_fraction: float = 0.5,
         retry: RetryPolicy | None = None,
         faults: FaultSchedule | None = None,
         accountant: PrivacyAccountant | None = None,
@@ -179,9 +178,8 @@ class FederatedMeanQuery(RoundCore):
                 f"schedule covers {schedule.n_bits} bits but encoder has {encoder.n_bits}"
             )
         super().__init__(
-            encoder, perturbation=perturbation, min_quorum=min_quorum,
-            degraded_fraction=degraded_fraction, retry=retry, meter=meter,
-            metric_name=metric_name, accountant=accountant, health=health,
+            encoder, perturbation=perturbation, min_quorum=min_quorum, retry=retry,
+            meter=meter, metric_name=metric_name, accountant=accountant, health=health,
         )
         self.mode = mode
         self.schedule = schedule or BitSamplingSchedule.weighted(encoder.n_bits, alpha=1.0)
@@ -264,7 +262,7 @@ class FederatedMeanQuery(RoundCore):
                 _, pooled = self.plan.run_rounds(len(cohort), gen, run_round)
 
             return self.reconstruct(
-                "federated.reconstruct", outcomes, len(cohort), f"federated-{self.mode}",
+                outcomes, len(cohort), f"federated-{self.mode}",
                 {
                     "secure_aggregation": self.secure_aggregation,
                     "elicitation": self.elicitation,
@@ -284,25 +282,25 @@ class FederatedMeanQuery(RoundCore):
         eligibility: Eligibility | None = None,
         others: Callable[[], np.ndarray] | None = None,
     ) -> tuple[RoundOutcome, ClientBatch]:
-        """Run one round, retrying failed attempts through the core's :class:`AttemptLoop`.
+        """Run one round's attempts through the core's :class:`AttemptLoop`.
 
         Each attempt is a full :meth:`_run_round` (the fault schedule's clock
         ticks per attempt); a retry may first re-draw a fresh cohort from the
         eligible population, less the client ids ``others()`` returns (the
         query's other round).  Returns the outcome and the cohort it ran on.
         """
+        if len(clients) == 0:
+            raise ConfigurationError("round planned with zero clients")
         attempts = AttemptLoop(self, round_index)
         while True:
-            try:
-                outcome = self._run_round(clients, schedule, gen, round_index, attempts.attempt)
-            except RoundFailedError as exc:
-                if not attempts.retry_after(exc):
-                    raise
-                if self.retry.redraw_cohort and population is not None:
-                    pool = eligibility if others is None else _Excluding(eligibility, others())
-                    clients = self.selector.select(population, pool, len(clients), gen)
-                continue
-            return attempts.complete(outcome), clients
+            with attempts.attempt(len(clients)) as attempt:
+                outcome = self._run_round(clients, schedule, gen, attempt)
+                break
+            # Reached only after a failed attempt that another may follow.
+            if self.retry.redraw_cohort and population is not None:
+                pool = eligibility if others is None else _Excluding(eligibility, others())
+                clients = self.selector.select(population, pool, len(clients), gen)
+        return attempts.complete(outcome), clients
 
     # ------------------------------------------------------------------
     def _run_round(
@@ -310,125 +308,112 @@ class FederatedMeanQuery(RoundCore):
         clients: ClientBatch,
         schedule: BitSamplingSchedule,
         gen: np.random.Generator,
-        round_index: int = 1,
-        attempt: int = 1,
+        attempt: Attempt,
     ) -> RoundOutcome:
         tracer = get_tracer()
         n = len(clients)
-        if n == 0:
-            raise ConfigurationError("round planned with zero clients")
-        with tracer.span(
-            "federated.round",
-            {"round_index": round_index, "planned_clients": n, "attempt": attempt},
-        ) as round_span:
-            get_metrics().counter("round_attempts_total").inc()
-            # Scripted fault injection: the schedule's clock ticks once per
-            # attempt, and the active overrides wrap the failure models.
-            dropout, network = self.dropout, self.network
-            shard_blackout: tuple[int, ...] = ()
-            if self.faults is not None:
-                active = self.faults.begin_attempt()
-                if active.any:
-                    dropout = active.apply_dropout(dropout)
-                    network = active.apply_network(network)
-                    shard_blackout = active.shard_blackout
-                    round_span.set_attribute("faults", active.describe())
+        # Scripted fault injection: the schedule's clock ticks once per
+        # attempt, and the active overrides wrap the failure models.
+        dropout, network = self.dropout, self.network
+        shard_blackout: tuple[int, ...] = ()
+        if self.faults is not None:
+            active = self.faults.begin_attempt()
+            if active.any:
+                dropout = active.apply_dropout(dropout)
+                network = active.apply_network(network)
+                shard_blackout = active.shard_blackout
+                attempt.span.set_attribute("faults", active.describe())
 
-            schedule = self._adjust_schedule(schedule, n)
+        schedule = self._adjust_schedule(schedule, n)
+        assignment = self.assign(n, schedule, gen)
+
+        # Failure simulation: device dropout, then network delivery.
+        # With neither model no client is lost, and the round builds no
+        # survivor mask (unless secure shards need one) and no index.
+        alive = None
+        with tracer.span("round.dropout", {"planned": n}) as dropout_span:
+            if dropout is not None:
+                alive = dropout.draw_survivors(n, gen)
+            elif network is not None or self.secure_aggregation:
+                alive = np.ones(n, dtype=bool)
+            survived = n if alive is None else int(alive.sum())
+            dropout_span.set_attribute("survived", survived)
+        duration = 0.0
+        if network is not None and survived:
+            # An empty batch is never transmitted: there is nothing to
+            # deliver, and a vacuous DeliveryOutcome would conflate
+            # "nothing to send" with "everything sent was lost".
+            outcome = network.transmit(survived, gen)
+            delivered = np.zeros(n, dtype=bool)
+            delivered[np.flatnonzero(alive)] = outcome.delivered
+            duration = outcome.round_duration_s
+            alive = delivered
+            survived = int(alive.sum())
+        self.dropout_tracker.update(planned=n, survived=survived)
+        attempt.check_quorum(survived)
+
+        # Client-side: elicit one value per survivor straight from the
+        # flat value arrays, in bounded-memory chunks; a lossless round
+        # passes the cohort and its assignment through instead of
+        # copying them.
+        lossless = survived == n
+        survivors = None if lossless else np.flatnonzero(alive)
+        with tracer.span("round.elicit", {"n_clients": survived}):
+            values = elicit_values(
+                clients if lossless else clients.take(survivors),
+                self.elicitation,
+                gen,
+                chunk=self.chunk_clients,
+            )
+
+        shard_failures = 0
+        if self.secure_aggregation:
+            # Hierarchical sharded sessions over the *planned* cohort:
+            # dropped clients are real intra-session dropouts, recovered
+            # per shard; a below-threshold shard is excluded and the
+            # round degrades instead of aborting.  Only the clients the
+            # shards unmask are folded (and metered): a failed shard's
+            # masked rows are never unmasked, so they disclose nothing.
             with tracer.span(
-                "round.assign", {"n_bits": self.encoder.n_bits, "n_clients": n}
-            ):
-                assignment = central_assignment(n, schedule, gen)
-
-            # Failure simulation: device dropout, then network delivery.
-            # With neither model no client is lost, and the round builds no
-            # survivor mask (unless secure shards need one) and no index.
-            alive = None
-            with tracer.span("round.dropout", {"planned": n}) as dropout_span:
-                if dropout is not None:
-                    alive = dropout.draw_survivors(n, gen)
-                elif network is not None or self.secure_aggregation:
-                    alive = np.ones(n, dtype=bool)
-                survived = n if alive is None else int(alive.sum())
-                dropout_span.set_attribute("survived", survived)
-            duration = 0.0
-            if network is not None and survived:
-                # An empty batch is never transmitted: there is nothing to
-                # deliver, and a vacuous DeliveryOutcome would conflate
-                # "nothing to send" with "everything sent was lost".
-                outcome = network.transmit(survived, gen)
-                delivered = np.zeros(n, dtype=bool)
-                delivered[np.flatnonzero(alive)] = outcome.delivered
-                duration = outcome.round_duration_s
-                alive = delivered
-                survived = int(alive.sum())
-            self.dropout_tracker.update(planned=n, survived=survived)
-            self.check_quorum(round_span, n, survived, round_index, attempt)
-
-            # Client-side: elicit one value per survivor straight from the
-            # flat value arrays, in bounded-memory chunks; a lossless round
-            # passes the cohort and its assignment through instead of
-            # copying them.
-            lossless = survived == n
-            survivors = None if lossless else np.flatnonzero(alive)
-            with tracer.span("round.elicit", {"n_clients": survived}):
-                values = elicit_values(
-                    clients if lossless else clients.take(survivors),
-                    self.elicitation,
+                "round.secure_agg",
+                {"n_clients": survived, "shard_size": self.shard_size},
+            ) as secure_span:
+                sums, counts, secure = self._secure_collect(
+                    values, alive, assignment, gen, shard_blackout=shard_blackout
+                )
+                folded = secure.included
+                shard_failures = len(secure.failed_shards)
+                secure_span.set_attribute("shards", len(secure.shards))
+                secure_span.set_attribute("shard_failures", shard_failures)
+                secure_span.set_attribute("included_clients", int(folded.size))
+                secure_span.set_attribute(
+                    "masked_bytes_per_client", secure.masked_bytes_per_client
+                )
+            attempt.check_quorum(int(folded.size), secure=True)
+        else:
+            # Chunk-streamed encode + extract + perturb + aggregate
+            # (client_plane.collect spans per chunk); bit-identical to
+            # the historical encode-then-collect_bit_reports for any
+            # chunk size.
+            with tracer.span("round.collect", {"n_clients": survived}):
+                sums, counts = collect_client_reports(
+                    values,
+                    self.encoder,
+                    assignment if lossless else assignment[survivors],
+                    self.perturbation,
                     gen,
                     chunk=self.chunk_clients,
                 )
-
-            shard_failures = 0
-            if self.secure_aggregation:
-                # Hierarchical sharded sessions over the *planned* cohort:
-                # dropped clients are real intra-session dropouts, recovered
-                # per shard; a below-threshold shard is excluded and the
-                # round degrades instead of aborting.  Only the clients the
-                # shards unmask are folded (and metered): a failed shard's
-                # masked rows are never unmasked, so they disclose nothing.
-                with tracer.span(
-                    "round.secure_agg",
-                    {"n_clients": survived, "shard_size": self.shard_size},
-                ) as secure_span:
-                    sums, counts, secure = self._secure_collect(
-                        values, alive, assignment, gen, shard_blackout=shard_blackout
-                    )
-                    folded = secure.included
-                    shard_failures = len(secure.failed_shards)
-                    secure_span.set_attribute("shards", len(secure.shards))
-                    secure_span.set_attribute("shard_failures", shard_failures)
-                    secure_span.set_attribute("included_clients", int(folded.size))
-                    secure_span.set_attribute(
-                        "masked_bytes_per_client", secure.masked_bytes_per_client
-                    )
-                self.check_quorum(
-                    round_span, n, int(folded.size), round_index, attempt, secure=True
-                )
-            else:
-                # Chunk-streamed encode + extract + perturb + aggregate
-                # (client_plane.collect spans per chunk); bit-identical to
-                # the historical encode-then-collect_bit_reports for any
-                # chunk size.
-                with tracer.span("round.collect", {"n_clients": survived}):
-                    sums, counts = collect_client_reports(
-                        values,
-                        self.encoder,
-                        assignment if lossless else assignment[survivors],
-                        self.perturbation,
-                        gen,
-                        chunk=self.chunk_clients,
-                    )
-                folded = survivors
-            # Ids only for a meter: an unmetered round builds no id list.
-            client_ids = ()
-            if self.meter is not None:
-                ids = clients.client_ids if folded is None else clients.client_ids[folded]
-                client_ids = ids.tolist()
-            return self.fold(
-                round_span, sums, counts, schedule.probabilities, n, duration,
-                round_index, attempt, shard_failures=shard_failures, client_ids=client_ids,
-            )
+            folded = survivors
+        # Ids only for a meter: an unmetered round builds no id list.
+        client_ids = ()
+        if self.meter is not None:
+            ids = clients.client_ids if folded is None else clients.client_ids[folded]
+            client_ids = ids.tolist()
+        return attempt.fold(
+            sums, counts, schedule.probabilities, duration,
+            shard_failures=shard_failures, client_ids=client_ids,
+        )
 
     # ------------------------------------------------------------------
     def _adjust_schedule(

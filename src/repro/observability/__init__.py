@@ -77,6 +77,7 @@ from repro.observability.report import (
     render_markdown,
 )
 from repro.observability.tracing import (
+    ROUND_SPAN,
     NullSpan,
     NullTracer,
     NULL_TRACER,
@@ -112,6 +113,7 @@ __all__ = [
     "ObservedRun",
     "PhaseProfiler",
     "PhaseSummary",
+    "ROUND_SPAN",
     "RunArtifact",
     "RunIndexEntry",
     "SimClock",
@@ -220,7 +222,6 @@ class ObservedRun:
         config: Mapping[str, Any] | None = None,
         seed: int | None = None,
         rules: Sequence[HealthRule] | None = None,
-        round_span: str = "federated.round",
         sim_clock: bool = False,
         profile: bool = False,
         trace_malloc: bool = False,
@@ -241,13 +242,9 @@ class ObservedRun:
             if trace_path is not None:
                 self._jsonl = JsonLinesExporter(trace_path)
             if record_dir is not None:
-                self.recorder = FlightRecorder(
-                    record_dir, config, seed, metrics=self.metrics, round_span=round_span
-                )
+                self.recorder = FlightRecorder(record_dir, config, seed, metrics=self.metrics)
             sink = self.recorder.directory / ALERTS_FILENAME if self.recorder else None
-            self.health = HealthMonitor(
-                rules=rules, metrics=self.metrics, sink=sink, round_span=round_span
-            )
+            self.health = HealthMonitor(rules=rules, metrics=self.metrics, sink=sink)
         except BaseException:
             self._close(failed=True)
             raise

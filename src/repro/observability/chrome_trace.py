@@ -1,8 +1,8 @@
 """Chrome trace-event export: merged round timelines for Perfetto / about:tracing.
 
 A served round's flight-recorder artifact holds two kinds of spans: the
-server's own phases (``serve.round``, ``serve.announce``, ``serve.collect``,
-...) and remote spans ingested from fleet telemetry (``fleet.round``,
+server's own phases (the round core's ``federated.round`` attempt,
+``serve.announce``, ``serve.collect``, ...) and remote spans ingested from fleet telemetry (``fleet.round``,
 ``fleet.encode``, ``fleet.uplink``, stamped ``remote: True`` with the
 ``client`` (first id) and ``clients`` (size) of the fleet connection's client
 range, and clock-skew-aligned timestamps).  This module lays them out as

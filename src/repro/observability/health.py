@@ -14,9 +14,10 @@ to the monitor's event list and, when a sink is configured, to an
 Two wirings exist (use one per run, not both, or rounds evaluate twice):
 
 * **Span-driven** -- the monitor is a tracer exporter: each closing
-  ``federated.round`` span becomes a round sample whose time is the span's
-  end time, so ``--sim-clock`` runs produce byte-identical ``alerts.jsonl``
-  across same-seed runs.  This is what ``repro.cli trace --record`` does.
+  ``federated.round`` span (any round attempt, in process or served)
+  becomes a round sample whose time is the span's end time, so
+  ``--sim-clock`` runs produce byte-identical ``alerts.jsonl`` across
+  same-seed runs.  This is what ``ObservedRun`` (``trace``, ``serve``) does.
 * **Direct** -- ``FederatedMeanQuery(health=...)``,
   ``MonitoringCampaign(health=...)``, and ``StreamingAggregator(health=...)``
   call the ``observe_*`` hooks, timing samples on the *simulated* round
@@ -39,7 +40,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 from repro.exceptions import ConfigurationError
 from repro.observability.exporters import JsonLinesExporter
-from repro.observability.tracing import SpanRecord
+from repro.observability.tracing import ROUND_SPAN, SpanRecord
 
 __all__ = [
     "ALERTS_FILENAME",
@@ -523,9 +524,9 @@ class HealthMonitor:
         file, opened with line-level flushing like the flight recorder's
         event log) or any object with a ``write_line(dict)`` method.
         ``None`` keeps transitions in memory only.
-    round_span:
-        Span name treated as a round-attempt boundary when the monitor is
-        installed as a tracer exporter.
+
+    Installed as a tracer exporter, the monitor takes each closing
+    :data:`~repro.observability.tracing.ROUND_SPAN` as a round attempt.
     """
 
     def __init__(
@@ -533,7 +534,6 @@ class HealthMonitor:
         rules: Sequence[HealthRule] | None = None,
         metrics: Any = None,
         sink: str | Path | Any | None = None,
-        round_span: str = "federated.round",
     ) -> None:
         self.rules = list(rules) if rules is not None else default_rules()
         names = [rule.name for rule in self.rules]
@@ -548,7 +548,6 @@ class HealthMonitor:
         self._metrics = metrics
         self._owns_sink = isinstance(sink, (str, Path))
         self._sink = JsonLinesExporter(sink, flush_every=1) if self._owns_sink else sink
-        self._round_span = round_span
         self._active: dict[str, AlertEvent] = {}
         self._fired: dict[str, int] = {}
         self._resolved: dict[str, int] = {}
@@ -577,7 +576,7 @@ class HealthMonitor:
     # -- exporter protocol (span-driven wiring) ------------------------
     def export(self, record: SpanRecord) -> None:
         """Evaluate one round sample per closing round span."""
-        if record.name != self._round_span:
+        if record.name != ROUND_SPAN:
             return
         attrs = record.attributes
         sample = HealthSample(

@@ -1,10 +1,11 @@
 """Live campaign monitor: per-round progress lines on stderr.
 
 ``repro.cli trace --watch`` attaches a :class:`LiveMonitor` next to the
-other exporters: every closing ``federated.round`` span becomes one
-progress line -- round/attempt, delivered vs planned reports, cumulative
-report throughput, a naive ETA from the mean round duration, and whatever
-health alerts are currently firing.  Output goes to **stderr** so the
+other exporters: every closing ``federated.round`` span (one round
+attempt, in process or served) becomes one progress line --
+round/attempt, delivered vs planned reports, cumulative report throughput,
+a naive ETA from the mean round duration, and whatever health alerts are
+currently firing.  Output goes to **stderr** so the
 machine-readable stdout JSON stream is never perturbed; piping
 ``trace --json --watch`` through ``jq`` keeps working.
 
@@ -18,7 +19,7 @@ import sys
 from typing import IO, Any
 
 from repro.observability.health import HealthMonitor, rank_active
-from repro.observability.tracing import SpanRecord
+from repro.observability.tracing import ROUND_SPAN, SpanRecord
 
 __all__ = ["LiveMonitor"]
 
@@ -39,8 +40,6 @@ class LiveMonitor:
     stream:
         Defaults to ``sys.stderr`` (resolved at write time, so pytest's
         capsys and CLI redirections both behave).
-    round_span:
-        Span name treated as a round boundary.
     """
 
     def __init__(
@@ -48,12 +47,10 @@ class LiveMonitor:
         planned_rounds: int | None = None,
         health: HealthMonitor | None = None,
         stream: IO[str] | None = None,
-        round_span: str = "federated.round",
     ) -> None:
         self.planned_rounds = planned_rounds
         self.health = health
         self._stream = stream
-        self._round_span = round_span
         self._rounds_seen = 0
         self._reports_total = 0
         self._first_start: float | None = None
@@ -64,7 +61,7 @@ class LiveMonitor:
 
     # -- exporter protocol ---------------------------------------------
     def export(self, record: SpanRecord) -> None:
-        if record.name != self._round_span:
+        if record.name != ROUND_SPAN:
             return
         attrs = record.attributes
         self._rounds_seen += 1

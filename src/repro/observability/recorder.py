@@ -4,7 +4,8 @@ A :class:`FlightRecorder` captures everything a run did into one directory:
 
 * ``events.jsonl`` -- the span stream (the recorder is a tracer exporter),
   round-boundary metric snapshots (one ``{"type": "round"}`` line each time
-  a ``federated.round`` span closes), and free-form ``{"type": "event"}``
+  a ``federated.round`` span closes, in-process and served rounds alike),
+  and free-form ``{"type": "event"}``
   lines (campaign rounds, operator notes);
 * ``manifest.json`` -- the run's identity and outcome: config, seed, git
   revision, final estimate, error-vs-bound analysis, metrics snapshot,
@@ -30,7 +31,7 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from repro.observability.exporters import JsonLinesExporter
-from repro.observability.tracing import SpanRecord
+from repro.observability.tracing import ROUND_SPAN, SpanRecord
 
 __all__ = [
     "ARTIFACT_FORMAT",
@@ -94,12 +95,11 @@ class FlightRecorder:
         Human-readable run label (default: the directory name).
     metrics:
         Optional live :class:`~repro.observability.metrics.MetricsRegistry`;
-        when given, each closing ``round_span`` writes a round-boundary
-        metrics snapshot into the event log.
+        when given, each closing round-attempt span
+        (:data:`~repro.observability.tracing.ROUND_SPAN`) writes a
+        round-boundary metrics snapshot into the event log.
     append:
         Extend an existing ``events.jsonl`` instead of truncating it.
-    round_span:
-        Span name treated as a round boundary (default ``federated.round``).
     """
 
     def __init__(
@@ -110,7 +110,6 @@ class FlightRecorder:
         label: str | None = None,
         metrics: Any = None,
         append: bool = False,
-        round_span: str = "federated.round",
     ) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
@@ -120,7 +119,6 @@ class FlightRecorder:
         self.seed = seed
         self.label = label if label is not None else self.directory.name
         self._metrics = metrics
-        self._round_span = round_span
         self._events = JsonLinesExporter(self.events_path, flush_every=1, append=append)
         self._n_spans = 0
         self._n_remote_spans = 0
@@ -135,7 +133,7 @@ class FlightRecorder:
         self._n_spans += 1
         if record.attributes.get("remote"):
             self._n_remote_spans += 1
-        if record.name == self._round_span:
+        if record.name == ROUND_SPAN:
             self._n_rounds += 1
             boundary: dict[str, Any] = {
                 "type": "round",

@@ -27,7 +27,7 @@ from repro.observability.health import load_alerts
 from repro.observability.profiler import DEFAULT_PHASE_BUCKETS
 from repro.observability.metrics import Histogram
 from repro.observability.recorder import EVENTS_FILENAME, MANIFEST_FILENAME
-from repro.observability.tracing import SpanRecord
+from repro.observability.tracing import ROUND_SPAN, SpanRecord
 
 __all__ = ["RunArtifact", "load_run", "build_report", "render_markdown"]
 
@@ -147,7 +147,7 @@ def _recovery_timeline(artifact: RunArtifact) -> list[dict[str, Any]]:
                     ),
                 }
             )
-        elif record.name == "federated.round":
+        elif record.name == ROUND_SPAN:
             if attrs.get("failed"):
                 kind = "failed"
                 detail = (

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
 __all__ = [
+    "ROUND_SPAN",
     "SpanRecord",
     "Span",
     "NullSpan",
@@ -35,6 +36,10 @@ __all__ = [
     "NullTracer",
     "NULL_TRACER",
 ]
+
+#: The span the round core opens around every round attempt, in process or served:
+#: the round boundary the recorder, the health and live monitors and the report read.
+ROUND_SPAN = "federated.round"
 
 
 class SimClock:

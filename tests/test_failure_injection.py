@@ -32,7 +32,7 @@ from repro.federated import (
     StreamingAggregator,
     attribute_equals,
 )
-from repro.observability import MetricsRegistry, instrumented
+from repro.observability import InMemoryExporter, MetricsRegistry, Tracer, instrumented
 from repro.federated.secure_agg import PrimeField, Share, reconstruct_secret
 from repro.privacy import BitMeter, PrivacyAccountant, RandomizedResponse
 
@@ -166,6 +166,28 @@ class TestFederatedQueryFailureModes:
         query.run(population, rng=2)
         with pytest.raises(PrivacyBudgetExceeded):
             query.run(population, rng=3)
+
+    def test_only_a_missed_quorum_is_retried(self, encoder8):
+        # An over-disclosure inside an attempt fails its federated.round
+        # span and propagates as raised, with retries left unspent.
+        from repro.exceptions import PrivacyBudgetExceeded
+
+        population = self._population(100)
+        query = FederatedMeanQuery(
+            encoder8, mode="basic", meter=BitMeter(max_bits_per_value=1), metric_name="m",
+            retry=RetryPolicy(max_attempts=3),
+        )
+        query.run(population, rng=2)
+        memory, registry = InMemoryExporter(), MetricsRegistry()
+        with instrumented(Tracer([memory]), registry):
+            with pytest.raises(PrivacyBudgetExceeded):
+                query.run(population, rng=3)
+        rounds = [r for r in memory.records if r.name == "federated.round"]
+        assert [r.status for r in rounds] == ["error"]
+        assert "round.retry" not in {r.name for r in memory.records}
+        counters = registry.snapshot()["counters"]
+        assert counters["round_attempts_total"] == 1.0
+        assert "round_retries_total" not in counters
 
     def test_extreme_dropout_jitter_clamped(self, encoder8):
         from repro.federated import DropoutModel

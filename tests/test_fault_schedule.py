@@ -250,7 +250,7 @@ class TestQuorumAndRetryRounds:
         # The recovery wrapper must be a no-op for unconfigured queries.
         population = make_population()
         plain = self._query().run(population, rng=7)
-        wrapped = self._query(degraded_fraction=0.5, min_quorum=1).run(population, rng=7)
+        wrapped = self._query(min_quorum=1).run(population, rng=7)
         np.testing.assert_array_equal(plain.bit_means, wrapped.bit_means)
         assert plain.value == wrapped.value
 

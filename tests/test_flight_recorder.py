@@ -184,7 +184,6 @@ class TestRecordedRun:
                 record_dir=tmp_path / name / "run",
                 config=config.to_manifest(),
                 seed=config.seed,
-                round_span="serve.round",
                 sim_clock=True,
             ) as run:
                 served, _ = run_loopback(
@@ -276,7 +275,7 @@ class TestChromeTrace:
     """Chrome trace-event export: track layout, unit conversion, determinism."""
 
     RECORDS = [
-        _span("serve.round", 1, 100.0, 0.5, round_index=0, attempt=1),
+        _span("federated.round", 1, 100.0, 0.5, round_index=0, attempt=1),
         _span("serve.announce", 2, 100.0, 0.01, parent=1),
         _span("fleet.round", 10, 100.002, 0.4, parent=1, remote=True, client=3),
         _span("fleet.encode", 11, 100.002, 0.0, parent=10, remote=True, client=3),
@@ -308,7 +307,7 @@ class TestChromeTrace:
     def test_timestamps_relative_microseconds_with_clamped_durations(self):
         events = build_chrome_trace(self.RECORDS)["traceEvents"]
         spans = {(e["name"], e["tid"]): e for e in events if e["ph"] == "X"}
-        root = spans[("serve.round", SERVER_TRACK)]
+        root = spans[("federated.round", SERVER_TRACK)]
         assert root["ts"] == pytest.approx(0.0)
         assert root["dur"] == pytest.approx(0.5e6)
         encode = spans[("fleet.encode", 2)]
@@ -318,7 +317,7 @@ class TestChromeTrace:
 
     def test_span_args_carry_ids_status_and_attributes(self):
         failed = _span(
-            "serve.round", 7, 0.0, 1.0, status="error", attempt=2, clients=(1, 2)
+            "federated.round", 7, 0.0, 1.0, status="error", attempt=2, clients=(1, 2)
         )
         (event,) = [
             e for e in build_chrome_trace([failed])["traceEvents"] if e["ph"] == "X"

@@ -155,12 +155,10 @@ class TestRules:
         assert degenerate.firing is None
 
     def test_straggler_skew_reads_round_span_attributes(self):
-        monitor = HealthMonitor(
-            rules=[StragglerSkewRule(max_ratio=4.0)], round_span="serve.round"
-        )
+        monitor = HealthMonitor(rules=[StragglerSkewRule(max_ratio=4.0)])
         monitor.export(
             SpanRecord(
-                name="serve.round",
+                name="federated.round",
                 span_id=1,
                 parent_id=None,
                 start_time_s=0.0,

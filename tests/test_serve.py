@@ -59,7 +59,9 @@ from repro.federated.wire import (
 from repro.observability import (
     InMemoryExporter,
     MetricsRegistry,
+    ObservedRun,
     Tracer,
+    build_report,
     instrumented,
     load_run,
 )
@@ -299,6 +301,96 @@ class TestInProcessTwin:
             fleet_values(100_000, 2), ServeConfig(n_clients=100_000, seed=5), fleet_seed=2
         )
         assert twin.value == 598.4426550231725
+
+    def test_profile_draw_replays_network_transmit(self):
+        profile = EmulationProfile(loss_rate=0.3, latency_median_s=20.0)
+        for i in range(200):
+            drawn = fleet_module.client_generator(5, i)
+            sent = fleet_module.client_generator(5, i)
+            outcome = profile.network.transmit(1, sent)
+            fate = (bool(outcome.delivered[0]), float(outcome.latencies_s[0]))
+            assert profile.draw(drawn) == fate
+            assert drawn.random() == sent.random()  # both streams advanced alike
+
+    def test_emulated_uplinks_record_no_network_telemetry(self):
+        # A client's loss draw happens on the client: a loopback round
+        # records what a two-process round does, with no network.transmit
+        # span and no network_* metric on the server's side.
+        n = 16
+        cfg = ServeConfig(n_clients=n, seed=1, deadline_s=0.3, registration_timeout_s=5.0)
+        memory, registry = InMemoryExporter(), MetricsRegistry()
+        with instrumented(Tracer([memory]), registry):
+            served, fleet = run_loopback(
+                cfg, fleet_values(n, seed=2), profile=EmulationProfile(loss_rate=0.2), fleet_seed=2
+            )
+        assert fleet.uplinks_dropped > 0 and served.surviving_clients == fleet.uplinks_sent
+        assert "network.transmit" not in {r.name for r in memory.records}
+        snapshot = registry.snapshot()
+        names = [name for instruments in snapshot.values() for name in instruments]
+        assert not [name for name in names if name.startswith("network_")]
+
+
+class TestOneRoundVocabulary:
+    """The query, the server and the twin record one round core's phases."""
+
+    N = 16
+    CONFIG = ServeConfig(n_clients=N, seed=11, deadline_s=10.0, registration_timeout_s=5.0)
+
+    def _query(self):
+        values = fleet_values(self.N, seed=3)
+        population = [ClientDevice(i, [float(v)]) for i, v in enumerate(values)]
+        query = FederatedMeanQuery(self.CONFIG.encoder, mode="basic", schedule=self.CONFIG.schedule)
+        return query.run(population, rng=self.CONFIG.seed).metadata["round_attempts"][0]
+
+    def _served(self):
+        served, _ = run_loopback(self.CONFIG, fleet_values(self.N, seed=3), fleet_seed=3)
+        return served.attempts
+
+    def _twin(self):
+        twin = in_process_estimate(fleet_values(self.N, seed=3), self.CONFIG, fleet_seed=3)
+        return twin.metadata["round_attempts"][0]
+
+    def _retried_twin(self):
+        # test_draws_replay_each_clients_own_stream's round: more than one attempt.
+        cfg = ServeConfig(
+            n_clients=60, seed=2, epsilon=1.0, min_quorum=40,
+            retry=RetryPolicy(max_attempts=4, redraw_cohort=False),
+        )
+        twin = in_process_estimate(
+            fleet_values(60, seed=3), cfg, EmulationProfile(loss_rate=0.4), fleet_seed=6
+        )
+        return twin.metadata["round_attempts"][0]
+
+    @pytest.mark.parametrize("run_round", ["_query", "_served", "_twin", "_retried_twin"])
+    def test_every_round_path_records_the_round_core_spans(self, run_round):
+        memory, registry = InMemoryExporter(), MetricsRegistry()
+        with instrumented(Tracer([memory]), registry):
+            attempts = getattr(self, run_round)()
+        names = [r.name for r in memory.records]
+        assert {"federated.round", "round.assign", "federated.reconstruct"} <= set(names)
+        assert not {"serve.round", "serve.reconstruct"} & set(names)
+        assert names.count("federated.round") == names.count("round.assign") == attempts
+        assert names.count("round.retry") == attempts - 1
+        assert registry.snapshot()["counters"]["round_attempts_total"] == attempts
+
+    def test_recorded_served_retry_reports_every_attempt(self, tmp_path):
+        # test_retry_recovers_after_total_uplink_loss's round, recorded.
+        n = 12
+        cfg = ServeConfig(
+            n_clients=n, seed=4, deadline_s=0.3, registration_timeout_s=5.0,
+            retry=RetryPolicy(max_attempts=2, redraw_cohort=False),
+        )
+        with ObservedRun(record_dir=tmp_path, config=cfg.to_manifest(), seed=cfg.seed) as run:
+            served, _ = run_loopback(
+                cfg, fleet_values(n, seed=1), fleet_seed=1,
+                mutate=lambda cid, attempt, frame: None if attempt == 1 else frame,
+            )
+        run.finalize(estimate=served.estimate, accountant=served.accountant, meter=served.meter)
+        recovery = build_report(load_run(tmp_path))["recovery"]
+        assert [(e["kind"], e["attempt"]) for e in recovery] == [
+            ("failed", 1), ("retry", 1), ("completed", 2)
+        ]
+        assert recovery[2]["detail"] == f"{n}/{n} survivors"
 
 
 class TestUplinkRejection:
@@ -962,9 +1054,9 @@ class TestDistributedTracing:
         assert sorted(c for lo, k in ranges for c in range(lo, lo + k)) == list(range(n))
         assert {r.attributes["trace_id"] for r in remote} == {round_trace_id(cfg.seed)}
         assert {r.name for r in remote} == {"fleet.round", "fleet.encode", "fleet.uplink"}
-        # Remote roots are re-parented under the server's serve.round span:
-        # one fleet.round per connection.
-        round_ids = {r.span_id for r in memory.records if r.name == "serve.round"}
+        # Remote roots are re-parented under the server's federated.round
+        # span: one fleet.round per connection.
+        round_ids = {r.span_id for r in memory.records if r.name == "federated.round"}
         fleet_rounds = [r for r in remote if r.name == "fleet.round"]
         assert len(fleet_rounds) == connections
         assert all(r.parent_id in round_ids for r in fleet_rounds)
@@ -972,7 +1064,7 @@ class TestDistributedTracing:
         assert all(r.attributes["peer"] == "127.0.0.1" for r in remote)
 
         # The round span carries straggler stats derived from uplink arrivals.
-        (round_span,) = [r for r in memory.records if r.name == "serve.round"]
+        (round_span,) = [r for r in memory.records if r.name == "federated.round"]
         assert round_span.attributes["uplink_median_s"] >= 0.0
         assert (
             round_span.attributes["uplink_slow_decile_s"]
