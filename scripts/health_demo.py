@@ -5,7 +5,7 @@ Usage::
     python scripts/health_demo.py                        # narrate both campaigns
     python scripts/health_demo.py --assert-retry-storm   # CI gate (exit 1 on miss)
     python scripts/health_demo.py --assert-shard-failure # CI gate, secure campaign
-    python scripts/health_demo.py --out out/health_demo  # persist alerts.jsonl
+    python scripts/health_demo.py --out out/health_demo  # record both campaigns
 
 Two scripted campaigns, each deterministic down to the alert transitions:
 
@@ -24,9 +24,14 @@ Two scripted campaigns, each deterministic down to the alert transitions:
 obligations into exit codes -- the CI chaos job runs both next to the
 failure-injection tests.
 
-Every round attempt is reported to the :class:`HealthMonitor` through the
-query's direct hook (no tracer involved), and a :class:`LiveMonitor` on
-stderr shows what an operator watching the campaign would see.
+Each campaign runs under an :class:`ObservedRun` on a simulated clock: its
+:class:`HealthMonitor` reads the round spans as a tracer exporter, so every
+alert is stamped on the tracer's clock and two same-seed runs write the same
+``alerts.jsonl``.  A :class:`LiveMonitor` on the same tracer shows on stderr
+what an operator watching the campaign would see.  With ``--out DIR`` the
+basic campaign is recorded into ``DIR`` and the secure one into
+``DIR/secure``: each an ``alerts.jsonl`` next to the flight recorder's
+``events.jsonl`` and ``manifest.json``.
 """
 
 from __future__ import annotations
@@ -46,21 +51,45 @@ from repro.federated import (
     NetworkModel,
     RetryPolicy,
 )
-from repro.observability import (
-    ALERTS_FILENAME,
-    HealthMonitor,
-    LiveMonitor,
-    MetricsRegistry,
-    configure,
-    default_rules,
-    disable,
-)
+from repro.observability import ALERTS_FILENAME, HealthMonitor, LiveMonitor, ObservedRun
 
 FAULT_SPEC = "2:blackout;4-5:loss=0.6"
 
 #: Secure campaign: round 3 blacks out shard 0 (8 clients of 64).
 SECURE_FAULT_SPEC = "3:shard=0"
 SECURE_SHARD_SIZE = 8
+
+
+def _population(rng: np.random.Generator, n_clients: int) -> list[ClientDevice]:
+    return [
+        ClientDevice(i, np.clip(rng.normal(600.0, 100.0, 1), 0.0, None))
+        for i in range(n_clients)
+    ]
+
+
+def _observed_run(out_dir: Path | None, seed: int, rounds: int, faults: str) -> ObservedRun:
+    """A sim-clocked observed run, recorded into ``out_dir`` when one is given."""
+    config = {"faults": faults, "rounds": rounds}
+    return ObservedRun(record_dir=out_dir, config=config, seed=seed, sim_clock=True)
+
+
+def _observe_campaign(
+    run: ObservedRun,
+    campaign: MonitoringCampaign,
+    population: list[ClientDevice],
+    rng: np.random.Generator,
+    rounds: int,
+) -> HealthMonitor:
+    """Run ``rounds`` campaign rounds under ``run``, watched on stderr."""
+    live = LiveMonitor(planned_rounds=rounds, health=run.health)
+    run.tracer.add_exporter(live)
+    with run:
+        for _ in range(rounds):
+            campaign.run_round(population, rng=rng)
+    estimate = campaign.records[-1].estimate
+    live.finish(estimate=estimate.value)
+    run.finalize(estimate=estimate)
+    return run.health
 
 
 def run_demo(
@@ -71,15 +100,7 @@ def run_demo(
 ) -> HealthMonitor:
     """Run the chaos campaign; returns the health monitor for inspection."""
     rng = np.random.default_rng(seed)
-    population = [
-        ClientDevice(i, np.clip(rng.normal(600.0, 100.0, 1), 0.0, None))
-        for i in range(n_clients)
-    ]
-    sink = None
-    if out_dir is not None:
-        sink = Path(out_dir) / ALERTS_FILENAME
-    health = HealthMonitor(rules=default_rules(), sink=sink)
-    live = LiveMonitor(planned_rounds=rounds, health=health)
+    population = _population(rng, n_clients)
     query = FederatedMeanQuery(
         FixedPointEncoder.for_integers(10),
         mode="basic",
@@ -89,14 +110,9 @@ def run_demo(
         min_quorum=n_clients // 2,
         retry=RetryPolicy(max_attempts=4, redraw_cohort=False),
         faults=FaultSchedule.from_spec(FAULT_SPEC),
-        health=health,
     )
-    campaign = MonitoringCampaign(query, health=health, live=live)
-    for _ in range(rounds):
-        campaign.run_round(population, rng=rng)
-    live.finish(estimate=campaign.estimates[-1])
-    health.close()
-    return health
+    run = _observed_run(None if out_dir is None else Path(out_dir), seed, rounds, FAULT_SPEC)
+    return _observe_campaign(run, MonitoringCampaign(query), population, rng, rounds)
 
 
 def run_secure_demo(
@@ -108,38 +124,22 @@ def run_secure_demo(
     """Run the secure-aggregation shard-blackout campaign.
 
     The shard-failure rule reads the ``secure_shard_failures_total``
-    counter delta, so the monitor needs the same metrics registry the
-    masking sessions increment into.
+    counter delta from the observed run's metrics registry, which the
+    masking sessions increment.
     """
     rng = np.random.default_rng(seed)
-    population = [
-        ClientDevice(i, np.clip(rng.normal(600.0, 100.0, 1), 0.0, None))
-        for i in range(n_clients)
-    ]
-    sink = None
-    if out_dir is not None:
-        sink = Path(out_dir) / "secure" / ALERTS_FILENAME
-    registry = MetricsRegistry()
-    configure(metrics=registry)
-    try:
-        health = HealthMonitor(rules=default_rules(), metrics=registry, sink=sink)
-        live = LiveMonitor(planned_rounds=rounds, health=health)
-        query = FederatedMeanQuery(
-            FixedPointEncoder.for_integers(10),
-            mode="basic",
-            secure_aggregation=True,
-            shard_size=SECURE_SHARD_SIZE,
-            faults=FaultSchedule.from_spec(SECURE_FAULT_SPEC),
-            health=health,
-        )
-        campaign = MonitoringCampaign(query, health=health, live=live)
-        for _ in range(rounds):
-            campaign.run_round(population, rng=rng)
-        live.finish(estimate=campaign.estimates[-1])
-        health.close()
-    finally:
-        disable()
-    return health, campaign
+    population = _population(rng, n_clients)
+    query = FederatedMeanQuery(
+        FixedPointEncoder.for_integers(10),
+        mode="basic",
+        secure_aggregation=True,
+        shard_size=SECURE_SHARD_SIZE,
+        faults=FaultSchedule.from_spec(SECURE_FAULT_SPEC),
+    )
+    campaign = MonitoringCampaign(query)
+    record_dir = None if out_dir is None else Path(out_dir) / "secure"
+    run = _observed_run(record_dir, seed, rounds, SECURE_FAULT_SPEC)
+    return _observe_campaign(run, campaign, population, rng, rounds), campaign
 
 
 def _print_events(health: HealthMonitor) -> None:
@@ -182,7 +182,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=0, help="campaign RNG seed")
     parser.add_argument("--rounds", type=int, default=10, help="campaign rounds to run")
     parser.add_argument(
-        "--out", default=None, metavar="DIR", help="also persist alerts.jsonl into DIR"
+        "--out", default=None, metavar="DIR",
+        help="record both campaigns (alerts.jsonl, events.jsonl, manifest.json) into "
+        "DIR and DIR/secure",
     )
     parser.add_argument(
         "--assert-retry-storm",

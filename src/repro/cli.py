@@ -742,7 +742,7 @@ def run_report_command(
         return 2
     except BrokenPipeError:
         raise
-    except (json.JSONDecodeError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(
             f"error: cannot read manifest in {run_dir}: {exc}",
             file=error_stream,
@@ -802,7 +802,7 @@ def run_runs_command(args, stream=None, error_stream=None) -> int:
         return 2
     except BrokenPipeError:
         raise
-    except (json.JSONDecodeError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: cannot read artifact: {exc}", file=error_stream)
         return 2
 
@@ -1101,6 +1101,13 @@ def main(argv: list[str] | None = None) -> int:
 
 def _dispatch(argv: list[str] | None) -> int:
     args = _build_parser().parse_args(argv)
+    # Checked before any work: NumPy would reject a negative seed, and
+    # bind() or connect() a port past 65535, with a traceback.
+    if getattr(args, "seed", 0) < 0:
+        raise ConfigurationError(f"--seed must be >= 0, got {args.seed}")
+    port = getattr(args, "port", None)
+    if port is not None and not 0 <= port <= 65535:
+        raise ConfigurationError(f"--port must be in [0, 65535], got {port}")
 
     if args.command == "list":
         print("figures:  " + " ".join(FIGURE_PANELS))

@@ -5,7 +5,9 @@ aggregated daily for months, with the occupied bit range watched for heavy
 tails and regressions.  :class:`MonitoringCampaign` packages that loop --
 run the configured federated query each round, feed the resulting bit means
 to a :class:`~repro.core.monitor.HighBitMonitor`, and keep the history an
-operator dashboard would chart.
+operator dashboard would chart.  Each round runs under one ``campaign.round``
+span, which the health monitor, the flight recorder and any other tracer
+exporter read.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from repro.core.monitor import HighBitMonitor, MonitorAlert
 from repro.core.results import MeanEstimate
 from repro.federated.client import ClientDevice
 from repro.federated.server import FederatedMeanQuery
+from repro.observability import get_tracer
 from repro.rng import ensure_rng
 
 __all__ = ["CampaignRecord", "MonitoringCampaign"]
@@ -45,19 +48,11 @@ class MonitoringCampaign:
         Drift detector fed with each round's estimated bit means; defaults
         to a 3-round window, 2-bit shift threshold, with the noise floor set
         just above zero.
-    recorder:
-        Optional :class:`~repro.observability.recorder.FlightRecorder`; each
-        campaign round appends one ``campaign.round`` event line (estimate,
-        alert, robustness accounting) to the run's event log.
-    health:
-        Optional :class:`~repro.observability.health.HealthMonitor`; each
-        campaign round reports its drift-monitor outcome through
-        :meth:`~repro.observability.health.HealthMonitor.observe_campaign_round`
-        (pass the same monitor to the query for per-attempt round samples).
-    live:
-        Optional :class:`~repro.observability.live.LiveMonitor`; each
-        campaign round emits one progress line.  Only used when the live
-        monitor is not already attached as a tracer exporter.
+
+    :meth:`run_round` opens the round's ``campaign.round`` span around the
+    query.  Once the round completes, the span carries ``round_index``,
+    ``estimate``, ``n_clients``, ``alert`` (the drift alert's message, or
+    ``None``), ``round_attempts``, ``degraded`` and ``backoff_s``.
 
     Examples
     --------
@@ -79,17 +74,11 @@ class MonitoringCampaign:
         self,
         query: FederatedMeanQuery,
         monitor: HighBitMonitor | None = None,
-        recorder: Any = None,
-        health: Any = None,
-        live: Any = None,
     ) -> None:
         self.query = query
         self.monitor = monitor or HighBitMonitor(
             noise_floor=0.01, shift_threshold=2, window=3
         )
-        self.recorder = recorder
-        self.health = health
-        self.live = live
         self._records: list[CampaignRecord] = []
 
     # ------------------------------------------------------------------
@@ -99,53 +88,31 @@ class MonitoringCampaign:
         rng: np.random.Generator | int | None = None,
         **query_kwargs: Any,
     ) -> CampaignRecord:
-        """Execute one round: query, monitor, record."""
+        """Execute one round under its ``campaign.round`` span: query, monitor, record."""
         gen = ensure_rng(rng)
-        estimate = self.query.run(population, rng=gen, **query_kwargs)
-        alert = self.monitor.update(estimate.bit_means)
-        record = CampaignRecord(
-            round_index=len(self._records),
-            estimate=estimate,
-            alert=alert,
-            metadata={
-                "dropout_rate_estimate": self.query.dropout_tracker.rate,
-                "upper_bound": self.monitor.current_upper_bound,
-                # Robustness accounting: how hard the query had to fight.
-                "round_attempts": estimate.metadata.get("round_attempts", []),
-                "degraded": any(estimate.metadata.get("degraded_rounds", [])),
-                "backoff_s": sum(estimate.metadata.get("backoff_s", [])),
-            },
-        )
-        self._records.append(record)
-        if self.health is not None:
-            self.health.observe_campaign_round(
-                round_index=record.round_index,
-                shift=alert is not None,
-                degraded=bool(record.metadata["degraded"]),
-            )
-        if self.live is not None:
-            planned = estimate.metadata.get("planned_clients", [])
-            survived = estimate.metadata.get("surviving_clients", [])
-            self.live.update(
-                round_index=record.round_index,
-                survived=int(sum(survived)),
-                planned=int(sum(planned)),
-                degraded=bool(record.metadata["degraded"]),
-                duration_s=float(estimate.metadata.get("total_duration_s", 0.0)),
-            )
-        if self.recorder is not None:
-            self.recorder.record_event(
-                "campaign.round",
-                {
-                    "round_index": record.round_index,
-                    "estimate": float(estimate.value),
-                    "n_clients": int(estimate.n_clients),
-                    "alert": record.alert.message if record.alert is not None else None,
-                    "round_attempts": record.metadata["round_attempts"],
-                    "degraded": record.metadata["degraded"],
-                    "backoff_s": record.metadata["backoff_s"],
+        round_index = len(self._records)
+        with get_tracer().span("campaign.round", {"round_index": round_index}) as span:
+            estimate = self.query.run(population, rng=gen, **query_kwargs)
+            alert = self.monitor.update(estimate.bit_means)
+            record = CampaignRecord(
+                round_index=round_index,
+                estimate=estimate,
+                alert=alert,
+                metadata={
+                    "dropout_rate_estimate": self.query.dropout_tracker.rate,
+                    "upper_bound": self.monitor.current_upper_bound,
+                    # Robustness accounting: how hard the query had to fight.
+                    "round_attempts": estimate.metadata.get("round_attempts", []),
+                    "degraded": any(estimate.metadata.get("degraded_rounds", [])),
+                    "backoff_s": sum(estimate.metadata.get("backoff_s", [])),
                 },
             )
+            span.set_attribute("estimate", float(estimate.value))
+            span.set_attribute("n_clients", int(estimate.n_clients))
+            span.set_attribute("alert", alert.message if alert is not None else None)
+            for key in ("round_attempts", "degraded", "backoff_s"):
+                span.set_attribute(key, record.metadata[key])
+        self._records.append(record)
         return record
 
     # ------------------------------------------------------------------

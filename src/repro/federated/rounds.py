@@ -8,10 +8,10 @@ per-client draws, replayed in memory) differ only in how reports arrive.
 Everything around that lives here, once, and runs synchronously, so the TCP
 server calls it between its ``await`` points:
 
-* :meth:`AttemptLoop.attempt` -- each attempt's ``federated.round`` span and
-  ``round_attempts_total``, and the retry loop around it: backoff, the
-  ``round.retry`` span, ``round_retries_total``, the attempt history and
-  health observations;
+* :meth:`AttemptLoop.attempt` -- each attempt's ``federated.round`` span
+  (which the health monitor, the live view and the flight recorder read)
+  and ``round_attempts_total``, and the retry loop around it: backoff, the
+  ``round.retry`` span, ``round_retries_total`` and the attempt history;
 * :meth:`RoundCore.assign` -- the attempt's ``round.assign`` draw of the
   central bit assignment;
 * :meth:`Attempt.check_quorum` -- the quorum verdict and its
@@ -42,7 +42,7 @@ from repro.core.results import MeanEstimate, RoundSummary
 from repro.core.sampling import BitSamplingSchedule, central_assignment
 from repro.exceptions import ConfigurationError, RoundFailedError
 from repro.federated.retry import RetryPolicy
-from repro.observability import ROUND_SPAN, HealthMonitor, get_metrics, get_tracer
+from repro.observability import ROUND_SPAN, get_metrics, get_tracer
 from repro.privacy.accountant import BitMeter, PrivacyAccountant
 
 __all__ = ["DEGRADED_FRACTION", "Attempt", "AttemptLoop", "RoundCore", "RoundOutcome"]
@@ -122,13 +122,6 @@ class RoundCore:
         epsilon (sequential composition across rounds; a failed attempt
         spends nothing).  Flight-recorder manifests surface the ledger as
         the run's epsilon-spend timeline.
-    health:
-        Optional :class:`HealthMonitor`.  Every round attempt -- failed ones
-        included -- is reported through
-        :meth:`~repro.observability.health.HealthMonitor.observe_round`, so
-        SLO rules evaluate even when no tracer is installed.  Do not also
-        register the same monitor as a tracer exporter, or rounds evaluate
-        twice.
     """
 
     def __init__(
@@ -140,7 +133,6 @@ class RoundCore:
         meter: BitMeter | None = None,
         metric_name: str = "metric",
         accountant: PrivacyAccountant | None = None,
-        health: HealthMonitor | None = None,
     ) -> None:
         if min_quorum < 1:
             raise ConfigurationError(f"min_quorum must be >= 1, got {min_quorum}")
@@ -151,7 +143,6 @@ class RoundCore:
         self.meter = meter
         self.metric_name = metric_name
         self.accountant = accountant
-        self.health = health
 
     # ------------------------------------------------------------------
     def assign(self, n: int, schedule: BitSamplingSchedule, gen: np.random.Generator) -> np.ndarray:
@@ -315,9 +306,10 @@ class AttemptLoop:
     def attempt(self, planned: int) -> Iterator[Attempt]:
         """Run the next attempt, of ``planned`` clients, under its ``federated.round`` span.
 
-        A :class:`RoundFailedError` inside closes the span, then goes through
-        :meth:`retry_after` and is swallowed while another attempt may run;
-        any other exception passes through unchanged, unretried.
+        Any exception that leaves the attempt marks its span ``failed``.  A
+        :class:`RoundFailedError` then goes through :meth:`retry_after` and
+        is swallowed while another attempt may run; any other exception
+        passes through unchanged, unretried.
         """
         try:
             with get_tracer().span(
@@ -329,24 +321,18 @@ class AttemptLoop:
                 },
             ) as span:
                 get_metrics().counter("round_attempts_total").inc()
-                yield Attempt(self.core, span, self.round_index, self.number, planned)
+                try:
+                    yield Attempt(self.core, span, self.round_index, self.number, planned)
+                except BaseException:
+                    span.set_attribute("failed", True)
+                    raise
         except RoundFailedError as exc:
             if not self.retry_after(exc):
                 raise
 
-    def _observe(self, planned: int, survived: int, **sample: Any) -> None:
-        self.history.append((planned, survived))
-        health, accountant = self.core.health, self.core.accountant
-        if health is not None:
-            health.observe_round(
-                round_index=self.round_index, attempt=self.number, planned=planned,
-                survived=survived, **sample,
-                epsilon_spent=None if accountant is None else float(accountant.spent_epsilon),
-            )
-
     def retry_after(self, exc: RoundFailedError) -> bool:
         """Record a failed attempt; ``False`` once the retry budget is spent."""
-        self._observe(exc.planned, exc.survived, failed=True)
+        self.history.append((exc.planned, exc.survived))
         retry = self.core.retry
         if retry is None or self.number >= retry.max_attempts:
             return False
@@ -371,10 +357,7 @@ class AttemptLoop:
 
     def complete(self, outcome: RoundOutcome) -> RoundOutcome:
         """Record the completed attempt; stamp the outcome's recovery history."""
-        self._observe(
-            outcome.planned_clients, outcome.surviving_clients,
-            degraded=outcome.degraded, duration_s=outcome.round_duration_s,
-        )
+        self.history.append((outcome.planned_clients, outcome.surviving_clients))
         return replace(
             outcome, attempts=self.number, backoff_s=self.backoff_s,
             attempt_history=tuple(self.history),

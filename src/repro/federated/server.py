@@ -45,7 +45,7 @@ from repro.federated.secure_agg.hierarchy import (
     aggregate_shards,
     shard_bounds,
 )
-from repro.observability import HealthMonitor, get_metrics, get_tracer
+from repro.observability import get_metrics, get_tracer
 from repro.privacy.accountant import BitMeter, PrivacyAccountant
 from repro.rng import ensure_rng
 
@@ -113,9 +113,9 @@ class FederatedMeanQuery(RoundCore):
         Optional :class:`~repro.federated.faults.FaultSchedule`; its clock
         advances once per round *attempt* and the active fault overrides
         wrap ``dropout``/``network`` for that attempt.
-    min_quorum, retry, meter, metric_name, accountant, health:
+    min_quorum, retry, meter, metric_name, accountant:
         The round policy every transport shares (quorum, retries, privacy
-        metering, health); see :class:`~repro.federated.rounds.RoundCore`.
+        metering); see :class:`~repro.federated.rounds.RoundCore`.
     chunk_clients:
         Chunk size for the columnar client-plane kernels (``None``: the
         ``REPRO_BATCH_CHUNK`` default).  A pure performance/memory knob --
@@ -158,7 +158,6 @@ class FederatedMeanQuery(RoundCore):
         retry: RetryPolicy | None = None,
         faults: FaultSchedule | None = None,
         accountant: PrivacyAccountant | None = None,
-        health: HealthMonitor | None = None,
         chunk_clients: int | None = None,
     ) -> None:
         if mode not in _MODES:
@@ -179,7 +178,7 @@ class FederatedMeanQuery(RoundCore):
             )
         super().__init__(
             encoder, perturbation=perturbation, min_quorum=min_quorum, retry=retry,
-            meter=meter, metric_name=metric_name, accountant=accountant, health=health,
+            meter=meter, metric_name=metric_name, accountant=accountant,
         )
         self.mode = mode
         self.schedule = schedule or BitSamplingSchedule.weighted(encoder.n_bits, alpha=1.0)

@@ -24,7 +24,7 @@ from repro.core.protocol import BitPerturbation, decode_estimate, round_summary
 from repro.core.results import MeanEstimate
 from repro.exceptions import CohortTooSmallError, ConfigurationError, ProtocolError
 from repro.federated.client import BitReport
-from repro.observability import HealthMonitor, get_metrics, get_tracer
+from repro.observability import get_metrics, get_tracer
 
 __all__ = ["StreamingAggregator"]
 
@@ -49,12 +49,12 @@ class StreamingAggregator:
         degraded (``metadata["degraded"]``, with the achieved
         ``metadata["evidence_ratio"]``) -- the streaming counterpart of the
         round loop's quorum degradation.  ``None`` disables the check.
-    health:
-        Optional :class:`~repro.observability.health.HealthMonitor`; every
-        successful ``estimate()`` snapshot is reported through
-        :meth:`~repro.observability.health.HealthMonitor.observe_streaming`,
-        so under-evidenced snapshot streaks trip the quorum-degradation
-        rule just like degraded rounds do.
+
+    Each ``estimate()`` snapshot runs under a ``streaming.estimate`` span
+    (``reports``, ``n_bits``, ``estimate``, and ``degraded`` when flagged), so a
+    health monitor on the tracer takes every successful snapshot as a sample
+    and under-evidenced snapshot streaks trip the quorum-degradation rule
+    just like degraded rounds do.
 
     Examples
     --------
@@ -73,7 +73,6 @@ class StreamingAggregator:
         perturbation: BitPerturbation | None = None,
         min_reports: int = 1,
         target_reports: int | None = None,
-        health: HealthMonitor | None = None,
     ) -> None:
         if min_reports < 1:
             raise ConfigurationError(f"min_reports must be >= 1, got {min_reports}")
@@ -85,7 +84,6 @@ class StreamingAggregator:
         self.perturbation = perturbation
         self.min_reports = min_reports
         self.target_reports = target_reports
-        self.health = health
         self._sums = np.zeros(encoder.n_bits, dtype=np.float64)
         self._counts = np.zeros(encoder.n_bits, dtype=np.int64)
         self._clients_seen: set[int] = set()
@@ -158,12 +156,6 @@ class StreamingAggregator:
                 metadata=metadata,
             )
             span.set_attribute("estimate", estimate.value)
-            if self.health is not None:
-                self.health.observe_streaming(
-                    reports=total,
-                    degraded=bool(metadata.get("degraded", False)),
-                    evidence_ratio=metadata.get("evidence_ratio"),
-                )
             return estimate
 
     # ------------------------------------------------------------------

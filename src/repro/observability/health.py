@@ -3,25 +3,23 @@
 Long campaigns are *services*, and services need health signals while they
 run, not just post-hoc reports.  A :class:`HealthMonitor` evaluates a set of
 declarative :class:`HealthRule` objects against a stream of
-:class:`HealthSample` observations -- one per round attempt (plus optional
-estimate/campaign/streaming samples) -- and turns threshold crossings into
+:class:`HealthSample` observations -- one per round attempt (plus campaign,
+streaming and estimate samples) -- and turns threshold crossings into
 **alerts with fire/resolve semantics**: a rule that starts failing emits one
 ``fired`` event, stays silently active while it keeps failing, and emits one
 ``resolved`` event when the condition clears.  Every transition is appended
 to the monitor's event list and, when a sink is configured, to an
 ``alerts.jsonl`` file next to the flight-recorder artifact.
 
-Two wirings exist (use one per run, not both, or rounds evaluate twice):
-
-* **Span-driven** -- the monitor is a tracer exporter: each closing
-  ``federated.round`` span (any round attempt, in process or served)
-  becomes a round sample whose time is the span's end time, so
-  ``--sim-clock`` runs produce byte-identical ``alerts.jsonl`` across
-  same-seed runs.  This is what ``ObservedRun`` (``trace``, ``serve``) does.
-* **Direct** -- ``FederatedMeanQuery(health=...)``,
-  ``MonitoringCampaign(health=...)``, and ``StreamingAggregator(health=...)``
-  call the ``observe_*`` hooks, timing samples on the *simulated* round
-  durations, so untraced campaign loops get the same watchdog.
+The monitor is a tracer exporter and reads spans only.  Each closing
+``federated.round`` span (any round attempt, in process or served), each
+successful ``campaign.round`` span and each successful
+``streaming.estimate`` snapshot becomes one sample, stamped with the span's
+end time on the tracer's clock, so ``--sim-clock`` runs produce
+byte-identical ``alerts.jsonl`` across same-seed runs.  ``ObservedRun``
+(``trace``, ``serve``) installs it this way.  The one explicit call is
+:meth:`HealthMonitor.observe_estimate`, the end-of-run estimate and its
+Lemma 3.1 analysis, stamped at the last sample's time.
 
 The built-in rule set (:func:`default_rules`) covers the SLOs the ROADMAP's
 scaling arc needs visible: epsilon-budget burn rate vs. schedule, retry
@@ -88,11 +86,9 @@ class HealthSample:
     survived: int | None = None
     failed: bool = False
     degraded: bool = False
-    epsilon_spent: float | None = None
     observed_error: float | None = None
     predicted_std: float | None = None
     shift: bool = False
-    evidence_ratio: float | None = None
     uplink_median_s: float | None = None
     uplink_slow_decile_s: float | None = None
     counters: Mapping[str, float] = field(default_factory=dict)
@@ -158,9 +154,10 @@ class EpsilonBurnRateRule(HealthRule):
     """Cumulative epsilon spend is ahead of its schedule.
 
     With a budget and a planned round count, each completed round is allowed
-    ``budget / planned_rounds`` of spend; the rule fires when the observed
-    cumulative spend exceeds ``headroom`` times the allowance earned so far
-    (and resolves if later on-schedule rounds catch the allowance back up).
+    ``budget / planned_rounds`` of spend; the rule fires when the cumulative
+    spend (the ``privacy_epsilon_spent_total`` counter) exceeds ``headroom``
+    times the allowance earned so far (and resolves if later on-schedule
+    rounds catch the allowance back up).
     Without ``planned_rounds`` the whole budget is the allowance, so the
     rule degenerates to "spent more than ``headroom * budget``".
     """
@@ -191,9 +188,7 @@ class EpsilonBurnRateRule(HealthRule):
             return Reading(None)
         if not sample.failed:
             self._completed += 1
-        spent = sample.epsilon_spent
-        if spent is None:
-            spent = sample.counters.get("privacy_epsilon_spent_total")
+        spent = sample.counters.get("privacy_epsilon_spent_total")
         if spent is None:
             return Reading(None)
         if self.planned_rounds is None:
@@ -517,8 +512,8 @@ class HealthMonitor:
         names must be unique -- they key the fire/resolve state.
     metrics:
         Optional :class:`~repro.observability.metrics.MetricsRegistry`
-        snapshotted into every span-driven sample's ``counters``.  ``None``
-        falls back to the process-wide registry at sample time.
+        snapshotted into every sample's ``counters``.  ``None`` falls back
+        to the process-wide registry at sample time.
     sink:
         Where alert transitions are persisted: a path (an ``alerts.jsonl``
         file, opened with line-level flushing like the flight recorder's
@@ -526,7 +521,8 @@ class HealthMonitor:
         ``None`` keeps transitions in memory only.
 
     Installed as a tracer exporter, the monitor takes each closing
-    :data:`~repro.observability.tracing.ROUND_SPAN` as a round attempt.
+    :data:`~repro.observability.tracing.ROUND_SPAN` as a round attempt (see
+    :meth:`export`).
     """
 
     def __init__(
@@ -566,111 +562,65 @@ class HealthMonitor:
             return {}
         return dict(registry.snapshot().get("counters", {}))
 
-    def _advance(self, t_s: float | None, duration_s: float) -> float:
+    def _advance(self, t_s: float | None) -> float:
         if t_s is not None:
             self._t = max(self._t, float(t_s))
-        else:
-            self._t += float(duration_s)
         return self._t
 
-    # -- exporter protocol (span-driven wiring) ------------------------
+    # -- exporter protocol ----------------------------------------------
     def export(self, record: SpanRecord) -> None:
-        """Evaluate one round sample per closing round span."""
-        if record.name != ROUND_SPAN:
-            return
-        attrs = record.attributes
-        sample = HealthSample(
-            kind="round",
-            t_s=self._advance(record.start_time_s + record.duration_s, 0.0),
-            round_index=attrs.get("round_index"),
-            attempt=attrs.get("attempt"),
-            planned=attrs.get("planned_clients"),
-            survived=attrs.get("surviving_clients"),
-            failed=bool(attrs.get("failed")),
-            degraded=bool(attrs.get("degraded")),
-            uplink_median_s=attrs.get("uplink_median_s"),
-            uplink_slow_decile_s=attrs.get("uplink_slow_decile_s"),
-            counters=self._counters(),
-        )
-        self.evaluate(sample)
+        """Evaluate one sample per closing round span, and per successful
+        ``campaign.round`` or ``streaming.estimate`` span.
 
-    # -- direct wiring (server / campaign / streaming hooks) -----------
-    def observe_round(
-        self,
-        round_index: int,
-        attempt: int,
-        planned: int,
-        survived: int,
-        failed: bool = False,
-        degraded: bool = False,
-        duration_s: float = 0.0,
-        epsilon_spent: float | None = None,
-        t_s: float | None = None,
-    ) -> list[AlertEvent]:
-        """One round attempt from :class:`FederatedMeanQuery` (no tracer needed)."""
-        return self.evaluate(
-            HealthSample(
-                kind="round",
-                t_s=self._advance(t_s, duration_s),
-                round_index=round_index,
-                attempt=attempt,
-                planned=planned,
-                survived=survived,
-                failed=failed,
-                degraded=degraded,
-                epsilon_spent=epsilon_spent,
-                counters=self._counters(),
-            )
-        )
+        A round attempt counts whether it completed or failed; a campaign
+        round or snapshot that raised is no sample.
+        """
+        attrs = record.attributes
+        if record.name == ROUND_SPAN:
+            fields: dict[str, Any] = {
+                "kind": "round",
+                "round_index": attrs.get("round_index"),
+                "attempt": attrs.get("attempt"),
+                "planned": attrs.get("planned_clients"),
+                "survived": attrs.get("surviving_clients"),
+                "failed": bool(attrs.get("failed")),
+                "degraded": bool(attrs.get("degraded")),
+                "uplink_median_s": attrs.get("uplink_median_s"),
+                "uplink_slow_decile_s": attrs.get("uplink_slow_decile_s"),
+            }
+        elif record.status != "ok":
+            return
+        elif record.name == "campaign.round":
+            fields = {
+                "kind": "campaign",
+                "round_index": attrs.get("round_index"),
+                "shift": attrs.get("alert") is not None,
+                "degraded": bool(attrs.get("degraded")),
+            }
+        elif record.name == "streaming.estimate":
+            fields = {
+                "kind": "streaming",
+                "survived": attrs.get("reports"),
+                "degraded": bool(attrs.get("degraded")),
+            }
+        else:
+            return
+        t_s = self._advance(record.start_time_s + record.duration_s)
+        self.evaluate(HealthSample(t_s=t_s, counters=self._counters(), **fields))
 
     def observe_estimate(
         self, analysis: Mapping[str, Any], t_s: float | None = None
     ) -> list[AlertEvent]:
-        """An end-of-run estimate with its Lemma 3.1 analysis dict."""
+        """An end-of-run estimate with its Lemma 3.1 analysis dict.
+
+        Stamped at ``t_s``, by default the last sample's time.
+        """
         return self.evaluate(
             HealthSample(
                 kind="estimate",
-                t_s=self._advance(t_s, 0.0),
+                t_s=self._advance(t_s),
                 observed_error=analysis.get("observed_error"),
                 predicted_std=analysis.get("predicted_std"),
-                counters=self._counters(),
-            )
-        )
-
-    def observe_campaign_round(
-        self,
-        round_index: int,
-        shift: bool = False,
-        degraded: bool = False,
-        t_s: float | None = None,
-    ) -> list[AlertEvent]:
-        """One campaign round's drift-monitor outcome."""
-        return self.evaluate(
-            HealthSample(
-                kind="campaign",
-                t_s=self._advance(t_s, 0.0),
-                round_index=round_index,
-                shift=shift,
-                degraded=degraded,
-                counters=self._counters(),
-            )
-        )
-
-    def observe_streaming(
-        self,
-        reports: int,
-        degraded: bool = False,
-        evidence_ratio: float | None = None,
-        t_s: float | None = None,
-    ) -> list[AlertEvent]:
-        """One streaming-aggregator snapshot."""
-        return self.evaluate(
-            HealthSample(
-                kind="streaming",
-                t_s=self._advance(t_s, 0.0),
-                survived=reports,
-                degraded=degraded,
-                evidence_ratio=evidence_ratio,
                 counters=self._counters(),
             )
         )

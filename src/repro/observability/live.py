@@ -1,8 +1,9 @@
 """Live campaign monitor: per-round progress lines on stderr.
 
 ``repro.cli trace --watch`` attaches a :class:`LiveMonitor` next to the
-other exporters: every closing ``federated.round`` span (one round
-attempt, in process or served) becomes one progress line --
+other exporters, as ``scripts/health_demo.py`` does for its campaigns: every
+closing ``federated.round`` span (one round attempt, in process or served)
+becomes one progress line --
 round/attempt, delivered vs planned reports, cumulative report throughput,
 a naive ETA from the mean round duration, and whatever health alerts are
 currently firing.  Output goes to **stderr** so the
@@ -34,9 +35,9 @@ class LiveMonitor:
         progress without an ETA.
     health:
         Optional :class:`HealthMonitor` whose active alerts are appended to
-        every line.  The live monitor only *reads* the health state; wiring
-        the health monitor itself (as an exporter or via hooks) is the
-        caller's job, so attaching a watcher never double-evaluates rules.
+        every line.  The live monitor only *reads* the health state; the
+        health monitor is an exporter of the same tracer, registered before
+        this one so each line shows the alerts its round just changed.
     stream:
         Defaults to ``sys.stderr`` (resolved at write time, so pytest's
         capsys and CLI redirections both behave).
@@ -78,33 +79,6 @@ class LiveMonitor:
             planned=planned,
             failed=bool(attrs.get("failed")),
             degraded=bool(attrs.get("degraded")),
-        )
-
-    # -- direct wiring (untraced campaign loops) ------------------------
-    def update(
-        self,
-        round_index: Any = None,
-        attempt: Any = None,
-        survived: int = 0,
-        planned: int = 0,
-        failed: bool = False,
-        degraded: bool = False,
-        duration_s: float = 0.0,
-    ) -> None:
-        """Record one round without a tracer (simulated durations)."""
-        self._rounds_seen += 1
-        self._reports_total += int(survived)
-        if self._first_start is None:
-            self._first_start = 0.0
-            self._last_end = 0.0
-        self._last_end = (self._last_end or 0.0) + float(duration_s)
-        self.emit(
-            round_index=round_index,
-            attempt=attempt,
-            survived=int(survived),
-            planned=int(planned),
-            failed=failed,
-            degraded=degraded,
         )
 
     # -- rendering ------------------------------------------------------

@@ -2,11 +2,12 @@
 
 A :class:`FlightRecorder` captures everything a run did into one directory:
 
-* ``events.jsonl`` -- the span stream (the recorder is a tracer exporter),
+* ``events.jsonl`` -- the span stream (the recorder is a tracer exporter;
+  a monitoring campaign's rounds are its ``campaign.round`` spans),
   round-boundary metric snapshots (one ``{"type": "round"}`` line each time
   a ``federated.round`` span closes, in-process and served rounds alike),
-  and free-form ``{"type": "event"}``
-  lines (campaign rounds, operator notes);
+  and free-form ``{"type": "event"}`` lines (operator notes, through
+  :meth:`FlightRecorder.record_event`);
 * ``manifest.json`` -- the run's identity and outcome: config, seed, git
   revision, final estimate, error-vs-bound analysis, metrics snapshot,
   phase profile, privacy-ledger spends, and bit-meter totals.

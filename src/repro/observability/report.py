@@ -66,7 +66,9 @@ def load_run(directory: str | Path) -> RunArtifact:
     """Load a flight-recorder artifact directory.
 
     A truncated final event line (crashed run) is skipped, not fatal --
-    everything the recorder flushed before death is still reported.
+    everything the recorder flushed before death is still reported.  A
+    manifest that is not valid JSON, or not a JSON object, raises
+    :class:`ValueError`.
     """
     directory = Path(directory)
     manifest_path = directory / MANIFEST_FILENAME
@@ -77,6 +79,8 @@ def load_run(directory: str | Path) -> RunArtifact:
             "(produce one with `repro.cli trace <target> --record <dir>`)"
         )
     manifest = json.loads(manifest_path.read_text())
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{manifest_path} is not a JSON object")
     events: list[dict[str, Any]] = []
     skipped = 0
     if events_path.exists():
@@ -150,10 +154,15 @@ def _recovery_timeline(artifact: RunArtifact) -> list[dict[str, Any]]:
         elif record.name == ROUND_SPAN:
             if attrs.get("failed"):
                 kind = "failed"
-                detail = (
-                    f"{attrs.get('surviving_clients')}/{attrs.get('planned_clients')} "
-                    "survivors (below quorum)"
-                )
+                if "surviving_clients" in attrs:
+                    detail = (
+                        f"{attrs['surviving_clients']}/{attrs.get('planned_clients')} "
+                        "survivors (below quorum)"
+                    )
+                else:
+                    # Another exception (the bit meter's, say) ended the
+                    # attempt before its fold stamped the survivors.
+                    detail = f"aborted: {attrs.get('error', '')}"
             elif attrs.get("degraded"):
                 kind = "degraded"
                 detail = (

@@ -1,5 +1,7 @@
 """Monitoring campaigns and multi-feature bit-budgeted queries."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from repro.federated import (
     MonitoringCampaign,
     MultiFeatureQuery,
 )
+from repro.observability import ObservedRun
 
 
 def _population(rng, n=2_000, scale=100.0):
@@ -50,6 +53,44 @@ class TestMonitoringCampaign:
         # catches up.
         assert alerts and alerts[0] == 4
         assert len(campaign.alerts) == len(alerts)
+
+    def test_alert_reaches_the_health_monitor_through_its_round_span(self):
+        rng = np.random.default_rng(1)
+        campaign = MonitoringCampaign(
+            FederatedMeanQuery(FixedPointEncoder.for_integers(12))
+        )
+        with ObservedRun(sim_clock=True) as run:
+            for day in range(6):
+                scale = 100.0 if day < 4 else 1500.0
+                campaign.run_round(_population(rng, scale=scale), rng)
+        run.finalize()
+        rounds = [r for r in run.spans if r.name == "campaign.round"]
+        assert [r.attributes["round_index"] for r in rounds] == list(range(6))
+        shift = next(e for e in run.health.events if e.rule == "monitor-shift")
+        assert (shift.state, shift.round_index) == ("fired", 4)
+        # Stamped on the tracer's clock, when round 4's span closed.
+        assert shift.t_s == rounds[4].start_time_s + rounds[4].duration_s
+
+    def test_recorded_campaign_logs_one_span_per_round(self, tmp_path):
+        rng = np.random.default_rng(0)
+        campaign = MonitoringCampaign(
+            FederatedMeanQuery(FixedPointEncoder.for_integers(10))
+        )
+        with ObservedRun(record_dir=tmp_path, sim_clock=True) as run:
+            for _ in range(3):
+                campaign.run_round(_population(rng), rng)
+        run.finalize()
+        lines = [json.loads(line) for line in (tmp_path / "events.jsonl").read_text().splitlines()]
+        spans = [x for x in lines if x["type"] == "span" and x["name"] == "campaign.round"]
+        assert [x["attributes"]["round_index"] for x in spans] == [0, 1, 2]
+        keys = {
+            "round_index", "estimate", "n_clients", "alert",
+            "round_attempts", "degraded", "backoff_s",
+        }
+        assert all(keys <= set(x["attributes"]) for x in spans)
+        assert [x["attributes"]["estimate"] for x in spans] == campaign.estimates
+        assert spans[0]["attributes"]["round_attempts"] == [1, 1]  # two adaptive rounds
+        assert spans[0]["attributes"]["alert"] is None
 
     def test_no_alert_when_stable(self):
         rng = np.random.default_rng(2)

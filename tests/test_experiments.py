@@ -204,6 +204,15 @@ class TestCli:
             ("fleet --clients 2 --port 1 --emulation bogus", 2, "error: "),
             ("figure 1a --quick --workers 0", 2, "error: "),
             ("runs check RUN RUN --tolerance 1.0", 2, "error: "),
+            ("trace 1a --quick --seed -1", 2, "error: "),
+            ("serve --clients 2 --seed -1", 2, "error: "),
+            ("fleet --clients 2 --port 1 --seed -1", 2, "error: "),
+            ("selfcheck --seed -1", 2, "error: "),
+            ("serve --clients 2 --port 99999", 2, "error: "),
+            ("fleet --clients 2 --port 70000", 2, "error: "),
+            ("report LIST", 2, "error: "),
+            ("runs compare LIST LIST", 2, "error: "),
+            ("runs check LIST LIST", 2, "error: "),
         ],
     )
     def test_bad_input_ends_in_one_line(self, argv, code, prefix, tmp_path, capsys):
@@ -218,6 +227,11 @@ class TestCli:
                 "3a", quick=True, sim_clock=True, record_dir=str(run_dir), stream=io.StringIO()
             )
             args = [str(run_dir) if arg == "RUN" else arg for arg in args]
+        if "LIST" in args:
+            # A manifest that parses as JSON but is not an object.
+            (tmp_path / "list").mkdir()
+            (tmp_path / "list" / "manifest.json").write_text("[1, 2]\n")
+            args = [str(tmp_path / "list") if arg == "LIST" else arg for arg in args]
         assert cli_main(args) == code
         err = capsys.readouterr().err
         assert "Traceback" not in err

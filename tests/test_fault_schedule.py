@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core import FixedPointEncoder
-from repro.exceptions import ConfigurationError, RoundFailedError
+from repro.exceptions import CohortTooSmallError, ConfigurationError, RoundFailedError
 from repro.federated import (
     MAX_EFFECTIVE_RATE,
     ClientDevice,
@@ -27,11 +27,13 @@ from repro.federated import (
     TotalBlackout,
 )
 from repro.observability import (
+    HealthMonitor,
     InMemoryExporter,
     MetricsRegistry,
     Tracer,
     instrumented,
 )
+from repro.observability.health import QuorumDegradationRule
 
 
 def make_population(n=400, seed=0):
@@ -271,6 +273,29 @@ class TestStreamingDegradation:
             agg.submit(BitReport(client_id=client, bit_index=client % 4, bit=1))
         full = agg.estimate()
         assert full.metadata["degraded"] is False
+
+    def test_snapshots_feed_the_health_monitor(self):
+        from repro.federated import BitReport
+
+        monitor = HealthMonitor(rules=[QuorumDegradationRule(window=3, max_rate=0.5)])
+        agg = StreamingAggregator(
+            FixedPointEncoder.for_integers(4), min_reports=10, target_reports=100
+        )
+        with instrumented(Tracer([monitor]), MetricsRegistry()):
+            with pytest.raises(CohortTooSmallError):
+                agg.estimate()  # below min_reports: no sample
+            assert monitor.summary()["evaluations"] == 0
+            for client in range(140):
+                agg.submit(BitReport(client_id=client, bit_index=client % 4, bit=1))
+                if client + 1 in (10, 20, 30, 100, 140):
+                    agg.estimate()
+        # Three under-evidenced snapshots fill the window; two at the
+        # target push them out.
+        assert monitor.summary()["evaluations"] == 5
+        assert [(e.rule, e.state) for e in monitor.events] == [
+            ("quorum-degradation", "fired"),
+            ("quorum-degradation", "resolved"),
+        ]
 
     def test_target_below_minimum_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -15,18 +15,23 @@ import json
 import pytest
 
 from repro.cli import run_traced_round
+from repro.core import FixedPointEncoder
 from repro.core.monitor import HighBitMonitor
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, PrivacyBudgetExceeded
+from repro.federated import ClientDevice, FederatedMeanQuery
 from repro.observability import (
     ALERTS_FILENAME,
     HealthMonitor,
     InMemoryExporter,
     LiveMonitor,
     MetricsRegistry,
+    ObservedRun,
     Tracer,
+    build_report,
     default_rules,
     instrumented,
     load_alerts,
+    load_run,
 )
 from repro.observability.health import (
     DropoutClipRule,
@@ -42,6 +47,8 @@ from repro.observability.health import (
     rank_active,
 )
 from repro.observability.tracing import SpanRecord
+from repro.privacy import RandomizedResponse
+from repro.privacy.accountant import BitMeter, PrivacyAccountant
 
 
 def _round(attempt=1, failed=False, degraded=False, t_s=0.0, counters=None, **kw):
@@ -53,6 +60,18 @@ def _round(attempt=1, failed=False, degraded=False, t_s=0.0, counters=None, **kw
         degraded=degraded,
         counters=counters or {},
         **kw,
+    )
+
+
+def _span(round_index=0, end=0.0, duration=0.0, **attrs):
+    """A finished round-attempt span ending at ``end``."""
+    return SpanRecord(
+        name="federated.round",
+        span_id=1,
+        parent_id=None,
+        start_time_s=end - duration,
+        duration_s=duration,
+        attributes={"round_index": round_index, "attempt": 1, **attrs},
     )
 
 
@@ -72,11 +91,15 @@ class TestRules:
 
     def test_epsilon_burn_rate_tracks_the_schedule(self):
         rule = EpsilonBurnRateRule(budget=2.0, planned_rounds=4)
+
+        def spent(epsilon):
+            return _round(counters={"privacy_epsilon_spent_total": epsilon})
+
         # Round 1 spends 1.5 of the 0.5 earned so far: way ahead of schedule.
-        assert rule.evaluate(_round(epsilon_spent=1.5)).firing is True
+        assert rule.evaluate(spent(1.5)).firing is True
         # Three more on-schedule rounds let the allowance catch up.
-        for spent in (1.6, 1.8, 2.0):
-            reading = rule.evaluate(_round(epsilon_spent=spent))
+        for epsilon in (1.6, 1.8, 2.0):
+            reading = rule.evaluate(spent(epsilon))
         assert reading.firing is False
 
     def test_epsilon_burn_rate_reads_the_counter_snapshot(self):
@@ -212,12 +235,14 @@ class TestHealthMonitor:
     def test_fire_once_resolve_once(self):
         rule = _AlwaysOn()
         monitor = HealthMonitor(rules=[rule])
-        assert len(monitor.observe_round(0, 1, 10, 10)) == 1
-        assert monitor.observe_round(1, 1, 10, 10) == []  # active, no re-fire
+        monitor.export(_span(0))
+        assert len(monitor.events) == 1
+        monitor.export(_span(1))  # active, no re-fire
+        assert len(monitor.events) == 1
         rule.firing = False
-        transitions = monitor.observe_round(2, 1, 10, 10)
-        assert [t.state for t in transitions] == ["resolved"]
-        assert monitor.observe_round(3, 1, 10, 10) == []
+        monitor.export(_span(2))
+        assert [e.state for e in monitor.events] == ["fired", "resolved"]
+        monitor.export(_span(3))
         assert [e.state for e in monitor.events] == ["fired", "resolved"]
         assert monitor.active_alerts() == []
 
@@ -234,7 +259,7 @@ class TestHealthMonitor:
     def test_summary_shape(self):
         rule = _AlwaysOn()
         monitor = HealthMonitor(rules=[rule])
-        monitor.observe_round(0, 1, 10, 10)
+        monitor.export(_span(0))
         summary = monitor.summary()
         assert summary["evaluations"] == 1
         assert summary["fired_total"] == 1
@@ -247,9 +272,9 @@ class TestHealthMonitor:
     def test_sink_round_trip(self, tmp_path):
         rule = _AlwaysOn()
         monitor = HealthMonitor(rules=[rule], sink=tmp_path / ALERTS_FILENAME)
-        monitor.observe_round(0, 1, 10, 10, duration_s=1.5)
+        monitor.export(_span(0, end=1.5, duration=1.5))
         rule.firing = False
-        monitor.observe_round(1, 1, 10, 10, duration_s=1.5)
+        monitor.export(_span(1, end=3.0, duration=1.5))
         monitor.close()
         alerts = load_alerts(tmp_path)
         assert [a["state"] for a in alerts] == ["fired", "resolved"]
@@ -325,9 +350,11 @@ class TestLiveMonitor:
     def test_update_lines_and_finish(self):
         stream = io.StringIO()
         live = LiveMonitor(planned_rounds=2, stream=stream)
-        live.update(round_index=0, survived=90, planned=100, duration_s=10.0)
-        live.update(round_index=1, attempt=3, survived=80, planned=100,
-                    degraded=True, duration_s=10.0)
+        live.export(_span(0, end=10.0, duration=10.0, surviving_clients=90, planned_clients=100))
+        live.export(
+            _span(1, end=20.0, duration=10.0, attempt=3, surviving_clients=80,
+                  planned_clients=100, degraded=True)
+        )
         live.finish(estimate=123.456)
         lines = stream.getvalue().splitlines()
         assert len(lines) == 3
@@ -341,10 +368,11 @@ class TestLiveMonitor:
     def test_active_alerts_rendered_most_severe_first(self):
         rule = _AlwaysOn()
         health = HealthMonitor(rules=[rule])
-        health.observe_round(0, 1, 10, 10)
         stream = io.StringIO()
         live = LiveMonitor(health=health, stream=stream)
-        live.update(round_index=0, survived=10, planned=10)
+        span = _span(0, surviving_clients=10, planned_clients=10)
+        for exporter in (health, live):
+            exporter.export(span)
         assert "alerts: always-on(critical)" in stream.getvalue()
 
     def test_exporter_protocol_ignores_other_spans(self):
@@ -357,6 +385,52 @@ class TestLiveMonitor:
             )
         )
         assert stream.getvalue() == ""
+
+
+class _Samples(HealthRule):
+    """Keeps every sample; never fires."""
+
+    name = "samples"
+
+    def __init__(self):
+        self.samples = []
+
+    def evaluate(self, sample):
+        self.samples.append(sample)
+        return Reading(None)
+
+
+class TestAbortedAttempt:
+    def test_an_attempt_that_raised_reads_as_failed(self, tmp_path):
+        # The second query re-asks the same devices: the one-bit meter
+        # aborts its attempt inside the fold, after the quorum check.
+        devices = [ClientDevice(i, [float(i % 50)]) for i in range(200)]
+        query = FederatedMeanQuery(
+            FixedPointEncoder.for_integers(6),
+            mode="basic",
+            meter=BitMeter(max_bits_per_value=1),
+            accountant=PrivacyAccountant(),
+            perturbation=RandomizedResponse(1.0),
+        )
+        samples = _Samples()
+        run = ObservedRun(record_dir=tmp_path, rules=[samples], sim_clock=True)
+        stream = io.StringIO()
+        run.tracer.add_exporter(LiveMonitor(health=run.health, stream=stream))
+        with run:
+            query.run(devices, rng=0)
+            with pytest.raises(PrivacyBudgetExceeded):
+                query.run(devices, rng=1)
+        run.finalize()
+        assert [(s.kind, s.failed) for s in samples.samples] == [
+            ("round", False),
+            ("round", True),
+        ]
+        lines = stream.getvalue().splitlines()
+        assert "FAILED" not in lines[0]
+        assert lines[1].startswith("[watch] round 1 | 0/200 reports | FAILED")
+        recovery = build_report(load_run(tmp_path))["recovery"]
+        assert [e["kind"] for e in recovery] == ["completed", "failed"]
+        assert "PrivacyBudgetExceeded" in recovery[1]["detail"]
 
 
 class TestWatchCli:

@@ -512,38 +512,26 @@ class TestServerSecureRounds:
 
     def test_shard_failure_health_rule_fires_and_resolves(self, encoder):
         registry = MetricsRegistry()
-        configure(metrics=registry)
-        try:
-            monitor = HealthMonitor(
-                rules=[ShardFailureRule(window=2)], metrics=registry
-            )
-            population = make_population(32)
-            # Adaptive mode runs two rounds: round 1 is the clean baseline
-            # for the counter-delta window, round 2 blacks out shard 0.
-            faulty = FederatedMeanQuery(
-                encoder,
-                mode="adaptive",
-                secure_aggregation=True,
-                shard_size=8,
-                faults=FaultSchedule(
-                    [FaultEvent(first_round=2, shard_blackout=(0,))]
-                ),
-                health=monitor,
-            )
+        monitor = HealthMonitor(rules=[ShardFailureRule(window=2)], metrics=registry)
+        population = make_population(32)
+        # Adaptive mode runs two rounds: round 1 is the clean baseline
+        # for the counter-delta window, round 2 blacks out shard 0.
+        faulty = FederatedMeanQuery(
+            encoder,
+            mode="adaptive",
+            secure_aggregation=True,
+            shard_size=8,
+            faults=FaultSchedule([FaultEvent(first_round=2, shard_blackout=(0,))]),
+        )
+        clean = FederatedMeanQuery(
+            encoder, mode="adaptive", secure_aggregation=True, shard_size=8
+        )
+        with instrumented(Tracer([monitor]), registry):
             faulty.run(population, rng=6)  # fires on round 2
-            clean = FederatedMeanQuery(
-                encoder,
-                mode="adaptive",
-                secure_aggregation=True,
-                shard_size=8,
-                health=monitor,
-            )
             clean.run(population, rng=7)  # two clean rounds push it out
-            states = [(e.rule, e.state) for e in monitor.events]
-            assert ("shard-failure", "fired") in states
-            assert ("shard-failure", "resolved") in states
-        finally:
-            disable()
+        states = [(e.rule, e.state) for e in monitor.events]
+        assert ("shard-failure", "fired") in states
+        assert ("shard-failure", "resolved") in states
 
     def test_bool_rows_mask_in_20_bytes_per_client(self):
         # 10-bit values: 20 counters per client, one byte each in the 8-bit ring.
