@@ -19,7 +19,8 @@ fi
 
 # Three pairs of 3-second runs, alternating which side runs first: on a
 # 2-core x86 VM that is 5-7 minutes per gate, a tree identical to BASE
-# read no "worse" row (exit 0), and a 50 ms sleep in RoundCore.reconstruct
+# read no "worse" row (exit 0), and a 50 ms sleep in the round's
+# reconstruction (then RoundCore.reconstruct, now FederatedMeanQuery.drive)
 # read "worse" on every workload (exit 1).
 SEEDS="1 2 3"
 SECONDS_PER_RUN=3

@@ -18,10 +18,10 @@ never sent, and latency optionally maps to real ``asyncio.sleep`` time via
 Determinism: client ``i`` owns the generator ``SeedSequence(seed).spawn(n)[i]``
 (built lazily, by :func:`client_generator`, and only when a round draws
 anything), and per announcement draws in a fixed order -- randomized
-response first (:func:`range_bits`), then the network emulation -- so
-:func:`repro.federated.serve.in_process_estimate`, which runs the same
-:func:`range_bits` over every client at once, replays the exact stream.  A
-lossless round draws nothing: its bits come from one vectorized pass.
+response first (:func:`range_bits`), then the network emulation -- so the
+served twin's transport (:func:`repro.federated.serve.twin_transport`),
+which runs the same :func:`range_bits` over its clients at once, replays
+the exact stream.  A lossless round draws nothing: one vectorized pass.
 """
 
 from __future__ import annotations

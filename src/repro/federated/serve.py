@@ -42,10 +42,11 @@ and nothing else -- so a lossless served round is bit-identical to
 ``FederatedMeanQuery(mode="basic").run(population, rng=seed)`` on the same
 values, and :func:`in_process_estimate` replays lossy/LDP rounds exactly.
 
-Only announce and collect live here; each attempt's span and assignment,
-retries, quorum, fold, privacy metering and reconstruction are the round core
-(:mod:`repro.federated.rounds`), which the twin runs over in-memory reports.
-So a served round records and meters exactly like an in-process one.
+Only transports live here: the server's announce and collect, and the twin's
+fleet client code over in-memory reports.  :meth:`ServeConfig.query`'s basic
+:class:`~repro.federated.server.FederatedMeanQuery` drives each round (spans,
+assignment, retries, fold, privacy metering, reconstruction), so a served
+round records and meters exactly like an in-process one.
 """
 
 from __future__ import annotations
@@ -72,7 +73,8 @@ from repro.federated.fleet import (
     read_message,
 )
 from repro.federated.retry import RetryPolicy
-from repro.federated.rounds import Attempt, AttemptLoop, RoundCore, RoundOutcome
+from repro.federated.rounds import Answer, Attempt, Transport, run_to_completion
+from repro.federated.server import FederatedMeanQuery
 from repro.federated.wire import (
     FLAG_RANDOMIZED_RESPONSE,
     MSG_ABORT,
@@ -89,6 +91,7 @@ from repro.federated.wire import (
     decode_telemetry,
     encode_announce,
     encode_message,
+    finite_number,
 )
 from repro.observability import get_metrics, get_tracer
 from repro.observability.tracing import SpanRecord
@@ -104,6 +107,7 @@ __all__ = [
     "round_trace_id",
     "run_coroutine",
     "run_loopback",
+    "twin_transport",
 ]
 
 _T = TypeVar("_T")
@@ -187,14 +191,16 @@ class ServeConfig:
             raise ConfigurationError(
                 f"registration_timeout_s must be positive, got {self.registration_timeout_s}"
             )
-        if self.epsilon is not None and self.epsilon <= 0:
-            raise ConfigurationError(f"epsilon must be positive, got {self.epsilon}")
+        if self.epsilon is not None:
+            RandomizedResponse(self.epsilon)  # validates: positive and finite
         if self.retry is not None and self.retry.redraw_cohort:
             raise ConfigurationError(
                 "a served retry re-contacts the registered fleet; "
                 "use RetryPolicy(redraw_cohort=False)"
             )
-        _served_core(self)  # validates the encoding and the round policy eagerly
+        if self.min_quorum < 1:
+            raise ConfigurationError(f"min_quorum must be >= 1, got {self.min_quorum}")
+        FixedPointEncoder(n_bits=self.n_bits, scale=self.scale, offset=self.offset)  # validates
 
     @property
     def encoder(self) -> FixedPointEncoder:
@@ -205,6 +211,17 @@ class ServeConfig:
     def schedule(self) -> BitSamplingSchedule:
         """The Eq. 7 weighted schedule, matching the in-process basic default."""
         return BitSamplingSchedule.weighted(self.n_bits, alpha=1.0)
+
+    def query(self) -> FederatedMeanQuery:
+        """The basic query driving this round (built once per round): :attr:`schedule`,
+        randomized response at ``epsilon``, this quorum and retry policy, a
+        one-bit-per-value meter and a fresh accountant."""
+        return FederatedMeanQuery(
+            self.encoder, mode="basic",
+            perturbation=None if self.epsilon is None else RandomizedResponse(self.epsilon),
+            min_quorum=self.min_quorum, retry=self.retry,
+            meter=BitMeter(max_bits_per_value=1), accountant=PrivacyAccountant(),
+        )
 
     def to_manifest(self) -> dict:
         """JSON-ready projection for flight-recorder manifests."""
@@ -259,16 +276,6 @@ class ServeResult:
         return 1.0 - self.surviving_clients / self.planned_clients
 
 
-def _served_core(config: ServeConfig) -> RoundCore:
-    """A served round's core: always metered, one bit per client and value."""
-    return RoundCore(
-        config.encoder,
-        perturbation=None if config.epsilon is None else RandomizedResponse(config.epsilon),
-        min_quorum=config.min_quorum, retry=config.retry,
-        meter=BitMeter(max_bits_per_value=1), accountant=PrivacyAccountant(),
-    )
-
-
 @dataclass(frozen=True)
 class _Reports:
     """One attempt's accepted reports, as arrays indexed by client id."""
@@ -291,33 +298,31 @@ class _Reports:
         self.bit[clients] = bit
 
 
-def _fold_reports(
-    attempt: Attempt, config: ServeConfig, reports: _Reports, duration_s: float
-) -> RoundOutcome:
-    """One served attempt's quorum verdict and fold over its accepted reports."""
-    clients = np.flatnonzero(reports.accepted)
+def _tally(
+    attempt: Attempt, clients: np.ndarray, bit_index: np.ndarray, bits: np.ndarray,
+    duration_s: float,
+) -> Answer:
+    """A served attempt's quorum verdict and per-bit tally (client ``clients[j]``
+    reported bit ``bits[j]`` of index ``bit_index[j]``)."""
     attempt.check_quorum(clients.size)
-    bit_index = reports.bit_index[clients]
-    counts = np.bincount(bit_index, minlength=config.n_bits)
-    sums = np.bincount(bit_index, weights=reports.bit[clients], minlength=config.n_bits)
-    return attempt.fold(
-        sums, counts, config.schedule.probabilities, duration_s, client_ids=clients.tolist()
-    )
+    n_bits = attempt.query.encoder.n_bits
+    counts = np.bincount(bit_index, minlength=n_bits)
+    sums = np.bincount(bit_index, weights=bits, minlength=n_bits)
+    return Answer(sums, counts, duration_s, clients.tolist())
 
 
 class RoundServer:
     """One asyncio TCP server running one federated round over the fleet.
 
     Lifecycle: :meth:`start` binds (returning the port for a ``--port-file``
-    rendezvous), :meth:`serve_round` registers the fleet and drives the
-    attempt loop to a :class:`ServeResult` (or raises
-    :class:`RoundFailedError` past the retry budget, after broadcasting
-    ABORT), :meth:`close` closes every accepted connection and the listener.
-    ``core`` is the round's :class:`~repro.federated.rounds.RoundCore`, with
-    its own accountant and one-bit-per-value meter.  Instrumentation flows
-    through the process-wide tracer/metrics pair, so wrapping the round in
+    rendezvous), :meth:`serve_round` registers the fleet and has the
+    config's query drive the round over this server's TCP transport to a
+    :class:`ServeResult` (or raises :class:`RoundFailedError` past the retry
+    budget, after broadcasting ABORT), :meth:`close` closes every accepted
+    connection and the listener.  Instrumentation flows through the
+    process-wide tracer/metrics pair, so wrapping the round in
     ``instrumented(...)`` (or the ``serve`` CLI's flight recorder) captures
-    the round core's ``federated.round``/``round.*``/``federated.reconstruct``
+    the driver's ``federated.round``/``round.*``/``federated.reconstruct``
     spans, the ``serve.*``/``uplink.*`` spans and the reject/report counters.
     """
 
@@ -325,7 +330,8 @@ class RoundServer:
         self.config = config
         self.port: int | None = None
         self.trace_id = round_trace_id(config.seed)
-        self.core = _served_core(config)
+        #: the attempt announced last (an ABORT names it).
+        self._attempt = 0
         self._server: asyncio.AbstractServer | None = None
         #: every open accepted connection, registered or not (close() shuts all).
         self._connections: set[asyncio.StreamWriter] = set()
@@ -494,9 +500,10 @@ class RoundServer:
             self._live.add(lo)
             # Clock-skew anchor: the HELLO carries the fleet's wall clock;
             # paired with our receive time it aligns every remote span this
-            # connection later uplinks.
+            # connection later uplinks.  A clock that is not a finite number
+            # leaves the connection unanchored.
             clock_s = hello.get("clock_s")
-            if isinstance(clock_s, (int, float)) and not isinstance(clock_s, bool):
+            if finite_number(clock_s):
                 self._clock_offsets[lo] = get_tracer().wall_time() - float(clock_s)
             if self._registered == self.config.n_clients:
                 self._all_registered.set()
@@ -871,10 +878,9 @@ class RoundServer:
 
     # ------------------------------------------------------------------
     async def serve_round(self) -> ServeResult:
-        """Run the full round state machine against the connected fleet."""
+        """Register the fleet, then have the config's query drive the round over TCP."""
         cfg = self.config
         tracer = get_tracer()
-        gen = ensure_rng(cfg.seed)
         n = cfg.n_clients
         with tracer.span(
             "serve.session",
@@ -908,33 +914,22 @@ class RoundServer:
                 reg_span.set_attribute("connections", connections)
             session_span.set_attribute("registered", registered)
 
-            attempts = AttemptLoop(self.core)
+            query = cfg.query()
+            tcp = Transport(self._run_attempt, "federated-served", lambda: {
+                "secure_aggregation": False, "elicitation": "single", "served": True,
+                "transport": "tcp", "wire_rejects": self._rejects, "late_reports": self._late,
+                "trace_id": self.trace_id,
+            })
             try:
-                while True:
-                    with attempts.attempt(n) as attempt:
-                        outcome = await self._run_attempt(gen, attempt)
-                        break
+                estimate, (outcome,) = await query.drive(np.arange(n), ensure_rng(cfg.seed), tcp)
             except RoundFailedError as exc:
                 await self._broadcast_control(
-                    MSG_ABORT, {"reason": str(exc), "attempt": attempts.number}, attempts.number
+                    MSG_ABORT, {"reason": str(exc), "attempt": self._attempt}, self._attempt
                 )
                 # Best-effort: an aborted round's artifact still deserves
                 # the fleet's side of the story.
-                await self._drain_telemetry(attempts.number)
+                await self._drain_telemetry(self._attempt)
                 raise
-            outcome = attempts.complete(outcome)
-            estimate = self.core.reconstruct(
-                [outcome], n, "federated-served",
-                {
-                    "secure_aggregation": False,
-                    "elicitation": "single",
-                    "served": True,
-                    "transport": "tcp",
-                    "wire_rejects": self._rejects,
-                    "late_reports": self._late,
-                    "trace_id": self.trace_id,
-                },
-            )
             await self._broadcast_control(
                 MSG_RESULT,
                 {
@@ -963,19 +958,25 @@ class RoundServer:
                 late_reports=self._late,
                 duration_s=outcome.round_duration_s,
                 port=self.port or 0,
-                accountant=self.core.accountant,
-                meter=self.core.meter,
+                accountant=query.accountant,
+                meter=query.meter,
                 telemetry_clients=self._telemetry_clients,
                 remote_spans=self._remote_spans,
             )
 
-    async def _run_attempt(self, gen: np.random.Generator, attempt: Attempt) -> RoundOutcome:
-        """One attempt: assign, announce, collect; the core judges and folds."""
-        cfg, tracer, number = self.config, get_tracer(), attempt.number
+    async def _run_attempt(
+        self, attempt: Attempt, clients: np.ndarray, assignment: np.ndarray
+    ) -> Answer:
+        """The TCP transport: announce, collect, tally.
+
+        Every registered range gets its slice of the assignment, so
+        ``clients`` is the whole cohort, ``arange(n_clients)``.
+        """
+        tracer, number = get_tracer(), attempt.number
+        self._attempt = number
         span_id = getattr(attempt.span, "span_id", None)
         if span_id is not None:
             self._attempt_spans[number] = span_id
-        assignment = self.core.assign(cfg.n_clients, cfg.schedule, gen)
         with tracer.span(
             "serve.announce",
             {"clients": self._registered, "connections": len(self._ranges), "attempt": number},
@@ -984,7 +985,10 @@ class RoundServer:
             await self._broadcast_announce(assignment, number, parent_span_id=span_id or 0)
         reports, duration, accept_log = await self._collect(number, assignment)
         self._record_uplink_timings(attempt, announce_wall, accept_log)
-        return _fold_reports(attempt, cfg, reports, duration)
+        accepted = np.flatnonzero(reports.accepted)
+        return _tally(
+            attempt, accepted, reports.bit_index[accepted], reports.bit[accepted], duration
+        )
 
 
 # ----------------------------------------------------------------------
@@ -995,53 +999,52 @@ def in_process_estimate(
     fleet_seed: int = 0,
     corrupted: Iterable[int] = (),
 ) -> MeanEstimate:
-    """The served round's deterministic in-process twin.
+    """The served round's deterministic in-process twin: :class:`RoundServer`'s round
+    over :func:`twin_transport` instead of TCP.
 
-    The round core over an in-memory transport, with the fleet's client code
-    run over one range of every client: the server generator draws one bit
-    assignment per attempt; the clients report through the fleet's
-    :func:`~repro.federated.fleet.range_bits`, each then drawing its
-    uplink's loss and latency from the profile after its randomized
-    response, as a fleet connection does; delivered reports fold, retry and
-    reconstruct through the code :class:`RoundServer` runs, under the same
-    ``federated.round`` and ``federated.reconstruct`` spans.  Client
-    generators are built only when the round draws (``epsilon`` or a
-    profile).  ``corrupted`` names clients whose uplinks the server always
-    rejects (the fuzzing twin: their client-side draws still advance, their
-    reports never land); ids outside ``[0, n_clients)`` name no client.
+    The config's query draws, folds, retries and records the same, and
+    raises :class:`RoundFailedError` when no attempt reaches quorum.  With
+    no profile, no corruption and no ``epsilon`` the estimate also equals
+    the in-memory ``FederatedMeanQuery(encoder, mode="basic").run`` over
+    single-valued clients at ``rng=config.seed``.
+    """
+    twin = twin_transport(values, config, profile, fleet_seed, corrupted)
+    cohort = np.arange(config.n_clients)
+    return run_to_completion(config.query().drive(cohort, ensure_rng(config.seed), twin))[0]
 
-    With no profile, no corruption, and no ``epsilon``, the result is also
-    bit-identical to ``FederatedMeanQuery(encoder, mode="basic",
-    schedule=config.schedule).run(population, rng=config.seed)`` over
-    single-valued clients -- the acceptance-criterion equivalence.
 
-    Raises :class:`RoundFailedError` when no attempt reaches quorum,
-    exactly as the server does.
+def twin_transport(
+    values: Sequence[float], config: ServeConfig, profile: EmulationProfile | None = None,
+    fleet_seed: int = 0, corrupted: Iterable[int] = (),
+) -> Transport:
+    """The served round's clients as an in-memory transport, for any driver.
+
+    Each attempt runs the fleet's client code for the client ids it is
+    handed: :func:`~repro.federated.fleet.range_bits` at ``config.epsilon``,
+    then each client's uplink fate from ``profile``, both drawn from client
+    ``i``'s own ``client_generator(fleet_seed, i)`` (built once, and only
+    when the round draws).  ``corrupted`` names clients whose uplinks the
+    server always rejects (their draws still advance); ids outside
+    ``[0, n_clients)`` name no client.
     """
     vals = np.asarray(values, dtype=np.float64)
     n = config.n_clients
     if vals.size != n:
         raise ConfigurationError(f"{vals.size} values for a {n}-client round")
-    core = _served_core(config)
-    gen = ensure_rng(config.seed)
+    encoder = config.encoder
     draws = config.epsilon is not None or profile is not None
     client_gens = [client_generator(fleet_seed, i) for i in range(n)] if draws else []
-    excluded = np.array([c for c in map(int, corrupted) if 0 <= c < n], dtype=np.int64)
-    attempts = AttemptLoop(core)
-    while True:
-        with attempts.attempt(n) as attempt:
-            assignment = core.assign(n, config.schedule, gen)
-            bits = range_bits(vals, assignment, core.encoder, config.epsilon, client_gens)
-            if profile is None:
-                delivered = np.ones(n, dtype=bool)
-            else:
-                delivered = np.fromiter((profile.draw(g)[0] for g in client_gens), bool, n)
-            delivered[excluded] = False
-            outcome = _fold_reports(attempt, config, _Reports(delivered, assignment, bits), 0.0)
-            break
-    return core.reconstruct(
-        [attempts.complete(outcome)], n, "federated-served-twin", {"served": False}
-    )
+    rejected = np.isin(np.arange(n), [int(c) for c in corrupted])
+
+    async def answer(attempt: Attempt, clients: np.ndarray, assignment: np.ndarray) -> Answer:
+        gens = [client_gens[i] for i in clients.tolist()] if draws else []
+        bits = range_bits(vals[clients], assignment, encoder, config.epsilon, gens)
+        delivered = ~rejected[clients]
+        if profile is not None:
+            delivered &= np.fromiter((profile.draw(g)[0] for g in gens), bool, clients.size)
+        return _tally(attempt, clients[delivered], assignment[delivered], bits[delivered], 0.0)
+
+    return Transport(answer, "federated-served-twin", lambda: {"served": False})
 
 
 # ----------------------------------------------------------------------

@@ -8,16 +8,20 @@ lossy network from clients that may vanish mid-round, meter each disclosure,
 optionally route the per-bit counters through secure aggregation, and
 reconstruct the mean -- in one round (basic) or two (adaptive).
 
-The arithmetic is exactly :mod:`repro.core`'s: adaptive mode runs
+:meth:`FederatedMeanQuery.drive` is every round's one driver, over a
+:class:`~repro.federated.rounds.Transport`: the in-memory round here, or
+:mod:`repro.federated.serve`'s TCP server and served twin.  The arithmetic
+is exactly :mod:`repro.core`'s: adaptive mode runs
 :meth:`~repro.core.adaptive.AdaptiveBitPushing.run_rounds`, Algorithm 2's
-one plan, with this layer's attempt loop as its round.  This layer adds the
-systems behaviour around it, so core tests guarantee correctness and
-federated tests guarantee robustness.
+one plan, with the attempt loop as its round.  This layer adds the systems
+behaviour around it, so core tests guarantee correctness and federated
+tests guarantee robustness.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from functools import partial
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -29,16 +33,18 @@ from repro.core.client_plane import (
     report_bits,
 )
 from repro.core.encoding import FixedPointEncoder
-from repro.core.protocol import BitPerturbation
+from repro.core.protocol import BitPerturbation, decode_estimate
 from repro.core.results import MeanEstimate
-from repro.core.sampling import BitSamplingSchedule
+from repro.core.sampling import BitSamplingSchedule, central_assignment
 from repro.exceptions import ConfigurationError
 from repro.federated.cohort import CohortSelector, Eligibility, Population, as_batch
 from repro.federated.dropout import DropoutModel, DropoutRateTracker
 from repro.federated.faults import FaultSchedule
 from repro.federated.network import NetworkModel
 from repro.federated.retry import RetryPolicy
-from repro.federated.rounds import Attempt, AttemptLoop, RoundCore, RoundOutcome
+from repro.federated.rounds import (
+    Answer, Attempt, AttemptLoop, RoundOutcome, Transport, run_to_completion,
+)
 from repro.federated.secure_agg.hierarchy import (
     HierarchicalResult,
     ShardTask,
@@ -65,7 +71,7 @@ class _Excluding:
         return mask if self.eligibility is None else mask & self.eligibility.mask(batch)
 
 
-class FederatedMeanQuery(RoundCore):
+class FederatedMeanQuery:
     """A configurable federated mean query over a device population.
 
     Parameters
@@ -113,9 +119,21 @@ class FederatedMeanQuery(RoundCore):
         Optional :class:`~repro.federated.faults.FaultSchedule`; its clock
         advances once per round *attempt* and the active fault overrides
         wrap ``dropout``/``network`` for that attempt.
-    min_quorum, retry, meter, metric_name, accountant:
-        The round policy every transport shares (quorum, retries, privacy
-        metering); see :class:`~repro.federated.rounds.RoundCore`.
+    min_quorum:
+        Minimum folded clients for an attempt to count (default 1: only a
+        zero-survivor round fails).  Below it the attempt fails and is
+        retried under ``retry``; at or above it the round completes, flagged
+        degraded when survivors fall below
+        :data:`~repro.federated.rounds.DEGRADED_FRACTION` of the plan.
+    retry:
+        :class:`RetryPolicy` for failed attempts (``None``: a failed round raises).
+    meter, metric_name:
+        Optional :class:`BitMeter` recording every folded client's
+        disclosure of ``metric_name`` (over-disclosure raises).
+    accountant:
+        Optional :class:`PrivacyAccountant`: under an LDP ``perturbation``
+        every *completed* attempt records one ledger entry of its epsilon
+        (sequential composition; a failed attempt spends nothing).
     chunk_clients:
         Chunk size for the columnar client-plane kernels (``None``: the
         ``REPRO_BATCH_CHUNK`` default).  A pure performance/memory knob --
@@ -166,6 +184,8 @@ class FederatedMeanQuery(RoundCore):
             encoder, gamma=gamma, alpha=alpha, delta=delta, caching=caching,
             perturbation=perturbation, squash_multiple=squash_multiple,
         )
+        if min_quorum < 1:
+            raise ConfigurationError(f"min_quorum must be >= 1, got {min_quorum}")
         if min_reports_per_bit < 0:
             raise ConfigurationError(f"min_reports_per_bit must be >= 0, got {min_reports_per_bit}")
         if shard_size < 2:
@@ -176,10 +196,13 @@ class FederatedMeanQuery(RoundCore):
             raise ConfigurationError(
                 f"schedule covers {schedule.n_bits} bits but encoder has {encoder.n_bits}"
             )
-        super().__init__(
-            encoder, perturbation=perturbation, min_quorum=min_quorum, retry=retry,
-            meter=meter, metric_name=metric_name, accountant=accountant,
-        )
+        self.encoder = encoder
+        self.perturbation = perturbation
+        self.min_quorum = min_quorum
+        self.retry = retry
+        self.meter = meter
+        self.metric_name = metric_name
+        self.accountant = accountant
         self.mode = mode
         self.schedule = schedule or BitSamplingSchedule.weighted(encoder.n_bits, alpha=1.0)
         self.dropout = dropout
@@ -217,7 +240,7 @@ class FederatedMeanQuery(RoundCore):
         records, converted here once, so both adaptive rounds and every
         redrawn retry draw from the same batch.  An adaptive round's redrawn
         cohort leaves out the clients the other round plans or ran, so each
-        client discloses in one round at most.
+        client discloses in one round at most.  :meth:`_run_round` answers.
         """
         gen = ensure_rng(rng)
         tracer = get_tracer()
@@ -234,66 +257,102 @@ class FederatedMeanQuery(RoundCore):
                 select_span.set_attribute("cohort_size", len(cohort))
             metrics.gauge("cohort_size").set(len(cohort))
             query_span.set_attribute("cohort_size", len(cohort))
+            in_memory = Transport(partial(self._run_round, gen), f"federated-{self.mode}", lambda: {
+                "secure_aggregation": self.secure_aggregation, "elicitation": self.elicitation,
+            })
+            return run_to_completion(self.drive(cohort, gen, in_memory, population, eligibility))[0]
 
-            if self.mode == "basic":
-                outcome, _ = self._run_round_with_recovery(
-                    cohort, self.schedule, gen, round_index=1,
-                    population=population, eligibility=eligibility,
-                )
-                outcomes = [outcome]
-                pooled = (outcome.summary.bit_means, outcome.summary.counts)
-            else:
-                outcomes = []
-                ran: list[np.ndarray] = []  # client ids of each finished round's cohort
+    async def drive(
+        self, cohort: Any, gen: np.random.Generator, transport: Transport,
+        population: ClientBatch | None = None, eligibility: Eligibility | None = None,
+    ) -> tuple[MeanEstimate, list[RoundOutcome]]:
+        """The one driver: run the plan over ``cohort`` through ``transport``.
 
-                def run_round(indices, schedule, round_index):
-                    outcome, clients = self._run_round_with_recovery(
-                        cohort.take(indices), schedule, gen, round_index=round_index,
-                        population=population, eligibility=eligibility,
-                        others=lambda: np.concatenate(
-                            [np.delete(cohort.client_ids, indices), *ran]
-                        ),
-                    )
-                    ran.append(clients.client_ids)
-                    outcomes.append(outcome)
-                    return outcome.summary
-
-                _, pooled = self.plan.run_rounds(len(cohort), gen, run_round)
-
-            return self.reconstruct(
-                outcomes, len(cohort), f"federated-{self.mode}",
-                {
-                    "secure_aggregation": self.secure_aggregation,
-                    "elicitation": self.elicitation,
-                },
-                pooled=pooled,
-                threshold=self.plan.squash_thresholds(pooled[1]),
-            )
-
-    # ------------------------------------------------------------------
-    def _run_round_with_recovery(
-        self,
-        clients: ClientBatch,
-        schedule: BitSamplingSchedule,
-        gen: np.random.Generator,
-        round_index: int = 1,
-        population: ClientBatch | None = None,
-        eligibility: Eligibility | None = None,
-        others: Callable[[], np.ndarray] | None = None,
-    ) -> tuple[RoundOutcome, ClientBatch]:
-        """Run one round's attempts through the core's :class:`AttemptLoop`.
-
-        Each attempt is a full :meth:`_run_round` (the fault schedule's clock
-        ticks per attempt); a retry may first re-draw a fresh cohort from the
-        eligible population, less the client ids ``others()`` returns (the
-        query's other round).  Returns the outcome and the cohort it ran on.
+        ``cohort`` is what the transport indexes (a ``ClientBatch`` in
+        memory, client ids when served).  Basic mode awaits its one round;
+        adaptive mode runs each of :attr:`plan`'s rounds to completion, so
+        only a basic round can await I/O.  ``population``/``eligibility``
+        feed an in-memory retry's redrawn cohort.  Returns the estimate,
+        labelled with the transport's method and final metadata, and each
+        round's outcome.
         """
+        if self.mode == "basic":
+            outcome, _ = await self._round(
+                cohort, self.schedule, gen, transport, 1, population, eligibility
+            )
+            outcomes = [outcome]
+            pooled = (outcome.summary.bit_means, outcome.summary.counts)
+        else:
+            outcomes = []
+            ran: list[Any] = []  # each finished round's cohort
+
+            def run_round(indices, schedule, round_index):
+                def others():  # the client ids of the other round, planned or run
+                    ids = [np.delete(cohort.client_ids, indices)]
+                    return np.concatenate(ids + [done.client_ids for done in ran])
+
+                outcome, clients = run_to_completion(self._round(
+                    cohort.take(indices), schedule, gen, transport, round_index,
+                    population, eligibility, others,
+                ))
+                ran.append(clients)
+                outcomes.append(outcome)
+                return outcome.summary
+
+            _, pooled = self.plan.run_rounds(len(cohort), gen, run_round)
+        n_clients = len(cohort)
+        with get_tracer().span("federated.reconstruct", {"n_bits": self.encoder.n_bits}) as span:
+            estimate = decode_estimate(
+                self.encoder,
+                *pooled,
+                perturbation=self.perturbation,
+                threshold=self.plan.squash_thresholds(pooled[1]),
+                n_clients=n_clients,
+                method=transport.method,
+                rounds=[o.summary for o in outcomes],
+                metadata={
+                    "cohort_size": n_clients,
+                    "dropout_rates": [o.dropout_rate for o in outcomes],
+                    "round_durations_s": [o.round_duration_s for o in outcomes],
+                    "total_duration_s": sum(o.round_duration_s + o.backoff_s for o in outcomes),
+                    "planned_clients": [o.planned_clients for o in outcomes],
+                    "surviving_clients": [o.surviving_clients for o in outcomes],
+                    "round_attempts": [o.attempts for o in outcomes],
+                    "degraded_rounds": [o.degraded for o in outcomes],
+                    "variance_inflation": [o.variance_inflation for o in outcomes],
+                    "backoff_s": [o.backoff_s for o in outcomes],
+                    "attempt_history": [
+                        [list(pair) for pair in o.attempt_history] for o in outcomes
+                    ],
+                    **transport.metadata(),
+                    "ldp": self.perturbation is not None,
+                },
+            )
+            span.set_attribute("squashed_bits", list(estimate.squashed_bits))
+            span.set_attribute("estimate", estimate.value)
+        return estimate, outcomes
+
+    async def _round(
+        self, clients: Any, schedule: BitSamplingSchedule, gen: np.random.Generator,
+        transport: Transport, round_index: int, population: ClientBatch | None = None,
+        eligibility: Eligibility | None = None, others: Callable[[], np.ndarray] | None = None,
+    ) -> tuple[RoundOutcome, Any]:
+        """One round's attempts (adjust the schedule, assign, ``transport`` answers, fold);
+        a retry may first redraw the cohort from ``population`` less ``others()``,
+        the other round's clients.  Returns the outcome and the cohort it ran on."""
         if len(clients) == 0:
             raise ConfigurationError("round planned with zero clients")
         attempts = AttemptLoop(self, round_index)
         while True:
-            with attempts.attempt(len(clients)) as attempt:
-                outcome = self._run_round(clients, schedule, gen, attempt)
+            n = len(clients)  # a redrawn cohort may be smaller
+            with attempts.attempt(n) as attempt:
+                adjusted = self._adjust_schedule(schedule, n)
+                with get_tracer().span(
+                    "round.assign", {"n_bits": self.encoder.n_bits, "n_clients": n}
+                ):
+                    assignment = central_assignment(n, adjusted, gen)
+                answer = await transport.answer(attempt, clients, assignment)
+                outcome = attempt.fold(answer, adjusted.probabilities)
                 break
             # Reached only after a failed attempt that another may follow.
             if self.retry.redraw_cohort and population is not None:
@@ -302,13 +361,12 @@ class FederatedMeanQuery(RoundCore):
         return attempts.complete(outcome), clients
 
     # ------------------------------------------------------------------
-    def _run_round(
-        self,
-        clients: ClientBatch,
-        schedule: BitSamplingSchedule,
-        gen: np.random.Generator,
-        attempt: Attempt,
-    ) -> RoundOutcome:
+    async def _run_round(
+        self, gen: np.random.Generator, attempt: Attempt, clients: ClientBatch,
+        assignment: np.ndarray,
+    ) -> Answer:
+        """The in-memory transport: an attempt's faults, dropout, network and collect,
+        each drawing from the query's ``gen`` after the attempt's assignment."""
         tracer = get_tracer()
         n = len(clients)
         # Scripted fault injection: the schedule's clock ticks once per
@@ -322,9 +380,6 @@ class FederatedMeanQuery(RoundCore):
                 network = active.apply_network(network)
                 shard_blackout = active.shard_blackout
                 attempt.span.set_attribute("faults", active.describe())
-
-        schedule = self._adjust_schedule(schedule, n)
-        assignment = self.assign(n, schedule, gen)
 
         # Failure simulation: device dropout, then network delivery.
         # With neither model no client is lost, and the round builds no
@@ -409,10 +464,7 @@ class FederatedMeanQuery(RoundCore):
         if self.meter is not None:
             ids = clients.client_ids if folded is None else clients.client_ids[folded]
             client_ids = ids.tolist()
-        return attempt.fold(
-            sums, counts, schedule.probabilities, duration,
-            shard_failures=shard_failures, client_ids=client_ids,
-        )
+        return Answer(sums, counts, duration, client_ids, shard_failures)
 
     # ------------------------------------------------------------------
     def _adjust_schedule(

@@ -19,6 +19,7 @@ for debiasing.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence, Union
@@ -55,6 +56,7 @@ __all__ = [
     "decode_announce",
     "encode_telemetry",
     "decode_telemetry",
+    "finite_number",
     "encode_message",
     "decode_message_header",
     "payload_efficiency",
@@ -472,8 +474,8 @@ def decode_announce(payload: bytes) -> tuple[dict[str, Any], TraceContext | None
         raise ProtocolError(f"trace context id must be a non-empty string, got {trace_id!r}")
     if not isinstance(span, int) or isinstance(span, bool) or span < 0:
         raise ProtocolError(f"trace context span must be a non-negative int, got {span!r}")
-    if not isinstance(clock_s, (int, float)) or isinstance(clock_s, bool):
-        raise ProtocolError(f"trace context clock_s must be a number, got {clock_s!r}")
+    if not finite_number(clock_s):
+        raise ProtocolError(f"trace context clock_s must be a finite number, got {clock_s!r}")
     return fields, TraceContext(
         trace_id=trace_id, parent_span_id=int(span), clock_s=float(clock_s)
     )
@@ -493,6 +495,19 @@ class ClientTelemetry:
     metrics: dict[str, Any]
 
 
+def finite_number(value: Any) -> bool:
+    """Whether a decoded JSON value is a finite float-sized number (never a bool).
+
+    ``json.loads`` accepts ``NaN``, ``Infinity`` and ints past the float range.
+    """
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int past the float range
+        return False
+
+
 def _validate_span_dict(span: Any, index: int) -> dict[str, Any]:
     """Check one serialized span; raises :class:`ProtocolError` on any defect."""
     if not isinstance(span, dict):
@@ -504,6 +519,12 @@ def _validate_span_dict(span: Any, index: int) -> dict[str, Any]:
                 f"telemetry span {index} field {key!r} must be "
                 f"{'/'.join(t.__name__ for t in types)}, got {value!r}"
             )
+    start, duration = span["start_time_s"], span["duration_s"]
+    if not (finite_number(start) and finite_number(duration) and duration >= 0):
+        raise ProtocolError(
+            f"telemetry span {index} needs a finite start and a finite, non-negative "
+            f"duration, got start_time_s={start!r}, duration_s={duration!r}"
+        )
     parent = span.get("parent_id")
     if parent is not None and (not isinstance(parent, int) or isinstance(parent, bool)):
         raise ProtocolError(

@@ -402,35 +402,19 @@ class StragglerSkewRule(HealthRule):
 class MonitorShiftRule(HealthRule):
     """The occupied bit range shifted (heavy tail / distribution change).
 
-    Fires on a campaign sample flagged by the
-    :class:`~repro.core.monitor.HighBitMonitor`, or on a round sample whose
-    ``monitor_shifts_total`` counter advanced; resolves on the next quiet
-    sample.
+    Reads campaign samples only, one per ``campaign.round`` span: fires on a
+    round the :class:`~repro.core.monitor.HighBitMonitor` flagged, resolves
+    on the next quiet one.
     """
 
     name = "monitor-shift"
     severity = "info"
     description = "encoding-range (top occupied bit) shift detected"
 
-    def __init__(self) -> None:
-        self._last_total: float | None = None
-
     def evaluate(self, sample: HealthSample) -> Reading:
-        if sample.kind == "campaign":
-            return Reading(sample.shift, detail="HighBitMonitor flagged a bit-range shift")
-        if sample.kind != "round":
+        if sample.kind != "campaign":
             return Reading(None)
-        total = sample.counters.get("monitor_shifts_total")
-        if total is None:
-            return Reading(None)
-        previous, self._last_total = self._last_total, float(total)
-        if previous is None:
-            return Reading(float(total) > 0, value=float(total))
-        return Reading(
-            float(total) > previous,
-            value=float(total),
-            detail=f"monitor_shifts_total advanced to {total:.0f}",
-        )
+        return Reading(sample.shift, detail="HighBitMonitor flagged a bit-range shift")
 
 
 class VarianceDriftRule(HealthRule):

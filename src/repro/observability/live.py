@@ -5,9 +5,10 @@ other exporters, as ``scripts/health_demo.py`` does for its campaigns: every
 closing ``federated.round`` span (one round attempt, in process or served)
 becomes one progress line --
 round/attempt, delivered vs planned reports, cumulative report throughput,
-a naive ETA from the mean round duration, and whatever health alerts are
-currently firing.  Output goes to **stderr** so the
-machine-readable stdout JSON stream is never perturbed; piping
+a naive ETA from the mean time per completed round, and whatever health
+alerts are currently firing.  A round completes with its one attempt that
+did not fail, so a retried round counts once.  Output goes to **stderr** so
+the machine-readable stdout JSON stream is never perturbed; piping
 ``trace --json --watch`` through ``jq`` keeps working.
 
 Time comes from span timestamps, never from a wall-clock read of its own,
@@ -26,13 +27,13 @@ __all__ = ["LiveMonitor"]
 
 
 class LiveMonitor:
-    """Tracer exporter rendering one stderr line per completed round.
+    """Tracer exporter rendering one stderr line per round attempt.
 
     Parameters
     ----------
     planned_rounds:
-        Expected round count; enables the ETA column.  ``None`` renders
-        progress without an ETA.
+        Expected round count; enables the ETA column once a round has
+        completed.  ``None`` renders progress without an ETA.
     health:
         Optional :class:`HealthMonitor` whose active alerts are appended to
         every line.  The live monitor only *reads* the health state; the
@@ -52,7 +53,7 @@ class LiveMonitor:
         self.planned_rounds = planned_rounds
         self.health = health
         self._stream = stream
-        self._rounds_seen = 0
+        self._rounds_done = 0
         self._reports_total = 0
         self._first_start: float | None = None
         self._last_end: float | None = None
@@ -65,7 +66,9 @@ class LiveMonitor:
         if record.name != ROUND_SPAN:
             return
         attrs = record.attributes
-        self._rounds_seen += 1
+        failed = bool(attrs.get("failed"))
+        if not failed:
+            self._rounds_done += 1
         survived = int(attrs.get("surviving_clients") or 0)
         planned = int(attrs.get("planned_clients") or 0)
         self._reports_total += survived
@@ -77,7 +80,7 @@ class LiveMonitor:
             attempt=attrs.get("attempt"),
             survived=survived,
             planned=planned,
-            failed=bool(attrs.get("failed")),
+            failed=failed,
             degraded=bool(attrs.get("degraded")),
         )
 
@@ -95,7 +98,7 @@ class LiveMonitor:
         elapsed = None
         if self._first_start is not None and self._last_end is not None:
             elapsed = max(0.0, self._last_end - self._first_start)
-        parts = [f"round {round_index if round_index is not None else self._rounds_seen - 1}"]
+        parts = [f"round {round_index}"]
         if attempt is not None and int(attempt) > 1:
             parts.append(f"attempt {attempt}")
         parts.append(f"{survived}/{planned} reports")
@@ -119,11 +122,11 @@ class LiveMonitor:
             self.planned_rounds is None
             or elapsed is None
             or elapsed <= 0
-            or self._rounds_seen == 0
+            or self._rounds_done == 0
         ):
             return None
-        remaining = max(0, self.planned_rounds - self._rounds_seen)
-        return remaining * (elapsed / self._rounds_seen)
+        remaining = max(0, self.planned_rounds - self._rounds_done)
+        return remaining * (elapsed / self._rounds_done)
 
     def active_alert_labels(self) -> list[str]:
         if self.health is None:
@@ -135,7 +138,7 @@ class LiveMonitor:
 
     def finish(self, estimate: float | None = None) -> None:
         """Render a closing summary line."""
-        parts = [f"{self._rounds_seen} round(s)", f"{self._reports_total} reports"]
+        parts = [f"{self._rounds_done} round(s)", f"{self._reports_total} reports"]
         if estimate is not None:
             parts.append(f"estimate {estimate:.6g}")
         alerts = self.active_alert_labels()

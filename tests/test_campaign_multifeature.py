@@ -71,6 +71,23 @@ class TestMonitoringCampaign:
         # Stamped on the tracer's clock, when round 4's span closed.
         assert shift.t_s == rounds[4].start_time_s + rounds[4].duration_s
 
+    def test_one_shift_fires_and_resolves_once(self):
+        # Rounds 4 and 5 alert, round 6 is quiet: the rule fires on round
+        # 4's campaign.round span and resolves on round 6's, with no flap on
+        # the federated.round samples in between.
+        rng = np.random.default_rng(1)
+        campaign = MonitoringCampaign(
+            FederatedMeanQuery(FixedPointEncoder.for_integers(12))
+        )
+        with ObservedRun(sim_clock=True) as run:
+            for day in range(8):
+                scale = 100.0 if day < 4 else 1500.0
+                campaign.run_round(_population(rng, scale=scale), rng)
+        run.finalize()
+        assert [r.round_index for r in campaign.records if r.alert] == [4, 5]
+        shifts = [e for e in run.health.events if e.rule == "monitor-shift"]
+        assert [(e.state, e.round_index) for e in shifts] == [("fired", 4), ("resolved", 6)]
+
     def test_recorded_campaign_logs_one_span_per_round(self, tmp_path):
         rng = np.random.default_rng(0)
         campaign = MonitoringCampaign(

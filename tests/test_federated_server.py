@@ -1,5 +1,7 @@
 """End-to-end federated mean queries."""
 
+import asyncio
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from repro.federated import (
     attribute_equals,
     ground_truth_mean,
 )
+from repro.observability import InMemoryExporter, MetricsRegistry, Tracer, instrumented
 from repro.privacy import BitMeter, PrivacyAccountant, RandomizedResponse
 
 #: Plans Algorithm 2 cannot run; NaN once meant "off" for squash_multiple.
@@ -268,3 +271,24 @@ class TestConfigValidation:
         # Basic mode still answers a one-client query.
         est = FederatedMeanQuery(encoder, mode="basic").run(population, rng=0)
         assert est.n_clients == 1
+
+
+class TestOneDriver:
+    """``FederatedMeanQuery.drive`` runs every round; only a basic round may await."""
+
+    @pytest.mark.parametrize("mode", ["basic", "adaptive"])
+    def test_a_transport_that_suspends_fails_at_once(self, monkeypatch, mode):
+        query = FederatedMeanQuery(FixedPointEncoder.for_integers(10), mode=mode)
+
+        async def suspending(gen, attempt, clients, assignment):
+            await asyncio.sleep(0)  # yields to an event loop the query does not run
+            raise AssertionError("a synchronous round never resumes")
+
+        monkeypatch.setattr(query, "_run_round", suspending)
+        memory = InMemoryExporter()
+        with instrumented(Tracer([memory]), MetricsRegistry()):
+            with pytest.raises(ConfigurationError, match="awaited I/O outside an event loop"):
+                query.run(ClientBatch.from_values(np.arange(100.0)), rng=0)
+        rounds = [r for r in memory.records if r.name == "federated.round"]
+        assert len(rounds) == 1 and rounds[0].attributes["failed"] is True
+        assert [r.name for r in memory.records][-1] == "federated.query"

@@ -130,11 +130,12 @@ class TestRules:
         quiet = rule.evaluate(HealthSample(kind="campaign", t_s=1.0, shift=False))
         assert fired.firing is True and quiet.firing is False
 
-    def test_monitor_shift_on_counter_advance(self):
+    def test_round_samples_leave_monitor_shift_unchanged(self):
+        # The campaign.round span is the one event per shift: a round
+        # sample, whatever its monitor_shifts_total, neither fires nor resolves.
         rule = MonitorShiftRule()
-        assert rule.evaluate(_round(counters={"monitor_shifts_total": 0.0})).firing is False
-        assert rule.evaluate(_round(counters={"monitor_shifts_total": 1.0})).firing is True
-        assert rule.evaluate(_round(counters={"monitor_shifts_total": 1.0})).firing is False
+        for total in (0.0, 1.0, 1.0):
+            assert rule.evaluate(_round(counters={"monitor_shifts_total": total})).firing is None
 
     def test_variance_drift_scores_the_normal_tail(self):
         rule = VarianceDriftRule(alpha=1e-4)
@@ -453,6 +454,30 @@ class TestWatchCli:
         assert any(line.startswith("[watch] done") for line in watch_lines)
         # One line per round attempt plus the closing summary.
         assert len(watch_lines) == sum(payload["recovery"]["round_attempts"]) + 1
+
+    def test_retried_rounds_count_once_and_show_no_eta_before_one_completes(self, tmp_path):
+        # Round 1 fails twice before its third attempt completes; the query
+        # has 2 rounds, so the view must not read 4, nor show an ETA while
+        # no round has completed yet.
+        stderr = io.StringIO()
+        run_traced_round(
+            "3a",
+            quick=True,
+            seed=3,
+            sim_clock=True,
+            max_retries=4,
+            min_quorum=100,
+            fault_schedule="1:blackout;2:blackout",
+            out_path=str(tmp_path / "trace.jsonl"),
+            stream=io.StringIO(),
+            watch=True,
+            watch_stream=stderr,
+        )
+        lines = stderr.getvalue().splitlines()
+        assert len(lines) == 5
+        assert all("FAILED" in line and "ETA" not in line for line in lines[:2])
+        assert all("ETA" in line for line in lines[2:4])
+        assert lines[4].startswith("[watch] done | 2 round(s) | ")
 
 
 class TestAlertsByteIdentity:

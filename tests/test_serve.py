@@ -28,6 +28,7 @@ from repro.core.sampling import central_assignment
 from repro.core.squashing import squash_bit_means
 from repro.exceptions import ConfigurationError, RoundFailedError
 from repro.federated import (
+    ClientBatch,
     ClientDevice,
     ClientFleet,
     EmulationProfile,
@@ -44,6 +45,8 @@ from repro.federated import fleet as fleet_module
 from repro.federated import serve as serve_module
 from repro.federated.client import BitReport
 from repro.federated.fleet import fleet_ranges, read_message
+from repro.federated.rounds import run_to_completion
+from repro.federated.serve import twin_transport
 from repro.federated.wire import (
     MSG_ABORT,
     MSG_ANNOUNCE,
@@ -282,6 +285,29 @@ class TestInProcessTwin:
             bit_means_from_stats(sums, counts, rr), 0.0, clip_to_unit=True
         )
         assert twin.value == cfg.encoder.decode_scalar(float(cfg.encoder.powers @ means))
+
+    @pytest.mark.parametrize("n", [2_000, 100_000])
+    @pytest.mark.parametrize("mode", ["basic", "adaptive"])
+    def test_twin_transport_runs_either_plan_like_the_in_memory_query(self, mode, n):
+        # Lossless and without epsilon, no client draws: the twin's clients
+        # under either plan report exactly what in-memory clients do.
+        values = fleet_values(n, seed=4)
+        cfg = ServeConfig(n_clients=n, seed=9)
+        twin, outcomes = run_to_completion(
+            FederatedMeanQuery(cfg.encoder, mode=mode).drive(
+                np.arange(n), ensure_rng(cfg.seed), twin_transport(values, cfg, fleet_seed=4)
+            )
+        )
+        reference = FederatedMeanQuery(cfg.encoder, mode=mode).run(
+            ClientBatch.from_values(values), rng=cfg.seed
+        )
+        assert len(outcomes) == len(reference.rounds) == (1 if mode == "basic" else 2)
+        assert twin.value == reference.value
+        assert np.array_equal(twin.bit_means, reference.bit_means)
+        assert np.array_equal(twin.counts, reference.counts)
+        for ours, theirs in zip(twin.rounds, reference.rounds):
+            assert np.array_equal(ours.counts, theirs.counts)
+            assert np.array_equal(ours.bit_means, theirs.bit_means)
 
     def test_corrupted_ids_outside_the_cohort_are_ignored(self):
         values = fleet_values(20, seed=1)
@@ -1150,17 +1176,50 @@ class TestDistributedTracing:
         server = RoundServer(cfg)
         memory = InMemoryExporter()
         registry = MetricsRegistry()
+        # A span's start must be finite, its duration finite and >= 0.
+        bad_times = [(float("nan"), 1.0), (0.0, float("inf")), (0.0, -0.5)]
         with instrumented(Tracer([memory]), registry):
             server._ingest_telemetry(0, b"\xffnot json")  # undecodable
             server._ingest_telemetry(
                 1, encode_telemetry(5, [])  # claims a different client id
             )
+            for start, duration in bad_times:
+                span = {"name": "fleet.round", "span_id": 1, "parent_id": None,
+                        "start_time_s": start, "duration_s": duration}
+                server._ingest_telemetry(0, encode_telemetry(0, [span]))
         assert server._telemetry_clients == 0
         assert server._remote_spans == 0
         rejects = [r for r in memory.records if r.name == "telemetry.reject"]
-        assert len(rejects) == 2
-        assert registry.snapshot()["counters"]["telemetry_rejects_total"] == 2.0
+        assert len(rejects) == 5
+        assert registry.snapshot()["counters"]["telemetry_rejects_total"] == 5.0
         assert "claims client 5" in rejects[1].attributes["detail"]
+        for reject in rejects[2:]:
+            assert "finite" in reject.attributes["detail"]
+
+    def test_infinite_hello_clock_leaves_the_connection_unanchored(self):
+        cfg = ServeConfig(n_clients=1, seed=2, registration_timeout_s=5.0)
+        server = RoundServer(cfg)
+        memory = InMemoryExporter()
+
+        async def scenario():
+            await server.start()
+            _reader, writer = await asyncio.open_connection(cfg.host, server.port)
+            hello = json.dumps({"client_id": 0, "clock_s": float("inf")})  # "Infinity"
+            writer.write(encode_message(MSG_HELLO, hello.encode()))
+            await writer.drain()
+            await asyncio.wait_for(server._all_registered.wait(), 5.0)
+            writer.close()
+            await server.close()
+
+        asyncio.run(scenario())
+        assert 0 not in server._clock_offsets
+        span = {"name": "fleet.round", "span_id": 1, "parent_id": None,
+                "start_time_s": 12.0, "duration_s": 0.5}
+        with instrumented(Tracer([memory]), MetricsRegistry()):
+            server._ingest_telemetry(0, encode_telemetry(0, [span]))
+        (record,) = memory.records
+        assert record.start_time_s == 12.0 and record.duration_s == 0.5
+        assert json.loads(json.dumps(record.to_dict(), allow_nan=False))
 
     def test_plain_fleet_without_telemetry_support_still_completes(self):
         # A pre-tracing client never sends TELEMETRY: the drain gives up as
@@ -1249,6 +1308,10 @@ class TestConfigSurface:
             ServeConfig(n_clients=1, deadline_s=0.0)
         with pytest.raises(ConfigurationError):
             ServeConfig(n_clients=1, epsilon=-1.0)
+        # The served query is built per round, so its parts validate here.
+        for bad in ({"epsilon": float("inf")}, {"epsilon": float("nan")}, {"n_bits": 0}):
+            with pytest.raises(ConfigurationError):
+                ServeConfig(n_clients=1, **bad)
         with pytest.raises(ConfigurationError):
             ServeConfig(n_clients=1, min_quorum=0)
         # A served retry re-contacts the registered fleet; it cannot redraw.
