@@ -17,6 +17,7 @@ cohort x bits blowup).
 
 import asyncio
 import os
+import statistics
 import time
 import tracemalloc
 
@@ -225,8 +226,10 @@ def test_secure_agg_throughput(benchmark, emit):
 
 
 #: Served-round study size: one TCP loopback round of SERVE_N wire clients,
-#: plus SERVE_CAMPAIGNS concurrent independent campaigns in one event loop.
+#: timed SERVE_ROUNDS times after one warm-up round, plus SERVE_CAMPAIGNS
+#: concurrent independent campaigns in one event loop.
 SERVE_N = 256
+SERVE_ROUNDS = 9
 SERVE_CAMPAIGNS = 4
 
 
@@ -273,14 +276,16 @@ def test_served_round_throughput(benchmark, emit):
         )
 
     def run():
-        # Best of two: the first round pays import/loop warmup.
-        single_seconds = float("inf")
-        for _ in range(2):
+        # The warm-up round pays import/loop warmup; the median of the timed
+        # rounds is what one host stall cannot move.
+        rounds = []
+        for _ in range(1 + SERVE_ROUNDS):
             start = time.perf_counter()
             served, fleet_result = run_loopback(cfg, values, fleet_seed=3)
-            single_seconds = min(single_seconds, time.perf_counter() - start)
-        assert served.estimate.value == twin.value
-        assert fleet_result.uplinks_sent == SERVE_N
+            rounds.append(time.perf_counter() - start)
+            assert served.estimate.value == twin.value
+            assert fleet_result.uplinks_sent == SERVE_N
+        single_seconds = statistics.median(rounds[1:])
         start = time.perf_counter()
         all_served = asyncio.run(concurrent_campaigns())
         concurrent_seconds = time.perf_counter() - start
@@ -303,7 +308,8 @@ def test_served_round_throughput(benchmark, emit):
                 "",
                 "| scenario | s per round | reports/sec |",
                 "|---|---|---|",
-                f"| single round | {single_seconds:.3f} | {single_rate:,.0f} |",
+                f"| single round (median of {SERVE_ROUNDS}) | {single_seconds:.3f} | "
+                f"{single_rate:,.0f} |",
                 f"| {SERVE_CAMPAIGNS} concurrent campaigns | "
                 f"{concurrent_seconds:.3f} | {concurrent_rate:,.0f} |",
             ]

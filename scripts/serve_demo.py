@@ -18,7 +18,8 @@ control-message + frame protocol (HELLO, ANNOUNCE, REPORTS, RESULT):
    profile, with three clients shipping garbage instead of their frames,
    must match :func:`in_process_estimate` with exactly those three uplinks
    rejected (``wire_rejects_total``), and the recorded span stream must
-   contain the ``uplink.reject`` accounting spans.  The round is LDP
+   contain the ``uplink.reject`` accounting spans, whose ``frames`` add up
+   to the rejects (one span per message and reason).  The round is LDP
    (epsilon 2), so its recorded manifest must also show the server's
    privacy books: epsilon 2.0 spent once, and one metered bit per
    accepted report.
@@ -139,6 +140,11 @@ def adversarial_leg(out_root: Path) -> Path:
     ]
     if rejected and not reject_spans:
         raise SystemExit("no uplink.reject spans recorded for rejected uplinks")
+    span_frames = sum(span["attributes"]["frames"] for span in reject_spans)
+    if span_frames != rejected:
+        raise SystemExit(
+            f"REJECT MISS: uplink.reject spans count {span_frames} frames for {rejected} rejects"
+        )
     reasons = sorted({span["attributes"]["reason"] for span in reject_spans})
     # Served rounds meter through the same round core as in-process ones.
     spent = manifest["privacy"]["epsilon_spent"]

@@ -21,12 +21,12 @@ its messages are the same bytes with ``"clients"`` left out::
 A connection speaks for every id it registered: a frame claiming another id
 inside its range is that client's report.  Every malformed or late uplink is
 rejected *at the uplink* with :class:`~repro.exceptions.ProtocolError`
-accounting (``wire_rejects_total``, ``uplink.reject``/``uplink.late`` spans,
-each carrying the peer host and session id of its connection) and never
-folded into the per-bit counters.  Each drained batch of frames is decoded
-and validated as arrays, through the
-:func:`~repro.federated.wire.decode_batch_array` kernels, and accepted
-reports live in arrays indexed by client id.
+accounting (``wire_rejects_total`` per frame; ``uplink.reject`` spans, one
+per message and reason, and ``uplink.late`` spans, each carrying the peer
+host and session id of its connection) and never folded into the per-bit
+counters.  Each drained batch of frames is decoded and validated as arrays,
+through the :func:`~repro.federated.wire.decode_batch_array` kernels, and
+accepted reports live in arrays indexed by client id.
 
 Distributed tracing: each ANNOUNCE carries the round's trace context (a
 seed-derived ``trace_id`` plus the attempt's ``federated.round`` span id), the
@@ -54,6 +54,7 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from typing import Any, Coroutine, Iterable, Sequence, TypeVar
 
@@ -93,7 +94,7 @@ from repro.federated.wire import (
     encode_message,
     finite_number,
 )
-from repro.observability import get_metrics, get_tracer
+from repro.observability import DEFAULT_PHASE_BUCKETS, get_metrics, get_tracer
 from repro.observability.tracing import SpanRecord
 from repro.privacy.accountant import BitMeter, PrivacyAccountant
 from repro.privacy.randomized_response import RandomizedResponse
@@ -421,17 +422,18 @@ class RoundServer:
         detail: str = "",
         peer: str | None = None,
         session: int | None = None,
+        frames: int = 1,
     ) -> None:
-        """Account one rejected uplink: counter + an ``uplink.reject`` span.
+        """Account ``frames`` rejected uplinks of one reason: counter + one ``uplink.reject`` span.
 
         Rejected frames never touch the per-bit counters -- the accounting
         here is the only trace they leave, so the span carries the peer
         host and session id that make the reject attributable in merged
         traces even when the claimed client id is spoofed or absent.
         """
-        self._rejects += 1
-        get_metrics().counter("wire_rejects_total").inc()
-        attributes: dict[str, Any] = {"reason": reason, "attempt": attempt}
+        self._rejects += frames
+        get_metrics().counter("wire_rejects_total").inc(frames)
+        attributes: dict[str, Any] = {"reason": reason, "attempt": attempt, "frames": frames}
         if client is not None:
             attributes["client"] = client
         if detail:
@@ -479,8 +481,9 @@ class RoundServer:
                 if kind != MSG_HELLO:
                     raise ProtocolError(f"expected HELLO, got message kind {kind}")
                 hello = json.loads(payload)
-                client_id = int(hello["client_id"])
-                k = hello.get("clients", 1)
+                client_id, k = hello["client_id"], hello.get("clients", 1)
+                if not isinstance(client_id, int) or isinstance(client_id, bool):
+                    raise ValueError(f"HELLO client_id must be an int, got {client_id!r}")
                 if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= MAX_RANGE:
                     raise ValueError(f"HELLO clients must be an int in [1, {MAX_RANGE}], got {k!r}")
             except (ProtocolError, KeyError, TypeError, ValueError) as exc:
@@ -578,7 +581,7 @@ class RoundServer:
         attempt: int,
         assignment: np.ndarray,
         reports: _Reports,
-        accept_log: list[tuple[np.ndarray, np.ndarray, float]],
+        accept_log: list[tuple[np.ndarray, float]],
     ) -> int:
         """Validate one drained batch of uplinks; accept survivors into ``reports``.
 
@@ -591,13 +594,15 @@ class RoundServer:
         reason code each, in the order of :data:`_FRAME_REASONS`: ``frame``,
         ``spoofed-id`` (the claimed id lies outside the connection's range),
         ``assignment-mismatch``, ``flag-mismatch``, ``duplicate`` (already
-        accepted, or repeated within the batch).  Only rejected frames pay a
-        Python loop, for their spans and their scalar :func:`decode_report`
-        messages.  Returns the number of reports accepted.
+        accepted, or repeated within the batch).  The rejected frames of one
+        message and reason are one ``uplink.reject`` span counting their
+        ``frames``, with the first one's client and its scalar
+        :func:`decode_report` message as the detail.  Returns the number of
+        reports accepted.
 
-        ``accept_log`` collects ``(clients, arrival_wall_s, drained_wall_s)``
-        arrays per batch when tracing is live -- one wall read per *batch*;
-        the timing spans are emitted once per attempt, never per uplink.
+        ``accept_log`` collects ``(arrival_wall_s, drained_wall_s)`` per
+        batch when tracing is live: the accepted reports' arrival times and
+        one wall read per *batch*.
         """
         owners: list[int] = []
         sizes: list[int] = []
@@ -663,30 +668,35 @@ class RoundServer:
             reports.accept(clients[accept], bit_index[accept], fields["bit"][accept])
             if tracer.enabled and accept.size:
                 arrival_s = np.repeat(np.asarray(arrivals, dtype=np.float64), counts)
-                accept_log.append((clients[accept], arrival_s[accept], drained_s))
-            for i in np.flatnonzero(code).tolist():
-                reason = _FRAME_REASONS[code[i]]
-                client = int(clients[i])
-                if reason == "frame":
-                    try:
-                        decode_report(data[i * REPORT_SIZE:(i + 1) * REPORT_SIZE])
-                        detail = "invalid frame"  # pragma: no cover - decode raises
-                    except ProtocolError as exc:
-                        detail = str(exc)
-                elif reason == "spoofed-id":
-                    detail = f"frame claims client {int(claimed[i])}"
-                elif reason == "assignment-mismatch":
-                    detail = f"reported bit {bit_index[i]}, assigned {int(assignment[client])}"
-                elif reason == "flag-mismatch":
-                    detail = f"randomized_response={bool(randomized[i])}, expected {rr_expected}"
-                else:
-                    detail = ""
-                self._reject(client, reason, attempt, detail)
+                accept_log.append((arrival_s[accept], drained_s))
+            rejected = np.flatnonzero(code)
+            if rejected.size:
+                message = np.repeat(np.arange(len(counts)), counts)[rejected]
+                group = message * len(_FRAME_REASONS) + code[rejected]
+                _groups, head, size = np.unique(group, return_index=True, return_counts=True)
+                for i, frames in zip(rejected[head].tolist(), size.tolist()):
+                    reason = _FRAME_REASONS[code[i]]
+                    client = int(clients[i])
+                    if reason == "frame":
+                        try:
+                            decode_report(data[i * REPORT_SIZE:(i + 1) * REPORT_SIZE])
+                            detail = "invalid frame"  # pragma: no cover - decode raises
+                        except ProtocolError as exc:
+                            detail = str(exc)
+                    elif reason == "spoofed-id":
+                        detail = f"frame claims client {int(claimed[i])}"
+                    elif reason == "assignment-mismatch":
+                        detail = f"reported bit {bit_index[i]}, assigned {int(assignment[client])}"
+                    elif reason == "flag-mismatch":
+                        detail = f"randomized_response={randomized[i]}, expected {rr_expected}"
+                    else:
+                        detail = ""
+                    self._reject(client, reason, attempt, detail, frames=frames)
         return int(accept.size)
 
     async def _collect(
         self, attempt: int, assignment: np.ndarray
-    ) -> tuple[_Reports, float, list[tuple[np.ndarray, np.ndarray, float]]]:
+    ) -> tuple[_Reports, float, list[tuple[np.ndarray, float]]]:
         """Collect uplinks until every registered client reported or the deadline.
 
         The deadline reads the event loop's clock, the recorded duration the tracer's.
@@ -695,7 +705,7 @@ class RoundServer:
         tracer = get_tracer()
         reports = _Reports.empty(self.config.n_clients)
         accepted = 0
-        accept_log: list[tuple[np.ndarray, np.ndarray, float]] = []
+        accept_log: list[tuple[np.ndarray, float]] = []
         expected = self._registered
         start = tracer.now()
         deadline = None if self.config.deadline_s is None else loop.time() + self.config.deadline_s
@@ -727,38 +737,30 @@ class RoundServer:
         return reports, duration, accept_log
 
     # ------------------------------------------------------------------
+    @staticmethod
     def _record_uplink_timings(
-        self,
-        attempt: Attempt,
-        announce_wall: float,
-        accept_log: list[tuple[np.ndarray, np.ndarray, float]],
+        attempt: Attempt, announce_wall: float, accept_log: list[tuple[np.ndarray, float]]
     ) -> None:
-        """One ``serve.uplink_timings`` span per attempt + straggler stats.
+        """One attempt's per-report wire timings: two histograms + straggler stats.
 
-        The per-report arrival and queue-delay samples ride as index-aligned
-        arrays on a single span (never a span per uplink), and the attempt's
-        ``federated.round`` span gains the median / slowest-decile uplink
-        latency attributes the ``straggler-skew`` health rule and the
-        report's wire-latency section read.
+        Each accepted report's RTT (ANNOUNCE to the arrival of its REPORTS
+        message) and queue delay (arrival to the drain that decoded it) go
+        into the ``serve_uplink_rtt_s`` and ``serve_uplink_queue_delay_s``
+        histograms on :data:`DEFAULT_PHASE_BUCKETS`, so the record does not
+        grow with the cohort.  The attempt's ``federated.round`` span gains
+        the exact median / slowest-decile RTT that the ``straggler-skew``
+        health rule reads.
         """
-        tracer = get_tracer()
-        if not tracer.enabled or not accept_log:
+        if not accept_log:
             return
-        clients = np.concatenate([ids for ids, _a, _d in accept_log])
-        arrival_s = np.concatenate([arrival for _i, arrival, _d in accept_log])
-        queue_delay_s = np.concatenate([drained - arrival for _i, arrival, drained in accept_log])
-        with tracer.span(
-            "serve.uplink_timings",
-            {
-                "attempt": attempt.number,
-                "announce_s": announce_wall,
-                "clients": clients.tolist(),
-                "arrival_s": arrival_s.tolist(),
-                "queue_delay_s": queue_delay_s.tolist(),
-            },
-        ):
-            pass
+        arrival_s = np.concatenate([arrival for arrival, _drained in accept_log])
+        queue_delay_s = np.concatenate([drained - arrival for arrival, drained in accept_log])
         latencies = arrival_s - announce_wall
+        metrics = get_metrics()
+        metrics.histogram("serve_uplink_rtt_s", DEFAULT_PHASE_BUCKETS).observe_array(latencies)
+        metrics.histogram("serve_uplink_queue_delay_s", DEFAULT_PHASE_BUCKETS).observe_array(
+            queue_delay_s
+        )
         latencies.sort()
         slowest = latencies[-max(1, latencies.size // 10):]
         attempt.span.set_attribute("uplink_median_s", float(np.median(latencies)))
@@ -831,6 +833,11 @@ class RoundServer:
                 f"telemetry claims client {telemetry.client_id}, sent by {client_id}",
             )
             return
+        offset = self._clock_offsets.get(client_id, 0.0)
+        starts = [float(span["start_time_s"]) + offset for span in telemetry.spans]
+        if not all(map(math.isfinite, starts)):
+            self._reject_telemetry(client_id, "a span start is not finite on the server clock")
+            return
         metrics = get_metrics()
         if telemetry.metrics and metrics.enabled:
             try:
@@ -841,12 +848,11 @@ class RoundServer:
         k = self._ranges.get(client_id, (1, None))[0]
         tracer = get_tracer()
         if tracer.enabled and telemetry.spans:
-            offset = self._clock_offsets.get(client_id, 0.0)
             id_map = {
                 span["span_id"]: tracer.next_span_id() for span in telemetry.spans
             }
             attribution = self._attribution(client_id)
-            for span in telemetry.spans:
+            for span, start in zip(telemetry.spans, starts):
                 local_parent = span.get("parent_id")
                 if local_parent is None:
                     attempt = span.get("attributes", {}).get("attempt")
@@ -863,7 +869,7 @@ class RoundServer:
                         name=str(span["name"]),
                         span_id=id_map[span["span_id"]],
                         parent_id=parent,
-                        start_time_s=float(span["start_time_s"]) + offset,
+                        start_time_s=start,
                         duration_s=float(span["duration_s"]),
                         status=str(span.get("status", "ok")),
                         attributes=attributes,

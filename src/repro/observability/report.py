@@ -232,61 +232,45 @@ def _communication(manifest: dict[str, Any]) -> dict[str, Any]:
     }
 
 
-def _quantile(sorted_values: list[float], q: float) -> float:
-    """Linear-interpolation quantile of an already-sorted list."""
-    if not sorted_values:
-        return 0.0
-    if len(sorted_values) == 1:
-        return sorted_values[0]
-    position = q * (len(sorted_values) - 1)
-    low = int(position)
-    high = min(low + 1, len(sorted_values) - 1)
-    fraction = position - low
-    return sorted_values[low] * (1.0 - fraction) + sorted_values[high] * fraction
-
-
-def _latency_summary(values: list[float]) -> dict[str, Any]:
-    ordered = sorted(values)
+def _series(histogram: dict[str, Any]) -> dict[str, Any]:
+    """A latency series from a :meth:`Histogram.to_dict` payload: percentiles from buckets."""
     return {
-        "count": len(ordered),
-        "p50_s": _quantile(ordered, 0.50),
-        "p95_s": _quantile(ordered, 0.95),
-        "p99_s": _quantile(ordered, 0.99),
-        "max_s": ordered[-1] if ordered else 0.0,
+        "count": histogram.get("count", 0),
+        "p50_s": histogram.get("p50", 0.0),
+        "p95_s": histogram.get("p95", 0.0),
+        "p99_s": histogram.get("p99", 0.0),
     }
 
 
 def _wire_latency(artifact: RunArtifact) -> dict[str, Any] | None:
-    """Uplink RTT and server queue delay from correlated served-round spans.
+    """Uplink RTT, server queue delay and client send time of served rounds.
 
-    ``serve.uplink_timings`` spans carry index-aligned per-uplink arrays
-    (client ids, wall arrival times, queue delays) plus the wall time of the
-    ANNOUNCE broadcast that solicited them; the arrival-minus-announce gap
-    is the wire RTT of one uplink as the server saw it.  Remote
-    ``fleet.uplink`` spans (ingested from telemetry, clock-skew aligned)
-    give the same uplinks from the client side.  In-process artifacts have
-    none of these spans and report no wire section.
+    A served round observes each accepted report's RTT (ANNOUNCE to the
+    arrival of its REPORTS message) and queue delay (arrival to drain) into
+    the ``serve_uplink_rtt_s`` and ``serve_uplink_queue_delay_s`` histograms
+    of the manifest's metrics.  Remote ``fleet.uplink`` spans (ingested from
+    telemetry) give the client side, one per connection and attempt, binned
+    on the same :data:`DEFAULT_PHASE_BUCKETS`.  Every percentile comes from
+    bucket counts.  In-process artifacts have none of these and report no
+    wire section.
     """
-    rtts: list[float] = []
-    queue_delays: list[float] = []
-    client_sends: list[float] = []
+    histograms = (artifact.manifest.get("metrics") or {}).get("histograms", {})
+    rtt = histograms.get("serve_uplink_rtt_s", {})
+    queue_delay = histograms.get("serve_uplink_queue_delay_s", {})
+    client_send = Histogram("fleet.uplink", DEFAULT_PHASE_BUCKETS)
     attempts = 0
     for record in artifact.spans():
-        if record.name == "serve.uplink_timings":
-            attrs = record.attributes
-            announce = float(attrs.get("announce_s", 0.0))
+        if record.name == ROUND_SPAN and "uplink_median_s" in record.attributes:
             attempts += 1
-            rtts.extend(float(arrival) - announce for arrival in attrs.get("arrival_s") or [])
-            queue_delays.extend(float(delay) for delay in attrs.get("queue_delay_s") or [])
         elif record.name == "fleet.uplink" and record.attributes.get("remote"):
-            client_sends.append(record.duration_s)
-    if not (rtts or queue_delays or client_sends):
+            client_send.observe(record.duration_s)
+    if not (rtt or queue_delay or client_send.count):
         return None
     return {
         "attempts": attempts,
-        "uplink_rtt": _latency_summary(rtts),
-        "queue_delay": _latency_summary(queue_delays),
-        "client_send": _latency_summary(client_sends),
+        "uplink_rtt": _series(rtt),
+        "queue_delay": _series(queue_delay),
+        "client_send": _series(client_send.to_dict()),
     }
 
 
@@ -394,8 +378,8 @@ def render_markdown(report: dict[str, Any]) -> str:
         out("")
         out(f"served attempts with uplink timings: {wire.get('attempts', 0)}")
         out("")
-        out("| series | count | p50 ms | p95 ms | p99 ms | max ms |")
-        out("| --- | --- | --- | --- | --- | --- |")
+        out("| series | count | p50 ms | p95 ms | p99 ms |")
+        out("| --- | --- | --- | --- | --- |")
         for key, title in (
             ("uplink_rtt", "uplink RTT (announce -> arrival)"),
             ("queue_delay", "server queue delay (arrival -> drain)"),
@@ -404,8 +388,7 @@ def render_markdown(report: dict[str, Any]) -> str:
             series = wire.get(key) or {}
             out(
                 f"| {title} | {series.get('count', 0)} | {_ms(series.get('p50_s', 0.0))} | "
-                f"{_ms(series.get('p95_s', 0.0))} | {_ms(series.get('p99_s', 0.0))} | "
-                f"{_ms(series.get('max_s', 0.0))} |"
+                f"{_ms(series.get('p95_s', 0.0))} | {_ms(series.get('p99_s', 0.0))} |"
             )
         out("")
 

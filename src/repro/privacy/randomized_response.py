@@ -53,7 +53,12 @@ class RandomizedResponse:
         if epsilon is not None:
             if not np.isfinite(epsilon) or epsilon <= 0:
                 raise ConfigurationError(f"epsilon must be a positive finite float, got {epsilon}")
-            p = math.exp(epsilon) / (1.0 + math.exp(epsilon))
+            try:
+                p = math.exp(epsilon) / (1.0 + math.exp(epsilon))
+            except OverflowError:
+                raise ConfigurationError(
+                    f"epsilon {epsilon} is too large: e^epsilon overflows"
+                ) from None
         else:
             assert p is not None
             if not 0.5 < p < 1.0:

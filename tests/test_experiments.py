@@ -200,6 +200,7 @@ class TestCli:
             ("trace 1a --quick --min-quorum 100000", 1, "round failed: "),
             ("serve --clients 0", 2, "error: "),
             ("serve --clients 2 --max-retries -1", 2, "error: "),
+            ("serve --clients 2 --epsilon 1000", 2, "error: "),
             ("fleet --clients 0 --port 1", 2, "error: "),
             ("fleet --clients 2 --port 1 --emulation bogus", 2, "error: "),
             ("figure 1a --quick --workers 0", 2, "error: "),

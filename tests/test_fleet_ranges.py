@@ -141,6 +141,8 @@ class TestRangeHello:
             ({"client_id": 0, "clients": MAX_RANGE + 1}, "hello"),
             ({"client_id": 0, "clients": MAX_RANGE}, "hello-id-range"),
             ({"client_id": 2, "clients": 3}, "hello-id-range"),
+            ({"client_id": 2.5}, "hello"),
+            ({"client_id": True}, "hello"),
         ],
     )
     def test_bad_range_hello_is_rejected(self, hello, reason):

@@ -14,6 +14,7 @@ import json
 import os
 import subprocess
 import sys
+from bisect import bisect_left
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,8 @@ import pytest
 from repro.cli import main, run_traced_round
 from repro.federated import ServeConfig, fleet_values, run_loopback
 from repro.observability import (
+    DEFAULT_PHASE_BUCKETS,
+    ROUND_SPAN,
     ObservedRun,
     SimClock,
     build_chrome_trace,
@@ -193,6 +196,36 @@ class TestRecordedRun:
             dirs.append(tmp_path / name / "run")
         for filename in (EVENTS_FILENAME, MANIFEST_FILENAME):
             assert (dirs[0] / filename).read_bytes() == (dirs[1] / filename).read_bytes()
+
+    def test_served_report_reads_wire_latency_from_bucket_counts(self, tmp_path):
+        config = ServeConfig(n_clients=24, seed=11)
+        with ObservedRun(
+            record_dir=tmp_path / "run", config=config.to_manifest(), seed=config.seed,
+            sim_clock=True,
+        ) as run:
+            served, _ = run_loopback(
+                config, fleet_values(24, seed=3), fleet_seed=3,
+                clock_factory=lambda: SimClock(start=1.0, step=0.001),
+            )
+        run.finalize(estimate=served.estimate, meter=served.meter)
+        artifact = load_run(tmp_path / "run")
+        report = build_report(artifact)
+        wire = report["wire"]
+        assert wire["attempts"] == 1
+        assert wire["uplink_rtt"]["count"] == served.surviving_clients == 24
+        assert wire["queue_delay"]["count"] == 24
+        assert wire["client_send"]["count"] == served.connections
+        (round_span,) = [s for s in artifact.spans() if s.name == ROUND_SPAN]
+        median = round_span.attributes["uplink_median_s"]
+        # The report's p50 comes from the histogram's buckets: the exact
+        # median's bucket, or one next to it.
+        bucket = bisect_left(DEFAULT_PHASE_BUCKETS, wire["uplink_rtt"]["p50_s"])
+        assert abs(bucket - bisect_left(DEFAULT_PHASE_BUCKETS, median)) <= 1
+        assert "| series | count | p50 ms | p95 ms | p99 ms |\n" in render_markdown(report)
+
+    def test_in_process_report_has_no_wire_section(self, tmp_path):
+        record_dir, _ = _run_recorded(tmp_path)
+        assert build_report(load_run(record_dir))["wire"] is None
 
     def test_chaos_run_records_retries_and_degradation(self, tmp_path):
         record_dir, result = _run_recorded(

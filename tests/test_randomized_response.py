@@ -34,6 +34,11 @@ class TestConstruction:
             with pytest.raises(ConfigurationError):
                 RandomizedResponse(epsilon=eps)
 
+    def test_epsilon_whose_exponential_overflows(self):
+        with pytest.raises(ConfigurationError, match="e\\^epsilon overflows"):
+            RandomizedResponse(epsilon=1000.0)
+        assert RandomizedResponse(epsilon=700.0).p == 1.0
+
     def test_invalid_p(self):
         for p in (0.5, 1.0, 0.3, 1.5):
             with pytest.raises(ConfigurationError):

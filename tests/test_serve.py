@@ -540,6 +540,7 @@ class TestUplinkRejection:
                 encode_message(MSG_RESULT, b"{}"),  # not a HELLO
                 encode_message(MSG_HELLO, b"not json"),  # unparsable payload
                 encode_message(MSG_HELLO, json.dumps({"client_id": 99}).encode()),
+                encode_message(MSG_HELLO, b'{"client_id": 1e400}'),  # reads as inf
             ]
             writers = []
             for message in bad_first_messages:
@@ -557,9 +558,45 @@ class TestUplinkRejection:
             await server.close()
             return served
 
-        served = asyncio.run(scenario())
-        assert served.wire_rejects == 3
+        memory = InMemoryExporter()
+        with instrumented(Tracer([memory]), MetricsRegistry()):
+            served = asyncio.run(scenario())
+        assert served.wire_rejects == 4
         assert served.surviving_clients == 1
+        reasons = [r.attributes["reason"] for r in memory.records if r.name == "uplink.reject"]
+        assert sorted(reasons) == ["hello", "hello", "hello", "hello-id-range"]
+
+    def test_a_connection_of_bad_frames_writes_one_span_per_reason(self):
+        # 10**4 clients on 8 connections; the fourth breaks the magic of its
+        # even ids' frames and sets the randomized-response flag on its odd
+        # ids', all in its one REPORTS message.
+        n = 10_000
+        lo, hi = fleet_ranges(n)[3]
+        values = fleet_values(n, seed=4)
+        cfg = ServeConfig(n_clients=n, seed=8, deadline_s=10.0, registration_timeout_s=10.0)
+
+        def corrupt(cid, attempt, frame):
+            if not lo <= cid < hi:
+                return frame
+            if cid % 2 == 0:
+                return b"\x00" + frame[1:]
+            return frame[:7] + bytes([frame[7] | 1]) + frame[8:]
+
+        memory, registry = InMemoryExporter(), MetricsRegistry()
+        with instrumented(Tracer([memory]), registry):
+            served, _fleet = run_loopback(cfg, values, fleet_seed=4, mutate=corrupt)
+        rejects = [r for r in memory.records if r.name == "uplink.reject"]
+        assert [(r.attributes["reason"], r.attributes["frames"]) for r in rejects] == [
+            ("frame", (hi - lo) // 2), ("flag-mismatch", (hi - lo) // 2),
+        ]
+        assert [r.attributes["client"] for r in rejects] == [lo, lo + 1]
+        assert "magic" in rejects[0].attributes["detail"]
+        assert len({r.attributes["session"] for r in rejects}) == 1
+        assert sum(r.attributes["frames"] for r in rejects) == served.wire_rejects == hi - lo
+        assert registry.snapshot()["counters"]["wire_rejects_total"] == hi - lo
+        assert served.surviving_clients == n - (hi - lo)
+        twin = in_process_estimate(values, cfg, fleet_seed=4, corrupted=range(lo, hi))
+        assert served.estimate.value == twin.value
 
 
 class TestSilentConnection:
@@ -630,6 +667,32 @@ class TestSilentConnection:
         (reject,) = [r for r in memory.records if r.name == "uplink.reject"]
         assert reject.attributes["reason"] == "hello-timeout"
         assert reject.attributes["peer"] == "127.0.0.1"
+
+
+class TestRecordedServedRoundSize:
+    @staticmethod
+    def _longest_list_attribute(record_dir: Path, n: int) -> int:
+        cfg = ServeConfig(n_clients=n, seed=5, deadline_s=30.0, registration_timeout_s=30.0)
+        with ObservedRun(
+            record_dir / "trace.jsonl", record_dir / "run", config=cfg.to_manifest(),
+            seed=cfg.seed, profile=True,
+        ) as run:
+            served, _ = run_loopback(cfg, fleet_values(n, seed=2), fleet_seed=2)
+        run.finalize(estimate=served.estimate, accountant=served.accountant, meter=served.meter)
+        return max(
+            (
+                len(value)
+                for span in load_run(record_dir / "run").spans()
+                for value in span.attributes.values()
+                if isinstance(value, list)
+            ),
+            default=0,
+        )
+
+    def test_no_span_attribute_grows_with_the_cohort(self, tmp_path):
+        small = self._longest_list_attribute(tmp_path / "small", 1_000)
+        large = self._longest_list_attribute(tmp_path / "large", 10_000)
+        assert large == small
 
 
 class TestServedPrivacyAccounting:
@@ -750,7 +813,9 @@ def _fuzzed_round(data) -> None:
     counters = registry.snapshot()["counters"]
     assert counters["wire_rejects_total"] == float(expected)
     rejects = [r for r in memory.records if r.name == "uplink.reject"]
-    assert len(rejects) == expected
+    # One span per message and reason: a message of several bad frames is one.
+    assert sum(r.attributes["frames"] for r in rejects) == expected
+    assert len(rejects) <= expected
     assert {r.attributes["reason"] for r in rejects} <= {"frame", "frame-size"}
     assert fleet.uplinks_sent == n
 
@@ -1220,6 +1285,38 @@ class TestDistributedTracing:
         (record,) = memory.records
         assert record.start_time_s == 12.0 and record.duration_s == 0.5
         assert json.loads(json.dumps(record.to_dict(), allow_nan=False))
+
+    def test_span_start_that_overflows_once_aligned_is_rejected(self):
+        # Both times are finite, but the HELLO offset plus the span start is not.
+        cfg = ServeConfig(n_clients=1, seed=2, registration_timeout_s=5.0)
+        server = RoundServer(cfg)
+
+        async def scenario():
+            await server.start()
+            _reader, writer = await asyncio.open_connection(cfg.host, server.port)
+            hello = json.dumps({"client_id": 0, "clock_s": -1.7e308})
+            writer.write(encode_message(MSG_HELLO, hello.encode()))
+            await writer.drain()
+            await asyncio.wait_for(server._all_registered.wait(), 5.0)
+            writer.close()
+            await server.close()
+
+        asyncio.run(scenario())
+        spans = [
+            {"name": "fleet.round", "span_id": 1, "parent_id": None,
+             "start_time_s": 12.0, "duration_s": 0.5},
+            {"name": "fleet.uplink", "span_id": 2, "parent_id": 1,
+             "start_time_s": 1.7e308, "duration_s": 0.5},
+        ]
+        metrics = {"counters": {"fleet_uplinks_sent_total": 1.0}}
+        memory, registry = InMemoryExporter(), MetricsRegistry()
+        with instrumented(Tracer([memory]), registry):
+            server._ingest_telemetry(0, encode_telemetry(0, spans, metrics))
+        (reject,) = memory.records
+        assert reject.name == "telemetry.reject"
+        assert "not finite" in reject.attributes["detail"]
+        assert server._remote_spans == 0 and server._telemetry_clients == 0
+        assert registry.snapshot()["counters"] == {"telemetry_rejects_total": 1.0}
 
     def test_plain_fleet_without_telemetry_support_still_completes(self):
         # A pre-tracing client never sends TELEMETRY: the drain gives up as
