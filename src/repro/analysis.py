@@ -36,6 +36,20 @@ __all__ = [
 ]
 
 
+def _truth_probability(epsilon: float) -> float:
+    """Randomized response's ``p = e^eps / (1 + e^eps)`` for a finite ``epsilon > 0``.
+
+    ``e^eps`` overflows past eps ~ 709.8, where the ratio has rounded to
+    exactly 1.0 since eps ~ 37, so 1.0 is the formula's own value there.
+    """
+    if not (epsilon > 0 and math.isfinite(epsilon)):
+        raise ConfigurationError(f"epsilon must be a positive finite float, got {epsilon}")
+    try:
+        return math.exp(epsilon) / (1.0 + math.exp(epsilon))
+    except OverflowError:
+        return 1.0
+
+
 def per_report_bit_variance(bit_mean: float, epsilon: float | None = None) -> float:
     """Variance of one (debiased) report of a bit with true mean ``bit_mean``.
 
@@ -50,9 +64,7 @@ def per_report_bit_variance(bit_mean: float, epsilon: float | None = None) -> fl
         raise ConfigurationError(f"bit_mean must be in [0, 1], got {bit_mean}")
     if epsilon is None:
         return bit_mean * (1.0 - bit_mean)
-    if epsilon <= 0:
-        raise ConfigurationError(f"epsilon must be positive, got {epsilon}")
-    p = math.exp(epsilon) / (1.0 + math.exp(epsilon))
+    p = _truth_probability(epsilon)
     q = bit_mean * p + (1.0 - bit_mean) * (1.0 - p)
     return q * (1.0 - q) / (2.0 * p - 1.0) ** 2
 
@@ -163,8 +175,6 @@ def dithering_variance(width: float, n_clients: int, epsilon: float | None = Non
         raise ConfigurationError("width must be positive and n_clients >= 1")
     unit_variance = 0.25
     if epsilon is not None:
-        if epsilon <= 0:
-            raise ConfigurationError(f"epsilon must be positive, got {epsilon}")
-        p = math.exp(epsilon) / (1.0 + math.exp(epsilon))
+        p = _truth_probability(epsilon)
         unit_variance = 0.25 / (2.0 * p - 1.0) ** 2 + 1.0 / 12.0
     return width**2 * unit_variance / n_clients

@@ -101,19 +101,26 @@ class ClientBatch:
 
     Client ``i`` holds the multiset ``values[offsets[i]:offsets[i+1]]`` (at
     least one value each), identity ``client_ids[i]``, and one entry per
-    attribute column.  It is the one population type the round and cohort
-    code see: :class:`~repro.federated.server.FederatedMeanQuery` also
-    accepts a ``Sequence[ClientDevice]`` and converts it once with
+    attribute column.  When every client holds one value, ``offsets`` is
+    ``None`` and client ``i`` holds ``values[i]``: every constructor and
+    :meth:`take` store the one-value case this way, so it never builds or
+    checks an ``arange(n + 1)`` prefix array.  It is the one
+    population type the round and cohort code see:
+    :class:`~repro.federated.server.FederatedMeanQuery` also accepts a
+    ``Sequence[ClientDevice]`` and converts it once with
     :meth:`from_devices`, before cohort selection.
 
     Parameters
     ----------
     values:
-        Flat float64 array: every client's local observations, concatenated.
+        Flat 1-D float64 array: every client's local observations,
+        concatenated.
     offsets:
-        int64 prefix array of length ``n + 1`` (``offsets[0] == 0``,
-        ``offsets[-1] == values.size``, strictly increasing -- empty
-        multisets are rejected, matching ``ClientDevice``).
+        ``None`` for one value per client, or an int64 prefix array of
+        length ``n + 1`` (``offsets[0] == 0``, ``offsets[-1] ==
+        values.size``, strictly increasing -- empty multisets are
+        rejected, matching ``ClientDevice``).  A prefix array with one
+        value per client is validated, then stored as ``None``.
     client_ids:
         int64 identity per client (default: ``arange(n)``).
     attributes:
@@ -123,30 +130,39 @@ class ClientBatch:
     Examples
     --------
     >>> batch = ClientBatch.from_values([3.0, 5.0, 7.0])
-    >>> len(batch), batch.sizes.tolist()
-    (3, [1, 1, 1])
+    >>> len(batch), batch.sizes.tolist(), batch.offsets is None
+    (3, [1, 1, 1], True)
     >>> batch.take([2, 0]).values.tolist()
     [7.0, 3.0]
     """
 
     values: np.ndarray
-    offsets: np.ndarray
+    offsets: np.ndarray | None
     client_ids: np.ndarray | None = None
     attributes: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.values = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
-        self.offsets = np.ascontiguousarray(np.asarray(self.offsets, dtype=np.int64))
-        if self.offsets.ndim != 1 or self.offsets.size < 1:
-            raise ConfigurationError("offsets must be a 1-D prefix array of length n + 1")
-        n = self.offsets.size - 1
-        if self.offsets[0] != 0 or self.offsets[-1] != self.values.size:
+        if self.values.ndim != 1:
             raise ConfigurationError(
-                f"offsets must span [0, {self.values.size}], got "
-                f"[{int(self.offsets[0])}, {int(self.offsets[-1])}]"
+                f"expected a 1-D value array, got shape {self.values.shape}"
             )
-        if np.any(np.diff(self.offsets) < 1):
-            raise ConfigurationError("every client needs at least one local value")
+        n = self.values.size
+        if self.offsets is not None:
+            offsets = np.ascontiguousarray(np.asarray(self.offsets, dtype=np.int64))
+            if offsets.ndim != 1 or offsets.size < 1:
+                raise ConfigurationError("offsets must be a 1-D prefix array of length n + 1")
+            if offsets[0] != 0 or offsets[-1] != n:
+                raise ConfigurationError(
+                    f"offsets must span [0, {n}], got "
+                    f"[{int(offsets[0])}, {int(offsets[-1])}]"
+                )
+            if np.any(np.diff(offsets) < 1):
+                raise ConfigurationError("every client needs at least one local value")
+            n = offsets.size - 1
+            # Strictly increasing from 0 to values.size: all n steps are 1
+            # exactly when there are values.size of them.
+            self.offsets = None if n == self.values.size else offsets
         if self.client_ids is None:
             self.client_ids = np.arange(n, dtype=np.int64)
         else:
@@ -168,7 +184,7 @@ class ClientBatch:
     # ------------------------------------------------------------------
     @property
     def n_clients(self) -> int:
-        return int(self.offsets.size - 1)
+        return int(self.values.size if self.offsets is None else self.offsets.size - 1)
 
     def __len__(self) -> int:
         return self.n_clients
@@ -176,15 +192,21 @@ class ClientBatch:
     @property
     def sizes(self) -> np.ndarray:
         """Per-client multiset sizes (int64, length ``n``)."""
+        if self.offsets is None:
+            return np.ones(self.values.size, dtype=np.int64)
         return np.diff(self.offsets)
 
     @property
     def uniform(self) -> bool:
         """True when every client holds exactly one value (the fast path)."""
-        return int(self.values.size) == self.n_clients
+        return self.offsets is None
 
     def values_for(self, i: int) -> np.ndarray:
         """Client ``i``'s multiset (a view into the flat array)."""
+        if not 0 <= i < self.n_clients:
+            raise IndexError(f"client {i} outside [0, {self.n_clients})")
+        if self.offsets is None:
+            return self.values[i : i + 1]
         return self.values[self.offsets[i] : self.offsets[i + 1]]
 
     def local_means(self) -> np.ndarray:
@@ -207,10 +229,7 @@ class ClientBatch:
     ) -> "ClientBatch":
         """One value per client (the common large-scale shape)."""
         vals = np.atleast_1d(np.asarray(values, dtype=np.float64))
-        if vals.ndim != 1:
-            raise ConfigurationError(f"expected a 1-D value array, got shape {vals.shape}")
-        offsets = np.arange(vals.size + 1, dtype=np.int64)
-        return cls(vals, offsets, client_ids, dict(attributes or {}))
+        return cls(vals, None, client_ids, dict(attributes or {}))
 
     @classmethod
     def from_devices(cls, devices: Iterable[Any]) -> "ClientBatch":
@@ -274,13 +293,8 @@ class ClientBatch:
                 f"indices outside [0, {self.n_clients}) cannot be taken"
             )
         attributes = {key: column[idx] for key, column in self.attributes.items()}
-        if self.uniform:
-            return ClientBatch(
-                self.values[idx],
-                np.arange(idx.size + 1, dtype=np.int64),
-                self.client_ids[idx],
-                attributes,
-            )
+        if self.offsets is None:
+            return ClientBatch(self.values[idx], None, self.client_ids[idx], attributes)
         sizes = self.sizes[idx]
         offsets = np.zeros(idx.size + 1, dtype=np.int64)
         np.cumsum(sizes, out=offsets[1:])
@@ -344,9 +358,9 @@ def elicit_values(
         return out
     if strategy == "mean":
         return batch.local_means()
+    if strategy in ("max", "latest") and batch.offsets is None:
+        return batch.values.copy()
     if strategy == "max":
-        if batch.uniform:
-            return batch.values.copy()
         return np.maximum.reduceat(batch.values, batch.offsets[:-1])
     if strategy == "latest":
         return batch.values[batch.offsets[1:] - 1]
@@ -381,9 +395,9 @@ def report_bits(
     assign = np.asarray(assignment)
     if assign.ndim == 2:
         enc = enc[:, None]
-    bits = (
-        np.right_shift(enc, assign, dtype=np.uint64, casting="unsafe") & np.uint64(1)
-    ).astype(np.uint8)
+    shifted = np.right_shift(enc, assign, dtype=np.uint64, casting="unsafe")
+    shifted &= np.uint64(1)
+    bits = shifted.astype(np.uint8)
     if perturbation is not None:
         bits = np.asarray(perturbation.perturb_bits(bits, ensure_rng(rng)), dtype=np.uint8)
         if bits.shape != assign.shape:
@@ -426,8 +440,7 @@ def _collect(
         ):
             encoded = column[lo:hi] if encode is None else encode(column[lo:hi])
             bits = report_bits(encoded, assign[lo:hi], perturbation, gen)
-            joint = assign[lo:hi].astype(np.intp).ravel()
-            joint *= 2
+            joint = np.left_shift(assign[lo:hi], 1, dtype=np.intp).ravel()
             joint += bits.ravel() == 1
             joint = np.bincount(joint, minlength=2 * n_bits)
             sums += joint[1::2]

@@ -189,16 +189,22 @@ class FixedPointEncoder:
         Quantizes in place in one float temporary, never in ``values``
         itself.  A finite sum proves every value finite, so only a
         non-finite sum (an inf, a NaN, or a total that overflows) pays for
-        the exact element-wise scan.
+        the exact element-wise scan.  The subtract is skipped at
+        ``offset == 0`` and the divide at ``scale == 1``: in IEEE
+        arithmetic ``x - 0.0`` and ``x / 1.0`` are ``x`` exactly.
         """
         vals = np.asarray(values, dtype=np.float64)
         with np.errstate(over="ignore", invalid="ignore"):
             total = np.add.reduce(vals, axis=None)
         if not np.isfinite(total) and not np.all(np.isfinite(vals)):
             raise EncodingError("cannot encode non-finite values")
-        quantized = np.subtract(vals, self.offset, out=np.empty(vals.shape))
-        quantized /= self.scale
-        np.rint(quantized, out=quantized)
+        quantized = np.empty(vals.shape)
+        scaled = vals
+        if self.offset != 0:
+            scaled = np.subtract(scaled, self.offset, out=quantized)
+        if self.scale != 1:
+            scaled = np.divide(scaled, self.scale, out=quantized)
+        np.rint(scaled, out=quantized)
         if self.clip:
             np.clip(quantized, 0, self.max_encoded, out=quantized)
         else:

@@ -15,7 +15,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from repro.core.client_plane import ClientBatch
+from repro.core.client_plane import ClientBatch, elicit_values
 from repro.exceptions import ConfigurationError
 from repro.rng import ensure_rng
 
@@ -110,14 +110,8 @@ def ground_truth_mean(
         batch = per_client_values
         if strategy in ("sample", "mean"):
             reductions = batch.local_means()
-        elif strategy == "max":
-            reductions = (
-                batch.values
-                if batch.uniform
-                else np.maximum.reduceat(batch.values, batch.offsets[:-1])
-            )
-        elif strategy == "latest":
-            reductions = batch.values[batch.offsets[1:] - 1]
+        elif strategy in ("max", "latest"):
+            reductions = elicit_values(batch, strategy)
         else:
             raise ConfigurationError(
                 f"unknown elicitation strategy {strategy!r}; expected one of "

@@ -73,13 +73,22 @@ class RandomizedResponse:
     def perturb_bits(
         self, bits: np.ndarray, rng: np.random.Generator | int | None = None
     ) -> np.ndarray:
-        """Report each bit truthfully with probability ``p``, else flipped."""
+        """Report each bit truthfully with probability ``p``, else flipped.
+
+        Every input value must be exactly 0 or 1, whatever its dtype; the
+        reports come back as a new uint8 array.  Client ``i`` flips when
+        its uniform draw is at least ``p``, with the draws in C order.
+        """
         gen = ensure_rng(rng)
-        bits = np.asarray(bits, dtype=np.uint8)
-        if bits.size and (bits.max() > 1):
+        bits = np.asarray(bits)
+        # One pass checks uint8 (the round's reports); bool needs none.
+        if bits.dtype == np.uint8:
+            valid = not bits.size or bits.max() <= 1
+        else:
+            valid = bits.dtype == np.bool_ or bool(np.all((bits == 0) | (bits == 1)))
+        if not valid:
             raise ConfigurationError("randomized response expects 0/1 bits")
-        flips = gen.random(bits.shape) >= self.p
-        return np.where(flips, 1 - bits, bits).astype(np.uint8)
+        return bits.astype(np.uint8, copy=False) ^ (gen.random(bits.shape) >= self.p)
 
     def unbias_bit_means(self, means: np.ndarray) -> np.ndarray:
         """Map raw reported-bit means to unbiased true-bit-mean estimates.
@@ -98,10 +107,15 @@ class RandomizedResponse:
 
         This is the epsilon-dependent constant of Section 3.3; note it does
         not depend on the true bit mean, which is why adaptivity loses its
-        edge under LDP (Figure 3 discussion).
+        edge under LDP (Figure 3 discussion).  Past epsilon ~ 355 the
+        square overflows, but there ``e - 1 == e`` in floats, so the
+        constant is ``1 / e``.
         """
         e = math.exp(self.epsilon)
-        return e / (e - 1.0) ** 2
+        try:
+            return e / (e - 1.0) ** 2
+        except OverflowError:
+            return 1.0 / e
 
     def estimator_variance_bound(self, count: float) -> float:
         """Variance bound for the debiased mean of ``count`` reports."""

@@ -41,6 +41,18 @@ class TestPerReportVariance:
             per_report_bit_variance(1.5)
         with pytest.raises(ConfigurationError):
             per_report_bit_variance(0.5, epsilon=0.0)
+        for epsilon in (float("inf"), float("nan")):
+            with pytest.raises(ConfigurationError, match="positive finite"):
+                per_report_bit_variance(0.5, epsilon=epsilon)
+
+    def test_rr_variance_finite_past_the_exponents_range(self):
+        # e^710 overflows a float; p = e^eps / (1 + e^eps) is exactly 1.0
+        # long before that, so the variance is the noise-free one.
+        for epsilon in (709.0, 710.0, 800.0):
+            assert per_report_bit_variance(0.3, epsilon) == per_report_bit_variance(0.3)
+        assert dithering_variance(1.0, 10, epsilon=800.0) == dithering_variance(
+            1.0, 10, epsilon=709.0
+        )
 
 
 class TestPredictedVariance:

@@ -147,22 +147,101 @@ class TestClientBatch:
         assert sub.attributes["k"].tolist() == [9, 2]
 
     def test_take_out_of_range(self, batch):
-        with pytest.raises(ConfigurationError, match="outside"):
-            batch.take([0, len(batch)])
+        for population in (batch, ClientBatch.from_values(np.arange(5.0))):
+            for bad in ([0, len(population)], [-1], [len(population)]):
+                with pytest.raises(ConfigurationError, match="outside"):
+                    population.take(bad)
+            with pytest.raises(ConfigurationError, match="1-D"):
+                population.take(np.zeros((2, 1), dtype=np.int64))
+
+    def test_ragged_batch_keeps_its_offsets(self, devices, batch):
+        sizes = [d.values.size for d in devices]
+        assert batch.offsets is not None and not batch.uniform
+        np.testing.assert_array_equal(batch.offsets, np.concatenate([[0], np.cumsum(sizes)]))
+        np.testing.assert_array_equal(batch.sizes, sizes)
+        sub = batch.take([5, 1])
+        np.testing.assert_array_equal(sub.offsets, [0, sizes[5], sizes[5] + sizes[1]])
+        with pytest.raises(IndexError):
+            batch.values_for(len(batch))
 
     def test_validation(self):
         with pytest.raises(ConfigurationError, match="at least one local value"):
             ClientBatch(np.array([1.0]), np.array([0, 0, 1]))
         with pytest.raises(ConfigurationError, match="span"):
             ClientBatch(np.array([1.0, 2.0]), np.array([0, 1]))
-        with pytest.raises(ConfigurationError, match="client_ids"):
-            ClientBatch(np.array([1.0]), np.array([0, 1]), client_ids=np.array([1, 2]))
-        with pytest.raises(ConfigurationError, match="attribute column"):
-            ClientBatch(
-                np.array([1.0]), np.array([0, 1]), attributes={"geo": np.array([1, 2])}
-            )
+        with pytest.raises(ConfigurationError, match="prefix array"):
+            ClientBatch(np.array([1.0]), np.array([[0, 1]]))
+        for offsets in (np.array([0, 1]), None):
+            with pytest.raises(ConfigurationError, match="client_ids"):
+                ClientBatch(np.array([1.0]), offsets, client_ids=np.array([1, 2]))
+            with pytest.raises(ConfigurationError, match="attribute column"):
+                ClientBatch(np.array([1.0]), offsets, attributes={"geo": np.array([1, 2])})
+        with pytest.raises(ConfigurationError, match="1-D value array"):
+            ClientBatch.from_values(np.ones((2, 2)))
+        with pytest.raises(ConfigurationError, match="1-D value array"):
+            ClientBatch(np.ones((2, 2)), None)
         with pytest.raises(ConfigurationError, match="no local values"):
             ClientBatch.from_devices([ClientDevice(0, np.empty(0))])
+
+
+class TestOneValueBatches:
+    """Every way of building a batch of one-value clients stores ``offsets=None``
+    and reads like the per-client arrays it holds."""
+
+    n = 40
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        values = np.random.default_rng(6).normal(600.0, 100.0, self.n)
+        full = ClientBatch.from_values(values)
+        perm = np.random.default_rng(7).permutation(self.n)
+        ragged = ClientBatch(np.arange(6.0), np.array([0, 1, 4, 5, 6]))
+        return {
+            "from_values": (full, values),
+            "take_none": (full.take(np.arange(0)), values[:0]),
+            "take_one": (full.take([7]), values[[7]]),
+            "take_all": (full.take(np.arange(self.n)), values),
+            "take_permutation": (full.take(perm), values[perm]),
+            "prefix_array": (ClientBatch(values, np.arange(self.n + 1)), values),
+            "from_devices": (
+                ClientBatch.from_devices(
+                    [ClientDevice(i, values[i : i + 1]) for i in range(self.n)]
+                ),
+                values,
+            ),
+            "ragged_take": (ragged.take([3, 0, 2]), np.array([5.0, 0.0, 4.0])),
+        }
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "from_values", "take_none", "take_one", "take_all", "take_permutation",
+            "prefix_array", "from_devices", "ragged_take",
+        ],
+    )
+    def test_reads_like_the_per_client_arrays(self, cases, case):
+        batch, values = cases[case]
+        per_client = [values[i : i + 1] for i in range(values.size)]
+        assert batch.offsets is None and batch.uniform
+        assert batch.n_clients == len(batch) == values.size
+        assert batch.sizes.dtype == np.int64
+        np.testing.assert_array_equal(batch.sizes, np.ones(values.size))
+        for i, own in enumerate(per_client):
+            np.testing.assert_array_equal(batch.values_for(i), own)
+        with pytest.raises(IndexError):
+            batch.values_for(values.size)
+        np.testing.assert_array_equal(batch.local_means(), values)
+        for strategy in ("sample", "mean", "max", "latest"):
+            gen, ref_gen = np.random.default_rng(3), np.random.default_rng(3)
+            np.testing.assert_array_equal(
+                elicit_values(batch, strategy, gen),
+                elicit_batch(per_client, strategy, ref_gen) if per_client else [],
+            )
+            assert gen.bit_generator.state == ref_gen.bit_generator.state
+            if per_client:
+                assert ground_truth_mean(batch, strategy) == ground_truth_mean(
+                    per_client, strategy
+                )
 
 
 # ----------------------------------------------------------------------
@@ -390,6 +469,34 @@ class TestAccumulateBitReports:
         np.testing.assert_array_equal(got[0], ref[0])
         np.testing.assert_array_equal(got[1], ref[1])
         assert got[1][150] == got[1][199] == 150
+
+    @pytest.mark.parametrize(
+        "dtype, n_bits",
+        [(np.uint8, 10), (np.uint16, 300), (np.uint64, 64), (np.int64, 64)],
+    )
+    @pytest.mark.parametrize("b_send", [None, 3])
+    @pytest.mark.parametrize("chunk", [1, 50, 100_000])
+    def test_counts_match_per_element_reference(self, dtype, n_bits, b_send, chunk):
+        rng = np.random.default_rng(17)
+        encoded = rng.integers(0, 2**64, size=120, dtype=np.uint64)
+        shape = (120,) if b_send is None else (120, b_send)
+        assignment = rng.integers(0, n_bits, size=shape).astype(dtype)
+        assignment.flat[0] = n_bits - 1
+        sums, counts = accumulate_bit_reports(encoded, n_bits, assignment, chunk=chunk)
+        ref_sums, ref_counts = np.zeros(n_bits), np.zeros(n_bits, dtype=np.int64)
+        for value, row in zip(encoded, assignment.reshape(120, -1)):
+            for j in row:
+                ref_counts[int(j)] += 1
+                ref_sums[int(j)] += (int(value) >> int(j)) & 1
+        np.testing.assert_array_equal(sums, ref_sums)
+        np.testing.assert_array_equal(counts, ref_counts)
+        rr = RandomizedResponse(epsilon=0.5)
+        got = accumulate_bit_reports(
+            encoded, n_bits, assignment, rr, np.random.default_rng(2), chunk=chunk
+        )
+        ref = collect_bit_reports(encoded, n_bits, assignment, rr, np.random.default_rng(2))
+        np.testing.assert_array_equal(got[0], ref[0])
+        np.testing.assert_array_equal(got[1], ref[1])
 
 
 # ----------------------------------------------------------------------

@@ -164,6 +164,37 @@ class TestFixedPointEncoderClipping:
         values.flags.writeable = False
         assert enc.encode(values).tolist() == [255, 255, 0]
 
+    @pytest.mark.parametrize(
+        "encoder",
+        [
+            FixedPointEncoder.for_integers(8),
+            FixedPointEncoder.for_integers(8, clip=False),
+            FixedPointEncoder(n_bits=8, scale=0.5),
+            FixedPointEncoder(n_bits=8, offset=-3.0),
+            FixedPointEncoder(n_bits=8, offset=-0.0),
+        ],
+        ids=["unit", "unit-strict", "scaled", "offset", "negative-zero-offset"],
+    )
+    def test_skipped_subtract_and_divide_are_exact(self, encoder):
+        # encode() skips `- 0` and `/ 1`; the full formula must agree on
+        # signed zeros, round-half-even ties, and values past either end.
+        ties = np.arange(0, 12) + 0.5
+        values = np.concatenate(
+            [[-0.0, 0.0, 1e-320, -1e-320], ties, -ties, [-7.0, 254.5, 255.5, 300.0, 1e300]]
+        )
+        values.flags.writeable = False
+        quantized = np.rint((values - encoder.offset) / encoder.scale)
+        in_range = (quantized >= 0) & (quantized <= encoder.max_encoded)
+        if encoder.clip:
+            expected = np.clip(quantized, 0, encoder.max_encoded).astype(np.uint64)
+            np.testing.assert_array_equal(encoder.encode(values), expected)
+        else:
+            with pytest.raises(EncodingError, match="outside representable range"):
+                encoder.encode(values)
+        np.testing.assert_array_equal(
+            encoder.encode(values[in_range]), quantized[in_range].astype(np.uint64)
+        )
+
 
 class TestFixedPointEncoderBits:
     def test_bit_index_guard(self, encoder8):

@@ -1,5 +1,6 @@
 """Randomized response: the epsilon-LDP bit perturbation."""
 
+import copy
 import math
 
 import numpy as np
@@ -65,10 +66,36 @@ class TestPerturbation:
         out = rr.perturb_bits(zeros, rng)
         assert out.mean() == pytest.approx(1 - rr.p, abs=0.005)
 
-    def test_non_binary_input_raises(self, rng):
+    def test_non_binary_input_raises(self):
+        rr = RandomizedResponse(epsilon=50.0)
+        gen = np.random.default_rng(1)
+        untouched = copy.deepcopy(gen.bit_generator.state)
+        for bits in (
+            np.array([2], dtype=np.uint8),
+            np.array([256, 257]),  # a uint8 cast would read [0, 1]
+            np.array([1.5, 0.4]),  # ... [1, 0]
+            np.array([-255]),  # ... [1]
+            np.array([np.nan]),
+        ):
+            with pytest.raises(ConfigurationError, match="0/1 bits"):
+                rr.perturb_bits(bits, gen)
+        assert gen.bit_generator.state == untouched
+
+    @pytest.mark.parametrize("shape", [(0,), (301,), (301, 1), (301, 3)])
+    @pytest.mark.parametrize("dtype", [np.uint8, np.bool_, np.int64, np.float64])
+    def test_flips_match_the_where_formula(self, shape, dtype):
         rr = RandomizedResponse(epsilon=1.0)
-        with pytest.raises(ConfigurationError):
-            rr.perturb_bits(np.array([2], dtype=np.uint8), rng)
+        bits = np.random.default_rng(4).integers(0, 2, size=shape).astype(dtype)
+        before = bits.copy()
+        gen = np.random.default_rng(8)
+        clone = copy.deepcopy(gen)
+        out = rr.perturb_bits(bits, gen)
+        flips = clone.random(shape) >= rr.p
+        reference = np.where(flips, 1 - bits.astype(np.uint8), bits).astype(np.uint8)
+        assert out.dtype == np.uint8 and out.shape == shape
+        np.testing.assert_array_equal(out, reference)
+        np.testing.assert_array_equal(bits, before)
+        assert gen.bit_generator.state == clone.bit_generator.state
 
     def test_ldp_guarantee_ratio(self, rng):
         """P(report=1 | true=1) / P(report=1 | true=0) == e^eps exactly."""
@@ -133,3 +160,16 @@ class TestVarianceFormulas:
     def test_flip_probability(self):
         rr = RandomizedResponse(epsilon=1.0)
         assert rr.flip_probability() == pytest.approx(1 - rr.p)
+
+    @pytest.mark.parametrize("epsilon", [354.0, 356.0, 400.0, 700.0, 709.0])
+    def test_variance_finite_for_every_accepted_epsilon(self, epsilon):
+        rr = RandomizedResponse(epsilon=epsilon)
+        e = math.exp(epsilon)
+        variance = rr.per_report_variance()
+        assert math.isfinite(variance) and variance > 0.0
+        assert rr.estimator_variance_bound(10) == variance / 10
+        if epsilon < 355:  # the formula's own value wherever it is finite
+            assert variance == e / (e - 1.0) ** 2
+        else:
+            assert variance == 1.0 / e
+        assert variance <= RandomizedResponse(epsilon=epsilon - 1.0).per_report_variance()
