@@ -65,8 +65,8 @@ def elicit_batch(
     :func:`elicit_single_value` once per client in order with the same
     generator: the sampling path draws all local indices with one
     ``gen.integers(sizes)`` call, which consumes the underlying bit stream
-    exactly as the per-client scalar draws would.  This is the federated
-    server's per-round hot loop (one elicitation per surviving client).
+    exactly as the per-client scalar draws would.  Rounds elicit with
+    :func:`repro.core.client_plane.elicit_values`; this is its reference.
     """
     arrays = [np.atleast_1d(np.asarray(v, dtype=np.float64)) for v in value_sets]
     if any(a.size == 0 for a in arrays):

@@ -26,8 +26,8 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Any, Awaitable, Callable, Coroutine, Hashable, Iterator
-from typing import Mapping, NamedTuple, Sequence, TypeVar
+from typing import TYPE_CHECKING, Any, Awaitable, Callable, Coroutine, Iterator, Mapping
+from typing import NamedTuple, TypeVar
 
 import numpy as np
 
@@ -91,13 +91,12 @@ class RoundOutcome:
 
 class Answer(NamedTuple):
     """A transport's answer to one attempt: its folded reports' per-bit counters,
-    their client ids for the meter (empty when there is none) and the secure
-    shards it left out."""
+    the folded clients' int64 ids and the secure shards it left out."""
 
     sums: np.ndarray
     counts: np.ndarray
     duration_s: float
-    client_ids: Sequence[Hashable] = ()
+    client_ids: np.ndarray
     shard_failures: int = 0
 
 

@@ -309,7 +309,7 @@ def _tally(
     n_bits = attempt.query.encoder.n_bits
     counts = np.bincount(bit_index, minlength=n_bits)
     sums = np.bincount(bit_index, weights=bits, minlength=n_bits)
-    return Answer(sums, counts, duration_s, clients.tolist())
+    return Answer(sums, counts, duration_s, clients)
 
 
 class RoundServer:

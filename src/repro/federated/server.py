@@ -459,12 +459,8 @@ class FederatedMeanQuery:
                     chunk=self.chunk_clients,
                 )
             folded = survivors
-        # Ids only for a meter: an unmetered round builds no id list.
-        client_ids = ()
-        if self.meter is not None:
-            ids = clients.client_ids if folded is None else clients.client_ids[folded]
-            client_ids = ids.tolist()
-        return Answer(sums, counts, duration, client_ids, shard_failures)
+        ids = clients.client_ids if folded is None else clients.client_ids[folded]
+        return Answer(sums, counts, duration, ids, shard_failures)
 
     # ------------------------------------------------------------------
     def _adjust_schedule(

@@ -18,6 +18,7 @@ cost one attribute lookup when metrics are disabled.
 
 from __future__ import annotations
 
+import math
 import threading
 from bisect import bisect_left
 from typing import Any, Iterable, Sequence
@@ -87,13 +88,13 @@ class Gauge:
 
 
 class Histogram:
-    """Fixed upper-bound buckets plus a running sum/count.
+    """Fixed upper-bound buckets plus a running sum/count and the observed min/max.
 
     ``buckets`` are inclusive upper bounds in ascending order; one implicit
     overflow bucket catches everything above the last bound.
     """
 
-    __slots__ = ("name", "help", "buckets", "_counts", "_sum", "_count", "_lock")
+    __slots__ = ("name", "help", "buckets", "_counts", "_sum", "_count", "_min", "_max", "_lock")
 
     def __init__(self, name: str, buckets: Sequence[float], help: str = "") -> None:
         bounds = tuple(float(b) for b in buckets)
@@ -107,17 +108,20 @@ class Histogram:
         self._counts = [0] * (len(bounds) + 1)
         self._sum = 0.0
         self._count = 0
+        self._min, self._max = math.inf, -math.inf
         self._lock = threading.Lock()
 
     def observe(self, value: float, count: int = 1) -> None:
         """Record ``count`` observations of ``value`` (count>1 batches cheaply)."""
         if count < 1:
             raise ConfigurationError(f"histogram {self.name!r} observe count must be >= 1")
-        idx = bisect_left(self.buckets, float(value))
+        value = float(value)
+        idx = bisect_left(self.buckets, value)
         with self._lock:
             self._counts[idx] += count
-            self._sum += float(value) * count
+            self._sum += value * count
             self._count += count
+            self._min, self._max = min(self._min, value), max(self._max, value)
 
     def observe_array(self, values: np.ndarray | Iterable[float]) -> None:
         """Vectorized :meth:`observe` for one value per array element."""
@@ -128,10 +132,11 @@ class Histogram:
         idx = np.searchsorted(np.array(self.buckets), arr, side="left")
         bucket_counts = np.bincount(idx, minlength=len(self.buckets) + 1)
         with self._lock:
-            for i, c in enumerate(bucket_counts):
-                self._counts[i] += int(c)
+            self._counts = [have + int(c) for have, c in zip(self._counts, bucket_counts)]
             self._sum += float(arr.sum())
             self._count += int(arr.size)
+            self._min = min(self._min, float(arr.min()))
+            self._max = max(self._max, float(arr.max()))
 
     @property
     def count(self) -> int:
@@ -146,23 +151,23 @@ class Histogram:
 
         Linear interpolation within the bucket holding the ``q``-th ranked
         observation, with the first bucket's lower edge taken as 0.0 (these
-        instruments measure non-negative quantities); observations in the
-        implicit overflow bucket clamp to the last finite bound.  The value
-        depends only on the bucket *counts*, never on the raw observations,
-        so two runs whose observations land in the same buckets report
-        identical quantiles -- what keeps recorded run reports stable.
+        instruments measure non-negative quantities), clamped into the
+        observed ``[min, max]``; observations in the implicit overflow
+        bucket clamp to the last finite bound.  The value depends only on
+        the bucket *counts* and the observed extremes, never on the other
+        raw observations -- what keeps recorded run reports stable.
         Returns 0.0 for an empty histogram.
         """
         if not 0.0 <= q <= 1.0:
             raise ConfigurationError(f"quantile q must be in [0, 1], got {q}")
         with self._lock:
-            counts = list(self._counts)
-            total = self._count
-        return self._quantile_from_counts(self.buckets, counts, total, q)
+            counts, total, low, high = list(self._counts), self._count, self._min, self._max
+        return self._quantile_from_counts(self.buckets, counts, total, q, low, high)
 
     @staticmethod
     def _quantile_from_counts(
-        buckets: Sequence[float], counts: Sequence[int], total: int, q: float
+        buckets: Sequence[float], counts: Sequence[int], total: int, q: float,
+        low: float, high: float,
     ) -> float:
         if total == 0:
             return 0.0
@@ -175,25 +180,25 @@ class Histogram:
                     return float(buckets[-1])
                 upper = float(buckets[i])
                 lower = 0.0 if i == 0 else float(buckets[i - 1])
-                if i == 0 and upper <= 0.0:
-                    return upper
                 fraction = min(max((rank - cumulative) / count, 0.0), 1.0)
-                return lower + fraction * (upper - lower)
+                value = upper if i == 0 and upper <= 0.0 else lower + fraction * (upper - lower)
+                return min(max(value, low), high)
             cumulative += count
         return float(buckets[-1])
 
     def to_dict(self) -> dict[str, Any]:
         with self._lock:
-            counts = list(self._counts)
-            total = self._count
+            counts, total, low, high = list(self._counts), self._count, self._min, self._max
             payload = {
                 "buckets": list(self.buckets),
                 "counts": counts,
                 "sum": self._sum,
                 "count": total,
+                "min": low if math.isfinite(low) else None,
+                "max": high if math.isfinite(high) else None,
             }
         for key, q in (("p50", 0.5), ("p95", 0.95), ("p99", 0.99)):
-            payload[key] = self._quantile_from_counts(self.buckets, counts, total, q)
+            payload[key] = self._quantile_from_counts(self.buckets, counts, total, q, low, high)
         return payload
 
     def merge_dict(self, payload: dict[str, Any]) -> None:
@@ -215,10 +220,13 @@ class Histogram:
                 f"got {len(counts)}"
             )
         with self._lock:
-            for i, c in enumerate(counts):
-                self._counts[i] += int(c)
+            self._counts = [have + int(c) for have, c in zip(self._counts, counts)]
             self._sum += float(payload.get("sum", 0.0))
             self._count += int(payload.get("count", 0))
+            if payload.get("count"):  # extremes a payload lacks leave the range open
+                low, high = payload.get("min"), payload.get("max")
+                self._min = min(self._min, -math.inf if low is None else float(low))
+                self._max = max(self._max, math.inf if high is None else float(high))
 
 
 class MetricsRegistry:

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import time
 import tracemalloc
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Callable, Sequence
 
 from repro.observability.metrics import Histogram
@@ -75,17 +75,9 @@ class PhaseSummary:
     peak_alloc_kb: float | None = None
 
     def to_dict(self) -> dict[str, Any]:
-        payload: dict[str, Any] = {
-            "name": self.name,
-            "count": self.count,
-            "total_s": self.total_s,
-            "cpu_total_s": self.cpu_total_s,
-            "p50_s": self.p50_s,
-            "p95_s": self.p95_s,
-            "p99_s": self.p99_s,
-        }
-        if self.peak_alloc_kb is not None:
-            payload["peak_alloc_kb"] = self.peak_alloc_kb
+        payload = asdict(self)
+        if self.peak_alloc_kb is None:
+            del payload["peak_alloc_kb"]
         return payload
 
 
@@ -117,8 +109,6 @@ class PhaseProfiler:
         self._cpu = cpu_clock if cpu_clock is not None else time.process_time
         self._durations: dict[str, Histogram] = {}
         self._cpu_totals: dict[str, float] = {}
-        self._wall_totals: dict[str, float] = {}
-        self._counts: dict[str, int] = {}
         self._peaks: dict[str, float] = {}
         self._started_tracemalloc = False
 
@@ -159,12 +149,8 @@ class PhaseProfiler:
         if hist is None:
             hist = self._durations[name] = Histogram(name, self.buckets)
             self._cpu_totals[name] = 0.0
-            self._wall_totals[name] = 0.0
-            self._counts[name] = 0
         hist.observe(duration_s)
         self._cpu_totals[name] += cpu_s
-        self._wall_totals[name] += duration_s
-        self._counts[name] += 1
         if peak_kb is not None:
             self._peaks[name] = max(self._peaks.get(name, 0.0), float(peak_kb))
 
@@ -174,8 +160,8 @@ class PhaseProfiler:
         summaries = [
             PhaseSummary(
                 name=name,
-                count=self._counts[name],
-                total_s=self._wall_totals[name],
+                count=hist.count,
+                total_s=hist.sum,
                 cpu_total_s=self._cpu_totals[name],
                 p50_s=hist.quantile(0.5),
                 p95_s=hist.quantile(0.95),

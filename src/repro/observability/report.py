@@ -24,7 +24,7 @@ from typing import Any
 
 from repro.observability.exporters import format_span_tree
 from repro.observability.health import load_alerts
-from repro.observability.profiler import DEFAULT_PHASE_BUCKETS
+from repro.observability.profiler import DEFAULT_PHASE_BUCKETS, PhaseProfiler
 from repro.observability.metrics import Histogram
 from repro.observability.recorder import EVENTS_FILENAME, MANIFEST_FILENAME
 from repro.observability.tracing import ROUND_SPAN, SpanRecord
@@ -102,35 +102,10 @@ def load_run(directory: str | Path) -> RunArtifact:
 
 def _phases_from_events(artifact: RunArtifact) -> list[dict[str, Any]]:
     """Per-phase summary recomputed from span events (pre-profiler artifacts)."""
-    histograms: dict[str, Histogram] = {}
-    totals: dict[str, float] = {}
-    cpu_totals: dict[str, float] = {}
-    counts: dict[str, int] = {}
+    profiler = PhaseProfiler()
     for record in artifact.spans():
-        hist = histograms.get(record.name)
-        if hist is None:
-            hist = histograms[record.name] = Histogram(record.name, DEFAULT_PHASE_BUCKETS)
-            totals[record.name] = 0.0
-            cpu_totals[record.name] = 0.0
-            counts[record.name] = 0
-        hist.observe(record.duration_s)
-        totals[record.name] += record.duration_s
-        cpu_totals[record.name] += float(record.attributes.get("cpu_time_s", 0.0))
-        counts[record.name] += 1
-    phases = [
-        {
-            "name": name,
-            "count": counts[name],
-            "total_s": totals[name],
-            "cpu_total_s": cpu_totals[name],
-            "p50_s": hist.quantile(0.5),
-            "p95_s": hist.quantile(0.95),
-            "p99_s": hist.quantile(0.99),
-        }
-        for name, hist in histograms.items()
-    ]
-    phases.sort(key=lambda p: (-p["total_s"], p["name"]))
-    return phases
+        profiler.observe(record)
+    return [phase.to_dict() for phase in profiler.phases()]
 
 
 def _recovery_timeline(artifact: RunArtifact) -> list[dict[str, Any]]:

@@ -19,9 +19,11 @@ on, and the federated simulator routes every elicited bit through it.
 
 from __future__ import annotations
 
-from collections import defaultdict
+import reprlib
 from dataclasses import dataclass, field
 from typing import Hashable, Sequence
+
+import numpy as np
 
 from repro.exceptions import ConfigurationError, PrivacyBudgetExceeded
 from repro.observability import get_metrics
@@ -133,7 +135,11 @@ class PrivacyAccountant:
         return eps_ok and delta_ok
 
 
-@dataclass
+#: A book no client has disclosed into: no ids, no bit counts.
+_EMPTY_BOOK = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+
+
+@dataclass(eq=False)
 class BitMeter:
     """Enforce the worst-case promise: bounded private bits per value/client.
 
@@ -145,6 +151,10 @@ class BitMeter:
     max_bits_per_client:
         Optional cap on total private bits disclosed by one client across
         all values and rounds (``None`` = uncapped).
+
+    The books are sorted arrays of client ids paired with bit counts: one
+    per value id in ``_per_value``, and the clients' totals in
+    ``_per_client``.  A meter books int ids or string ids, never both.
 
     Examples
     --------
@@ -158,8 +168,8 @@ class BitMeter:
 
     max_bits_per_value: int = 1
     max_bits_per_client: int | None = None
-    _per_value: dict[tuple[Hashable, Hashable], int] = field(default_factory=lambda: defaultdict(int))
-    _per_client: dict[Hashable, int] = field(default_factory=lambda: defaultdict(int))
+    _per_value: dict[Hashable, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+    _per_client: tuple[np.ndarray, np.ndarray] = _EMPTY_BOOK
 
     def __post_init__(self) -> None:
         if self.max_bits_per_value < 1:
@@ -173,92 +183,110 @@ class BitMeter:
 
     # ------------------------------------------------------------------
     def record(self, client_id: Hashable, value_id: Hashable, n_bits: int = 1) -> None:
-        """Record disclosure of ``n_bits`` of ``value_id`` by ``client_id``.
-
-        Raises :class:`PrivacyBudgetExceeded` *before* updating any counter
-        if either cap would be violated, so a rejected disclosure leaves the
-        meter unchanged.
-        """
-        if n_bits < 1:
-            raise ConfigurationError(f"n_bits must be >= 1, got {n_bits}")
-        metrics = get_metrics()
-        value_key = (client_id, value_id)
-        # .get(), not defaultdict indexing: reading via [] would insert a
-        # zero entry even when the disclosure below is rejected, violating
-        # the "leaves the meter unchanged" contract.
-        new_value_total = self._per_value.get(value_key, 0) + n_bits
-        if new_value_total > self.max_bits_per_value:
-            metrics.counter("meter_denials_total").inc()
-            raise PrivacyBudgetExceeded(
-                f"client {client_id!r} would disclose {new_value_total} bits of value "
-                f"{value_id!r} (cap {self.max_bits_per_value})"
-            )
-        new_client_total = self._per_client.get(client_id, 0) + n_bits
-        if self.max_bits_per_client is not None and new_client_total > self.max_bits_per_client:
-            metrics.counter("meter_denials_total").inc()
-            raise PrivacyBudgetExceeded(
-                f"client {client_id!r} would disclose {new_client_total} private bits in "
-                f"total (cap {self.max_bits_per_client})"
-            )
-        self._per_value[value_key] = new_value_total
-        self._per_client[client_id] = new_client_total
-        if metrics.enabled:
-            metrics.counter("metered_bits_total").inc(n_bits)
+        """Record disclosure of ``n_bits`` of ``value_id`` by ``client_id``: a one-id batch,
+        whose merge copies the books -- book many ids with one :meth:`record_batch`."""
+        self.record_batch([client_id], value_id, n_bits)
 
     def record_batch(
-        self,
-        client_ids: "Sequence[Hashable]",
-        value_id: Hashable,
-        n_bits: int = 1,
+        self, client_ids: Sequence[Hashable] | np.ndarray, value_id: Hashable, n_bits: int = 1
     ) -> None:
         """Record one ``n_bits`` disclosure of ``value_id`` per client, atomically.
 
-        Equivalent to ``record(cid, value_id, n_bits)`` for each id, but the
-        whole batch is validated -- including duplicate ids *within* it --
-        before any counter moves, so a rejected batch leaves the meter
-        completely unchanged (a record() loop would commit the prefix).
-        This is the federated server's per-round path: one call per round
-        instead of one per surviving client.
+        The whole batch -- duplicate ids within it included -- is checked
+        before any count moves, so a rejected batch leaves the meter
+        unchanged.  :class:`PrivacyBudgetExceeded` names the batch's first
+        offender, its value cap checked before its client cap.
         """
         if n_bits < 1:
             raise ConfigurationError(f"n_bits must be >= 1, got {n_bits}")
-        ids = list(client_ids)
+        if len(client_ids) == 0:
+            return
+        ids = _client_id_array(client_ids)
+        if self._per_client[0].size and self._per_client[0].dtype.kind != ids.dtype.kind:
+            held, got = ("string", "int") if ids.dtype.kind == "i" else ("int", "string")
+            raise ConfigurationError(f"this meter books {held} client ids, not {got}")
+        batch, repeats = np.unique(ids, return_counts=True)
+        value_book = self._per_value.get(value_id, _EMPTY_BOOK)
+        value_book, value_totals = _add(value_book, batch, repeats * n_bits)
+        client_book, client_totals = _add(self._per_client, batch, repeats * n_bits)
+        over_value = value_totals > self.max_bits_per_value
+        client_cap = np.inf if self.max_bits_per_client is None else self.max_bits_per_client
         metrics = get_metrics()
-        pending: dict[Hashable, int] = {}
-        for client_id in ids:
-            pending[client_id] = pending.get(client_id, 0) + n_bits
-        for client_id, added in pending.items():
-            new_value_total = self._per_value.get((client_id, value_id), 0) + added
-            if new_value_total > self.max_bits_per_value:
-                metrics.counter("meter_denials_total").inc()
+        if (over := over_value | (client_totals > client_cap)).any():
+            metrics.counter("meter_denials_total").inc()
+            first = ids[np.isin(ids, batch[over])][0]
+            j, client = np.searchsorted(batch, first), first.item()
+            if over_value[j]:
                 raise PrivacyBudgetExceeded(
-                    f"client {client_id!r} would disclose {new_value_total} bits of value "
+                    f"client {client!r} would disclose {value_totals[j]} bits of value "
                     f"{value_id!r} (cap {self.max_bits_per_value})"
                 )
-            if self.max_bits_per_client is not None:
-                new_client_total = self._per_client.get(client_id, 0) + added
-                if new_client_total > self.max_bits_per_client:
-                    metrics.counter("meter_denials_total").inc()
-                    raise PrivacyBudgetExceeded(
-                        f"client {client_id!r} would disclose {new_client_total} private "
-                        f"bits in total (cap {self.max_bits_per_client})"
-                    )
-        for client_id, added in pending.items():
-            self._per_value[(client_id, value_id)] += added
-            self._per_client[client_id] += added
-        if metrics.enabled and ids:
-            metrics.counter("metered_bits_total").inc(n_bits * len(ids))
+            raise PrivacyBudgetExceeded(
+                f"client {client!r} would disclose {client_totals[j]} private bits in "
+                f"total (cap {self.max_bits_per_client})"
+            )
+        self._per_value[value_id], self._per_client = value_book, client_book
+        metrics.counter("metered_bits_total").inc(n_bits * ids.size)
 
     # ------------------------------------------------------------------
     def bits_disclosed_by(self, client_id: Hashable) -> int:
         """Total private bits disclosed by ``client_id`` so far."""
-        return self._per_client.get(client_id, 0)
+        return _bits_of(self._per_client, client_id)
 
     def bits_disclosed_for(self, client_id: Hashable, value_id: Hashable) -> int:
         """Private bits disclosed about a specific value so far."""
-        return self._per_value.get((client_id, value_id), 0)
+        return _bits_of(self._per_value.get(value_id, _EMPTY_BOOK), client_id)
 
     @property
     def total_bits(self) -> int:
         """Private bits disclosed across the whole population."""
-        return sum(self._per_client.values())
+        return int(self._per_client[1].sum())
+
+
+def _client_id_array(client_ids: Sequence[Hashable] | np.ndarray) -> np.ndarray:
+    """``client_ids`` as a 1-D int64 or string array, or one ConfigurationError line."""
+    try:
+        ids = np.asarray(client_ids)
+    except ValueError:  # a ragged sequence, such as tuples of different lengths
+        ids = np.asarray(None)
+    if ids.ndim == 1 and np.can_cast(ids.dtype, np.int64):
+        return ids.astype(np.int64, copy=False)
+    # NumPy reads [7, "7"] as two strings, which would book two clients as one.
+    if ids.ndim == 1 and ids.dtype.kind == "U" and (
+        isinstance(client_ids, np.ndarray)
+        or all(issubclass(kind, str) for kind in set(map(type, client_ids)))
+    ):
+        return ids
+    shown = " ".join(reprlib.repr(client_ids).split())
+    raise ConfigurationError(f"client ids must be all 64-bit ints or all strings, got {shown}")
+
+
+def _add(
+    book: tuple[np.ndarray, np.ndarray], keys: np.ndarray, added: np.ndarray
+) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """A copy of ``book`` with ``added`` more bits for each of the sorted,
+    distinct ``keys``, and those keys' new totals."""
+    ids, bits = book
+    if ids.size == 0:
+        return (keys, added), added
+    at = np.searchsorted(ids, keys)
+    new = ids[np.minimum(at, ids.size - 1)] != keys
+    at += np.cumsum(new) - new  # each key's place in the merged book
+    old = np.ones(ids.size + np.count_nonzero(new), dtype=bool)
+    old[at[new]] = False
+    merged_ids = np.empty(old.size, np.result_type(ids, keys))
+    merged_ids[old], merged_ids[at[new]] = ids, keys[new]
+    merged_bits = np.zeros(old.size, dtype=np.int64)
+    merged_bits[old] = bits
+    merged_bits[at] += added
+    return (merged_ids, merged_bits), merged_bits[at]
+
+
+def _bits_of(book: tuple[np.ndarray, np.ndarray], client_id: Hashable) -> int:
+    """``client_id``'s bits in ``book``: 0 for a client it never booked."""
+    ids, bits = book
+    key = np.asarray(client_id)
+    if key.ndim or key.dtype.kind != ids.dtype.kind:
+        return 0
+    i = np.searchsorted(ids, key)
+    return int(bits[i]) if i < ids.size and ids[i] == key else 0

@@ -26,6 +26,7 @@ monotonicity and inverses.
 from __future__ import annotations
 
 import math
+import sys
 
 from repro.exceptions import ConfigurationError
 
@@ -41,7 +42,8 @@ def amplified_epsilon_by_sampling(epsilon: float, sampling_rate: float) -> float
     """Effective epsilon after Poisson subsampling at rate ``sampling_rate``.
 
     ``eps' = log(1 + s (e^eps - 1))`` -- exact, and always <= eps, with
-    equality at s = 1.
+    equality at s = 1.  Where ``e^eps`` passes the float range it is
+    evaluated as ``eps + log(s + (1 - s) e^-eps)``.
 
     Examples
     --------
@@ -53,14 +55,19 @@ def amplified_epsilon_by_sampling(epsilon: float, sampling_rate: float) -> float
     _check_epsilon(epsilon)
     if not 0.0 < sampling_rate <= 1.0:
         raise ConfigurationError(f"sampling_rate must be in (0, 1], got {sampling_rate}")
-    return math.log1p(sampling_rate * (math.exp(epsilon) - 1.0))
+    try:
+        return math.log1p(sampling_rate * (math.exp(epsilon) - 1.0))
+    except OverflowError:
+        return epsilon + math.log(sampling_rate + (1.0 - sampling_rate) * math.exp(-epsilon))
 
 
 def required_epsilon_for_sampling(target_epsilon: float, sampling_rate: float) -> float:
     """Base epsilon a sampled mechanism needs to deliver ``target_epsilon``.
 
     The inverse of :func:`amplified_epsilon_by_sampling`:
-    ``eps = log(1 + (e^target - 1) / s)``.
+    ``eps = log(1 + (e^target - 1) / s)``.  Where ``(e^target - 1) / s``
+    passes the float range it is evaluated as
+    ``target - log(s) + log1p((s - 1) e^-target)``.
 
     Examples
     --------
@@ -71,12 +78,19 @@ def required_epsilon_for_sampling(target_epsilon: float, sampling_rate: float) -
     _check_epsilon(target_epsilon)
     if not 0.0 < sampling_rate <= 1.0:
         raise ConfigurationError(f"sampling_rate must be in (0, 1], got {sampling_rate}")
-    return math.log1p((math.exp(target_epsilon) - 1.0) / sampling_rate)
+    try:
+        grown = (math.exp(target_epsilon) - 1.0) / sampling_rate
+    except OverflowError:
+        grown = math.inf
+    if math.isinf(grown):
+        decay = math.exp(-target_epsilon)
+        return target_epsilon - math.log(sampling_rate) + math.log1p((sampling_rate - 1.0) * decay)
+    return math.log1p(grown)
 
 
 def shuffle_amplification_valid(epsilon: float, n_clients: int, delta: float) -> bool:
     """Whether the closed-form shuffle bound applies to these parameters."""
-    if n_clients < 2 or not 0.0 < delta < 1.0 or epsilon <= 0:
+    if not 2 <= n_clients <= sys.float_info.max or not 0.0 < delta < 1.0 or epsilon <= 0:
         return False
     limit = n_clients / (16.0 * math.log(2.0 / delta))
     return limit > 1.0 and epsilon <= math.log(limit)
@@ -98,8 +112,10 @@ def shuffle_amplified_epsilon(epsilon: float, n_clients: int, delta: float) -> f
     _check_epsilon(epsilon)
     if not 0.0 < delta < 1.0:
         raise ConfigurationError(f"delta must be in (0, 1), got {delta}")
-    if n_clients < 2:
-        raise ConfigurationError(f"need >= 2 clients to shuffle, got {n_clients}")
+    if not 2 <= n_clients <= sys.float_info.max:
+        raise ConfigurationError(
+            f"need 2 to {sys.float_info.max} clients to shuffle, got {n_clients}"
+        )
     if not shuffle_amplification_valid(epsilon, n_clients, delta):
         raise ConfigurationError(
             f"shuffle bound invalid for eps={epsilon}, n={n_clients}, delta={delta}; "

@@ -146,43 +146,37 @@ def check_ledger_conservation(accountant: "PrivacyAccountant") -> None:
 def check_bit_meter(meter: "BitMeter") -> None:
     """Every metered counter respects its cap and the books balance.
 
-    Checks: no ghost (zero) entries, per-value totals within
-    ``max_bits_per_value``, per-client totals within ``max_bits_per_client``,
-    per-client totals equal to the sum of that client's per-value totals, and
-    ``total_bits`` equal to the population-wide sum.
+    Checks: every book holds sorted, distinct ids with one count each, no
+    ghost (zero) entries, per-value totals within ``max_bits_per_value``,
+    per-client totals within ``max_bits_per_client``, per-client totals
+    equal to the sum of that client's per-value totals, and ``total_bits``
+    equal to the population-wide sum.
     """
-    per_client_from_values: dict = {}
-    for (client_id, value_id), bits in meter._per_value.items():
-        if bits <= 0:
+    values = [(repr(value_id), book) for value_id, book in meter._per_value.items()]
+    caps = [meter.max_bits_per_value] * len(values) + [meter.max_bits_per_client or np.inf]
+    for (name, (ids, bits)), cap in zip(values + [("every value", meter._per_client)], caps):
+        if ids.shape != bits.shape or (ids[1:] <= ids[:-1]).any():
+            raise InvariantViolation(f"meter book of {name} is not sorted distinct ids")
+        if ((bits <= 0) | (bits > cap)).any():
+            i = int(np.argmax((bits <= 0) | (bits > cap)))
+            fault = "holds a ghost entry" if bits[i] <= 0 else f"is over cap {cap}"
             raise InvariantViolation(
-                f"meter holds a ghost entry for {(client_id, value_id)!r} ({bits} bits)"
+                f"meter {fault}: {ids[i].item()!r} at {bits[i]} bits of {name}"
             )
-        if bits > meter.max_bits_per_value:
-            raise InvariantViolation(
-                f"meter over cap: {bits} bits of {value_id!r} from {client_id!r} "
-                f"(cap {meter.max_bits_per_value})"
-            )
-        per_client_from_values[client_id] = per_client_from_values.get(client_id, 0) + bits
-    for client_id, bits in meter._per_client.items():
-        if bits <= 0:
-            raise InvariantViolation(f"meter holds a ghost client entry for {client_id!r}")
-        if meter.max_bits_per_client is not None and bits > meter.max_bits_per_client:
-            raise InvariantViolation(
-                f"meter over client cap: {client_id!r} at {bits} bits "
-                f"(cap {meter.max_bits_per_client})"
-            )
-        if per_client_from_values.get(client_id, 0) != bits:
-            raise InvariantViolation(
-                f"meter books do not balance for {client_id!r}: per-client {bits} != "
-                f"per-value sum {per_client_from_values.get(client_id, 0)}"
-            )
-    if set(per_client_from_values) != set(meter._per_client):
+    ids, bits = meter._per_client
+    value_ids = np.concatenate([ids[:0]] + [book[0] for _, book in values])
+    summed_ids, where = np.unique(value_ids, return_inverse=True)
+    summed = np.bincount(where, np.concatenate([bits[:0]] + [book[1] for _, book in values]))
+    if not np.array_equal(summed_ids, ids):
         raise InvariantViolation("meter per-value and per-client key sets disagree")
-    expected_total = sum(per_client_from_values.values())
-    if meter.total_bits != expected_total:
+    if (summed != bits).any():
+        i = int(np.argmax(summed != bits))
         raise InvariantViolation(
-            f"meter total_bits {meter.total_bits} != per-client sum {expected_total}"
+            f"meter books do not balance for {ids[i].item()!r}: per-client {bits[i]} != "
+            f"per-value sum {int(summed[i])}"
         )
+    if meter.total_bits != int(summed.sum()):
+        raise InvariantViolation(f"meter total_bits {meter.total_bits} != {int(summed.sum())}")
 
 
 def check_estimate(estimate: "MeanEstimate") -> None:

@@ -25,6 +25,7 @@ Every check runs inside a ``selfcheck.check`` span and feeds the
 from __future__ import annotations
 
 import time
+from contextlib import suppress
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -165,17 +166,13 @@ def _invariant_checks(seed: int, deep: bool) -> list[tuple[str, Callable[[], Non
 
     def meter_lifecycle() -> None:
         meter = BitMeter(max_bits_per_value=2, max_bits_per_client=5)
-        for cid in range(8):
-            meter.record(f"client-{cid}", "metric-a")
-            meter.record(f"client-{cid}", "metric-b", n_bits=2)
-        try:
+        clients = [f"client-{cid}" for cid in range(8)]
+        meter.record_batch(clients, "metric-a")
+        meter.record_batch(clients, "metric-b", n_bits=2)
+        with suppress(PrivacyBudgetExceeded):
             meter.record("client-0", "metric-b")  # over per-value cap
-        except PrivacyBudgetExceeded:
-            pass
-        try:
+        with suppress(PrivacyBudgetExceeded):
             meter.record("client-1", "metric-c", n_bits=3)  # over client cap
-        except PrivacyBudgetExceeded:
-            pass
         _inv.check_bit_meter(meter)
 
     checks.append(("ledger-conservation/lifecycle", ledger_lifecycle))

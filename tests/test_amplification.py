@@ -104,3 +104,52 @@ class TestAmplificationWithProtocol:
         assert effective[0] < 0.05          # LSB barely sampled
         assert effective[-1] < base_eps      # even the MSB gains a little
         assert np.all(np.diff(effective) > 0)
+
+
+class TestLargeEpsilon:
+    """Every finite epsilon gives a finite value or one ConfigurationError line."""
+
+    EPSILONS = (700.0, 709.0, 710.0, 800.0)
+    RATES = (1.0, 0.5, 0.1, 1e-3)
+
+    @pytest.mark.parametrize("epsilon", EPSILONS)
+    @pytest.mark.parametrize("rate", RATES)
+    def test_sampling_calculators_stay_finite(self, epsilon, rate):
+        amplified = amplified_epsilon_by_sampling(epsilon, rate)
+        assert math.isfinite(amplified) and 0.0 < amplified <= epsilon
+        required = required_epsilon_for_sampling(epsilon, rate)
+        assert math.isfinite(required) and required >= epsilon
+
+    def test_sampling_past_the_float_range_follows_the_closed_form(self):
+        # log(1 + s (e^eps - 1)) -> eps + log(s), and its inverse
+        # -> target - log(s), once e^eps dwarfs 1.
+        assert amplified_epsilon_by_sampling(710.0, 0.5) == pytest.approx(710.0 + math.log(0.5))
+        assert amplified_epsilon_by_sampling(800.0, 1.0) == 800.0
+        assert required_epsilon_for_sampling(709.0, 0.1) == pytest.approx(709.0 - math.log(0.1))
+        assert required_epsilon_for_sampling(800.0, 1.0) == 800.0
+
+    def test_values_inside_the_float_range_are_unchanged(self):
+        for epsilon in np.linspace(0.01, 709.7, 61):
+            for rate in self.RATES:
+                grown = math.exp(epsilon) - 1.0
+                assert amplified_epsilon_by_sampling(epsilon, rate) == math.log1p(rate * grown)
+                if math.isfinite(grown / rate):
+                    assert required_epsilon_for_sampling(epsilon, rate) == math.log1p(
+                        grown / rate
+                    )
+
+    @pytest.mark.parametrize("epsilon", EPSILONS)
+    @pytest.mark.parametrize("n_clients", [10**6, 10**307, 10**400, float("inf")])
+    def test_shuffle_returns_finite_or_one_error_line(self, epsilon, n_clients):
+        try:
+            central = shuffle_amplified_epsilon(epsilon, n_clients, 0.5)
+        except ConfigurationError as exc:
+            assert "\n" not in str(exc)
+        else:
+            assert math.isfinite(central) and central < epsilon
+
+    def test_shuffle_at_700_needs_a_float_sized_cohort(self):
+        assert math.isfinite(shuffle_amplified_epsilon(700.0, 10**307, 0.5))
+        assert not shuffle_amplification_valid(700.0, 10**400, 0.5)
+        with pytest.raises(ConfigurationError, match="clients to shuffle"):
+            shuffle_amplified_epsilon(700.0, 10**400, 0.5)

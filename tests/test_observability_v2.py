@@ -18,6 +18,7 @@ from repro.observability import (
     Histogram,
     InMemoryExporter,
     JsonLinesExporter,
+    MetricsRegistry,
     PhaseProfiler,
     SimClock,
     SpanRecord,
@@ -181,6 +182,44 @@ class TestHistogramQuantile:
             hist.observe(5.0)
         # All mass in [0, 10]; median interpolates to the bucket midpoint.
         assert hist.quantile(0.5) == pytest.approx(5.0)
+
+    def test_percentiles_stay_inside_the_observed_range(self):
+        # Shaped like a served round's uplink RTTs: 18 in (3, 10] ms and 6
+        # in (10, 30] ms, none past 12 ms.  Interpolating up to the 30 ms
+        # edge read p95 26.0 ms and p99 29.2 ms.
+        rtts = np.concatenate([np.linspace(0.004, 0.0095, 18), np.linspace(0.0105, 0.012, 6)])
+        hist = Histogram("serve_uplink_rtt_s", DEFAULT_PHASE_BUCKETS)
+        for rtt in rtts:
+            hist.observe(float(rtt))
+        payload = hist.to_dict()
+        assert (payload["min"], payload["max"]) == (0.004, 0.012)
+        for q in (0.0, 0.5, 0.95, 0.99, 1.0):
+            assert 0.004 <= hist.quantile(q) <= 0.012
+        assert payload["p95"] <= 0.012 and payload["p99"] <= 0.012
+        assert payload["p50"] == hist.quantile(0.5)
+
+    def test_extremes_survive_arrays_snapshots_and_merges(self):
+        values = [0.5, 2.5, 7.0]
+        scalar, array = Histogram("h", (1.0, 5.0, 10.0)), Histogram("h", (1.0, 5.0, 10.0))
+        for value in values:
+            scalar.observe(value)
+        array.observe_array(np.array(values))
+        assert array.to_dict() == scalar.to_dict()
+        registry = MetricsRegistry()
+        registry.merge_snapshot({"histograms": {"h": scalar.to_dict()}})
+        other = Histogram("h", (1.0, 5.0, 10.0))
+        other.observe(12.0)
+        registry.merge_snapshot({"histograms": {"h": other.to_dict()}})
+        registry.merge_snapshot({"histograms": {"h": Histogram("h", (1.0, 5.0, 10.0)).to_dict()}})
+        merged = registry.snapshot()["histograms"]["h"]
+        assert (merged["min"], merged["max"], merged["count"]) == (0.5, 12.0, 4)
+        assert Histogram("h", (1.0,)).to_dict()["min"] is None
+
+    def test_payload_without_extremes_leaves_the_range_open(self):
+        hist = Histogram("h", (10.0,))
+        hist.merge_dict({"buckets": [10.0], "counts": [4, 0], "sum": 20.0, "count": 4})
+        assert hist.quantile(0.5) == pytest.approx(5.0)
+        assert hist.to_dict()["min"] is None
 
 
 class TestSimClock:

@@ -127,22 +127,30 @@ class TestMeterInvariant:
 
     def test_ghost_entry_raises(self):
         meter = BitMeter(max_bits_per_value=1)
-        meter._per_value[("c1", "v1")] = 0  # the old defaultdict bug's footprint
+        # The old defaultdict bug's footprint: a zero-bit entry for c1.
+        meter._per_value["v1"] = (np.array(["c1"]), np.array([0]))
         with pytest.raises(InvariantViolation, match="ghost"):
             check_bit_meter(meter)
 
     def test_unbalanced_books_raise(self):
         meter = BitMeter(max_bits_per_value=3)
         meter.record("c1", "v1")
-        meter._per_client["c1"] = 2  # per-client says 2, per-value sums to 1
+        meter._per_client[1][0] = 2  # per-client says 2, per-value sums to 1
         with pytest.raises(InvariantViolation, match="balance"):
             check_bit_meter(meter)
 
     def test_over_cap_entry_raises(self):
         meter = BitMeter(max_bits_per_value=1)
-        meter._per_value[("c1", "v1")] = 5
-        meter._per_client["c1"] = 5
+        meter._per_value["v1"] = (np.array(["c1"]), np.array([5]))
+        meter._per_client = (np.array(["c1"]), np.array([5]))
         with pytest.raises(InvariantViolation, match="over cap"):
+            check_bit_meter(meter)
+
+    def test_unsorted_book_raises(self):
+        meter = BitMeter(max_bits_per_value=1)
+        meter.record_batch(["a", "b"], "v1")
+        meter._per_client = (np.array(["b", "a"]), np.array([1, 1]))
+        with pytest.raises(InvariantViolation, match="sorted distinct"):
             check_bit_meter(meter)
 
 
