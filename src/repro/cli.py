@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -907,10 +908,16 @@ def run_serve_command(
         bound_port = await server.start()
         try:
             if port_file is not None:
-                Path(port_file).write_text(f"{bound_port}\n")
+                # Written whole, then renamed into place: a fleet never reads
+                # half a port, and the file goes away with the server.
+                partial = Path(f"{port_file}.partial")
+                partial.write_text(f"{bound_port}\n")
+                os.replace(partial, port_file)
             result = await server.serve_round()
         finally:
             await server.close()
+            if port_file is not None:
+                Path(port_file).unlink(missing_ok=True)
         return bound_port, result
 
     try:
@@ -991,14 +998,15 @@ def run_serve_command(
 
 
 def _resolve_port(
-    port: int | None, port_file: str | None, timeout_s: float = 10.0
+    port: int | None, port_file: str | None, timeout_s: float, deadline: float
 ) -> int:
-    """The fleet's port rendezvous: an explicit port, or poll the port file."""
+    """The fleet's port rendezvous: an explicit port, or poll the port file
+    until the ``time.monotonic()`` reading ``deadline``, ``timeout_s`` after
+    the fleet started."""
     if port is not None:
         return int(port)
     if port_file is None:
         raise ConfigurationError("fleet needs --port or --port-file")
-    deadline = time.monotonic() + timeout_s
     path = Path(port_file)
     while True:
         try:
@@ -1033,20 +1041,30 @@ def run_fleet_command(
     ``Normal(600, 100)`` under ``seed``), so any twin that knows the seed can
     recompute exactly what the fleet reported on.  A port file that never
     appears within ``rendezvous_timeout_s`` is one line on stderr and exit
-    code 2 (the fleet never hangs on a server that failed to start).  Exits
-    1 if the server aborted the round or never announced a result.
+    code 2 (the fleet never hangs on a server that failed to start).  A port
+    file whose port refuses the connection -- one an earlier server left
+    behind -- is read again until the same deadline.  Exits 1 if the server
+    aborted the round or never announced a result.
     """
     stream = stream if stream is not None else sys.stdout
     error_stream = error_stream if error_stream is not None else sys.stderr
-    try:
-        resolved = _resolve_port(port, port_file, timeout_s=rendezvous_timeout_s)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=error_stream)
-        return 2
+    deadline = time.monotonic() + rendezvous_timeout_s
     profile = EmulationProfile.parse(emulation) if emulation else None
-    fleet = ClientFleet(fleet_values(clients, seed), seed=seed, profile=profile)
-    # Not asyncio.run, which formats the result's repr on 3.11-3.12.
-    result = run_coroutine(fleet.run(host, resolved))
+    while True:
+        try:
+            resolved = _resolve_port(port, port_file, rendezvous_timeout_s, deadline)
+        except ConfigurationError as exc:
+            print(f"error: {exc}", file=error_stream)
+            return 2
+        fleet = ClientFleet(fleet_values(clients, seed), seed=seed, profile=profile)
+        try:
+            # Not asyncio.run, which formats the result's repr on 3.11-3.12.
+            result = run_coroutine(fleet.run(host, resolved))
+            break
+        except ConnectionRefusedError:
+            if port_file is None or time.monotonic() >= deadline:
+                raise
+            time.sleep(0.05)
     ok = not result.aborted and result.estimate is not None
     if as_json:
         payload = {

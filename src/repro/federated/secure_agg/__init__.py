@@ -28,6 +28,7 @@ from repro.federated.secure_agg.shamir import (
     reconstruct_secret_sets,
     reconstruct_secrets,
     split_secret,
+    split_secret_sets,
     split_secrets,
 )
 
@@ -54,5 +55,6 @@ __all__ = [
     "secure_sum",
     "shard_bounds",
     "split_secret",
+    "split_secret_sets",
     "split_secrets",
 ]

@@ -60,12 +60,20 @@ _MAX_VECTORIZED_MODULUS = 1 << 63
 
 _M61 = np.uint64(DEFAULT_PRIME)
 _M61_BITS = np.uint64(61)
-# matmul_arrays splits 61-bit elements into three 21-bit limbs held in
-# float64: a limb product is below 2**42, so a sum of up to 2**11 of them
-# stays below 2**53 and is exact in any order (FMA included).
-_LIMB_BITS = 21
-_LIMB_MASK = np.uint64((1 << _LIMB_BITS) - 1)
-_MATMUL_BLOCK = 1 << 11
+# matmul_arrays splits each reduced element into 21-bit limbs held in
+# float64 -- the top limb below 2**19, as elements are below 2**61.  Each
+# entry of the folded product (_fold_m61) sums three limb products per
+# inner index, each below 2**42 (the factor 4 of a wrapped degree
+# included), so an inner block of 682 keeps every sum below 2**53: exact
+# in any order, FMA included.
+_LIMB_SHIFTS = np.array([0, 21, 42], dtype=np.uint64)
+_LIMB_MASK = np.uint64((1 << 21) - 1)
+_MATMUL_BLOCK = 682
+# Column block c of the folded right operand takes, in the rows of left
+# limb i, right limb (c - i) mod 3; a product of degree i + j >= 3 enters
+# it times 2**63 mod p = 4.
+_FOLD_LIMB = (np.arange(3)[None, :] - np.arange(3)[:, None]) % 3
+_FOLD_SCALE = np.where(np.arange(3)[:, None] + _FOLD_LIMB >= 3, 4.0, 1.0)[:, :, None, None]
 
 
 def _reduce_m61(x: np.ndarray) -> np.ndarray:
@@ -80,41 +88,43 @@ def _reduce_m61(x: np.ndarray) -> np.ndarray:
 
 def _rotl61(x: np.ndarray, shift: int) -> np.ndarray:
     """``x * 2**shift mod (2**61 - 1)`` for ``x < p``: a 61-bit rotation."""
-    if shift == 0:
-        return x
     return ((x << np.uint64(shift)) & _M61) | (x >> np.uint64(61 - shift))
 
 
-def _limbs(x: np.ndarray, axis: int) -> np.ndarray:
-    """The three 21-bit limbs of ``x`` as float64, stacked along ``axis``."""
-    return np.concatenate(
-        [((x >> np.uint64(_LIMB_BITS * d)) & _LIMB_MASK).astype(np.float64) for d in range(3)],
-        axis=axis,
-    )
+def _fold_m61(b: np.ndarray) -> np.ndarray:
+    """The right operand's limbs folded by degree mod 3, as ``(3, k, 3, n)`` float64.
+
+    Left limbs ``[a0 | a1 | a2]`` times the rows ``(i, k)`` give, in column
+    block ``c``, the sum of the limb products of degree ``c`` and ``c + 3``.
+    """
+    limbs = ((b >> _LIMB_SHIFTS[:, None, None]) & _LIMB_MASK).astype(np.float64)
+    return (limbs[_FOLD_LIMB] * _FOLD_SCALE).transpose(0, 2, 1, 3)
 
 
 def _matmul_m61(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact ``(a @ b) mod (2**61 - 1)`` for reduced 2-D uint64 arrays.
+    """Exact ``(a @ b) mod (2**61 - 1)`` for reduced uint64 ``a (..., m, k)`` and ``b (k, n)``.
 
-    Per inner block of ``2**11``, one float64 product of the stacked limbs
-    ``[a0; a1; a2] @ [b0 | b1 | b2]`` yields all nine limb products
-    ``a_i @ b_j`` exactly.  Converted to uint64, the ones of equal degree
-    ``i + j`` are summed (below ``3 * 2**53``, so already reduced) and
-    scaled by ``2**(21 (i + j))`` -- a rotation, as ``2**61 ≡ 1``.  The
-    running total plus five rotated terms, each below ``p``, stays below
-    ``2**64`` until the per-block fold.
+    Per inner block of 682, one float64 product of the left limbs with
+    :func:`_fold_m61`'s rows yields the three degree sums ``c_0, c_1,
+    c_2``; converted to uint64 (each below ``2**53``, so below ``p``),
+    ``c_0 + c_1 * 2**21 + c_2 * 2**42`` is the block's product mod p, the
+    scalings being 61-bit rotations.  A leading stack axis makes one small
+    product per matrix (``np.matmul``'s loop), which stays on OpenBLAS's
+    single-threaded path where one tall 2-D product would not.
     """
-    m, n = a.shape[0], b.shape[1]
-    total = np.zeros((m, n), dtype=np.uint64)
-    for start in range(0, a.shape[1], _MATMUL_BLOCK):
-        stop = start + _MATMUL_BLOCK
-        prod = (_limbs(a[:, start:stop], 0) @ _limbs(b[start:stop], 1)).astype(np.uint64)
-        prod = prod.reshape(3, m, 3, n)
-        for degree in range(5):
-            limb_pairs = range(max(0, degree - 2), min(degree, 2) + 1)
-            same_degree = sum(prod[i, :, degree - i] for i in limb_pairs)
-            total = total + _rotl61(same_degree, _LIMB_BITS * degree % 61)
-        total = _reduce_m61(total)
+    k, n = b.shape
+    lead = a.shape[:-1]
+    left = ((a[..., None, :] >> _LIMB_SHIFTS[:, None]) & _LIMB_MASK).astype(np.float64)
+    right = _fold_m61(b)
+    total = np.zeros(lead + (n,), dtype=np.uint64)
+    for start in range(0, k, _MATMUL_BLOCK):
+        block = slice(start, start + _MATMUL_BLOCK)
+        rows = 3 * (min(k, start + _MATMUL_BLOCK) - start)
+        prod = np.matmul(
+            left[..., block].reshape(lead + (rows,)), right[:, block].reshape(rows, 3 * n)
+        ).astype(np.uint64)
+        c0, c1, c2 = prod[..., :n], prod[..., n : 2 * n], prod[..., 2 * n :]
+        total = _reduce_m61(total + c0 + _rotl61(c1, 21) + _rotl61(c2, 42))
     return total
 
 
@@ -211,12 +221,14 @@ class PrimeField:
         return (np.asarray(arr, dtype=np.int64) % np.int64(self.modulus)).astype(np.uint64)
 
     def matmul_arrays(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Exact ``(a @ b) mod p`` over reduced 2-D ``uint64`` arrays.
+        """Exact ``(a @ b) mod p`` over reduced ``uint64`` arrays.
 
-        The default Mersenne prime runs as blocked float64 limb products
-        (exact -- pinned against Python-int products, near-modulus operands
-        and inner dimensions across the block edge included); other moduli
-        fall back to an object-dtype Python-int product.
+        ``b`` is 2-D and ``a`` is 2-D or a stack ``(..., m, k)`` of left
+        operands, each multiplied by ``b``.  The default Mersenne prime runs
+        as blocked float64 limb products (exact -- pinned against Python-int
+        products, near-modulus operands and inner dimensions across the
+        block edge included); other moduli fall back to an object-dtype
+        Python-int product.
         """
         self._require_vectorizable()
         a = np.asarray(a, dtype=np.uint64)

@@ -6,10 +6,10 @@ DisAgg line of work distributes exactly this).  This module arranges the
 cohort as a two-level tree instead:
 
 * **Leaves**: contiguous *shards* of ``shard_size`` clients, each running
-  its own :class:`~repro.federated.secure_agg.protocol.SecureAggregationSession`
-  with the canonical 2/3 threshold.  Dropout recovery -- survivor seed
-  reveal plus Shamir reconstruction -- happens *inside* the shard, so a
-  client's disappearance costs O(shard_size) work, not O(n).
+  its own secure-aggregation session with the canonical 2/3 threshold.
+  Dropout recovery -- survivor seed reveal plus Shamir reconstruction --
+  happens *inside* the shard, so a client's disappearance costs
+  O(shard_size) work, not O(n).
 * **Root**: per-shard partial sums are already unmasked exact integers, so
   the root aggregator is plain integer addition -- commutative and exact,
   which makes the merge order (and therefore the worker schedule) irrelevant
@@ -22,16 +22,21 @@ aggregate.  Callers degrade rather than abort: the server widens the round's
 variance accounting and raises a health alert instead of failing the round.
 
 **Shard groups.**  Shards run in contiguous groups of :data:`SHARD_GROUP`.
-A group builds its sessions, checks every shard's batch, then expands all
-of its sessions' masks in one Philox pass per phase -- masking at submit,
-unmasking at finalize -- and per ring width present, instead of one small
-pass per session and phase.  Unmasking reconstructs the survivor
-self-seeds of all of its sessions with one Shamir product per threshold
-present.  Each session draws only from its own seed, a Philox row depends
-only on its seed, and Shamir reconstruction is exact, so a group's totals
-and masked rows equal its sessions' one-by-one results, whatever the
-group size.  Each group times its ``secure_agg.setup``,
-``secure_agg.mask`` and ``secure_agg.unmask`` phases as spans.
+A group's sessions of one shape -- ``(n_clients, threshold, ring)`` --
+form one :class:`~repro.federated.secure_agg.protocol.SessionBatch`:
+their seeds, share matrices and masked rows carry a leading shard axis, so
+each phase makes one pass per shape present instead of one per session --
+one Shamir split product at setup, one seed gather and one signed apply to
+mask, one vector of threshold verdicts and one pass of segment sums to
+unmask.  The group expands all of its masks in one Philox pass per phase
+and ring width present, and reconstructs the survivor self-seeds of all of
+its sessions with one Shamir product per threshold present.  Each session
+draws only from its own seed, a Philox row depends only on its seed, and
+field and ring arithmetic are exact, so a group's totals and masked rows
+equal its sessions' one-by-one results, whatever the group size.  Each
+group times its ``secure_agg.setup``, ``secure_agg.mask`` and
+``secure_agg.unmask`` phases as spans, and shares its time out among its
+shards in proportion to the seeds each expanded.
 
 **Parallelism.**  Groups are independent, so they fan out over a
 ``fork``-based process pool (one worker per group, at most ``workers`` in
@@ -58,12 +63,13 @@ from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
-from repro.exceptions import ConfigurationError, SecureAggregationError
-from repro.federated.secure_agg.masking import expand_masks
+from repro.exceptions import ConfigurationError
+from repro.federated.secure_agg.masking import mask_ring
 from repro.federated.secure_agg.protocol import (
-    SecureAggregationSession,
-    _recover_self_seeds,
+    SessionBatch,
     default_threshold,
+    mask_batches,
+    unmask_batches,
 )
 from repro.metrics.execution import (
     _FORK_AVAILABLE,
@@ -223,26 +229,6 @@ def _phase(name: str, phases: list, clock: Callable[[], float]) -> Iterator[dict
     phases.append((name, start, clock() - start, attrs))
 
 
-def _expand_by_lane(
-    sessions: dict[int, SecureAggregationSession],
-    steps: dict[int, tuple[np.ndarray, Any]],
-    length: int,
-) -> dict[int, np.ndarray]:
-    """Each session's mask rows, from one ``expand_masks`` call per ring width present."""
-    members: dict[np.dtype, list[int]] = {}
-    for i in steps:
-        members.setdefault(sessions[i].ring.lane, []).append(i)
-    rows = {}
-    for lane, shards in members.items():
-        masks = expand_masks(np.concatenate([steps[i][0] for i in shards]), length, lane)
-        start = 0
-        for i in shards:
-            stop = start + steps[i][0].size
-            rows[i] = masks[start:stop]
-            start = stop
-    return rows
-
-
 def _run_group(
     tasks: list[ShardTask],
     seeds: list[np.random.SeedSequence],
@@ -252,108 +238,87 @@ def _run_group(
 ) -> tuple[list[ShardOutcome], list[tuple[str, float, float, dict[str, Any]]]]:
     """Run one contiguous group of shards' sessions end to end (any process).
 
-    The group builds its sessions in shard order, each from its own spawned
-    seed; checks every shard's batch exactly as ``submit_batch`` does;
-    expands every session's mask-phase seeds in one pass per ring width
-    and applies them.  To unmask, it checks every session's threshold,
-    reconstructs the survivor self-seeds of every session at or above it
-    with one Shamir product per threshold present, and collects those
-    sessions' unmask-phase seeds into one more pass per ring width.  A
-    shard that cannot complete -- a singleton (no peer to mask against) or
-    a below-threshold survivor set -- returns ``recovered=False`` instead
-    of raising: shard failure is a contained, reportable outcome, not an
-    error of the tree.
+    The group's sessions of one shape -- ``(n_clients, threshold, ring)``
+    -- form one :class:`~repro.federated.secure_agg.protocol.SessionBatch`,
+    each session seeded from its shard's spawned seed.  Masking checks
+    every shard's batch exactly as ``submit_batch`` does and applies one
+    Philox pass per ring width; unmasking takes every session's threshold
+    verdict, reconstructs the survivor self-seeds of the sessions at or
+    above it with one Shamir product per threshold present, and collects
+    their unmask seeds into one more pass per ring width.  A shard that
+    cannot complete -- a singleton (no peer to mask against) or a
+    below-threshold survivor set -- returns ``recovered=False`` instead of
+    raising: shard failure is a contained, reportable outcome, not an error
+    of the tree.
 
-    Each shard's duration is its own steps plus a share of the rest of the
-    group's time (the passes and the Shamir products, mostly) in proportion
-    to the seeds it expanded, so the group's durations sum to its time.
-    Shards and phases are timed on ``clock``, the tracer's or a worker's
-    copy of it.  Returns the outcomes and the three phases'
-    ``(name, start reading, duration, attrs)``.
+    The group's time on ``clock`` -- the tracer's or a worker's copy of it
+    -- is shared out among its shards in proportion to the seeds each
+    expanded, so the group's durations sum to its time.  Returns the
+    outcomes and the three phases' ``(name, start reading, duration,
+    attrs)``.
     """
     start = clock()
-    own = [0.0] * len(tasks)
-    expanded = [0] * len(tasks)
     phases: list = []
-
-    def timed(i: int, step, *args):
-        t = clock()
-        try:
-            return step(*args)
-        finally:
-            own[i] += clock() - t
-
-    sessions: dict[int, SecureAggregationSession] = {}
+    shapes: dict[tuple, list[int]] = {}
+    for i, task in enumerate(tasks):
+        if task.n_clients >= 2:
+            n = task.n_clients
+            shape = (n, default_threshold(n), mask_ring(task.vectors.dtype, n))
+            shapes.setdefault(shape, []).append(i)
+    members = list(shapes.values())
     with _phase("secure_agg.setup", phases, clock) as attrs:
-        for i, task in enumerate(tasks):
-            if task.n_clients >= 2:
-                sessions[i] = timed(
-                    i,
-                    SecureAggregationSession,
-                    task.n_clients,
-                    vector_length,
-                    default_threshold(task.n_clients),
-                    task.vectors.dtype,
-                    np.random.Generator(bitgen_cls(seeds[i])),
-                )
-        ring_bits = max((session.ring.bits for session in sessions.values()), default=0)
+        batches = [
+            SessionBatch(
+                n,
+                vector_length,
+                threshold,
+                ring,
+                [np.random.Generator(bitgen_cls(seeds[i])) for i in shards],
+            )
+            for (n, threshold, ring), shards in shapes.items()
+        ]
+        ring_bits = max((batch.ring.bits for batch in batches), default=0)
         attrs.update(
             shards=len(tasks),
-            seeds=sum(s.n_clients * (s.n_clients + 1) // 2 for s in sessions.values()),
+            seeds=sum(b.size * b.n_clients * (b.n_clients + 1) // 2 for b in batches),
             ring_bits=ring_bits,
         )
+    with _phase("secure_agg.mask", phases, clock) as attrs:
+        mask_batches(
+            batches,
+            [[tasks[i].submitted_ids for i in shards] for shards in members],
+            [[tasks[i].vectors for i in shards] for shards in members],
+        )
+        masked_seeds = sum(int(batch.expanded.sum()) for batch in batches)
+        attrs.update(shards=len(tasks), seeds=masked_seeds, ring_bits=ring_bits)
+    with _phase("secure_agg.unmask", phases, clock) as attrs:
+        passed = [batch.check_thresholds() for batch in batches]
+        totals = unmask_batches(batches, passed)
+        unmasked_seeds = sum(int(batch.expanded.sum()) for batch in batches) - masked_seeds
+        attrs.update(shards=len(tasks), seeds=unmasked_seeds, ring_bits=ring_bits)
 
-    def run_phase(name: str, gather) -> dict[int, Any]:
-        """The sessions' seeds steps, one pass per ring width, then every apply step."""
-        with _phase(name, phases, clock) as attrs:
-            steps = gather()
-            masks = _expand_by_lane(sessions, steps, vector_length)
-            applied = {i: timed(i, apply, masks[i]) for i, (_, apply) in steps.items()}
-            for i, (step_seeds, _) in steps.items():
-                expanded[i] += step_seeds.size
-            attrs.update(
-                shards=len(tasks),
-                seeds=sum(step_seeds.size for step_seeds, _ in steps.values()),
-                ring_bits=ring_bits,
-            )
-        return applied
-
-    def unmask_steps() -> dict[int, Any]:
-        ready = {}
-        for i, session in sessions.items():
-            try:
-                timed(i, session._check_threshold)
-            except SecureAggregationError:
-                continue  # below threshold: this shard fails alone
-            ready[i] = session
-        self_seeds = _recover_self_seeds(list(ready.values()))
-        return {
-            i: timed(i, session._unmask_phase, shard_seeds)
-            for (i, session), shard_seeds in zip(ready.items(), self_seeds)
-        }
-
-    run_phase(
-        "secure_agg.mask",
-        lambda: {
-            i: timed(i, session._mask_phase, tasks[i].submitted_ids, tasks[i].vectors)
-            for i, session in sessions.items()
-        },
-    )
-    totals = run_phase("secure_agg.unmask", unmask_steps)
-    rest = clock() - start - sum(own)
-    weights = np.asarray(expanded, dtype=np.float64) if sum(expanded) else np.ones(len(tasks))
-    shares = rest * weights / weights.sum()
+    batch_of: dict[int, SessionBatch] = {}
+    recovered: dict[int, np.ndarray] = {}
+    weights = np.zeros(len(tasks))
+    for batch, shards, ok, total in zip(batches, members, passed, totals):
+        batch_of.update(dict.fromkeys(shards, batch))
+        weights[shards] = batch.expanded
+        decoded = np.asarray(batch.ring.decode(total), dtype=np.int64).reshape(-1, vector_length)
+        recovered.update(zip(np.asarray(shards)[ok].tolist(), decoded))
+    if not weights.sum():
+        weights[:] = 1.0
+    shares = (clock() - start) * weights / weights.sum()
     outcomes = [
         ShardOutcome(
             index=task.index,
             start=task.start,
             n_clients=task.n_clients,
             submitted_global_ids=(task.start + np.asarray(task.submitted_ids)).astype(np.int64),
-            threshold=sessions[i].threshold if i in sessions else 2,
-            recovered=i in totals,
-            total=np.array(totals[i], dtype=np.int64) if i in totals else None,
-            duration_s=own[i] + float(shares[i]),
-            ring_bits=sessions[i].ring.bits if i in sessions else 0,
+            threshold=batch_of[i].threshold if i in batch_of else 2,
+            recovered=i in recovered,
+            total=recovered.get(i),
+            duration_s=float(shares[i]),
+            ring_bits=batch_of[i].ring.bits if i in batch_of else 0,
         )
         for i, task in enumerate(tasks)
     ]

@@ -20,16 +20,19 @@ The server learns exactly the sum of the submitted vectors -- bit-pushing's
 per-bit counts -- and nothing about individual contributions (each
 submission is uniformly distributed given the others).
 
-All session work is whole-array.  Pairwise seeds live in one uint64
-vector in ``np.triu_indices`` order.  Each phase is two private steps --
-gather the seeds it needs, then apply their expanded rows -- joined by one
-:func:`~repro.federated.secure_agg.masking.expand_masks` pass that covers
-self-masks and pairwise masks alike.  Unmasking first checks the threshold
-and reconstructs the survivors' self-mask seeds with
-:func:`_recover_self_seeds`, one Shamir product per threshold present;
-:mod:`repro.federated.secure_agg.hierarchy` runs the same steps with one
-pass, and one product per threshold, for a whole group of shard sessions.
-Masks live in the ring of
+All session work is whole-array, over a :class:`SessionBatch`: sessions of
+one shape ``(n_clients, threshold, ring)`` stacked along a leading session
+axis.  Pairwise seeds live in one uint64 row per session in
+``np.triu_indices`` order.  Each phase (:func:`mask_batches`,
+:func:`unmask_batches`) gathers the seeds it needs with one pass per
+shape, expands them with one
+:func:`~repro.federated.secure_agg.masking.expand_masks` call per ring
+width -- self-masks and pairwise masks alike -- and applies them with one
+more pass per shape.  Unmasking takes every session's threshold verdict,
+then reconstructs the survivors' self-mask seeds with one Shamir product
+per threshold present.  A :class:`SecureAggregationSession` is a batch of
+one; :mod:`repro.federated.secure_agg.hierarchy` runs a whole group of
+shard sessions through the same calls.  Masks live in the ring of
 :func:`~repro.federated.secure_agg.masking.mask_ring`, sized by the
 session's entry ``dtype`` (8 bits for report bits over up to 255 clients),
 and combine through the lane's native wrap-around;
@@ -50,14 +53,14 @@ dropouts, and hard failure below the threshold.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError, SecureAggregationError
 from repro.federated.secure_agg.field import PrimeField
-from repro.federated.secure_agg.masking import expand_masks, mask_ring
-from repro.federated.secure_agg.shamir import reconstruct_secret_sets, split_secrets
+from repro.federated.secure_agg.masking import Ring, expand_masks, mask_ring
+from repro.federated.secure_agg.shamir import reconstruct_secret_sets, split_secret_sets
 from repro.observability import get_metrics, get_tracer
 from repro.rng import ensure_rng
 
@@ -91,45 +94,287 @@ def _pair_index(a, b, n_clients: int):
 
 @lru_cache(maxsize=16)
 def _pair_layout(n_clients: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ``(n, n)`` upper-triangle mask and every ``(a, b)``'s pair position.
+    """Both endpoints of every pair, in ``np.triu_indices(n_clients, k=1)`` order.
 
-    The mask's true entries, read row-major, are the pairs in
-    ``np.triu_indices(n_clients, k=1)`` order; the position matrix is
-    :func:`_pair_index` of every id pair (its diagonal is meaningless).
     Built once per session size and shared, so both are read-only.
     """
-    ids = np.arange(n_clients)
-    upper = ids[:, None] < ids
-    position = _pair_index(ids[:, None], ids, n_clients)
-    upper.setflags(write=False)
-    position.setflags(write=False)
-    return upper, position
+    low, high = np.triu_indices(n_clients, k=1)
+    low.setflags(write=False)
+    high.setflags(write=False)
+    return low, high
 
 
-def _recover_self_seeds(sessions: Sequence["SecureAggregationSession"]) -> list[np.ndarray]:
-    """Every session's survivor self-mask seeds, by Shamir reconstruction.
+def _segment_sums(rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Sums of consecutive runs of ``rows``, of the given lengths, in the rows' lane.
 
-    Each session interpolates at its first ``threshold`` surviving
-    shareholders, so all sessions of one threshold share one exact mod-p
-    product (:func:`~repro.federated.secure_agg.shamir.reconstruct_secret_sets`).
-    :meth:`SecureAggregationSession.finalize` runs it on a group of one, and
-    :mod:`repro.federated.secure_agg.hierarchy` on every session of a shard
-    group that passed its threshold check.
+    Each is a difference of one running sum, which wraps like the lane, so
+    an empty run sums to zero.
     """
-    if not sessions:
+    running = np.zeros((rows.shape[0] + 1, rows.shape[1]), dtype=rows.dtype)
+    np.cumsum(rows, axis=0, dtype=rows.dtype, out=running[1:])
+    ends = np.cumsum(counts)
+    return running[ends] - running[ends - counts]
+
+
+class SessionBatch:
+    """Secure-aggregation sessions of one shape, as arrays with a leading session axis.
+
+    ``S`` sessions of one ``(n_clients, threshold, ring)`` hold their
+    pairwise seeds ``(S, n (n - 1) / 2)`` in ``np.triu_indices`` order,
+    their self-mask seeds ``(S, n)``, the self seeds' Shamir shares ``(S,
+    n, n)`` -- row ``i`` of a session's matrix holds seed ``i``'s share
+    values, column ``h`` the share client ``h`` keeps (evaluation point
+    ``x = h + 1``) -- and their masked rows ``(S, n, vector_length)``.
+    Session ``s`` draws its pairwise seeds, its self seeds and its share
+    polynomials from ``rngs[s]``, in that order, so a session's arrays do
+    not depend on the batch it sits in.  :func:`mask_batches` and
+    :func:`unmask_batches` run the protocol's phases over batches.
+    """
+
+    def __init__(
+        self,
+        n_clients: int,
+        vector_length: int,
+        threshold: int,
+        ring: Ring,
+        rngs: Sequence[np.random.Generator],
+    ) -> None:
+        self.n_clients = n_clients
+        self.vector_length = vector_length
+        self.threshold = threshold
+        self.ring = ring
+        self.field = PrimeField()
+        # -- Setup phase (simulated trusted key agreement). --------------
+        # All seeds are field elements: self-mask seeds travel through
+        # Shamir shares (field arithmetic), so anything >= the modulus
+        # would reconstruct to a different value than was expanded.
+        size = len(rngs)
+        self.pair_seeds = np.empty((size, n_clients * (n_clients - 1) // 2), dtype=np.uint64)
+        self.self_seeds = np.empty((size, n_clients), dtype=np.uint64)
+        for s, gen in enumerate(rngs):
+            self.pair_seeds[s] = self.field.random_vector(self.pair_seeds.shape[1], gen)
+            self.self_seeds[s] = self.field.random_vector(n_clients, gen)
+        self.shares = split_secret_sets(self.self_seeds, n_clients, threshold, self.field, rngs)
+        self.masked = np.zeros((size, n_clients, vector_length), dtype=ring.lane)
+        self.submitted = np.zeros((size, n_clients), dtype=bool)
+        self.finalized = np.zeros(size, dtype=bool)
+        self.failed = np.zeros(size, dtype=bool)
+        #: Seeds each session's masking and unmasking have expanded so far.
+        self.expanded = np.zeros(size, dtype=np.int64)
+
+    @property
+    def size(self) -> int:
+        return self.submitted.shape[0]
+
+    # ------------------------------------------------------------------
+    def _check_ids(self, sessions: np.ndarray, clients: np.ndarray) -> None:
+        """Raise on the first unknown id or repeated submission, in batch order."""
+        unknown = (clients < 0) | (clients >= self.n_clients)
+        key = np.where(unknown, -1, sessions * self.n_clients + clients)
+        order = np.argsort(key, kind="stable")
+        repeated = np.zeros(key.size, dtype=bool)
+        repeated[order[1:]] = key[order[1:]] == key[order[:-1]]
+        repeated |= self.submitted.reshape(-1)[np.maximum(key, 0)] & ~unknown
+        bad = np.flatnonzero(unknown | repeated)
+        if bad.size:
+            cid = int(clients[bad[0]])
+            if unknown[bad[0]]:
+                raise ConfigurationError(f"unknown client id {cid}")
+            raise SecureAggregationError(f"client {cid} already submitted")
+
+    def _mask_seeds(self, client_ids: Sequence, vectors: Sequence) -> tuple[np.ndarray, tuple]:
+        """Check one batch per session; return the seeds its masks need and what the apply reads.
+
+        The seeds are the batches' self-mask seeds and every pairwise seed
+        they touch, each pair once: an intra-batch mask is applied with
+        opposite signs to both endpoints' rows.  Nothing is recorded until
+        :meth:`_apply_masks` runs on the seeds' expanded rows.
+        """
+        if (self.finalized | self.failed).any():
+            raise SecureAggregationError("session already finalized")
+        ids = [np.asarray(cids, dtype=np.int64).reshape(-1) for cids in client_ids]
+        rows = [np.atleast_2d(np.asarray(batch)) for batch in vectors]
+        for cids, batch in zip(ids, rows):
+            if batch.shape != (cids.size, self.vector_length):
+                raise ConfigurationError(
+                    f"expected a ({cids.size}, {self.vector_length}) vector batch, "
+                    f"got {batch.shape}"
+                )
+        sessions = np.repeat(np.arange(len(ids)), [cids.size for cids in ids])
+        clients = np.concatenate(ids)
+        self._check_ids(sessions, clients)
+        encoded = self.ring.encode(np.concatenate(rows))
+        member = np.zeros_like(self.submitted)
+        member[sessions, clients] = True
+        low, high = _pair_layout(self.n_clients)
+        touched = member[:, low] | member[:, high]
+        seeds = np.concatenate([self.self_seeds[sessions, clients], self.pair_seeds[touched]])
+        return seeds, (sessions, clients, encoded, touched)
+
+    def _apply_masks(self, plan: tuple, masks: np.ndarray) -> np.ndarray:
+        """Mask and record the checked batches; return their masked rows, in batch order."""
+        sessions, clients, encoded, touched = plan
+        n, k = self.n_clients, sessions.size
+        low, high = _pair_layout(n)
+        pair_session, pair = np.nonzero(touched)
+        pair_masks = masks[k:]
+        # A client adds the masks of the touched pairs it is the low end of
+        # -- a run in triu order -- and subtracts those it is the high end
+        # of, a run once sorted by high end (the pairwise_mask_sign
+        # convention).
+        cells = self.size * n
+        low_end = pair_session * n + low[pair]
+        high_end = pair_session * n + high[pair]
+        added = _segment_sums(pair_masks, np.bincount(low_end, minlength=cells))
+        taken = _segment_sums(
+            pair_masks[np.argsort(high_end)], np.bincount(high_end, minlength=cells)
+        )
+        row = sessions * n + clients
+        masked = encoded + masks[:k] + added[row] - taken[row]
+        self.masked[sessions, clients] = masked
+        self.submitted[sessions, clients] = True
+        self.expanded += np.bincount(sessions, minlength=self.size) + touched.sum(axis=1)
+        metrics = get_metrics()
+        if metrics.enabled:
+            metrics.counter("secure_agg_masked_bytes_total").inc(masked.nbytes)
+        return masked
+
+    # ------------------------------------------------------------------
+    def check_thresholds(self) -> np.ndarray:
+        """Each session's threshold verdict: did at least ``threshold`` clients submit?
+
+        A session below it closes as failed, counted once in
+        ``secure_agg_failures_total``.
+        """
+        passed = self.submitted.sum(axis=1) >= self.threshold
+        failing = ~passed & ~self.failed
+        self.failed |= ~passed
+        metrics = get_metrics()
+        if metrics.enabled and failing.any():
+            metrics.counter("secure_agg_failures_total").inc(int(failing.sum()))
+        return passed
+
+    def _holder_shares(self, ready: np.ndarray) -> tuple[list, list]:
+        """Each ready session's Shamir points and the survivors' share block at them.
+
+        A session interpolates at its first ``threshold`` surviving
+        shareholders (``x = holder + 1``).
+        """
+        survivors = self.submitted[ready]
+        if not survivors.size:
+            return [], []
+        holds = survivors & (np.cumsum(survivors, axis=1) <= self.threshold)
+        holders = np.nonzero(holds)[1].reshape(-1, self.threshold)
+        session, client = np.nonzero(survivors)
+        block = self.shares[np.flatnonzero(ready)[session, None], client[:, None], holders[session]]
+        blocks = np.split(block, np.cumsum(survivors.sum(axis=1))[:-1])
+        return (holders + 1).tolist(), blocks
+
+    def _unmask_seeds(self, ready: np.ndarray, self_seeds: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """The seeds unmasking the ready sessions needs, and what the apply reads.
+
+        ``self_seeds`` are the survivors' reconstructed self-mask seeds,
+        session by session; each survivor also reveals the seed it shared
+        with each dropout.  Survivor-dropout pairwise masks linger in the
+        total with the survivor's sign, so masks it added (dropout id
+        larger) are subtracted along with the self-masks, and the others
+        added back.
+        """
+        survivors = self.submitted[ready]
+        low, high = _pair_layout(self.n_clients)
+        added = survivors[:, low] & ~survivors[:, high]
+        taken = ~survivors[:, low] & survivors[:, high]
+        pair_seeds = self.pair_seeds[ready]
+        seeds = np.concatenate([self_seeds, pair_seeds[added], pair_seeds[taken]])
+        counts = (survivors.sum(axis=1), added.sum(axis=1), taken.sum(axis=1))
+        return seeds, (ready, counts)
+
+    def _apply_unmasks(self, plan: tuple, masks: np.ndarray) -> np.ndarray:
+        """Close the ready sessions; return their ``(ready, vector_length)`` lane totals."""
+        ready, counts = plan
+        # The seeds run self seeds, then added pairs, then taken pairs, each
+        # session by session: one run per (part, session).
+        kept, added, taken = _segment_sums(masks, np.concatenate(counts)).reshape(
+            3, -1, self.vector_length
+        )
+        totals = self.masked[ready].sum(axis=1, dtype=self.ring.lane) - kept - added + taken
+        self.finalized[ready] = True
+        self.expanded[ready] += sum(counts)
+        metrics = get_metrics()
+        if metrics.enabled:
+            survivors, recovered = int(counts[0].sum()), int(counts[1].sum() + counts[2].sum())
+            metrics.counter("secure_agg_sessions_total").inc(int(ready.sum()))
+            metrics.counter("secure_agg_dropouts_total").inc(
+                int(ready.sum()) * self.n_clients - survivors
+            )
+            metrics.counter("secure_agg_self_masks_removed_total").inc(survivors)
+            metrics.counter("secure_agg_masks_recovered_total").inc(recovered)
+        return totals
+
+
+def _lane_masks(batches: Sequence[SessionBatch], seeds: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Each batch's mask rows for its seeds, from one ``expand_masks`` call per ring width."""
+    lanes: dict[np.dtype, list[int]] = {}
+    for b, batch in enumerate(batches):
+        lanes.setdefault(batch.ring.lane, []).append(b)
+    masks: list = [None] * len(batches)
+    for lane, members in lanes.items():
+        rows = expand_masks(
+            np.concatenate([seeds[b] for b in members]), batches[members[0]].vector_length, lane
+        )
+        bounds = np.cumsum([seeds[b].size for b in members])[:-1]
+        for b, part in zip(members, np.split(rows, bounds)):
+            masks[b] = part
+    return masks
+
+
+def mask_batches(
+    batches: Sequence[SessionBatch], client_ids: Sequence[Sequence], vectors: Sequence[Sequence]
+) -> list[np.ndarray]:
+    """Mask and record one batch of submissions per session, for every batch.
+
+    ``client_ids[b][s]`` and ``vectors[b][s]`` are the ids and the
+    ``(len(ids), vector_length)`` rows that session ``s`` of ``batches[b]``
+    receives.  Every batch is checked before any mask is expanded: ids
+    in range and not yet submitted, rows of the right shape inside the
+    ring's bounds.  One seed gather per batch, one ``expand_masks`` call
+    per ring width and one signed apply per batch follow.  Returns each
+    batch's masked rows in the ring's lane, session by session in
+    submission order.
+    """
+    steps = [batch._mask_seeds(i, v) for batch, i, v in zip(batches, client_ids, vectors)]
+    masks = _lane_masks(batches, [seeds for seeds, _ in steps])
+    return [batch._apply_masks(plan, m) for batch, (_, plan), m in zip(batches, steps, masks)]
+
+
+def unmask_batches(
+    batches: Sequence[SessionBatch], ready: Sequence[np.ndarray]
+) -> list[np.ndarray]:
+    """Unmask the sessions ``ready[b]`` marks in each batch; return their lane totals.
+
+    The ready sessions must have passed :meth:`SessionBatch.check_thresholds`.
+    Each interpolates at its first ``threshold`` surviving shareholders, so
+    all ready sessions of one threshold share one exact mod-p product
+    (:func:`~repro.federated.secure_agg.shamir.reconstruct_secret_sets`);
+    their unmask seeds then take one ``expand_masks`` call per ring width,
+    and each batch's totals one pass of segment sums.  Returns each batch's
+    ``(ready sessions, vector_length)`` totals.
+    """
+    if not batches:
         return []
-    point_sets, blocks = [], []
-    for session in sessions:
-        survivors = sorted(session._submissions)
-        holders = survivors[: session.threshold]
-        point_sets.append([holder + 1 for holder in holders])
-        blocks.append(session._self_seed_shares[np.ix_(survivors, holders)])
-    return reconstruct_secret_sets(
-        point_sets,
-        blocks,
-        sessions[0].field,
-        expected_thresholds=[session.threshold for session in sessions],
-    )
+    point_sets, blocks, thresholds = [], [], []
+    for batch, passed in zip(batches, ready):
+        xs, ys = batch._holder_shares(passed)
+        point_sets += xs
+        blocks += ys
+        thresholds += [batch.threshold] * len(xs)
+    recovered = iter(reconstruct_secret_sets(point_sets, blocks, batches[0].field, thresholds))
+    steps = []
+    for batch, passed in zip(batches, ready):
+        own = [np.empty(0, dtype=np.uint64)] + [next(recovered) for _ in range(passed.sum())]
+        steps.append(batch._unmask_seeds(passed, np.concatenate(own)))
+    masks = _lane_masks(batches, [seeds for seeds, _ in steps])
+    return [batch._apply_unmasks(plan, m) for batch, (_, plan), m in zip(batches, steps, masks)]
 
 
 class SecureAggregationSession:
@@ -151,6 +396,8 @@ class SecureAggregationSession:
         entries in 64 bits with a per-entry bound.
     rng:
         Setup randomness (seed generation and share polynomials).
+
+    The session is a :class:`SessionBatch` of one.
 
     Examples
     --------
@@ -178,111 +425,23 @@ class SecureAggregationSession:
                 f"need 2 <= threshold <= n_clients, got threshold={threshold}, n={n_clients}"
             )
         self.ring = mask_ring(dtype, n_clients)
-        gen = ensure_rng(rng)
         self.n_clients = n_clients
         self.vector_length = vector_length
         self.threshold = threshold
-        #: The prime field of seeds and Shamir shares (masks use :attr:`ring`).
-        self.field = PrimeField()
-
-        # -- Setup phase (simulated trusted key agreement). --------------
-        # All seeds are field elements: self-mask seeds travel through
-        # Shamir shares (field arithmetic), so anything >= the modulus
-        # would reconstruct to a different value than was expanded.
-        # Pairwise seeds: one per unordered pair, known to both endpoints,
-        # drawn as one field vector in np.triu_indices order (the order the
-        # nested per-pair loop would draw them) and looked up by _pair_index.
-        self._pair_seeds = self.field.random_vector(n_clients * (n_clients - 1) // 2, gen)
-        # Self-mask seeds, Shamir-shared among all clients: row i of the
-        # share matrix holds seed i's share values, column h the share
-        # client h keeps (evaluation point x = h + 1).
-        self._self_seeds = self.field.random_vector(n_clients, gen)
-        self._self_seed_shares: np.ndarray = split_secrets(
-            self._self_seeds, n_clients, threshold, self.field, gen
+        self._batch = SessionBatch(
+            n_clients, vector_length, threshold, self.ring, [ensure_rng(rng)]
         )
-
-        self._submissions: dict[int, np.ndarray] = {}
-        self._finalized = False
-        self._failed = False
+        #: The prime field of seeds and Shamir shares (masks use :attr:`ring`).
+        self.field = self._batch.field
 
     # ------------------------------------------------------------------
     def client_pairwise_seeds(self, client_id: int) -> dict[int, int]:
         """The pairwise seeds client ``client_id`` holds (one per peer)."""
         peers = np.delete(np.arange(self.n_clients), client_id)
         index = _pair_index(peers, client_id, self.n_clients)
-        return dict(zip(peers.tolist(), self._pair_seeds[index].tolist()))
+        return dict(zip(peers.tolist(), self._batch.pair_seeds[0, index].tolist()))
 
     # ------------------------------------------------------------------
-    def _check_open(self) -> None:
-        if self._finalized or self._failed:
-            raise SecureAggregationError("session already finalized")
-
-    def _validate_ids(self, client_ids: Sequence[int]) -> None:
-        seen = set()
-        for cid in client_ids:
-            if not 0 <= cid < self.n_clients:
-                raise ConfigurationError(f"unknown client id {cid}")
-            if cid in self._submissions or cid in seen:
-                raise SecureAggregationError(f"client {cid} already submitted")
-            seen.add(cid)
-
-    def _mask_phase(
-        self, client_ids: Sequence[int], vectors
-    ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
-        """Check one batch; return the seeds its masks need and the step applying them.
-
-        The seeds are the batch's self-mask seeds and every pairwise seed it
-        touches, each pair once: an intra-batch mask is applied with
-        opposite signs to both endpoints' rows.  Nothing is recorded until
-        the returned step runs on the seeds' expanded rows.
-        """
-        self._check_open()
-        client_ids = [int(c) for c in client_ids]
-        vectors = np.atleast_2d(np.asarray(vectors))
-        if vectors.shape != (len(client_ids), self.vector_length):
-            raise ConfigurationError(
-                f"expected a ({len(client_ids)}, {self.vector_length}) vector batch, "
-                f"got {vectors.shape}"
-            )
-        self._validate_ids(client_ids)
-        rows = self.ring.encode(vectors)
-        ids = np.asarray(client_ids, dtype=np.intp)
-        upper, position = _pair_layout(self.n_clients)
-        # The pairs with an endpoint in the batch, in triu order, and each
-        # one's slot among them: the running count of the touched pairs.
-        member = np.zeros(self.n_clients, dtype=bool)
-        member[ids] = True
-        touched = (member[:, None] | member)[upper]
-        pairs = np.flatnonzero(touched)
-        slot = np.cumsum(touched) - 1
-        # (k, n) rows of every (client, peer); + toward larger ids, -
-        # toward smaller (the pairwise_mask_sign convention).
-        plus = upper[ids]
-        minus = upper.T[ids]
-        seeds = np.concatenate([self._self_seeds[ids], self._pair_seeds[pairs]])
-
-        def apply(masks: np.ndarray) -> np.ndarray:
-            lane = self.ring.lane
-            # Signed application in two gathered sums over the pair masks and
-            # an appended all-zero row, which fills each sign's other slots
-            # (the diagonal included).
-            pair_masks = np.vstack([masks[ids.size :], np.zeros((1, self.vector_length), lane)])
-            slots = slot[position[ids]]
-            masked = (
-                rows
-                + masks[: ids.size]
-                + pair_masks[np.where(plus, slots, pairs.size)].sum(axis=1, dtype=lane)
-                - pair_masks[np.where(minus, slots, pairs.size)].sum(axis=1, dtype=lane)
-            )
-            for row, cid in enumerate(client_ids):
-                self._submissions[cid] = masked[row]
-            metrics = get_metrics()
-            if metrics.enabled:
-                metrics.counter("secure_agg_masked_bytes_total").inc(masked.nbytes)
-            return masked
-
-        return seeds, apply
-
     def submit(self, client_id: int, values: list[int]) -> list[int]:
         """Mask and record one client's contribution; returns the masked vector.
 
@@ -301,70 +460,10 @@ class SecureAggregationSession:
         and ring addition is exact -- just without the per-client Python
         loops.
         """
-        seeds, apply = self._mask_phase(client_ids, vectors)
-        return apply(expand_masks(seeds, self.vector_length, self.ring.lane))
+        (masked,) = mask_batches([self._batch], [[client_ids]], [[vectors]])
+        return masked
 
     # ------------------------------------------------------------------
-    def _check_threshold(self) -> None:
-        """Open the unmask phase: raise unless at least ``threshold`` clients submitted.
-
-        Below the threshold this raises :class:`SecureAggregationError` and
-        closes the session, counting the failure once.
-        """
-        submitted = len(self._submissions)
-        if submitted < self.threshold:
-            first_failure = not self._failed
-            self._failed = True
-            metrics = get_metrics()
-            if metrics.enabled and first_failure:
-                metrics.counter("secure_agg_failures_total").inc()
-            raise SecureAggregationError(
-                f"only {submitted} of {self.n_clients} clients submitted; "
-                f"threshold is {self.threshold}"
-            )
-
-    def _unmask_phase(
-        self, self_seeds: np.ndarray
-    ) -> tuple[np.ndarray, Callable[[np.ndarray], list[int]]]:
-        """Return the seeds unmasking needs and the step applying them.
-
-        ``self_seeds`` are the survivors' self-mask seeds, which
-        :func:`_recover_self_seeds` reconstructs once the session has passed
-        :meth:`_check_threshold`; each survivor also reveals the seed it
-        shared with each dropout.
-        """
-        survivors = sorted(self._submissions)
-        dropped = [c for c in range(self.n_clients) if c not in self._submissions]
-        # Survivor-dropout pairwise masks linger in the total with the
-        # survivor's sign, so masks it added (dropout id larger) are
-        # subtracted along with the self-masks, and the others added back.
-        upper, position = _pair_layout(self.n_clients)
-        block = np.ix_(survivors, dropped)
-        index = position[block]
-        added = upper[block]
-        subtract = np.concatenate([self_seeds, self._pair_seeds[index[added]]])
-        seeds = np.concatenate([subtract, self._pair_seeds[index[~added]]])
-
-        def apply(masks: np.ndarray) -> list[int]:
-            lane = self.ring.lane
-            total = (
-                np.stack([self._submissions[cid] for cid in survivors]).sum(axis=0, dtype=lane)
-                - masks[: subtract.size].sum(axis=0, dtype=lane)
-                + masks[subtract.size :].sum(axis=0, dtype=lane)
-            )
-            self._finalized = True
-            metrics = get_metrics()
-            if metrics.enabled:
-                metrics.counter("secure_agg_sessions_total").inc()
-                metrics.counter("secure_agg_dropouts_total").inc(len(dropped))
-                metrics.counter("secure_agg_self_masks_removed_total").inc(len(survivors))
-                metrics.counter("secure_agg_masks_recovered_total").inc(
-                    len(survivors) * len(dropped)
-                )
-            return self.ring.decode(total)
-
-        return seeds, apply
-
     def finalize(self) -> list[int]:
         """Unmask and return the exact sum over all *submitting* clients.
 
@@ -377,9 +476,9 @@ class SecureAggregationSession:
         thresholds without it and reports each verdict in its
         ``shard.session`` span.)
         """
-        if self._finalized:
+        if self._batch.finalized[0]:
             raise SecureAggregationError("session already finalized")
-        submitted = len(self._submissions)
+        submitted = self.n_clients - self.dropout_count
         with get_tracer().span(
             "secure_agg.finalize",
             {
@@ -389,24 +488,27 @@ class SecureAggregationSession:
                 "threshold": self.threshold,
             },
         ):
-            self._check_threshold()
-        (self_seeds,) = _recover_self_seeds([self])
-        seeds, apply = self._unmask_phase(self_seeds)
-        return apply(expand_masks(seeds, self.vector_length, self.ring.lane))
+            if not self._batch.check_thresholds()[0]:
+                raise SecureAggregationError(
+                    f"only {submitted} of {self.n_clients} clients submitted; "
+                    f"threshold is {self.threshold}"
+                )
+        (totals,) = unmask_batches([self._batch], [np.ones(1, dtype=bool)])
+        return self.ring.decode(totals[0])
 
     # ------------------------------------------------------------------
     @property
     def submitted_clients(self) -> tuple[int, ...]:
-        return tuple(sorted(self._submissions))
+        return tuple(np.flatnonzero(self._batch.submitted[0]).tolist())
 
     @property
     def dropout_count(self) -> int:
-        return self.n_clients - len(self._submissions)
+        return self.n_clients - int(self._batch.submitted[0].sum())
 
     @property
     def failed(self) -> bool:
         """True once a below-threshold finalize has closed the session."""
-        return self._failed
+        return bool(self._batch.failed[0])
 
 
 def secure_sum(

@@ -29,6 +29,7 @@ __all__ = [
     "Share",
     "split_secret",
     "split_secrets",
+    "split_secret_sets",
     "reconstruct_secret",
     "reconstruct_secrets",
     "reconstruct_secret_sets",
@@ -109,22 +110,39 @@ def split_secrets(
     matrix product of the coefficient matrix with the power matrix
     ``x**d``, instead of ``len(secrets) * n_shares`` Horner loops.
     """
+    (shares,) = split_secret_sets(
+        np.reshape(secrets, (1, -1)), n_shares, threshold, field, [ensure_rng(rng)]
+    )
+    return shares
+
+
+def split_secret_sets(
+    secret_rows,
+    n_shares: int,
+    threshold: int,
+    field: PrimeField,
+    rngs: Sequence[np.random.Generator],
+) -> np.ndarray:
+    """:func:`split_secrets` for several rows of secrets, each on its own generator.
+
+    Row ``s`` of the ``(S, k)`` ``secret_rows`` draws its coefficients
+    from ``rngs[s]``, stream-identical to ``split_secrets(secret_rows[s],
+    ..., rngs[s])``; the ``(S, k, threshold)`` coefficient stack then meets
+    the power matrix in one stacked product.  Returns the ``(S, k,
+    n_shares)`` share values.
+    """
     if not 1 <= threshold <= n_shares:
         raise ConfigurationError(
             f"need 1 <= threshold <= n_shares, got threshold={threshold}, n_shares={n_shares}"
         )
     if n_shares >= field.modulus:
         raise ConfigurationError("more shares requested than distinct field points")
-    gen = ensure_rng(rng)
-    secrets = field.reduce_array(np.asarray(secrets)).reshape(-1)
-    k = secrets.size
-    if threshold > 1:
-        coefficients = np.asarray(
-            gen.integers(0, field.modulus, size=(k, threshold - 1)), dtype=np.uint64
-        )
-    else:
-        coefficients = np.zeros((k, 0), dtype=np.uint64)
-    coeffs = np.concatenate([secrets[:, None], coefficients], axis=1)
+    secret_rows = field.reduce_array(np.asarray(secret_rows))
+    k = secret_rows.shape[1]
+    coeffs = np.empty(secret_rows.shape + (threshold,), dtype=np.uint64)
+    coeffs[..., 0] = secret_rows
+    for row, gen in zip(coeffs, rngs):
+        row[:, 1:] = gen.integers(0, field.modulus, size=(k, threshold - 1))
     return field.matmul_arrays(coeffs, _power_matrix(n_shares, threshold, field.modulus))
 
 
@@ -132,12 +150,26 @@ def split_secrets(
 def _lagrange_weights_at_zero(xs: tuple[int, ...], modulus: int) -> tuple[int, ...]:
     """Each point's Lagrange basis weight at zero, ``prod_{j != i} x_j / (x_j - x_i) mod p``.
 
-    ``xs`` must be distinct mod p.  Each numerator and denominator is an
-    exact integer product, reduced once.  One ``pow`` inverts the product
-    of all denominators, and a backward walk over their prefix products
-    peels off each one's inverse (Montgomery's batched inversion), instead
-    of one modular inverse per point.
+    ``xs`` must be distinct mod p.  Rounds interpolate at a survivor set,
+    most of ``{1 .. m}`` with ``m = max(xs)``: over all of it the weight of
+    ``x`` is ``(-1)**(x - 1) C(m, x)``, and each excluded point ``e``
+    divides out as a factor ``(e - x) / e`` -- one ``pow`` for all points.
+    Sets with more excluded points than kept ones (or points outside
+    ``1 .. m < p``) take each weight's exact numerator and denominator
+    products instead, one ``pow`` inverting all denominators at once and a
+    backward walk over their prefix products peeling off each one's inverse
+    (Montgomery's batched inversion).
     """
+    top = max(xs)
+    if min(xs) >= 1 and top < modulus and top <= 2 * len(xs):
+        excluded = sorted(set(range(1, top + 1)).difference(xs))
+        if len(excluded) == top - len(xs):  # distinct points
+            inverse = pow(math.prod(excluded) % modulus, -1, modulus)
+            return tuple(
+                (-1) ** (x - 1) * math.comb(top, x) * math.prod([e - x for e in excluded])
+                % modulus * inverse % modulus
+                for x in xs
+            )
     numerators, denominators = [], []
     for i, x_i in enumerate(xs):
         others = xs[:i] + xs[i + 1 :]

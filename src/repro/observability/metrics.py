@@ -152,8 +152,8 @@ class Histogram:
         Linear interpolation within the bucket holding the ``q``-th ranked
         observation, with the first bucket's lower edge taken as 0.0 (these
         instruments measure non-negative quantities), clamped into the
-        observed ``[min, max]``; observations in the implicit overflow
-        bucket clamp to the last finite bound.  The value depends only on
+        observed ``[min, max]``; the implicit overflow bucket spans the
+        last finite bound to the observed max.  The value depends only on
         the bucket *counts* and the observed extremes, never on the other
         raw observations -- what keeps recorded run reports stable.
         Returns 0.0 for an empty histogram.
@@ -176,10 +176,13 @@ class Histogram:
         for i, count in enumerate(counts):
             if count and (cumulative + count >= rank or i == len(counts) - 1):
                 if i == len(buckets):
-                    # Overflow bucket: no upper edge to interpolate toward.
-                    return float(buckets[-1])
-                upper = float(buckets[i])
-                lower = 0.0 if i == 0 else float(buckets[i - 1])
+                    # Overflow bucket: its upper edge is the observed max
+                    # (the last bound when a merged payload left it open).
+                    lower = float(buckets[-1])
+                    upper = high if math.isfinite(high) else lower
+                else:
+                    upper = float(buckets[i])
+                    lower = 0.0 if i == 0 else float(buckets[i - 1])
                 fraction = min(max((rank - cumulative) / count, 0.0), 1.0)
                 value = upper if i == 0 and upper <= 0.0 else lower + fraction * (upper - lower)
                 return min(max(value, low), high)

@@ -205,7 +205,10 @@ class BitMeter:
         if self._per_client[0].size and self._per_client[0].dtype.kind != ids.dtype.kind:
             held, got = ("string", "int") if ids.dtype.kind == "i" else ("int", "string")
             raise ConfigurationError(f"this meter books {held} client ids, not {got}")
-        batch, repeats = np.unique(ids, return_counts=True)
+        if (ids[1:] > ids[:-1]).all():  # already sorted and distinct, as transports book
+            batch, repeats = ids.copy(), np.ones(ids.size, dtype=np.int64)
+        else:
+            batch, repeats = np.unique(ids, return_counts=True)
         value_book = self._per_value.get(value_id, _EMPTY_BOOK)
         value_book, value_totals = _add(value_book, batch, repeats * n_bits)
         client_book, client_totals = _add(self._per_client, batch, repeats * n_bits)

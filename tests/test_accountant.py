@@ -204,6 +204,12 @@ class ReferenceMeter:
 INT_IDS = [-1, 0, 3, 7, 2**62]
 STRING_IDS = ["", "7", "a", "device-7", "é"]
 VALUE_IDS = ["m", 7, ("m", 2)]
+# Picks into the sorted id lists above: any order with duplicates, or
+# sorted and distinct -- the batches every transport books, which skip the
+# meter's sort.
+PICKS = st.lists(st.integers(0, 4), min_size=1, max_size=6) | st.lists(
+    st.integers(0, 4), min_size=1, max_size=5, unique=True
+).map(sorted)
 
 
 def _books(meter):
@@ -223,7 +229,7 @@ class TestBitMeterAgainstReference:
         calls=st.lists(
             st.tuples(
                 st.booleans(),  # one record() call, or one record_batch() call
-                st.lists(st.integers(0, 4), min_size=1, max_size=6),  # ids, duplicates allowed
+                PICKS,
                 st.sampled_from(VALUE_IDS),
                 st.integers(1, 3),
                 st.booleans(),  # batch as an array, or as a list
@@ -273,6 +279,16 @@ class TestBitMeterAgainstReference:
             meter.record_batch([9, 5], "a")
         with pytest.raises(PrivacyBudgetExceeded, match="^client 5 would disclose 3 private bits"):
             meter.record_batch([5, 9], "c")
+
+    def test_sorted_batch_books_a_copy(self):
+        # A sorted, distinct batch skips the sort; the books still own their ids.
+        meter = BitMeter()
+        ids = np.arange(5)
+        meter.record_batch(ids, "m")
+        ids[:] = 9
+        assert [meter.bits_disclosed_by(c) for c in range(5)] == [1] * 5
+        assert meter.bits_disclosed_by(9) == 0
+        check_bit_meter(meter)
 
     def test_int_and_string_ids_stay_apart(self):
         # HEAD's dicts booked 7 and "7" as two clients; the arrays must not

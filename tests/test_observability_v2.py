@@ -152,12 +152,27 @@ class TestHistogramQuantile:
                 float(np.quantile(samples, q)), abs=2 * width
             )
 
-    def test_overflow_clamps_to_last_bound(self):
+    def test_overflow_reads_observed_values(self):
+        # The overflow bucket spans the last bound to the observed max, so
+        # its quantiles never fall below every observation in it.
         hist = Histogram("h", (1.0, 2.0))
         for _ in range(10):
             hist.observe(100.0)
-        assert hist.quantile(0.5) == 2.0
-        assert hist.quantile(0.99) == 2.0
+        assert hist.quantile(0.5) == 100.0
+        assert hist.quantile(0.99) == 100.0
+        merged = Histogram("h", (1.0, 2.0))
+        merged.merge_dict(hist.to_dict())
+        other = Histogram("h", (1.0, 2.0))
+        other.observe(300.0, count=10)
+        merged.merge_dict(other.to_dict())
+        assert merged.quantile(0.0) == 100.0
+        assert merged.quantile(0.5) == pytest.approx(2.0 + 0.5 * (300.0 - 2.0))
+        assert merged.quantile(1.0) == 300.0
+        # A payload without extremes leaves the range open: the last bound.
+        payload = dict(other.to_dict(), min=None, max=None)
+        opened = Histogram("h", (1.0, 2.0))
+        opened.merge_dict(payload)
+        assert opened.quantile(0.5) == 2.0
 
     def test_empty_histogram_quantile_is_zero(self):
         assert Histogram("h", (1.0, 2.0)).quantile(0.5) == 0.0

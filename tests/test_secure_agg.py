@@ -25,6 +25,7 @@ from repro.federated.secure_agg import (
     reconstruct_secrets,
     secure_sum,
     split_secret,
+    split_secret_sets,
     split_secrets,
 )
 from repro.federated.secure_agg import protocol
@@ -371,7 +372,7 @@ class TestMatmulArrays:
     @pytest.mark.parametrize("operands", ["random", "p-1"])
     @pytest.mark.parametrize("inner", [1, 7, 2047, 2048, 2049, 5000])
     def test_matches_python_int_reference(self, inner, operands, rng):
-        # Inner dimensions straddle the 2**11 float64 block edge; all-(p-1)
+        # Inner dimensions span several 682-term float64 blocks; all-(p-1)
         # operands put every 21-bit limb at its maximum.
         field = PrimeField()
         if operands == "random":
@@ -389,6 +390,25 @@ class TestMatmulArrays:
         edge = np.asarray([0, 1, 2, field.modulus - 2, field.modulus - 1], dtype=np.uint64)
         outer = field.matmul_arrays(edge[:, None], edge[None, :])
         assert outer.tolist() == [[field.mul(int(x), int(y)) for y in edge] for x in edge]
+
+    @pytest.mark.parametrize("inner", [22, 681, 682, 683, 1365])
+    def test_stacked_left_operand_equals_one_product_each(self, inner, rng):
+        # Inner dimensions straddle the 682-term float64 block edge; all-(p-1)
+        # operands put every limb at its maximum.
+        field = PrimeField()
+        top = field.modulus - 1
+        operands = [
+            (
+                field.reduce_array(rng.integers(0, field.modulus, size=(4, 5, inner))),
+                field.reduce_array(rng.integers(0, field.modulus, size=(inner, 6))),
+            ),
+            (np.full((3, 5, inner), top, np.uint64), np.full((inner, 6), top, np.uint64)),
+        ]
+        for a, b in operands:
+            out = field.matmul_arrays(a, b)
+            assert out.shape == a.shape[:2] + (6,)
+            for stacked, left in zip(out, a):
+                assert stacked.tolist() == _python_matmul(left, b, field.modulus)
 
     def test_generic_modulus_fallback(self, rng):
         field = PrimeField(97)
@@ -411,6 +431,17 @@ class TestBatchedShamir:
             shares = split_secret(secret, n_shares=7, threshold=5, field=field, rng=gen)
             assert [int(y) for y in row] == [s.y for s in shares]
             assert [s.x for s in shares] == list(range(1, 8))
+
+    def test_split_secret_sets_equal_one_split_each(self, rng):
+        field = PrimeField()
+        rows = rng.integers(0, field.modulus, size=(3, 9)).astype(np.uint64)
+        stacked = split_secret_sets(
+            rows, 7, 5, field, [np.random.default_rng(seed) for seed in range(3)]
+        )
+        assert stacked.shape == (3, 9, 7)
+        for seed, (shares, secrets) in enumerate(zip(stacked, rows)):
+            one = split_secrets(secrets, 7, 5, field, np.random.default_rng(seed))
+            np.testing.assert_array_equal(shares, one)
 
     def test_reconstruct_secrets_matches_scalar(self, rng):
         field = PrimeField()
@@ -490,18 +521,32 @@ class TestLagrangeWeights:
     def test_agree_with_scalar_reconstruct(self, modulus, n_points):
         field = PrimeField(modulus)
         draw = np.random.default_rng([modulus % 1000, n_points])
-        xs = tuple(int(x) + 1 for x in draw.choice(modulus - 1, n_points, replace=False))
-        weights = _lagrange_weights_at_zero(xs, modulus)
-        # The weights are the interpolation's basis at zero, so any share
-        # values combine through them exactly as the scalar twin does.
-        for _ in range(3):
-            ys = [int(y) for y in draw.integers(0, modulus, n_points)]
-            expected = reconstruct_secret([Share(x, y) for x, y in zip(xs, ys)], field)
-            assert sum(w * y for w, y in zip(weights, ys)) % modulus == expected
-        if n_points <= 22:
-            for i in range(n_points):
-                unit = [Share(x, int(i == j)) for j, x in enumerate(xs)]
-                assert weights[i] == reconstruct_secret(unit, field)
+        t = n_points
+        # Rounds interpolate at the first t survivors of 1..n after dropout,
+        # which the excluded-point formula covers.  Points spread wider
+        # than 2t, a point past the modulus and a point below 1 take each
+        # weight's own products instead.
+        n = min(modulus - 1, t + t // 2)
+        dropped = set(draw.choice(n, int(draw.integers(0, n - t + 1)), replace=False) + 1)
+        point_sets = [
+            tuple(int(x) + 1 for x in draw.choice(modulus - 1, t, replace=False)),
+            tuple(x for x in range(1, n + 1) if x not in dropped)[:t],
+            tuple(range(1, 3 * t, 3)),
+            tuple(range(1, t)) + (modulus + t,),
+            (-2,) + tuple(range(1, t)),
+        ]
+        for xs in point_sets:
+            weights = _lagrange_weights_at_zero(xs, modulus)
+            # The weights are the interpolation's basis at zero, so any share
+            # values combine through them exactly as the scalar twin does.
+            for _ in range(3 if xs is point_sets[0] else 1):
+                ys = [int(y) for y in draw.integers(0, modulus, t)]
+                expected = reconstruct_secret([Share(x, y) for x, y in zip(xs, ys)], field)
+                assert sum(w * y for w, y in zip(weights, ys)) % modulus == expected
+            if t <= 22:
+                for i in range(t):
+                    unit = [Share(x, int(i == j)) for j, x in enumerate(xs)]
+                    assert weights[i] == reconstruct_secret(unit, field)
 
 
 class TestExpectedThreshold:
@@ -551,7 +596,7 @@ class TestSubmitBatch:
             for row, cid in zip(masked, ids):
                 expected = apply_masks(
                     [int(v) for v in vecs[cid]],
-                    session._self_seeds[cid],
+                    session._batch.self_seeds[0, cid],
                     session.client_pairwise_seeds(cid),
                     cid,
                     session.ring.lane,

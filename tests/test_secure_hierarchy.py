@@ -206,17 +206,28 @@ def _matmul_spans(monkeypatch):
     return calls
 
 
-def _recording_sessions(monkeypatch):
-    """Patch the group path's session class to keep every session it builds."""
+def _recording_batches(monkeypatch):
+    """Patch the group path's session batch class to keep every batch it builds."""
     built = []
 
-    class Recording(SecureAggregationSession):
+    class Recording(protocol.SessionBatch):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             built.append(self)
 
-    monkeypatch.setattr(hierarchy, "SecureAggregationSession", Recording)
+    monkeypatch.setattr(hierarchy, "SessionBatch", Recording)
     return built
+
+
+def _masked_rows(built, tasks):
+    """Each shard's masked rows, read from the batches in shard order.
+
+    A group's shards of one shape share a batch, and the shapes of a
+    shard tree's groups come in shard order.
+    """
+    sessions = [(batch, s) for batch in built for s in range(batch.size)]
+    assert len(sessions) == len(tasks)
+    return [batch.masked[s, task.submitted_ids] for (batch, s), task in zip(sessions, tasks)]
 
 
 class TestShardGroups:
@@ -230,16 +241,15 @@ class TestShardGroups:
         submitted[36:42] = False  # shard 4 of 9 falls below its threshold of 6
         tasks = _tasks(vecs, submitted, 9)
         monkeypatch.setattr(hierarchy, "SHARD_GROUP", group or len(tasks))
-        built = _recording_sessions(monkeypatch)
+        built = _recording_batches(monkeypatch)
         result = aggregate_shards(tasks, 4, rng=np.random.default_rng(5), workers=1)
         rows, totals = _one_session_each(tasks, 4, 5)
         assert [s.recovered for s in result.shards] == [t is not None for t in totals]
         assert not result.shards[4].recovered
-        for session, task, expected_rows, total, outcome in zip(
-            built, tasks, rows, totals, result.shards
+        for got, expected_rows, total, outcome in zip(
+            _masked_rows(built, tasks), rows, totals, result.shards
         ):
-            got = [session._submissions[int(cid)] for cid in task.submitted_ids]
-            np.testing.assert_array_equal(np.asarray(got), expected_rows)
+            np.testing.assert_array_equal(got, expected_rows)
             if total is not None:
                 assert outcome.total.tolist() == total
         np.testing.assert_array_equal(result.total, vecs[result.included].sum(axis=0))
@@ -251,21 +261,20 @@ class TestShardGroups:
         vecs = draw.random((511, 3)) < 0.5
         submitted = draw.random(511) > 0.1
         tasks = _tasks(vecs, submitted, 255)
-        built = _recording_sessions(monkeypatch)
+        built = _recording_batches(monkeypatch)
         calls = []
 
         def counting(seeds, length, lane):
             calls.append(np.dtype(lane).itemsize * 8)
             return expand_masks(seeds, length, lane)
 
-        monkeypatch.setattr(hierarchy, "expand_masks", counting)
+        monkeypatch.setattr(protocol, "expand_masks", counting)
         result = aggregate_shards(tasks, 3, rng=np.random.default_rng(2), workers=1)
         assert [s.ring_bits for s in result.shards] == [8, 16]
         assert calls == [8, 16, 8, 16]
         rows, totals = _one_session_each(tasks, 3, 2)
-        for session, task, expected_rows in zip(built, tasks, rows):
-            got = [session._submissions[int(cid)] for cid in task.submitted_ids]
-            np.testing.assert_array_equal(np.asarray(got), expected_rows)
+        for got, expected_rows in zip(_masked_rows(built, tasks), rows):
+            np.testing.assert_array_equal(got, expected_rows)
         assert [s.total.tolist() for s in result.shards] == totals
         np.testing.assert_array_equal(result.total, vecs[submitted].sum(axis=0))
 
@@ -279,31 +288,55 @@ class TestShardGroups:
         submitted[9:13] = False  # shard 1 keeps 5 of 9, below its threshold of 6
         tasks = _tasks(vecs, submitted, 9)
         assert [t.n_clients for t in tasks] == [9] * 5 + [10]
-        built = _recording_sessions(monkeypatch)
+        built = _recording_batches(monkeypatch)
         calls = _matmul_spans(monkeypatch)
         exporter = InMemoryExporter()
         with instrumented(Tracer([exporter]), MetricsRegistry()):
             result = aggregate_shards(tasks, 4, rng=np.random.default_rng(4), workers=1)
+        (setup,) = exporter.find("secure_agg.setup")
         (unmask,) = exporter.find("secure_agg.unmask")
-        # Setup splits one share matrix per session; unmasking reconstructs
-        # the four threshold-6 sessions in one product and the one
-        # threshold-7 session in another.
+        # Setup splits the share matrices of each shape's sessions in one
+        # product; unmasking reconstructs the four threshold-6 sessions in
+        # one product and the one threshold-7 session in another.
+        assert [shape for span, shape in calls if span == setup.span_id] == [(6, 9), (7, 10)]
         assert sorted(shape for span, shape in calls if span == unmask.span_id) == [
             (6, 4),
             (7, 1),
         ]
-        assert len(calls) == len(tasks) + 2
+        assert len(calls) == 2 + 2
+        assert [batch.size for batch in built] == [5, 1]
         rows, totals = _one_session_each(tasks, 4, 4)
         assert [s.recovered for s in result.shards] == [t is not None for t in totals]
         assert [s.index for s in result.failed_shards] == [1]
-        for session, task, expected_rows, total, outcome in zip(
-            built, tasks, rows, totals, result.shards
+        for got, expected_rows, total, outcome in zip(
+            _masked_rows(built, tasks), rows, totals, result.shards
         ):
-            got = [session._submissions[int(cid)] for cid in task.submitted_ids]
-            np.testing.assert_array_equal(np.asarray(got), expected_rows)
+            np.testing.assert_array_equal(got, expected_rows)
             if total is not None:
                 assert outcome.total.tolist() == total
         np.testing.assert_array_equal(result.total, vecs[result.included].sum(axis=0))
+
+    def test_two_shapes_of_one_threshold_share_a_reconstruction(self, monkeypatch):
+        # shard_size=8 over 41 clients: four 8-client shards and a 9-client
+        # last shard, both threshold 6 -- two session shapes, one product.
+        draw = np.random.default_rng(12)
+        vecs = draw.integers(0, 50, size=(41, 3))
+        submitted = draw.random(41) > 0.1
+        tasks = _tasks(vecs, submitted, 8)
+        assert [default_threshold(t.n_clients) for t in tasks] == [6] * 5
+        built = _recording_batches(monkeypatch)
+        calls = _matmul_spans(monkeypatch)
+        exporter = InMemoryExporter()
+        with instrumented(Tracer([exporter]), MetricsRegistry()):
+            result = aggregate_shards(tasks, 3, rng=np.random.default_rng(6), workers=1)
+        (setup,) = exporter.find("secure_agg.setup")
+        (unmask,) = exporter.find("secure_agg.unmask")
+        assert [batch.size for batch in built] == [4, 1]
+        assert calls == [(setup.span_id, (6, 8)), (setup.span_id, (6, 9)), (unmask.span_id, (6, 5))]
+        rows, totals = _one_session_each(tasks, 3, 6)
+        for got, expected_rows in zip(_masked_rows(built, tasks), rows):
+            np.testing.assert_array_equal(got, expected_rows)
+        assert [s.total.tolist() for s in result.shards] == totals
 
     def test_one_expansion_per_phase_for_a_group(self, monkeypatch):
         calls = []
@@ -313,7 +346,6 @@ class TestShardGroups:
             return expand_masks(seeds, length, lane)
 
         monkeypatch.setattr(protocol, "expand_masks", counting)
-        monkeypatch.setattr(hierarchy, "expand_masks", counting, raising=False)
         vecs = np.random.default_rng(4).random((40, 6)) < 0.5
         result = hierarchical_secure_sum(vecs, shard_size=8, workers=1, rng=3)
         assert len(result.shards) == 5
@@ -352,10 +384,11 @@ class TestShardGroups:
             (8, 8, 6, True)
         ] * 2
         assert not exporter.find("secure_agg.finalize")
-        # Five share splits in setup; one Shamir reconstruction for the
-        # group's five threshold-6 sessions, inside the unmask phase.
-        assert calls == [(phases["secure_agg.setup"].span_id, (6, 8))] * 5 + [
-            (phases["secure_agg.unmask"].span_id, (6, 5))
+        # One share split for the group's five sessions of one shape in
+        # setup; one Shamir reconstruction for them inside the unmask phase.
+        assert calls == [
+            (phases["secure_agg.setup"].span_id, (6, 8)),
+            (phases["secure_agg.unmask"].span_id, (6, 5)),
         ]
         # Shard durations share out the group's wall time, which holds the phases.
         assert sum(s.duration_s for s in result.shards) >= sum(

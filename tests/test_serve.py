@@ -11,9 +11,11 @@ import asyncio
 import io
 import json
 import os
+import socket
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -1382,6 +1384,54 @@ class TestFleetRendezvousTimeout:
         )
         assert code == 2
         assert "no port appeared" in capsys.readouterr().err
+
+
+class TestStalePortFile:
+    def test_fleet_waits_out_a_port_file_left_by_an_earlier_server(self, tmp_path):
+        # The planted file names a closed port, and the server starts after
+        # the fleet: the fleet re-reads the file on each refused connection
+        # until the server's own port appears in it.
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            stale_port = probe.getsockname()[1]
+        port_file = tmp_path / "port"
+        port_file.write_text(f"{stale_port}\n")
+        cfg = ServeConfig(n_clients=4, seed=8, deadline_s=10.0, registration_timeout_s=10.0)
+        serve_out = io.StringIO()
+        outcome = {}
+
+        def serve():
+            time.sleep(0.3)
+            outcome["code"] = run_serve_command(
+                clients=4,
+                seed=8,
+                deadline_s=10.0,
+                registration_timeout_s=10.0,
+                port_file=str(port_file),
+                as_json=True,
+                stream=serve_out,
+                error_stream=serve_out,
+            )
+
+        thread = threading.Thread(target=serve)
+        thread.start()
+        fleet_out = io.StringIO()
+        code = run_fleet_command(
+            clients=4,
+            port_file=str(port_file),
+            seed=6,
+            as_json=True,
+            stream=fleet_out,
+            error_stream=fleet_out,
+        )
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert code == 0 and outcome["code"] == 0
+        twin = in_process_estimate(fleet_values(4, 6), cfg, fleet_seed=6)
+        assert json.loads(fleet_out.getvalue())["estimate"] == twin.value
+        assert json.loads(serve_out.getvalue())["estimate"] == twin.value
+        # The server removed its port file on the way out.
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestConfigSurface:
